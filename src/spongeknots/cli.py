@@ -11,65 +11,30 @@ import argparse
 import datetime
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from . import serialize
+from . import checks, serialize
 from .embed import embed_grid
 from .geometry import frac
 from .grid import KNOT_DETERMINANTS, catalog, catalog_names
-from .invariants import determinant, diagram_from_grid, is_simple, project, project_generic, tricolorings
-from .necklace import iterate, make_necklace, pearl_inside, pearls_disjoint
+from .invariants import determinant, diagram_from_grid, project, tricolorings
+from .necklace import iterate, make_necklace
 from .polyline import ClosedPolyline3
-from .squareflake import replaced_count, squareflake
+from .squareflake import squareflake
 from .ternary import (
     AxisSegment,
-    expansions,
-    first_violation,
     membership,
     membership_stage,
+    refutation,
     satisfying_expansions,
     segment_in_stage,
-    ternary_digits,
+    stage_witness,
 )
 from .wildknot import KnotAssignment, approximant, wild_set_plan
 
 _SPACE_FLAG = {"cantor": "cantor", "carpet-face": "carpet_face", "sponge": "sponge", "carpet2": "carpet2"}
 _DIMS = {"cantor": 1, "carpet_face": 2, "sponge": 3, "carpet2": 3}
-
-
-class CheckList:
-    """Named pass/fail checks; prints one line each."""
-
-    def __init__(self):
-        self.results = []
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.results.append((name, bool(ok), detail))
-
-    def report(self, out=None):
-        for name, ok, detail in self.results:
-            suffix = f" ({detail})" if detail else ""
-            print(f"{name}: {'PASS' if ok else 'FAIL'}{suffix}", file=out or sys.stdout)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.results)
-
-    def first_failure(self):
-        for name, ok, detail in self.results:
-            if not ok:
-                return name
-        return None
-
-
-def _parallel_segments_ok(poly: ClosedPolyline3, stage: int, threads: int) -> bool:
-    segs = [AxisSegment.from_endpoints(a, b) for a, b in poly.segments()]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(lambda s: segment_in_stage(s, stage, "sponge"), segs))
-    return all(segment_in_stage(s, stage, "sponge") for s in segs)
 
 
 # ---------------------------------------------------------------------------
@@ -82,31 +47,6 @@ def _witness_true_limit(space, coords):
     if combo is None:
         return None
     return [{"preperiod": list(e.preperiod), "period": list(e.period)} for e in combo]
-
-
-def _refutation(space, coords, k):
-    """Removed-cell certificates: one per representation combo."""
-    from itertools import product as iproduct
-
-    options = [ternary_digits(c, k) for c in coords]
-    cells = []
-    failed_stage = 0
-    for combo in iproduct(*options):
-        t = first_violation(combo, space)
-        assert t is not None, "refutation requested for a member point"
-        failed_stage = max(failed_stage, t)
-        cell = []
-        for prefix in combo:
-            lo = Fraction(sum(d * 3 ** (t - 1 - i) for i, d in enumerate(prefix[:t])), 3**t)
-            cell.append([serialize.rat(lo), serialize.rat(lo + Fraction(1, 3**t))])
-        ones = sum(p[t - 1] == 1 for p in combo)
-        removed = {1: "middle-third", 2: "face-center", 3: "center"}.get(ones, "center")
-        if space == "carpet_face":
-            removed = "center-square"
-        if space == "carpet2":
-            removed = "center"
-        cells.append({"stage": t, "cell": cell, "removed": removed})
-    return failed_stage, cells
 
 
 def cmd_predicate(args) -> int:
@@ -146,27 +86,20 @@ def cmd_predicate(args) -> int:
         "point": [serialize.rat(c) for c in coords],
         "verdict": verdict,
     }
-    if verdict:
-        if args.stage is None:
-            out["witness"] = _witness_true_limit(space, coords)
-        else:
-            found = None
-            from itertools import product as iproduct
-
-            for combo in iproduct(*[ternary_digits(c, args.stage) for c in coords]):
-                if first_violation(combo, space) is None:
-                    found = [list(p) for p in combo]
-                    break
-            out["witness"] = found
+    if verdict and args.stage is None:
+        out["witness"] = _witness_true_limit(space, coords)
+    elif verdict:
+        out["witness"] = [list(p) for p in stage_witness(coords, args.stage, space)]
     else:
-        depth = args.stage
-        if depth is None:
-            # rationals are eventually periodic: preperiod + one period decides
-            depth = max(
-                len(e.preperiod) + len(e.period) for c in coords for e in expansions(c)
-            )
-        failed_stage, cells = _refutation(space, coords, depth)
-        out["refutation"] = {"failed_stage": failed_stage, "cells": cells}
+        failed_stage, cells = refutation(coords, space, args.stage)
+        out["refutation"] = {
+            "failed_stage": failed_stage,
+            "cells": [
+                {"stage": c.stage, "cell": [[serialize.rat(lo), serialize.rat(hi)] for lo, hi in c.cell],
+                 "removed": c.removed}
+                for c in cells
+            ],
+        }
     print(serialize.dump_json(out), end="")
     return 0
 
@@ -191,7 +124,15 @@ def _sidecar_log(path: Path, config: str):
     path.write_text(f"{stamp} {config}\n")
 
 
-def _emit(args, name: str, json_text: str, obj_text: str | None, checks: CheckList,
+def _finish(results: checks.CheckList) -> int:
+    results.report()
+    if not results.ok:
+        print(f"first failing check: {results.first_failure()}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks.CheckList,
           extra: dict | None = None) -> int:
     out = _out_dir(args)
     _write(out / f"{name}.json", json_text)
@@ -205,51 +146,39 @@ def _emit(args, name: str, json_text: str, obj_text: str | None, checks: CheckLi
         "artifact": f"{name}.json",
         "checks": [
             {"name": n, "pass": ok, **({"detail": d} if d else {})}
-            for n, ok, d in checks.results
+            for n, ok, d in results.results
         ],
     }
     _write(out / f"{name}.report.json", serialize.dump_json(report))
     _sidecar_log(out / f"{name}.log", " ".join(sys.argv[1:]))
-    checks.report()
-    if not checks.ok:
-        print(f"first failing check: {checks.first_failure()}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(results)
 
 
 def cmd_build_embed(args) -> int:
     g = catalog(args.knot)
     poly, rep = embed_grid(g, args.stage)
-    checks = CheckList()
-    checks.add("containment", all(rep.segment_verdicts), f"stage {rep.stage}")
-    checks.add("simplicity", rep.simple)
+    results = checks.polyline(poly, rep.stage)
     d = project(poly, (0, 0, 1))
     det = determinant(d)
     tri = tricolorings(d)
     expected = KNOT_DETERMINANTS[args.knot]
-    checks.add("determinant", det == expected, f"det {det}")
-    checks.add("grid-projection-match", det == determinant(diagram_from_grid(g)))
+    results.add("determinant", det == expected, f"det {det}")
+    results.add("grid-projection-match", det == determinant(diagram_from_grid(g)))
     csv = "invariant,value\n" + f"determinant,{det}\n" + f"tricolorings,{tri}\n"
     name = f"embed-{args.knot}"
     return _emit(
         args, name, serialize.dump_json(serialize.polyline_json(poly)),
-        serialize.polyline_obj(poly), checks,
+        serialize.polyline_obj(poly), results,
         {f"{name}.invariants.csv": csv},
     )
 
 
 def cmd_build_squareflake(args) -> int:
     s = squareflake(args.stage)
-    checks = CheckList()
-    checks.add("simplicity", is_simple(s.polyline))
-    checks.add("containment", _parallel_segments_ok(s.polyline, s.m, args.threads), f"stage {s.m}")
-    if s.m >= 1:
-        checks.add("replaced-count", len(s.replaced) == replaced_count(s.m))
-    checks.add("vertex-count", len(s.polyline) == 4 + 4 * (2**s.m - 1))
     name = f"squareflake-{s.m}"
     return _emit(
         args, name, serialize.dump_json(serialize.squareflake_json(s)),
-        serialize.polyline_obj(s.polyline), checks,
+        serialize.polyline_obj(s.polyline), checks.squareflake(s),
     )
 
 
@@ -268,28 +197,10 @@ def _parse_assignment(args) -> KnotAssignment:
 def cmd_build_wildknot(args) -> int:
     assign = _parse_assignment(args)
     a = approximant(assign, args.stage, include_trivial=args.include_trivial)
-    checks = CheckList()
-    checks.add("simplicity", is_simple(a.polyline))
-    checks.add(
-        "containment",
-        _parallel_segments_ok(a.polyline, a.sponge_stage, args.threads),
-        f"stage {a.sponge_stage}",
-    )
-    per_stage_ok = all(
-        sum(1 for e in a.ledger if e.stage == q) == 3 * 2 ** (q - 1)
-        for q in range(1, a.m + 1)
-    )
-    checks.add("ledger-counts", per_stage_ok)
-    expected = a.expected_determinant()
-    do_det = args.det or (args.det is None and a.spliced_count() <= 9)
-    if do_det:
-        d, direction = project_generic(a.polyline)
-        det = determinant(d)
-        checks.add("determinant", det == expected, f"det {det} along {direction}")
     name = f"wildknot-{args.stage}"
     return _emit(
         args, name, serialize.dump_json(serialize.approximant_json(a)),
-        serialize.polyline_obj(a.polyline), checks,
+        serialize.polyline_obj(a.polyline), checks.approximant(a, args.det),
         {f"{name}.assignment.json": serialize.dump_json(serialize.assignment_json(assign))},
     )
 
@@ -306,43 +217,18 @@ def _necklace_base(name: str) -> ClosedPolyline3:
 
 def cmd_build_necklace(args) -> int:
     base = make_necklace(_necklace_base(args.base), args.pearls)
-    it = iterate(base, args.generation)
-    checks = CheckList()
-    expected = args.pearls * (args.pearls - 1) ** args.generation
-    checks.add("pearl-count", len(it.pearls) == expected, f"{len(it.pearls)} pearls")
-    ok_nest = True
-    ok_sib = True
-    if args.generation >= 1:
-        parents = {p.word: p for p in iterate(base, args.generation - 1).pearls}
-        groups = {}
-        for p in it.pearls:
-            ok_nest = ok_nest and pearl_inside(p, parents[p.word[:-1]])
-            groups.setdefault(p.word[:-1], []).append(p)
-        for group in groups.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    ok_sib = ok_sib and pearls_disjoint(group[i], group[j])
-    checks.add("nesting", ok_nest)
-    checks.add("sibling-disjointness", ok_sib)
+    it = iterate(base, args.generation) if args.generation else None
     name = f"necklace-{args.pearls}-{args.generation}"
-    ply = serialize.points_ply([p.center for p in it.pearls])
+    ply = serialize.points_ply([p.center for p in (it or base).pearls])
     return _emit(
-        args, name,
-        serialize.dump_json(serialize.necklace_json(base, it if args.generation else None)),
-        None, checks, {f"{name}.ply": ply},
+        args, name, serialize.dump_json(serialize.necklace_json(base, it)),
+        None, checks.necklace(base, it), {f"{name}.ply": ply},
     )
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _verify_polyline(poly: ClosedPolyline3, checks: CheckList, threads: int):
-    checks.add("simplicity", is_simple(poly))
-    stage = poly.marks.get("sponge_stage")
-    if isinstance(stage, int):
-        checks.add("containment", _parallel_segments_ok(poly, stage, threads), f"stage {stage}")
-
 
 def cmd_verify(args) -> int:
     path = Path(args.file)
@@ -351,67 +237,18 @@ def cmd_verify(args) -> int:
     except OSError as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         return 2
-    checks = CheckList()
     try:
         kind, obj = serialize.load_artifact(text)
     except ValueError as e:
         msg = str(e)
         if "duplicate vertex" in msg or "3 vertices" in msg:
             # structurally broken polyline: report as a named check failure
-            checks.add("simplicity", False, msg)
-            checks.report()
-            return 1
+            results = checks.CheckList()
+            results.add("simplicity", False, msg)
+            return _finish(results)
         print(f"schema mismatch: {e}", file=sys.stderr)
         return 2
-    if kind == "polyline":
-        _verify_polyline(obj, checks, args.threads)
-    elif kind == "grid":
-        from .grid import validate
-
-        v = validate(obj)
-        checks.add("grid-valid", v is None, "" if v is None else str(v))
-    elif kind == "squareflake":
-        checks.add("simplicity", is_simple(obj.polyline))
-        checks.add("containment", _parallel_segments_ok(obj.polyline, obj.m, args.threads))
-        checks.add("vertex-count", len(obj.polyline) == 4 + 4 * (2**obj.m - 1))
-        if obj.m >= 1:
-            checks.add("replaced-count", len(obj.replaced) == replaced_count(obj.m))
-    elif kind == "approximant":
-        checks.add("simplicity", is_simple(obj.polyline))
-        checks.add(
-            "containment",
-            _parallel_segments_ok(obj.polyline, obj.sponge_stage, args.threads),
-            f"stage {obj.sponge_stage}",
-        )
-        counts_ok = all(
-            sum(1 for e in obj.ledger if e.stage == q) == 3 * 2 ** (q - 1)
-            for q in range(1, obj.m + 1)
-        )
-        checks.add("ledger-counts", counts_ok)
-    elif kind == "necklace":
-        base, iterated = obj
-        gen_ok = True
-        for i in range(len(base.pearls)):
-            for j in range(i + 1, len(base.pearls)):
-                gen_ok = gen_ok and pearls_disjoint(base.pearls[i], base.pearls[j])
-        checks.add("pearl-disjointness", gen_ok)
-        if iterated is not None:
-            m = iterated.generation
-            parents = {p.word: p for p in iterate(base, m - 1).pearls} if m >= 1 else {}
-            nest_ok = all(pearl_inside(p, parents[p.word[:-1]]) for p in iterated.pearls) if m >= 1 else True
-            checks.add("nesting", nest_ok)
-            recomputed = iterate(base, m)
-            match = {p.word: (p.center, p.radius_sq) for p in recomputed.pearls} == {
-                p.word: (p.center, p.radius_sq) for p in iterated.pearls
-            }
-            checks.add("iterate-match", match)
-    elif kind == "assignment":
-        checks.add("assignment-readable", True)
-    checks.report()
-    if not checks.ok:
-        print(f"first failing check: {checks.first_failure()}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(checks.SUITES[kind](obj))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spongeknots",
         description="exact knot constructions in Menger-sponge prefractals",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for verification loops")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predicate", help="membership queries with digit witnesses")

@@ -70,15 +70,8 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
         raise ValueError(f"stage {k} has only {2 ** (k + 1)} endpoints < n = {d.n}")
     endpoints = tuple(cantor_endpoints(k)[: d.n])
     poly = ClosedPolyline3(tuple(_vertex_cycle(d, endpoints)))
-    verdicts = tuple(
-        segment_in_stage(AxisSegment.from_endpoints(a, b), k, "sponge")
-        for a, b in poly.segments()
-    )
-    report = EmbeddingReport(k, endpoints, verdicts, is_simple(poly))
+    report = EmbeddingReport(k, endpoints, verify_containment(poly, k), is_simple(poly))
     return poly, report
-
-
-ORIENTATIONS = ("y-edge", "y-edge-high", "x-edge-low", "x-edge-high")
 
 
 def _orient(unit: Point3, corner: Point3, side: Fraction, orientation: str) -> Point3:

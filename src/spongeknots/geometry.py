@@ -194,18 +194,6 @@ class Cube:
             total += max(abs(p[i] - lo), abs(p[i] - hi)) ** 2
         return total
 
-    def min_dist_sq(self, p: Point3) -> Fraction:
-        """Squared distance from p to the cube (0 if inside)."""
-        total = ZERO
-        for i in range(3):
-            lo = self.corner[i]
-            hi = lo + self.side
-            if p[i] < lo:
-                total += (lo - p[i]) ** 2
-            elif p[i] > hi:
-                total += (p[i] - hi) ** 2
-        return total
-
     def intersects_cube(self, other: "Cube") -> bool:
         for i in range(3):
             if self.corner[i] + self.side < other.corner[i]:

@@ -10,7 +10,6 @@ cross over horizontals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -105,47 +104,6 @@ def walk_points(d: GridDiagram):
     return pts
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
-    """Rendered grid: horizontal arcs, vertical arcs, vertical-over crossings."""
-
-    horizontals: tuple  # (row, x_from, x_to) in traversal direction
-    verticals: tuple  # (col, y_from, y_to) in traversal direction
-    crossings: tuple  # (col, row, point) with the vertical always over
-
-    @property
-    def crossing_count(self):
-        return len(self.crossings)
-
-
-def to_planar(d: GridDiagram) -> PlanarDiagram:
-    bad = validate(d)
-    if bad is not None:
-        raise ValueError(str(bad))
-    pts = walk_points(d)
-    n2 = len(pts)
-    horizontals = []
-    verticals = []
-    for i in range(0, n2, 2):
-        (x0, y), (x1, _) = pts[i], pts[i + 1]
-        horizontals.append((y, x0, x1))
-        (xa, ya), (_, yb) = pts[i + 1], pts[(i + 2) % n2]
-        verticals.append((xa, ya, yb))
-    crossings = []
-    for col, y0, y1 in verticals:
-        ylo, yhi = min(y0, y1), max(y0, y1)
-        for row, x0, x1 in horizontals:
-            xlo, xhi = min(x0, x1), max(x0, x1)
-            if xlo < col < xhi and ylo < row < yhi:
-                crossings.append((col, row, (Fraction(col), Fraction(row))))
-    # per-column sanity: exactly two marked points on each vertical line
-    counts = {}
-    for x, _ in pts:
-        counts[x] = counts.get(x, 0) + 1
-    assert all(c == 2 for c in counts.values()), "column with != 2 marked points"
-    return PlanarDiagram(tuple(horizontals), tuple(verticals), tuple(crossings))
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -161,7 +119,6 @@ _CATALOG = {
 }
 
 KNOT_DETERMINANTS = {"unknot": 1, "trefoil": 3, "figure-eight": 5}
-KNOT_TRICOLORINGS = {"unknot": 3, "trefoil": 9, "figure-eight": 3}
 
 
 def catalog(name: str) -> GridDiagram:

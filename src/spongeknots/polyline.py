@@ -49,7 +49,3 @@ class ClosedPolyline3:
 def closed_polyline(points, marks=None) -> ClosedPolyline3:
     verts = tuple(tuple(frac(c) for c in p) for p in points)
     return ClosedPolyline3(verts, dict(marks) if marks else {})
-
-
-def as_fraction_triple(p) -> Point3:
-    return (frac(p[0]), frac(p[1]), frac(p[2]))

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .geometry import Cube, frac
 from .grid import GridDiagram
-from .invariants import KnotDiagram
 from .necklace import Necklace, Pearl
 from .polyline import ClosedPolyline3
 from .squareflake import SquareflakeStage
@@ -28,10 +27,6 @@ LOSSY_BANNER = "lossy decimal export; exact rationals live in the JSON artifact"
 def rat(x) -> str:
     f = frac(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def unrat(s) -> Fraction:
-    return Fraction(s)
 
 
 def point_json(p):
@@ -232,27 +227,6 @@ def necklace_from_json(d: dict):
             generation=int(it["generation"]),
         )
     return base, iterated
-
-
-# --- knot diagrams -----------------------------------------------------------
-
-def diagram_json(d: KnotDiagram) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "diagram",
-        "source": d.source,
-        "n_arcs": d.n_arcs,
-        "crossings": [
-            {
-                "over_arc": c.over_arc,
-                "under_in": c.under_in,
-                "under_out": c.under_out,
-                "sign": c.sign,
-                "point": [rat(c.point[0]), rat(c.point[1])],
-            }
-            for c in d.crossings
-        ],
-    }
 
 
 # --- lossy viewer exports ----------------------------------------------------

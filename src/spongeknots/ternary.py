@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .geometry import frac
@@ -157,8 +158,8 @@ _BAD = {
 }
 
 
-def _combo_ok_forever(combo, bad) -> bool:
-    """Does a representation tuple satisfy the condition at every position?
+def _first_bad_forever(combo, bad):
+    """First position where a representation tuple breaks the condition, or None.
 
     Decided exactly over preperiod + one joint period; rational expansions
     are eventually periodic so this is a complete check, not a truncation.
@@ -167,8 +168,13 @@ def _combo_ok_forever(combo, bad) -> bool:
     per = lcm(*(len(e.period) for e in combo))
     for i in range(1, pre + per + 1):
         if bad(tuple(e.digit(i) for e in combo)):
-            return False
-    return True
+            return i
+    return None
+
+
+def _expansion_combos(coords):
+    """Every tuple of representations, one per coordinate."""
+    return product(*(expansions(c) for c in coords))
 
 
 def satisfying_expansions(coords, space: str):
@@ -178,12 +184,8 @@ def satisfying_expansions(coords, space: str):
     satisfies the space condition.
     """
     bad = _BAD[space]
-    reps = [expansions(c) for c in coords]
-    combos = [()]
-    for options in reps:
-        combos = [c + (o,) for c in combos for o in options]
-    for combo in combos:
-        if _combo_ok_forever(combo, bad):
+    for combo in _expansion_combos(coords):
+        if _first_bad_forever(combo, bad) is None:
             return combo
     return None
 
@@ -196,6 +198,57 @@ def first_violation(prefix_combo, space: str):
         if bad(tuple(p[i] for p in prefix_combo)):
             return i + 1
     return None
+
+
+def stage_witness(coords, k: int, space: str):
+    """Length-k digit prefixes, one per coordinate, that break no rule; or None."""
+    for combo in product(*(ternary_digits(c, k) for c in coords)):
+        if first_violation(combo, space) is None:
+            return combo
+    return None
+
+
+@dataclass(frozen=True)
+class RemovedCell:
+    """Closed cell of side 3**-stage, one [lo, hi] per axis, whose interior
+    the stage-``stage`` construction removes."""
+
+    stage: int
+    cell: tuple[tuple[Fraction, Fraction], ...]
+    removed: str
+
+
+_REMOVED_NAME = {1: "middle-third", 2: "face-center", 3: "center"}
+
+
+def refutation(coords, space: str, k: int | None = None):
+    """(failed_stage, cells): a removed cell holding the point for every
+    representation combo, and the largest stage among them.
+
+    With ``k`` the point must lie outside the stage-k prefractal and each
+    cell comes from length-k digit prefixes. Without it the point must lie
+    outside the limit set, and each cell sits at its combo's exact first
+    violating position. ValueError when some combo breaks no rule.
+    """
+    if k is None:
+        bad = _BAD[space]
+        combos = [(c, _first_bad_forever(c, bad)) for c in _expansion_combos(coords)]
+        found = [(t, [e.prefix(t) for e in c]) for c, t in combos if t is not None]
+    else:
+        combos = [(p, first_violation(p, space)) for p in product(*(ternary_digits(c, k) for c in coords))]
+        found = [(t, p) for p, t in combos if t is not None]
+    if len(found) < len(combos):
+        raise ValueError("refutation requested for a member point")
+    cells = []
+    for t, prefixes in found:
+        cell = []
+        for prefix in prefixes:
+            lo = Fraction(sum(d * 3 ** (t - 1 - i) for i, d in enumerate(prefix[:t])), 3**t)
+            cell.append((lo, lo + Fraction(1, 3**t)))
+        ones = sum(p[t - 1] == 1 for p in prefixes)
+        removed = {"carpet_face": "center-square", "carpet2": "center"}.get(space) or _REMOVED_NAME[ones]
+        cells.append(RemovedCell(t, tuple(cell), removed))
+    return max(c.stage for c in cells), cells
 
 
 def membership(point, space: str) -> bool:

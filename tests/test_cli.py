@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from spongeknots import serialize
 from spongeknots.cli import main
 from spongeknots.embed import embed_grid
@@ -42,6 +44,20 @@ def test_predicate_stage_query(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] is False
     assert out["refutation"]["failed_stage"] == 1
+
+
+def test_predicate_refutation_past_one_period(capsys):
+    # x has 1s at even digits, y at every third: both first meet at digit 6,
+    # past the preperiod + period depth of 3
+    assert run(["predicate", "--space", "sponge", "1/8", "1/26", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] is False
+    assert out["refutation"]["failed_stage"] == 6
+    point = (F(1, 8), F(1, 26), F(0))
+    cells = [c["cell"] for c in out["refutation"]["cells"] if c["stage"] == 6]
+    assert cells
+    for cell in cells:
+        assert all(F(lo) <= x <= F(hi) for x, (lo, hi) in zip(point, cell))
 
 
 def test_predicate_segment(capsys):
@@ -155,4 +171,32 @@ def test_build_wildknot_all_trivial_include(tmp_path, capsys):
 
 
 def test_threads_option(tmp_path, capsys):
-    assert run(["--threads", "4", "build", "squareflake", "--stage", "2", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["--threads", "4", "build", "squareflake", "--stage", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+# every build configuration above, with the artifact it writes
+BUILDS = [
+    (["embed", "--knot", "figure-eight"], "embed-figure-eight"),
+    (["squareflake", "--stage", "2"], "squareflake-2"),
+    (["squareflake", "--stage", "1"], "squareflake-1"),
+    (["wildknot", "--stage", "2", "--targets", "0/1,1/1", "--knot", "trefoil"], "wildknot-2"),
+    (["wildknot", "--stage", "1", "--assign", "all:trivial", "--include-trivial"], "wildknot-1"),
+    (["necklace", "--pearls", "4", "--generation", "1"], "necklace-4-1"),
+]
+# embed checks that need the catalog knot, which the polyline artifact does not store
+EMBED_BUILD_ONLY = {"determinant", "grid-projection-match"}
+
+
+@pytest.mark.parametrize("argv,name", BUILDS, ids=[name for _, name in BUILDS])
+def test_verify_reruns_the_build_suite(tmp_path, capsys, argv, name):
+    assert run(["build", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(tmp_path / f"{name}.json")]) == 0
+    printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+    report = json.loads((tmp_path / f"{name}.report.json").read_text())
+    expected = [c["name"] for c in report["checks"]]
+    if argv[0] == "embed":
+        expected = [n for n in expected if n not in EMBED_BUILD_ONLY]
+    assert printed == expected

@@ -10,7 +10,7 @@ from spongeknots.embed import (
     verify_containment,
 )
 from spongeknots.geometry import Cube
-from spongeknots.grid import catalog, to_planar
+from spongeknots.grid import catalog
 from spongeknots.invariants import (
     determinant,
     determinant_minor,
@@ -73,10 +73,10 @@ def test_stage_override():
 def test_crossing_fidelity_depth_projection():
     g = catalog("figure-eight")
     poly, rep = embed_grid(g)
-    planar = to_planar(g)
+    planar = diagram_from_grid(g)
     diagram = project(poly, (0, 0, 1))
     p = {v: rep.endpoints[v - 1] for v in range(1, g.n + 1)}
-    expected = {(p[col], p[row]) for col, row, _ in planar.crossings}
+    expected = {(p[col], p[row]) for col, row in (c.point for c in planar.crossings)}
     got = {c.point for c in diagram.crossings}
     assert got == expected
     # columns live on the front face z=0, rows on the back face z=1, and the

@@ -4,7 +4,6 @@ from spongeknots.grid import (
     GridDiagram,
     catalog,
     catalog_names,
-    to_planar,
     validate,
     walk_points,
 )
@@ -14,7 +13,7 @@ from spongeknots.invariants import determinant, diagram_from_grid, tricolorings
 def test_unknot_valid():
     g = GridDiagram(2, ((1, 2), (2, 1)))
     assert validate(g) is None
-    assert to_planar(g).crossing_count == 0
+    assert diagram_from_grid(g).crossing_count == 0
 
 
 def test_validate_reports_first_violation():
@@ -73,11 +72,9 @@ def test_catalog_unknown_name():
         catalog("granny")
 
 
-def test_to_planar_deterministic():
+def test_diagram_from_grid_deterministic():
     g = catalog("figure-eight")
-    p1 = to_planar(g)
-    p2 = to_planar(g)
-    assert p1 == p2
+    assert diagram_from_grid(g) == diagram_from_grid(g)
 
 
 def test_cyclic_row_rotation_preserves_determinant():

@@ -2,12 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spongeknots.oracle import subdivision_oracle
+from spongeknots.oracle import oracle_profile, subdivision_oracle
 from spongeknots.ternary import (
     AxisSegment,
+    TernaryExpansion,
     cantor_endpoints,
     expansions,
     in_cantor,
@@ -18,7 +19,9 @@ from spongeknots.ternary import (
     in_carpet_face_stage,
     in_sponge,
     in_sponge_stage,
+    membership,
     membership_stage,
+    refutation,
     segment_in_stage,
     ternary_digits,
 )
@@ -224,3 +227,33 @@ def test_triadic_ambiguity_is_existential():
     assert in_carpet_face_stage(F(1, 3), F(1, 3), 5)
     assert in_sponge_stage(F(1, 3), F(1, 3), F(1, 3), 5)
     assert in_carpet2_stage(F(1, 3), F(1, 3), F(1, 3), 5)
+
+
+# short preperiods and periods, rich in 1s, so non-members are common; tails
+# of 0s or 2s give triadic points with two representations
+_digits = st.lists(st.sampled_from((0, 1, 1, 2)), max_size=3).map(tuple)
+small_period_points = st.sampled_from([("cantor", 1), ("carpet_face", 2), ("sponge", 3), ("carpet2", 3)]).flatmap(
+    lambda sd: st.tuples(
+        st.just(sd[0]),
+        st.lists(
+            st.builds(TernaryExpansion, _digits, _digits.filter(bool)).map(TernaryExpansion.value),
+            min_size=sd[1], max_size=sd[1],
+        ).map(tuple),
+    )
+)
+
+
+@given(small_period_points)
+@settings(max_examples=150)
+def test_refutation_cells_hold_the_point_and_are_removed_at_their_stage(case):
+    space, point = case
+    assume(not membership(point, space))
+    failed_stage, cells = refutation(point, space)
+    assert failed_stage == max(c.stage for c in cells)
+    # in the stage before the deepest cell, outside from that stage on
+    assert oracle_profile(point, failed_stage, space) == [True] * failed_stage + [False]
+    for c in cells:
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(point, c.cell))
+        assert all(hi - lo == F(1, 3**c.stage) for lo, hi in c.cell)
+        center = tuple((lo + hi) / 2 for lo, hi in c.cell)
+        assert oracle_profile(center, c.stage, space) == [True] * c.stage + [False]
