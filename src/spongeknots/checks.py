@@ -11,11 +11,12 @@ from __future__ import annotations
 import sys
 
 from .embed import verify_containment
+from .geometry import axis_form
 from .grid import validate
 from .invariants import determinant, is_simple, project_generic
 from .necklace import iterate, pearl_inside, pearls_disjoint
 from .squareflake import replaced_count
-from .ternary import _triadic_exponent
+from .ternary import triadic_exponent
 
 
 class CheckList:
@@ -52,9 +53,9 @@ def _grid_stage(poly):
 
     None when some segment is oblique or some coordinate is not triadic.
     """
-    if any(sum(a[i] != b[i] for i in range(3)) != 1 for a, b in poly.segments()):
+    if any(axis_form(a, b) is None for a, b in poly.segments()):
         return None
-    exponents = [_triadic_exponent(c.denominator) for v in poly.vertices for c in v]
+    exponents = [triadic_exponent(c.denominator) for v in poly.vertices for c in v]
     return None if None in exponents else max(exponents)
 
 

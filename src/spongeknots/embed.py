@@ -16,7 +16,7 @@ from .geometry import Cube, Point3
 from .grid import GridDiagram, validate, walk_points
 from .invariants import is_simple
 from .polyline import ClosedPolyline3
-from .ternary import AxisSegment, cantor_endpoints, in_sponge_stage, segment_in_stage
+from .ternary import AxisSegment, cantor_endpoints, in_sponge_stage, segment_in_stage, triadic_exponent
 
 
 def stage_for(n: int) -> int:
@@ -91,15 +91,8 @@ def _orient(unit: Point3, corner: Point3, side: Fraction, orientation: str) -> P
 
 def sponge_stage_of_cube(q: Cube) -> int:
     """Stage s with side 3**-s, or raise when the cube is not grid-aligned."""
-    side = q.side
-    if side.numerator != 1:
-        raise ValueError("cube side must be a power of 1/3")
-    s = 0
-    den = side.denominator
-    while den % 3 == 0:
-        den //= 3
-        s += 1
-    if den != 1:
+    s = triadic_exponent(q.side.denominator) if q.side.numerator == 1 else None
+    if s is None:
         raise ValueError("cube side must be a power of 1/3")
     scale = 3**s
     for c in q.corner:

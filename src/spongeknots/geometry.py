@@ -17,15 +17,19 @@ ONE = Fraction(1)
 
 
 def frac(value, den=None) -> Fraction:
-    """Coerce ints, strings like ``"7/9"``, or Fractions to Fraction."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
+    """Coerce ints, strings like ``"7/9"``, or Fractions to Fraction.
+
+    A zero denominator is a ValueError, like any other malformed rational.
+    """
+    try:
+        if den is not None:
+            return Fraction(value, den)
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, (str, int)):
+            return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -75,6 +79,21 @@ def cross2(a: Point2, b: Point2) -> Fraction:
 
 def dot2(a: Point2, b: Point2) -> Fraction:
     return a[0] * b[0] + a[1] * b[1]
+
+
+def axis_form(a: Point3, b: Point3):
+    """(axis, fixed_coords, lo, hi) when the segment is axis-parallel, else None.
+
+    ``fixed_coords`` are the other two coordinates in axis order and the
+    running coordinate spans [lo, hi].
+    """
+    diffs = [i for i in range(3) if a[i] != b[i]]
+    if len(diffs) != 1:
+        return None
+    ax = diffs[0]
+    lo, hi = (a[ax], b[ax]) if a[ax] <= b[ax] else (b[ax], a[ax])
+    fixed = tuple(a[i] for i in range(3) if i != ax)
+    return (ax, fixed, lo, hi)
 
 
 def _interval_overlap(a_lo, a_hi, b_lo, b_hi):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .geometry import Point2, Point3, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
+from .geometry import Point2, Point3, axis_form, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
 from .grid import GridDiagram, walk_points
 from .polyline import ClosedPolyline3
 
@@ -35,17 +35,6 @@ class NonGenericProjection(ValueError):
 # ---------------------------------------------------------------------------
 # simplicity
 # ---------------------------------------------------------------------------
-
-def _axis_form(a: Point3, b: Point3):
-    """(axis, fixed_coords, lo, hi) when the segment is axis-parallel, else None."""
-    diffs = [i for i in range(3) if a[i] != b[i]]
-    if len(diffs) != 1:
-        return None
-    ax = diffs[0]
-    lo, hi = (a[ax], b[ax]) if a[ax] <= b[ax] else (b[ax], a[ax])
-    fixed = tuple(a[i] for i in range(3) if i != ax)
-    return (ax, fixed, lo, hi)
-
 
 def _axis_pair_intersection(f1, f2):
     """Intersection of two axis-parallel segments in axis form.
@@ -90,7 +79,7 @@ def is_simple(p: ClosedPolyline3) -> bool:
     verts = p.vertices
     n = len(verts)
     segs = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    forms = [_axis_form(a, b) for a, b in segs]
+    forms = [axis_form(a, b) for a, b in segs]
     for i in range(n):
         for j in range(i + 1, n):
             adjacent = (j == i + 1) or (i == 0 and j == n - 1)

@@ -34,7 +34,10 @@ def point_json(p):
 
 
 def point_from_json(p):
-    return tuple(Fraction(c) for c in p)
+    point = tuple(Fraction(c) for c in p)
+    if len(point) != 3:
+        raise ValueError(f"a point needs 3 coordinates, got {len(point)}")
+    return point
 
 
 # --- polylines -------------------------------------------------------------
@@ -275,8 +278,14 @@ FROM_JSON = {
 
 
 def load_artifact(text: str):
+    """(kind, object) of an artifact; ValueError for any malformed input."""
     d = load_json(text)
+    if not isinstance(d, dict):
+        raise ValueError("artifact is not a JSON object")
     kind = d.get("kind")
     if kind not in FROM_JSON:
         raise ValueError(f"unknown artifact kind: {kind!r}")
-    return kind, FROM_JSON[kind](d)
+    try:
+        return kind, FROM_JSON[kind](d)
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed {kind} artifact: {type(e).__name__}: {e}") from None

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .geometry import frac
+from .geometry import axis_form, frac
 
 SPACES = ("cantor", "carpet_face", "sponge", "carpet2")
 
@@ -38,7 +38,7 @@ def _check_unit(x: Fraction) -> Fraction:
     return x
 
 
-def _triadic_exponent(den: int):
+def triadic_exponent(den: int):
     """j such that den == 3**j, else None."""
     j = 0
     while den % 3 == 0:
@@ -77,9 +77,6 @@ class TernaryExpansion:
         tail = Fraction(int("".join(map(str, per)), 3), 3 ** len(per) - 1)
         return head + tail / scale
 
-    def avoids(self, forbidden: int) -> bool:
-        return forbidden not in self.preperiod and forbidden not in self.period
-
 
 def expansions(x) -> tuple[TernaryExpansion, ...]:
     """All infinite ternary representations of x in [0,1].
@@ -104,7 +101,7 @@ def expansions(x) -> tuple[TernaryExpansion, ...]:
         digits.append(d)
     start = seen[rem]
     high = TernaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
-    j = _triadic_exponent(den)
+    j = triadic_exponent(den)
     if j is None:
         return (high,)
     # terminating expansion has digits[j-1] != 0 and zeros afterwards
@@ -116,17 +113,41 @@ def expansions(x) -> tuple[TernaryExpansion, ...]:
 def ternary_digits(x, k: int) -> tuple[tuple[int, ...], ...]:
     """Length-k prefixes of every valid infinite representation of x.
 
-    Both representations of a triadic rational collapse to one prefix when
-    k is smaller than the position where they diverge.
+    These are the digits of the closed stage-k cells holding x, read off
+    x * 3**k without expanding x: two cells, the terminating prefix first,
+    when x * 3**k is an integer strictly between 0 and 3**k; else one.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    x = _check_unit(x)
+    return tuple(_digits_of_index(i, k) for i in _cell_candidates(x, 3**k))
+
+
+def _cell_candidates(c: Fraction, scale: int) -> tuple[int, ...]:
+    """Indices i with c in [i/scale, (i+1)/scale], i in [0, scale-1]."""
+    num, den = c.numerator, c.denominator
+    t = num * scale
+    i = t // den
     out = []
-    for e in expansions(x):
-        p = e.prefix(k)
-        if p not in out:
-            out.append(p)
+    if i <= scale - 1:
+        out.append(i)
+    if t % den == 0 and i >= 1:
+        out.append(i - 1)
     return tuple(out)
+
+
+def _digits_of_index(i: int, k: int) -> tuple[int, ...]:
+    """The k base-3 digits of i, most significant first."""
+    if k > 64:
+        # halve big indices first, so a deep stage costs far less than k
+        # divisions of a k-digit integer
+        high, low = divmod(i, 3 ** (k // 2))
+        return _digits_of_index(high, k - k // 2) + _digits_of_index(low, k // 2)
+    ds = []
+    for _ in range(k):
+        ds.append(i % 3)
+        i //= 3
+    return tuple(reversed(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +193,12 @@ def _first_bad_forever(combo, bad):
     return None
 
 
-def _expansion_combos(coords):
-    """Every tuple of representations, one per coordinate."""
-    return product(*(expansions(c) for c in coords))
+def _limit_scan(coords, space: str):
+    """(combo, first violating position or None) for every tuple of
+    representations, one per coordinate."""
+    bad = _BAD[space]
+    for combo in product(*(expansions(c) for c in coords)):
+        yield combo, _first_bad_forever(combo, bad)
 
 
 def satisfying_expansions(coords, space: str):
@@ -183,29 +207,29 @@ def satisfying_expansions(coords, space: str):
     One TernaryExpansion per coordinate such that every digit position
     satisfies the space condition.
     """
-    bad = _BAD[space]
-    for combo in _expansion_combos(coords):
-        if _first_bad_forever(combo, bad) is None:
-            return combo
-    return None
+    return next((combo for combo, t in _limit_scan(coords, space) if t is None), None)
 
 
 def first_violation(prefix_combo, space: str):
     """1-based position where digit prefixes break the space rule, or None."""
     bad = _BAD[space]
-    k = len(prefix_combo[0])
-    for i in range(k):
-        if bad(tuple(p[i] for p in prefix_combo)):
-            return i + 1
+    for i, ds in enumerate(zip(*prefix_combo), 1):
+        if bad(ds):
+            return i
     return None
+
+
+def _stage_scan(prefix_options, space: str):
+    """(combo, first violating position or None) for every tuple of
+    equal-length digit prefixes, one from each axis's options."""
+    for combo in product(*prefix_options):
+        yield combo, first_violation(combo, space)
 
 
 def stage_witness(coords, k: int, space: str):
     """Length-k digit prefixes, one per coordinate, that break no rule; or None."""
-    for combo in product(*(ternary_digits(c, k) for c in coords)):
-        if first_violation(combo, space) is None:
-            return combo
-    return None
+    options = [ternary_digits(c, k) for c in coords]
+    return next((combo for combo, t in _stage_scan(options, space) if t is None), None)
 
 
 @dataclass(frozen=True)
@@ -231,11 +255,10 @@ def refutation(coords, space: str, k: int | None = None):
     violating position. ValueError when some combo breaks no rule.
     """
     if k is None:
-        bad = _BAD[space]
-        combos = [(c, _first_bad_forever(c, bad)) for c in _expansion_combos(coords)]
+        combos = list(_limit_scan(coords, space))
         found = [(t, [e.prefix(t) for e in c]) for c, t in combos if t is not None]
     else:
-        combos = [(p, first_violation(p, space)) for p in product(*(ternary_digits(c, k) for c in coords))]
+        combos = list(_stage_scan([ternary_digits(c, k) for c in coords], space))
         found = [(t, p) for p, t in combos if t is not None]
     if len(found) < len(combos):
         raise ValueError("refutation requested for a member point")
@@ -251,16 +274,25 @@ def refutation(coords, space: str, k: int | None = None):
     return max(c.stage for c in cells), cells
 
 
-def membership(point, space: str) -> bool:
-    """Limit-set membership for any supported space."""
+def _point(point, space: str):
+    """The point's coordinates, checked to lie in [0, 1] and to match the space."""
     coords = tuple(_check_unit(c) for c in point)
     if len(coords) != _SPACE_DIM[space]:
         raise ValueError(f"{space} expects {_SPACE_DIM[space]} coordinates")
-    return _member(coords, space)
+    return coords
 
 
-def _member(coords, space) -> bool:
-    return satisfying_expansions(coords, space) is not None
+def membership(point, space: str) -> bool:
+    """Limit-set membership for any supported space."""
+    return satisfying_expansions(_point(point, space), space) is not None
+
+
+def membership_stage(point, k: int, space: str) -> bool:
+    """Stage-k membership for any supported space; point length must match."""
+    coords = _point(point, space)
+    if k < 0:
+        raise ValueError("stage must be >= 0")
+    return stage_witness(coords, k, space) is not None
 
 
 def stage_profile(coords, kmax: int, space: str) -> list[bool]:
@@ -272,73 +304,49 @@ def stage_profile(coords, kmax: int, space: str) -> list[bool]:
     """
     if kmax < 0:
         raise ValueError("stage must be >= 0")
-    bad = _BAD[space]
-    prefix_sets = [ternary_digits(c, kmax) for c in coords]
-    combos = [()]
-    for options in prefix_sets:
-        combos = [c + (o,) for c in combos for o in options]
     deepest = 0  # largest prefix length some combo survives
-    for combo in combos:
-        ok = kmax
-        for i in range(kmax):
-            if bad(tuple(p[i] for p in combo)):
-                ok = i
-                break
-        deepest = max(deepest, ok)
+    for _, t in _stage_scan([ternary_digits(c, kmax) for c in coords], space):
+        deepest = kmax if t is None else max(deepest, t - 1)
         if deepest == kmax:
             break
     return [k <= deepest for k in range(kmax + 1)]
 
 
-def _member_stage(coords, k: int, space) -> bool:
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    return stage_profile(coords, k, space)[k]
-
-
 def in_cantor(x) -> bool:
     """x lies in the middle-thirds Cantor set."""
-    return _member((_check_unit(x),), "cantor")
+    return membership((x,), "cantor")
 
 
 def in_cantor_stage(x, k: int) -> bool:
-    return _member_stage((_check_unit(x),), k, "cantor")
+    return membership_stage((x,), k, "cantor")
 
 
 def in_carpet_face(x, y) -> bool:
     """(x, y) lies in the planar Sierpinski carpet."""
-    return _member((_check_unit(x), _check_unit(y)), "carpet_face")
+    return membership((x, y), "carpet_face")
 
 
 def in_carpet_face_stage(x, y, k: int) -> bool:
-    return _member_stage((_check_unit(x), _check_unit(y)), k, "carpet_face")
+    return membership_stage((x, y), k, "carpet_face")
 
 
 def in_sponge(x, y, z) -> bool:
     """(x, y, z) lies in the Menger sponge (all stages at once)."""
-    return _member((_check_unit(x), _check_unit(y), _check_unit(z)), "sponge")
+    return membership((x, y, z), "sponge")
 
 
 def in_sponge_stage(x, y, z, k: int) -> bool:
     """(x, y, z) lies in the stage-k sponge prefractal; stage 0 is the cube."""
-    return _member_stage((_check_unit(x), _check_unit(y), _check_unit(z)), k, "sponge")
+    return membership_stage((x, y, z), k, "sponge")
 
 
 def in_carpet2(x, y, z) -> bool:
     """(x, y, z) lies in the two-dimensional carpet in the cube (26-of-27 rule)."""
-    return _member((_check_unit(x), _check_unit(y), _check_unit(z)), "carpet2")
+    return membership((x, y, z), "carpet2")
 
 
 def in_carpet2_stage(x, y, z, k: int) -> bool:
-    return _member_stage((_check_unit(x), _check_unit(y), _check_unit(z)), k, "carpet2")
-
-
-def membership_stage(point, k: int, space: str) -> bool:
-    """Stage-k membership for any supported space; point length must match."""
-    coords = tuple(_check_unit(c) for c in point)
-    if len(coords) != _SPACE_DIM[space]:
-        raise ValueError(f"{space} expects {_SPACE_DIM[space]} coordinates")
-    return _member_stage(coords, k, space)
+    return membership_stage((x, y, z), k, "carpet2")
 
 
 def cantor_endpoints(k: int) -> list[Fraction]:
@@ -388,13 +396,10 @@ class AxisSegment:
 
     @classmethod
     def from_endpoints(cls, a, b) -> "AxisSegment":
-        diffs = [i for i in range(3) if a[i] != b[i]]
-        if len(diffs) != 1:
+        form = axis_form(a, b)
+        if form is None:
             raise ValueError("segment is not axis-aligned")
-        axis = diffs[0]
-        fixed = tuple(a[i] for i in range(3) if i != axis)
-        lo, hi = sorted((a[axis], b[axis]))
-        return cls(axis, fixed, lo, hi)
+        return cls(*form)
 
     def endpoints(self):
         a = list(self.fixed)
@@ -402,33 +407,6 @@ class AxisSegment:
         b = list(self.fixed)
         b.insert(self.axis, self.hi)
         return tuple(a), tuple(b)
-
-
-def _cell_candidates(c: Fraction, scale: int) -> tuple[int, ...]:
-    """Indices i with c in [i/scale, (i+1)/scale], i in [0, scale-1]."""
-    num, den = c.numerator, c.denominator
-    t = num * scale
-    i = t // den
-    out = []
-    if i <= scale - 1:
-        out.append(i)
-    if t % den == 0 and i >= 1:
-        out.append(i - 1)
-    return tuple(out)
-
-
-def _digits_of_index(i: int, k: int) -> tuple[int, ...]:
-    ds = []
-    for _ in range(k):
-        ds.append(i % 3)
-        i //= 3
-    return tuple(reversed(ds))
-
-
-def _cell_survives(digit_cols, bad) -> bool:
-    """digit_cols: per-axis digit tuples of equal length k."""
-    k = len(digit_cols[0])
-    return all(not bad(tuple(col[t] for col in digit_cols)) for t in range(k))
 
 
 def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
@@ -441,15 +419,9 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
         raise ValueError("space must be 'sponge' or 'carpet2'")
     if k < 0:
         raise ValueError("stage must be >= 0")
-    if k == 0:
-        return True
-    bad = _BAD[space]
     scale = 3 ** k
-    fixed_digit_options = []
-    for c in seg.fixed:
-        opts = [_digits_of_index(i, k) for i in _cell_candidates(c, scale)]
-        fixed_digit_options.append(opts)
-    combos = [(f0, f1) for f0 in fixed_digit_options[0] for f1 in fixed_digit_options[1]]
+    options = [ternary_digits(c, k) for c in seg.fixed]
+    options.insert(seg.axis, None)  # the running cell's digits, set per cell
 
     # columns of cells met with positive overlap along the running axis
     lo_idx = (seg.lo.numerator * scale) // seg.lo.denominator
@@ -458,17 +430,7 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     if hi_t % seg.hi.denominator == 0:
         hi_idx -= 1
     for i in range(lo_idx, hi_idx + 1):
-        run = _digits_of_index(i, k)
-        ok = False
-        for f0, f1 in combos:
-            cols = [None, None, None]
-            cols[seg.axis] = run
-            others = [a for a in range(3) if a != seg.axis]
-            cols[others[0]] = f0
-            cols[others[1]] = f1
-            if _cell_survives(cols, bad):
-                ok = True
-                break
-        if not ok:
+        options[seg.axis] = (_digits_of_index(i, k),)
+        if all(t is not None for _, t in _stage_scan(options, space)):
             return False
     return True

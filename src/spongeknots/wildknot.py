@@ -14,12 +14,12 @@ from fractions import Fraction
 from itertools import product
 
 from .embed import embed_into_cube, stage_for
-from .geometry import Cube, Point3, frac
+from .geometry import Cube, Point3, axis_form, frac
 from .grid import GridDiagram, KNOT_DETERMINANTS, catalog
 from .invariants import determinant, diagram_from_grid
 from .polyline import ClosedPolyline3
 from .squareflake import squareflake
-from .ternary import AxisSegment, expansions, in_cantor
+from .ternary import AxisSegment, in_cantor, stage_witness
 
 ZERO = Fraction(0)
 
@@ -83,17 +83,9 @@ def sites(m: int) -> list[SpliceSite]:
 # splicing
 # ---------------------------------------------------------------------------
 
-def _segment_axis_data(a: Point3, b: Point3):
-    diffs = [i for i in range(3) if a[i] != b[i]]
-    if len(diffs) != 1:
-        return None
-    ax = diffs[0]
-    return ax, tuple(a[i] for i in range(3) if i != ax), min(a[ax], b[ax]), max(a[ax], b[ax])
-
-
 def _clip_to_cube(a: Point3, b: Point3, cube: Cube):
     """Closed intersection of an axis-aligned segment with a cube, or None."""
-    data = _segment_axis_data(a, b)
+    data = axis_form(a, b)
     if data is None:
         raise ValueError("approximant segments must be axis-aligned")
     ax, fixed, lo, hi = data
@@ -133,7 +125,7 @@ def splice(base: ClosedPolyline3, site: SpliceSite, summand: ClosedPolyline3) ->
     n = len(verts)
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
-        data = _segment_axis_data(a, b)
+        data = axis_form(a, b)
         if data is None or data[0] != ax:
             continue
         if data[1] == site.T.fixed and data[2] <= site.T.lo and site.T.hi <= data[3]:
@@ -347,14 +339,6 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
 # wild-point targeting (finite-stage content of the wild-set construction)
 # ---------------------------------------------------------------------------
 
-def _cantor_digits(t, m: int):
-    """First m digits of the 1-free ternary representation of a Cantor point."""
-    for e in expansions(t):
-        if e.avoids(1):
-            return [e.digit(q) for q in range(1, m + 1)]
-    raise ValueError(f"target {t} is not a Cantor-set point")
-
-
 def wild_set_plan(targets, knot: str, m: int) -> KnotAssignment:
     """Assignment making exactly the sites chasing each target nontrivial.
 
@@ -371,7 +355,7 @@ def wild_set_plan(targets, knot: str, m: int) -> KnotAssignment:
             raise ValueError(f"target {t} is not on the edge Cantor set")
     entries = {}
     for t in targets:
-        digits = _cantor_digits(t, m)
+        (digits,) = stage_witness((t,), m, "cantor")  # its 1-free length-m prefix
         rank = 0  # position of the target's square among the stage squares
         for q in range(1, m + 1):
             d = digits[q - 1]

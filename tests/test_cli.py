@@ -73,6 +73,18 @@ def test_predicate_wrong_arity_is_usage_error(capsys):
     assert run(["predicate", "--space", "sponge", "1/2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["predicate", "--space", "sponge", "1/0", "0", "0"],
+    ["predicate", "--space", "sponge", "--segment", "0", "1/0", "0", "0", "1"],
+    ["build", "wildknot", "--stage", "2", "--targets", "1/0"],
+], ids=["point", "segment", "targets"])
+def test_zero_denominator_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "build":
+        argv = [*argv, "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_build_embed_and_verify(tmp_path, capsys):
     assert run(["build", "embed", "--knot", "figure-eight", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -154,6 +166,26 @@ def test_verify_unknown_schema_is_usage_error(tmp_path, capsys):
     f = tmp_path / "junk.json"
     f.write_text('{"schema": "v1", "kind": "martian"}\n')
     assert run(["verify", str(f)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"kind": "polyline", "vertices": 5}',
+    '{"kind": "polyline", "vertices": [["1/0", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]}',
+    '{"kind": "polyline", "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}',
+], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates"])
+def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert run(["verify", str(f)]) == 2
+    assert "schema mismatch" in capsys.readouterr().err
+
+
+def test_verify_two_vertex_polyline_names_simplicity(tmp_path, capsys):
+    f = tmp_path / "short.json"
+    f.write_text('{"kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"]]}')
+    assert run(["verify", str(f)]) == 1
+    assert "simplicity: FAIL (need at least 3 vertices)" in capsys.readouterr().out
 
 
 def test_verify_missing_file_is_usage_error(tmp_path):

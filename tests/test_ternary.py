@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from spongeknots.ternary import (
     membership_stage,
     refutation,
     segment_in_stage,
+    stage_profile,
     ternary_digits,
 )
 
@@ -35,6 +37,33 @@ def test_ternary_digits_examples():
     # 0*(1/3) + 2/9 + 0 + 2/81 repeating sums to 1/4
     assert ternary_digits(F(1, 4), 4) == ((0, 2, 0, 2),)
     assert ternary_digits(F(1), 2) == ((2, 2),)
+
+
+def _expansion_prefixes(x, k):
+    out = []
+    for e in expansions(x):
+        if e.prefix(k) not in out:
+            out.append(e.prefix(k))
+    return tuple(out)
+
+
+# a stage k with a point that is random, an end of [0, 1], or on the 3**-k grid
+stage_points = st.one_of(st.integers(min_value=0, max_value=8), st.integers(min_value=60, max_value=140)).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.one_of(
+            unit_fractions,
+            st.sampled_from((F(0), F(1))),
+            st.integers(min_value=0, max_value=3**k).map(lambda j: F(j, 3**k)),
+        ),
+    )
+)
+
+
+@given(stage_points)
+def test_ternary_digits_are_the_expansion_prefixes(case):
+    k, x = case
+    assert ternary_digits(x, k) == _expansion_prefixes(x, k)
 
 
 def test_ternary_digits_out_of_range():
@@ -116,6 +145,28 @@ def test_oracle_equivalence_random(space, dim):
         p = tuple(_random_unit_fraction(rng, 3**5) for _ in range(dim))
         for k in range(6):
             assert membership_stage(p, k, space) == subdivision_oracle(p, k, space), (p, k)
+
+
+def test_stage_verdicts_match_oracle_for_dust_over_large_denominators():
+    # criterion 2's points (12-digit Cantor dust, z with denominator up to
+    # 10**6), with x or y sometimes a small-denominator rational so that
+    # non-members occur too
+    rng = random.Random(0xD057)
+    verdicts = set()
+    for _ in range(60):
+        x, y = (
+            F(sum(rng.choice((0, 2)) * 3**i for i in range(12)), 3**12)
+            if rng.random() < 0.6 else _random_unit_fraction(rng, 3**5)
+            for _ in range(2)
+        )
+        den = rng.randint(1, 10**6)
+        z = F(rng.randint(0, den), den)
+        for space, q in (("sponge", (x, y, z)), ("carpet2", (x, y, z)), ("carpet_face", (y, z)), ("cantor", (z,))):
+            profile = oracle_profile(q, 8, space)
+            assert [membership_stage(q, k, space) for k in range(9)] == profile, (q, space)
+            assert stage_profile(q, 8, space) == profile, (q, space)
+            verdicts.update(profile)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("space,dim", [("cantor", 1), ("carpet_face", 2), ("sponge", 3), ("carpet2", 3)])
@@ -215,6 +266,54 @@ def _insert(fixed, axis, value):
     coords = list(fixed)
     coords.insert(axis, value)
     return tuple(coords)
+
+
+def _running_cell_verdicts(axis, fixed, k, space):
+    """Oracle verdict at the midpoint of each stage-k running cell.
+
+    All points inside one open running cell lie in the same closed cells, so
+    the midpoints decide containment of any segment through them.
+    """
+    scale = 3**k
+    return [subdivision_oracle(_insert(fixed, axis, F(2 * i + 1, 2 * scale)), k, space) for i in range(scale)]
+
+
+def _segment_oracle(seg, k, space):
+    scale = 3**k
+    cells = _running_cell_verdicts(seg.axis, seg.fixed, k, space)
+    return all(cells[floor(seg.lo * scale):ceil(seg.hi * scale)])
+
+
+@pytest.mark.parametrize("space", ["sponge", "carpet2"])
+def test_segment_matches_oracle_on_every_grid_segment(space):
+    for k in range(3):
+        grid = [F(j, 3**k) for j in range(3**k + 1)]
+        for axis in range(3):
+            for fixed in ((a, b) for a in grid for b in grid):
+                cells = _running_cell_verdicts(axis, fixed, k, space)
+                for lo in range(3**k):
+                    for hi in range(lo + 1, 3**k + 1):
+                        seg = AxisSegment(axis, fixed, grid[lo], grid[hi])
+                        assert segment_in_stage(seg, k, space) == all(cells[lo:hi]), (seg, k)
+
+
+@pytest.mark.parametrize("space", ["sponge", "carpet2"])
+def test_segment_matches_oracle_on_random_segments_at_stage_3(space):
+    rng = random.Random(33)
+    verdicts = set()
+    for _ in range(300):
+        fixed = tuple(
+            F(rng.randint(0, 27), 27) if rng.random() < 0.7 else _random_unit_fraction(rng, 100)
+            for _ in range(2)
+        )
+        lo, hi = sorted(_random_unit_fraction(rng, 100) for _ in range(2))
+        if lo == hi:
+            continue
+        seg = AxisSegment(rng.randrange(3), fixed, lo, hi)
+        verdict = segment_in_stage(seg, 3, space)
+        assert verdict == _segment_oracle(seg, 3, space), seg
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_triadic_ambiguity_is_existential():

@@ -222,6 +222,26 @@ def test_wild_set_plan_rejects_non_cantor_targets():
         wild_set_plan([F(0), F(0)], "trefoil", 2)
 
 
+@pytest.mark.parametrize(
+    "target",
+    # triadic (two expansions: 1/3, 2/3, 2/9, 7/9) and non-triadic Cantor points
+    [F(0), F(1), F(1, 3), F(2, 3), F(2, 9), F(7, 9), F(1, 4), F(3, 4), F(1, 10), F(3, 10)],
+)
+def test_wild_set_plan_chases_the_target_through_its_cantor_intervals(target):
+    m = 6
+    plan = wild_set_plan([target], "trefoil", m)
+    assert sorted(q for q, _ in plan.entries) == list(range(1, m + 1))
+    # decode each stage's site into a Cantor digit: the lower third adjoins
+    # the square's bottom site (offset 1), the upper third its top (offset 3)
+    lo, rank = F(0), 0
+    for (q, index) in sorted(plan.entries):
+        assert (index - 1) // 3 == rank
+        d = {1: 0, 3: 2}[index - 3 * rank]
+        lo += F(d, 3**q)
+        rank = 2 * rank + d // 2
+    assert lo <= target <= lo + F(1, 3**m)
+
+
 def test_census_monotone_toward_target():
     target = F(1)
     plan = wild_set_plan([target], "trefoil", 5)
