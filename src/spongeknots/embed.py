@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Cube, Point3
+from .geometry import Cube, Point3, axis_form
 from .grid import GridDiagram, validate, walk_points
-from .invariants import is_simple
 from .polyline import ClosedPolyline3
 from .ternary import AxisSegment, cantor_endpoints, in_sponge_stage, segment_in_stage, triadic_exponent
 
@@ -31,14 +30,10 @@ def stage_for(n: int) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
+    """Where an embedding lives; its claims are checked by ``checks.polyline``."""
+
     stage: int
     endpoints: tuple[Fraction, ...]
-    segment_verdicts: tuple[bool, ...]
-    simple: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.simple and all(self.segment_verdicts)
 
 
 def _vertex_cycle(d: GridDiagram, endpoints):
@@ -70,8 +65,7 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
         raise ValueError(f"stage {k} has only {2 ** (k + 1)} endpoints < n = {d.n}")
     endpoints = tuple(cantor_endpoints(k)[: d.n])
     poly = ClosedPolyline3(tuple(_vertex_cycle(d, endpoints)))
-    report = EmbeddingReport(k, endpoints, verify_containment(poly, k), is_simple(poly))
-    return poly, report
+    return poly, EmbeddingReport(k, endpoints)
 
 
 def _orient(unit: Point3, corner: Point3, side: Fraction, orientation: str) -> Point3:
@@ -141,8 +135,13 @@ def embed_into_cube(
 
 
 def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge"):
-    """Per-segment exact containment verdicts at the given stage."""
-    return tuple(
-        segment_in_stage(AxisSegment.from_endpoints(a, b), stage, space)
-        for a, b in poly.segments()
-    )
+    """Per-segment exact containment verdicts at the given stage.
+
+    An oblique segment, or one leaving the unit cube, is not contained.
+    """
+    verdicts = []
+    for a, b in poly.segments():
+        form = axis_form(a, b)
+        inside = form is not None and all(0 <= c <= 1 for c in a + b)
+        verdicts.append(inside and segment_in_stage(AxisSegment(*form), stage, space))
+    return tuple(verdicts)

@@ -19,14 +19,15 @@ ONE = Fraction(1)
 def frac(value, den=None) -> Fraction:
     """Coerce ints, strings like ``"7/9"``, or Fractions to Fraction.
 
-    A zero denominator is a ValueError, like any other malformed rational.
+    A zero denominator is a ValueError, like any other malformed rational;
+    a float or a bool is a TypeError.
     """
     try:
         if den is not None:
             return Fraction(value, den)
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (str, int)):
+        if isinstance(value, (str, int)) and not isinstance(value, bool):
             return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {value!r}") from None
@@ -94,6 +95,19 @@ def axis_form(a: Point3, b: Point3):
     lo, hi = (a[ax], b[ax]) if a[ax] <= b[ax] else (b[ax], a[ax])
     fixed = tuple(a[i] for i in range(3) if i != ax)
     return (ax, fixed, lo, hi)
+
+
+def box_meet(box1, box2):
+    """Intersection (lo, hi) of two closed axis-aligned boxes, or None.
+
+    A box is the pair of its least and greatest corners; an axis-parallel
+    segment is its own box, so two of them meet exactly in ``box_meet``.
+    """
+    (lo1, hi1), (lo2, hi2) = box1, box2
+    for a, b, c, d in zip(lo1, hi1, lo2, hi2):
+        if a > d or c > b:
+            return None
+    return tuple(map(max, lo1, lo2)), tuple(map(min, hi1, hi2))
 
 
 def _interval_overlap(a_lo, a_hi, b_lo, b_hi):

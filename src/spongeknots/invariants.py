@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 
-from .geometry import Point2, Point3, axis_form, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
+from .geometry import Point2, Point3, box_meet, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
 from .grid import GridDiagram, walk_points
 from .polyline import ClosedPolyline3
 
@@ -36,41 +37,38 @@ class NonGenericProjection(ValueError):
 # simplicity
 # ---------------------------------------------------------------------------
 
-def _axis_pair_intersection(f1, f2):
-    """Intersection of two axis-parallel segments in axis form.
+def _meets(walk):
+    """(i, j, meet) for every pair i < j of segments of a closed walk that meet.
 
-    Returns None, ("point", p3), or "overlap".
+    Segment i joins walk[i] to walk[i + 1] (mod n), in 2D or 3D.  ``meet`` is
+    ("point", p) or ("overlap", (p, q)), as from ``seg_seg_3d``/``seg_seg_2d``.
+    The walk is scaled once to integers; two axis-parallel segments meet in
+    the intersection of their boxes, every other pair goes through the exact
+    Fraction routine.
     """
-    ax1, fx1, lo1, hi1 = f1
-    ax2, fx2, lo2, hi2 = f2
-    if ax1 == ax2:
-        if fx1 != fx2:
-            return None
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return None
-        if lo < hi:
-            return "overlap"
-        coords = list(fx1)
-        coords.insert(ax1, lo)
-        return ("point", tuple(coords))
-    # perpendicular: the third axis values must agree
-    other1 = [i for i in range(3) if i != ax1]
-    other2 = [i for i in range(3) if i != ax2]
-    coord = {}
-    coord[other1[0]], coord[other1[1]] = fx1
-    c2 = {other2[0]: fx2[0], other2[1]: fx2[1]}
-    shared = [i for i in range(3) if i != ax1 and i != ax2][0]
-    if coord[shared] != c2[shared]:
-        return None
-    # candidate point: running coords come from the other segment's fixed value
-    p = [None, None, None]
-    p[shared] = coord[shared]
-    p[ax1] = c2[ax1]
-    p[ax2] = coord[ax2]
-    if lo1 <= p[ax1] <= hi1 and lo2 <= p[ax2] <= hi2:
-        return ("point", tuple(p))
-    return None
+    n = len(walk)
+    scale = lcm(*(c.denominator for v in walk for c in v))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in walk]
+    boxes = [
+        (tuple(map(min, a, b)), tuple(map(max, a, b)))
+        if sum(s != t for s, t in zip(a, b)) == 1 else None
+        for a, b in zip(ints, ints[1:] + ints[:1])
+    ]
+    seg_seg = seg_seg_3d if len(walk[0]) == 3 else seg_seg_2d
+    for i in range(n):
+        box_i = boxes[i]
+        for j in range(i + 1, n):
+            box_j = boxes[j]
+            if box_i is None or box_j is None:
+                meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
+                if meet is not None:
+                    yield i, j, meet
+                continue
+            hit = box_meet(box_i, box_j)
+            if hit is None:
+                continue
+            lo, hi = (tuple(Fraction(c, scale) for c in corner) for corner in hit)
+            yield i, j, ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
 
 
 def is_simple(p: ClosedPolyline3) -> bool:
@@ -78,27 +76,17 @@ def is_simple(p: ClosedPolyline3) -> bool:
     the shared vertex."""
     verts = p.vertices
     n = len(verts)
-    segs = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    forms = [axis_form(a, b) for a, b in segs]
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            if forms[i] is not None and forms[j] is not None:
-                r = _axis_pair_intersection(forms[i], forms[j])
-                if r == "overlap":
-                    return False
-            else:
-                r = seg_seg_3d(*segs[i], *segs[j])
-                if r is not None and r[0] == "overlap":
-                    return False
-            if r is None:
-                continue
-            point = r[1]
-            if not adjacent:
-                return False
-            shared = verts[j] if j == i + 1 else verts[0]
-            if point != shared:
-                return False
+    for i, j, (kind, x) in _meets(verts):
+        if kind == "overlap":
+            return False
+        if j == i + 1:
+            shared = verts[j]
+        elif i == 0 and j == n - 1:
+            shared = verts[0]
+        else:
+            return False
+        if x != shared:
+            return False
     return True
 
 
@@ -271,26 +259,18 @@ def project(p: ClosedPolyline3, direction) -> KnotDiagram:
     # segment red_seg... the original non-collapsed segment whose image starts
     # at reduced[q]; its endpoints give the depth interpolation.
     events = []
-    for i in range(m):
-        a_i, b_i = reduced[i], reduced[(i + 1) % m]
-        for j in range(i + 1, m):
-            a_j, b_j = reduced[j], reduced[(j + 1) % m]
-            r = seg_seg_2d(a_i, b_i, a_j, b_j)
-            if r is None:
-                continue
-            if r[0] == "overlap":
-                raise NonGenericProjection(f"collinear overlap of segments {i} and {j}")
-            x = r[1]
-            adjacent = (j == i + 1) or (i == 0 and j == m - 1)
-            if adjacent:
-                continue  # can only be the shared corner
-            if x in (a_i, b_i, a_j, b_j):
-                raise NonGenericProjection(f"segments {i} and {j} touch at an endpoint")
-            di = _depth_at(p, red_seg[i], proj, depth, x)
-            dj = _depth_at(p, red_seg[j], proj, depth, x)
-            if di == dj:
-                raise NonGenericProjection(f"depth tie between segments {i} and {j}")
-            events.append((i, j, x, di < dj))
+    for i, j, (kind, x) in _meets(reduced):
+        if kind == "overlap":
+            raise NonGenericProjection(f"collinear overlap of segments {i} and {j}")
+        if (j == i + 1) or (i == 0 and j == m - 1):
+            continue  # can only be the shared corner
+        if x in (reduced[i], reduced[(i + 1) % m], reduced[j], reduced[(j + 1) % m]):
+            raise NonGenericProjection(f"segments {i} and {j} touch at an endpoint")
+        di = _depth_at(p, red_seg[i], proj, depth, x)
+        dj = _depth_at(p, red_seg[j], proj, depth, x)
+        if di == dj:
+            raise NonGenericProjection(f"depth tie between segments {i} and {j}")
+        events.append((i, j, x, di < dj))
     seen = {}
     for (i, j, x, _) in events:
         if x in seen:

@@ -9,7 +9,6 @@ comment; timestamps never enter payload files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .geometry import Cube, frac
 from .grid import GridDiagram
@@ -34,7 +33,7 @@ def point_json(p):
 
 
 def point_from_json(p):
-    point = tuple(Fraction(c) for c in p)
+    point = tuple(frac(c) for c in p)
     if len(point) != 3:
         raise ValueError(f"a point needs 3 coordinates, got {len(point)}")
     return point
@@ -91,9 +90,9 @@ def segment_json(s: AxisSegment) -> dict:
 def segment_from_json(d: dict) -> AxisSegment:
     return AxisSegment(
         int(d["axis"]),
-        (Fraction(d["fixed"][0]), Fraction(d["fixed"][1])),
-        Fraction(d["lo"]),
-        Fraction(d["hi"]),
+        (frac(d["fixed"][0]), frac(d["fixed"][1])),
+        frac(d["lo"]),
+        frac(d["hi"]),
     )
 
 
@@ -102,7 +101,7 @@ def cube_json(c: Cube) -> dict:
 
 
 def cube_from_json(d: dict) -> Cube:
-    return Cube(point_from_json(d["corner"]), Fraction(d["side"]))
+    return Cube(point_from_json(d["corner"]), frac(d["side"]))
 
 
 # --- squareflake -----------------------------------------------------------
@@ -191,7 +190,7 @@ def pearl_json(p: Pearl) -> dict:
 
 
 def pearl_from_json(d: dict) -> Pearl:
-    return Pearl(point_from_json(d["center"]), Fraction(d["radius_sq"]), tuple(d["word"]))
+    return Pearl(point_from_json(d["center"]), frac(d["radius_sq"]), tuple(d["word"]))
 
 
 def necklace_json(base: Necklace, iterated: Necklace | None = None) -> dict:
@@ -287,5 +286,5 @@ def load_artifact(text: str):
         raise ValueError(f"unknown artifact kind: {kind!r}")
     try:
         return kind, FROM_JSON[kind](d)
-    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise ValueError(f"malformed {kind} artifact: {type(e).__name__}: {e}") from None

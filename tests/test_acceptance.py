@@ -104,8 +104,8 @@ def test_criterion_3_theorem_a_desk_scale():
             stage_for(n) == 2
             and rep.stage == 2
             and len(poly) == 4 * n
-            and all(rep.segment_verdicts)
-            and rep.simple
+            and all(verify_containment(poly, rep.stage))
+            and is_simple(poly)
             and determinant(project(poly, (0, 0, 1))) == det
         )
         results.append(ok)

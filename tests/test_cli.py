@@ -9,6 +9,7 @@ from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
 from spongeknots.necklace import iterate, make_necklace
 from spongeknots.polyline import closed_polyline
+from spongeknots.squareflake import squareflake
 
 
 def run(argv):
@@ -173,12 +174,39 @@ def test_verify_unknown_schema_is_usage_error(tmp_path, capsys):
     '{"kind": "polyline", "vertices": 5}',
     '{"kind": "polyline", "vertices": [["1/0", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]}',
     '{"kind": "polyline", "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}',
-], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates"])
+    '{"kind": "polyline", "vertices": [[0.1, 0, 0], [1, 0, 0], [1, 1, 0]]}',
+    '{"kind": "polyline", "vertices": [[true, 0, 0], [0, 0, 0], [0, 1, 0]]}',
+], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates", "float", "bool"])
 def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text):
     f = tmp_path / "bad.json"
     f.write_text(text)
     assert run(["verify", str(f)]) == 2
     assert "schema mismatch" in capsys.readouterr().err
+
+
+def _oblique_squareflake():
+    data = serialize.squareflake_json(squareflake(1))
+    data["polyline"]["vertices"][1] = ["1/9", "1/1", "0/1"]
+    return data
+
+
+@pytest.mark.parametrize("make", [
+    lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)])),
+    lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (1, 0, 0), (0, 1, 0)], {"sponge_stage": 1})),
+    _oblique_squareflake,
+], ids=["leaves-unit-cube", "marked-triangle", "oblique-squareflake"])
+def test_verify_uncontainable_curve_fails_containment(tmp_path, capsys, make):
+    f = tmp_path / "curve.json"
+    f.write_text(serialize.dump_json(make()))
+    assert run(["verify", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert "containment: FAIL" in captured.out
+    assert "error:" not in captured.err
+
+
+def test_predicate_segment_outside_unit_cube_is_usage_error(capsys):
+    assert run(["predicate", "--space", "sponge", "--segment", "0", "2", "0", "0", "1"]) == 2
+    assert "leaves the unit cube" in capsys.readouterr().err
 
 
 def test_verify_two_vertex_polyline_names_simplicity(tmp_path, capsys):

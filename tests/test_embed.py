@@ -35,7 +35,7 @@ def test_unknot_embedding():
     poly, rep = embed_grid(catalog("unknot"))
     assert rep.stage == 0
     assert len(poly) == 8  # 4n segments
-    assert rep.ok
+    assert all(verify_containment(poly, rep.stage))
     assert is_simple(poly)
 
 
@@ -48,8 +48,8 @@ def test_knot_embeddings(name, n, det):
     poly, rep = embed_grid(g)
     assert rep.stage == 2  # 2^(2+1) = 8 endpoints suffice
     assert len(poly) == 4 * n
-    assert all(rep.segment_verdicts)
-    assert rep.simple
+    assert all(verify_containment(poly, rep.stage))
+    assert is_simple(poly)
     d = project(poly, (0, 0, 1))
     assert determinant(d) == det
     assert determinant_minor(d) == det
@@ -65,7 +65,8 @@ def test_stage_override():
     g = catalog("unknot")
     poly, rep = embed_grid(g, k=2)
     assert rep.stage == 2
-    assert rep.ok
+    assert all(verify_containment(poly, rep.stage))
+    assert is_simple(poly)
     with pytest.raises(ValueError):
         embed_grid(catalog("trefoil"), k=1)  # 4 endpoints < 5
 
