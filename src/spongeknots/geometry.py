@@ -34,6 +34,14 @@ def frac(value, den=None) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def integer(value) -> int:
+    """An exact integer as read from JSON; a float, a bool or a string is a
+    TypeError, never truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"not an integer: {value!r}")
+
+
 def point3(x, y, z) -> Point3:
     return (frac(x), frac(y), frac(z))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import integer
+
 
 @dataclass(frozen=True)
 class GridDiagram:
@@ -41,7 +43,7 @@ class GridDiagram:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(int(d["n"]), tuple((int(a), int(b)) for a, b in d["pairs"]))
+        return cls(integer(d["n"]), tuple((integer(a), integer(b)) for a, b in d["pairs"]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .geometry import Cube, frac
+from .geometry import Cube, frac, integer
 from .grid import GridDiagram
 from .necklace import Necklace, Pearl
 from .polyline import ClosedPolyline3
@@ -59,10 +59,10 @@ def polyline_json(p: ClosedPolyline3) -> dict:
 def polyline_from_json(d: dict) -> ClosedPolyline3:
     marks = {}
     for key, value in d.get("marks", {}).items():
-        if isinstance(value, int):
-            marks[key] = value
-        else:
+        if isinstance(value, list):
             marks[key] = tuple(point_from_json(q) for q in value)
+        else:
+            marks[key] = integer(value)
     return ClosedPolyline3(tuple(point_from_json(v) for v in d["vertices"]), marks)
 
 
@@ -89,7 +89,7 @@ def segment_json(s: AxisSegment) -> dict:
 
 def segment_from_json(d: dict) -> AxisSegment:
     return AxisSegment(
-        int(d["axis"]),
+        integer(d["axis"]),
         (frac(d["fixed"][0]), frac(d["fixed"][1])),
         frac(d["lo"]),
         frac(d["hi"]),
@@ -124,7 +124,7 @@ def squareflake_from_json(d: dict) -> SquareflakeStage:
         (segment_from_json(r["removed"]), tuple(point_from_json(p) for p in r["path"]))
         for r in d["replaced"]
     )
-    return SquareflakeStage(int(d["m"]), polyline_from_json(d["polyline"]), replaced)
+    return SquareflakeStage(integer(d["m"]), polyline_from_json(d["polyline"]), replaced)
 
 
 # --- approximants ----------------------------------------------------------
@@ -156,14 +156,14 @@ def approximant_json(a: Approximant) -> dict:
 def approximant_from_json(d: dict) -> Approximant:
     ledger = tuple(
         LedgerEntry(
-            int(e["stage"]), int(e["index"]), e["site_kind"], e["knot"],
+            integer(e["stage"]), integer(e["index"]), e["site_kind"], e["knot"],
             bool(e["nontrivial"]), bool(e["mirror"]), bool(e["spliced"]),
-            cube_from_json(e["cube"]), int(e["summand_det"]),
+            cube_from_json(e["cube"]), integer(e["summand_det"]),
         )
         for e in d["ledger"]
     )
     return Approximant(
-        int(d["m"]), polyline_from_json(d["polyline"]), ledger, int(d["sponge_stage"])
+        integer(d["m"]), polyline_from_json(d["polyline"]), ledger, integer(d["sponge_stage"])
     )
 
 
@@ -173,10 +173,10 @@ def assignment_json(a: KnotAssignment) -> dict:
 
 def assignment_from_json(d: dict) -> KnotAssignment:
     entries = {
-        (int(e["stage"]), int(e["index"])): (e["knot"], bool(e["mirror"]))
+        (integer(e["stage"]), integer(e["index"])): (e["knot"], bool(e["mirror"]))
         for e in d.get("entries", [])
     }
-    return KnotAssignment(int(d["stage"]), entries, d.get("default", "trivial"))
+    return KnotAssignment(integer(d["stage"]), entries, d.get("default", "trivial"))
 
 
 # --- necklaces ---------------------------------------------------------------
@@ -190,7 +190,7 @@ def pearl_json(p: Pearl) -> dict:
 
 
 def pearl_from_json(d: dict) -> Pearl:
-    return Pearl(point_from_json(d["center"]), frac(d["radius_sq"]), tuple(d["word"]))
+    return Pearl(point_from_json(d["center"]), frac(d["radius_sq"]), tuple(integer(j) for j in d["word"]))
 
 
 def necklace_json(base: Necklace, iterated: Necklace | None = None) -> dict:
@@ -217,7 +217,7 @@ def necklace_from_json(d: dict):
     base = Necklace(
         tuple(pearl_from_json(p) for p in d["pearls"]),
         polyline_from_json(d["knot"]),
-        int(d["n"]),
+        integer(d["n"]),
     )
     it = d.get("iterated")
     iterated = None
@@ -226,7 +226,7 @@ def necklace_from_json(d: dict):
             tuple(pearl_from_json(p) for p in it["pearls"]),
             base.knot,
             base.n,
-            generation=int(it["generation"]),
+            generation=integer(it["generation"]),
         )
     return base, iterated
 

@@ -412,25 +412,74 @@ class AxisSegment:
 def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     """Exact: does every point of the segment lie in the stage-k prefractal?
 
-    Decided by enumerating the cells of the 3**k grid the segment meets and
-    testing each cell column for a surviving cell; no sampling involved.
+    The segment meets running cells ``lo_idx..hi_idx`` of the 3**k grid with
+    positive length.  A running cell survives when some combo of the fixed
+    coordinates' digit prefixes (at most 2 x 2, from ``ternary_digits``)
+    breaks no rule at any position together with the cell's digits.
+
+    Combos are bits of a mask: ``alive[t][d]`` holds the combos that running
+    digit d keeps at position t + 1, so a cell survives when the AND of its
+    digits' masks is non-zero.  ``full[t][m]`` says every cell below a block
+    of t fixed running digits survives when the combos in m are still alive,
+    filled bottom-up from ``full[k][m] = m != 0``.  The walk follows the two
+    boundary paths of ``[lo_idx, hi_idx]`` down the ternary tree and reads
+    ``full`` for each block strictly between them, so it costs O(k) mask
+    steps instead of one rule scan per running cell; no sampling involved.
     """
     if space not in ("sponge", "carpet2"):
         raise ValueError("space must be 'sponge' or 'carpet2'")
     if k < 0:
         raise ValueError("stage must be >= 0")
-    scale = 3 ** k
-    options = [ternary_digits(c, k) for c in seg.fixed]
-    options.insert(seg.axis, None)  # the running cell's digits, set per cell
+    bad, axis = _BAD[space], seg.axis
+    combos = list(product(*(ternary_digits(c, k) for c in seg.fixed)))
+    masks = range(1 << len(combos))
 
-    # columns of cells met with positive overlap along the running axis
+    rows = {}  # fixed digits of every combo at one position -> alive row
+    alive = []
+    for t in range(k):
+        key = tuple((a[t], b[t]) for a, b in combos)
+        if key not in rows:
+            rows[key] = tuple(
+                sum(1 << j for j, ds in enumerate(key) if not bad(ds[:axis] + (d,) + ds[axis:]))
+                for d in range(3)
+            )
+        alive.append(rows[key])
+
+    scale = 3 ** k
     lo_idx = (seg.lo.numerator * scale) // seg.lo.denominator
     hi_t = seg.hi.numerator * scale
     hi_idx = hi_t // seg.hi.denominator
     if hi_t % seg.hi.denominator == 0:
         hi_idx -= 1
-    for i in range(lo_idx, hi_idx + 1):
-        options[seg.axis] = (_digits_of_index(i, k),)
-        if all(t is not None for _, t in _stage_scan(options, space)):
+    lo_ds, hi_ds = _digits_of_index(lo_idx, k), _digits_of_index(hi_idx, k)
+
+    # the shared path, down to the first digit where the two ends part
+    m, split = masks[-1], 0
+    while split < k and lo_ds[split] == hi_ds[split]:
+        m &= alive[split][lo_ds[split]]
+        if not m:
             return False
-    return True
+        split += 1
+    if split == k:
+        return True
+
+    # only blocks below the split are ever read whole
+    full = [None] * k + [[x != 0 for x in masks]]
+    for t in range(k - 1, split, -1):
+        below, (r0, r1, r2) = full[t + 1], alive[t]
+        full[t] = [below[x & r0] and below[x & r1] and below[x & r2] for x in masks]
+
+    row, below, a, b = alive[split], full[split + 1], lo_ds[split], hi_ds[split]
+    if not all(below[m & row[d]] for d in range(a + 1, b)):
+        return False
+    lo_m, hi_m = m & row[a], m & row[b]
+    # the blocks right of the low path and left of the high path lie inside
+    for t in range(split + 1, k):
+        if not (lo_m and hi_m):
+            return False
+        row, below, a, b = alive[t], full[t + 1], lo_ds[t], hi_ds[t]
+        if not (all(below[lo_m & row[d]] for d in range(a + 1, 3))
+                and all(below[hi_m & row[d]] for d in range(b))):
+            return False
+        lo_m, hi_m = lo_m & row[a], hi_m & row[b]
+    return bool(lo_m and hi_m)

@@ -70,6 +70,17 @@ def test_predicate_segment(capsys):
     assert out["verdict"] is True
 
 
+@pytest.mark.parametrize("space, segment, verdict", [
+    ("sponge", ["0", "1/3", "0", "0", "1"], True),
+    ("sponge", ["0", "1/2", "1/2", "0", "1"], False),
+    ("carpet2", ["0", "1/2", "1/2", "0", "1"], False),
+])
+def test_predicate_segment_at_a_deep_stage(capsys, space, segment, verdict):
+    # 3**3000 running cells: answered from the digits, not cell by cell
+    assert run(["predicate", "--space", space, "--stage", "3000", "--segment", *segment]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] is verdict
+
+
 def test_predicate_wrong_arity_is_usage_error(capsys):
     assert run(["predicate", "--space", "sponge", "1/2"]) == 2
 
@@ -169,6 +180,10 @@ def test_verify_unknown_schema_is_usage_error(tmp_path, capsys):
     assert run(["verify", str(f)]) == 2
 
 
+def _squareflake_text(**fields):
+    return serialize.dump_json({**serialize.squareflake_json(squareflake(1)), **fields})
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]",
     '{"kind": "polyline", "vertices": 5}',
@@ -176,7 +191,11 @@ def test_verify_unknown_schema_is_usage_error(tmp_path, capsys):
     '{"kind": "polyline", "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}',
     '{"kind": "polyline", "vertices": [[0.1, 0, 0], [1, 0, 0], [1, 1, 0]]}',
     '{"kind": "polyline", "vertices": [[true, 0, 0], [0, 0, 0], [0, 1, 0]]}',
-], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates", "float", "bool"])
+    _squareflake_text(m=1.9),
+    '{"kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["1/1", "1/1", "0/1"],'
+    ' ["0/1", "1/1", "0/1"]], "marks": {"sponge_stage": true}}',
+], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates", "float", "bool", "float-integer",
+        "bool-mark"])
 def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text):
     f = tmp_path / "bad.json"
     f.write_text(text)

@@ -10,6 +10,8 @@ from spongeknots.oracle import oracle_profile, subdivision_oracle
 from spongeknots.ternary import (
     AxisSegment,
     TernaryExpansion,
+    _digits_of_index,
+    _stage_scan,
     cantor_endpoints,
     expansions,
     in_cantor,
@@ -314,6 +316,105 @@ def test_segment_matches_oracle_on_random_segments_at_stage_3(space):
         assert verdict == _segment_oracle(seg, 3, space), seg
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# --- the digit walk against the cell enumeration it replaced ------------------
+
+def _reference_segment_in_stage(seg, k, space):
+    """Every running cell the segment meets with positive length, each
+    through the stage scan: the enumeration the digit walk replaced."""
+    scale = 3**k
+    options = [ternary_digits(c, k) for c in seg.fixed]
+    options.insert(seg.axis, None)
+    for i in range(floor(seg.lo * scale), ceil(seg.hi * scale)):
+        options[seg.axis] = (_digits_of_index(i, k),)
+        if all(t is not None for _, t in _stage_scan(options, space)):
+            return False
+    return True
+
+
+def _fixed_coordinate(rng, k):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(0, 3**k), 3**k)
+    if kind == 1:
+        return F(rng.randint(0, 3 ** (k + 1)), 3 ** (k + 1))
+    if kind == 2:
+        return rng.choice((F(0), F(1), F(1, 2)))
+    return _random_unit_fraction(rng, 200)
+
+
+@pytest.fixture(scope="module")
+def interval_corpus():
+    """(segment, k, space, reference verdict) for every [L, H] interval of
+    running cells at k <= 4, over seeded axes and fixed pairs.
+
+    A segment meets the same cells whether it ends on the grid or inside its
+    end cell, so both kinds of ends appear, and the reference verdict of
+    [L, H] is that of its cells, each decided once by the reference.
+    """
+    rng = random.Random(2024)
+    out = []
+    for k in range(5):
+        scale = 3**k
+        for _ in range(6):
+            axis = rng.randrange(3)
+            fixed = (_fixed_coordinate(rng, k), _fixed_coordinate(rng, k))
+            for space in ("sponge", "carpet2"):
+                cells = [
+                    _reference_segment_in_stage(AxisSegment(axis, fixed, F(i, scale), F(i + 1, scale)), k, space)
+                    for i in range(scale)
+                ]
+                for lo in range(scale):
+                    for hi in range(lo, scale):
+                        seg = AxisSegment(
+                            axis,
+                            fixed,
+                            F(2 * lo + 1, 2 * scale) if (lo + hi) % 2 else F(lo, scale),
+                            F(2 * hi + 1, 2 * scale) if hi % 2 else F(hi + 1, scale),
+                        )
+                        out.append((seg, k, space, all(cells[lo:hi + 1])))
+    return out
+
+
+def test_segment_in_stage_matches_reference_on_every_running_interval(interval_corpus):
+    wrong = [(seg, k, space) for seg, k, space, ref in interval_corpus if segment_in_stage(seg, k, space) != ref]
+    assert wrong == []
+
+
+def test_segment_reference_corpus_is_not_trivial(interval_corpus):
+    # every count of fixed-digit combos meets both verdicts in both spaces
+    cases = {(seg.fixed, k, space, ref) for seg, k, space, ref in interval_corpus}
+    seen = {
+        (len(ternary_digits(fixed[0], k)) * len(ternary_digits(fixed[1], k)), space, ref)
+        for fixed, k, space, ref in cases
+    }
+    assert seen == {(c, s, v) for c in (1, 2, 4) for s in ("sponge", "carpet2") for v in (True, False)}
+
+
+def _segment_rationals(k):
+    return st.one_of(
+        st.integers(min_value=0, max_value=3 ** (k + 1)).map(lambda j: F(j, 3 ** (k + 1))),
+        st.fractions(min_value=0, max_value=1, max_denominator=200),
+    )
+
+
+random_segments = st.integers(min_value=0, max_value=7).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.integers(min_value=0, max_value=2),
+        st.tuples(_segment_rationals(k), _segment_rationals(k)),
+        st.lists(_segment_rationals(k), min_size=2, max_size=2, unique=True).map(sorted),
+        st.sampled_from(("sponge", "carpet2")),
+    )
+)
+
+
+@given(random_segments)
+def test_segment_in_stage_matches_reference_on_random_segments(case):
+    k, axis, fixed, (lo, hi), space = case
+    seg = AxisSegment(axis, fixed, lo, hi)
+    assert segment_in_stage(seg, k, space) == _reference_segment_in_stage(seg, k, space)
 
 
 def test_triadic_ambiguity_is_existential():

@@ -1,28 +1,52 @@
-"""The benchmark's tracer wraps functions by name; each must still exist.
+"""The benchmark's tracer wraps functions by name; each must still exist and
+still be called where the benchmark looks for it.
 
-A missing name breaks only traced benchmark runs, which the tests never
-start, so this reads ``perfbench/tracer.py`` by path and checks its table.
+A missing or bypassed name breaks only traced benchmark runs, which the other
+tests never start, so this reads ``perfbench/tracer.py`` by path, checks its
+table and runs the tracer on the smallest wild-plan build and verify.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+import spongeknots.cli  # loaded before install(), which rebinds names only in loaded modules
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _layers():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+    return tracer
 
 
 def test_every_traced_function_exists_in_its_module():
     missing = [
         f"{module}.{name}"
-        for module, names in _layers().items()
+        for module, names in _tracer_module().LAYERS.items()
         for name in names
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def test_trace_of_a_wild_plan_build_and_verify_sees_each_layer(tmp_path, capsys):
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        build = ["build", "wildknot", "--stage", "2", "--targets", "0/1,1/1", "--out", str(tmp_path)]
+        assert spongeknots.cli.main(build) == 0
+        assert spongeknots.cli.main(["verify", str(tmp_path / "wildknot-2.json")]) == 0
+    finally:
+        tracer.uninstall()
+    segments = len(json.loads((tmp_path / "wildknot-2.json").read_text())["polyline"]["vertices"])
+    spans = {}
+    for layer, *_ in tracer.spans:
+        spans[layer] = spans.get(layer, 0) + 1
+    # containment runs once per segment in the build and again in the verify
+    assert spans["ternary.segment_in_stage"] == tracer.counts["ternary.segments"] == 2 * segments
+    for layer in ("invariants.is_simple", "wildknot.approximant", "serialize.dump", "serialize.load"):
+        assert spans.get(layer, 0) >= 1, layer
