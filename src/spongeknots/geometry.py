@@ -42,8 +42,12 @@ def integer(value) -> int:
     raise TypeError(f"not an integer: {value!r}")
 
 
-def point3(x, y, z) -> Point3:
-    return (frac(x), frac(y), frac(z))
+def boolean(value) -> bool:
+    """An exact boolean as read from JSON; anything but ``true`` or ``false``
+    (a string, a number, null) is a TypeError, never read by truthiness."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"not a boolean: {value!r}")
 
 
 def sub3(a: Point3, b: Point3) -> Point3:
@@ -234,14 +238,6 @@ class Cube:
             hi = lo + self.side
             total += max(abs(p[i] - lo), abs(p[i] - hi)) ** 2
         return total
-
-    def intersects_cube(self, other: "Cube") -> bool:
-        for i in range(3):
-            if self.corner[i] + self.side < other.corner[i]:
-                return False
-            if other.corner[i] + other.side < self.corner[i]:
-                return False
-        return True
 
     def interior_intersects_cube(self, other: "Cube") -> bool:
         for i in range(3):

@@ -17,6 +17,8 @@ Everything here is exact rational/integer arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -37,14 +39,76 @@ class NonGenericProjection(ValueError):
 # simplicity
 # ---------------------------------------------------------------------------
 
+def _axis_meets(boxes):
+    """Lists ``after[i]`` of every j > i such that the axis-parallel segments
+    with boxes i and j meet; ``boxes[i]`` is None for an oblique segment.
+
+    Collinear segments are bucketed by their line and paired along it in
+    order of ``lo``.  Perpendicular ones, along axes a < b, can meet only
+    at one value of the remaining coordinates; each such group is swept
+    along a, keeping the b-coordinates of the a-segments that span the
+    sweep position in a sorted list, and each b-segment queries its span
+    of that list.  At one position inserts come before queries and queries
+    before removals, since segments are closed.  O(n log n + hits) for n
+    segments, besides the list moves.
+    """
+    n = len(boxes)
+    after = [[] for _ in range(n)]
+    lines = defaultdict(list)  # (axis, fixed coordinates) -> [(lo, hi, i)]
+    groups = defaultdict(list)  # (a, b, remaining coordinates) -> [(a-coordinate, kind, ...)]
+    for i, box in enumerate(boxes):
+        if box is None:
+            continue
+        lo, hi = box
+        ax = next(a for a in range(len(lo)) if lo[a] != hi[a])
+        lines[ax, lo[:ax] + lo[ax + 1:]].append((lo[ax], hi[ax], i))
+        for other in range(len(lo)):
+            if other == ax:
+                continue
+            a, b = min(ax, other), max(ax, other)
+            rest = tuple(c for k, c in enumerate(lo) if k != a and k != b)
+            events = groups[a, b, rest]
+            if ax == a:  # spans a at b-coordinate lo[b]: insert (kind 0), then remove (kind 2)
+                key = lo[b] * n + i
+                events.append((lo[a], 0, key))
+                events.append((hi[a], 2, key))
+            else:  # sits at a-coordinate lo[a], spans b: query (kind 1)
+                events.append((lo[a], 1, lo[b] * n, (hi[b] + 1) * n, i))
+    for line in lines.values():
+        line.sort()
+        for k, (_, hi, i) in enumerate(line):
+            for t in range(k + 1, len(line)):
+                lo_j, _, j = line[t]
+                if lo_j > hi:
+                    break
+                after[min(i, j)].append(max(i, j))
+    for events in groups.values():
+        events.sort()
+        active = []  # b-coordinate * n + segment index, sorted
+        for event in events:
+            kind = event[1]
+            if kind == 0:
+                insort(active, event[2])
+            elif kind == 2:
+                del active[bisect_left(active, event[2])]
+            else:
+                i = event[4]
+                for key in active[bisect_left(active, event[2]):bisect_left(active, event[3])]:
+                    j = key % n
+                    after[min(i, j)].append(max(i, j))
+    return after
+
+
 def _meets(walk):
     """(i, j, meet) for every pair i < j of segments of a closed walk that meet.
 
     Segment i joins walk[i] to walk[i + 1] (mod n), in 2D or 3D.  ``meet`` is
     ("point", p) or ("overlap", (p, q)), as from ``seg_seg_3d``/``seg_seg_2d``.
-    The walk is scaled once to integers; two axis-parallel segments meet in
-    the intersection of their boxes, every other pair goes through the exact
-    Fraction routine.
+    The walk is scaled once to integers.  The axis-parallel pairs that meet
+    are found by ``_axis_meets`` and meet in the intersection of their boxes;
+    every pair with an oblique segment goes through the exact Fraction
+    routine, one first index i at a time, so a caller that stops at its
+    first bad pair skips the rest.
     """
     n = len(walk)
     scale = lcm(*(c.denominator for v in walk for c in v))
@@ -54,10 +118,16 @@ def _meets(walk):
         if sum(s != t for s, t in zip(a, b)) == 1 else None
         for a, b in zip(ints, ints[1:] + ints[:1])
     ]
+    oblique = [i for i, box in enumerate(boxes) if box is None]
+    after = _axis_meets(boxes)
     seg_seg = seg_seg_3d if len(walk[0]) == 3 else seg_seg_2d
     for i in range(n):
         box_i = boxes[i]
-        for j in range(i + 1, n):
+        if box_i is None:
+            others = range(i + 1, n)
+        else:
+            others = sorted(after[i] + oblique[bisect_right(oblique, i):])
+        for j in others:
             box_j = boxes[j]
             if box_i is None or box_j is None:
                 meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
@@ -65,8 +135,6 @@ def _meets(walk):
                     yield i, j, meet
                 continue
             hit = box_meet(box_i, box_j)
-            if hit is None:
-                continue
             lo, hi = (tuple(Fraction(c, scale) for c in corner) for corner in hit)
             yield i, j, ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
 

@@ -36,15 +36,6 @@ class ClosedPolyline3:
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
-    def segment(self, i: int):
-        n = len(self.vertices)
-        return self.vertices[i % n], self.vertices[(i + 1) % n]
-
-    def rotated(self, start: int) -> "ClosedPolyline3":
-        n = len(self.vertices)
-        verts = tuple(self.vertices[(start + i) % n] for i in range(n))
-        return ClosedPolyline3(verts, dict(self.marks))
-
 
 def closed_polyline(points, marks=None) -> ClosedPolyline3:
     verts = tuple(tuple(frac(c) for c in p) for p in points)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .geometry import Cube, frac, integer
+from .geometry import Cube, boolean, frac, integer
 from .grid import GridDiagram
 from .necklace import Necklace, Pearl
 from .polyline import ClosedPolyline3
@@ -67,10 +67,6 @@ def polyline_from_json(d: dict) -> ClosedPolyline3:
 
 
 # --- grid diagrams ---------------------------------------------------------
-
-def grid_json(g: GridDiagram) -> dict:
-    return {"schema": SCHEMA, "kind": "grid", **g.to_json_dict()}
-
 
 def grid_from_json(d: dict) -> GridDiagram:
     return GridDiagram.from_json_dict(d)
@@ -157,7 +153,7 @@ def approximant_from_json(d: dict) -> Approximant:
     ledger = tuple(
         LedgerEntry(
             integer(e["stage"]), integer(e["index"]), e["site_kind"], e["knot"],
-            bool(e["nontrivial"]), bool(e["mirror"]), bool(e["spliced"]),
+            boolean(e["nontrivial"]), boolean(e["mirror"]), boolean(e["spliced"]),
             cube_from_json(e["cube"]), integer(e["summand_det"]),
         )
         for e in d["ledger"]
@@ -173,7 +169,7 @@ def assignment_json(a: KnotAssignment) -> dict:
 
 def assignment_from_json(d: dict) -> KnotAssignment:
     entries = {
-        (integer(e["stage"]), integer(e["index"])): (e["knot"], bool(e["mirror"]))
+        (integer(e["stage"]), integer(e["index"])): (e["knot"], boolean(e["mirror"]))
         for e in d.get("entries", [])
     }
     return KnotAssignment(integer(d["stage"]), entries, d.get("default", "trivial"))

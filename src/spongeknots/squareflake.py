@@ -25,10 +25,6 @@ class SquareflakeStage:
     polyline: ClosedPolyline3
     replaced: tuple  # stage-m detours: (removed middle third, 4-point detour path)
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.polyline)
-
 
 def replaced_count(m: int) -> int:
     """Number of middle-third detours performed at stage m (2^(m-1))."""

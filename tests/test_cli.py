@@ -10,6 +10,7 @@ from spongeknots.grid import catalog
 from spongeknots.necklace import iterate, make_necklace
 from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
+from spongeknots.wildknot import KnotAssignment, approximant
 
 
 def run(argv):
@@ -184,6 +185,18 @@ def _squareflake_text(**fields):
     return serialize.dump_json({**serialize.squareflake_json(squareflake(1)), **fields})
 
 
+def _ledger_text(**fields):
+    data = serialize.approximant_json(approximant(KnotAssignment.uniform("trefoil", 1), 1))
+    data["ledger"][0].update(fields)
+    return serialize.dump_json(data)
+
+
+def _assignment_text(**fields):
+    data = serialize.assignment_json(KnotAssignment.uniform("trefoil", 1))
+    data["entries"][0].update(fields)
+    return serialize.dump_json(data)
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]",
     '{"kind": "polyline", "vertices": 5}',
@@ -194,8 +207,15 @@ def _squareflake_text(**fields):
     _squareflake_text(m=1.9),
     '{"kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["1/1", "1/1", "0/1"],'
     ' ["0/1", "1/1", "0/1"]], "marks": {"sponge_stage": true}}',
+    _ledger_text(mirror="no"),
+    _ledger_text(nontrivial=0),
+    _ledger_text(spliced=None),
+    _assignment_text(mirror="no"),
+    _assignment_text(mirror=0),
+    _assignment_text(mirror=None),
 ], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates", "float", "bool", "float-integer",
-        "bool-mark"])
+        "bool-mark", "ledger-string-boolean", "ledger-integer-boolean", "ledger-null-boolean",
+        "assignment-string-boolean", "assignment-integer-boolean", "assignment-null-boolean"])
 def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text):
     f = tmp_path / "bad.json"
     f.write_text(text)

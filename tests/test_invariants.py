@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spongeknots import invariants
 from spongeknots.geometry import box_meet, seg_seg_2d, seg_seg_3d
 from spongeknots.grid import catalog
 from spongeknots.invariants import (
     NonGenericProjection,
     _build_diagram,
+    _meets,
     _depth_at,
     _projection_maps,
     determinant,
@@ -23,7 +26,7 @@ from spongeknots.invariants import (
 )
 from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
-from spongeknots.wildknot import KnotAssignment, approximant
+from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
 
 
 def square(z=0):
@@ -338,3 +341,179 @@ def test_is_simple_and_project_match_reference_on_oblique_curves():
         closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1), (0, 1, 0)]),
     ):
         _assert_matches_reference(poly)
+
+
+# ---------------------------------------------------------------------------
+# the orthogonal sweep in _meets against the all-pairs loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_meets(walk):
+    """The O(n^2) loop _meets ran before the sweep: every pair of segments,
+    axis-parallel pairs as integer boxes, every other pair through seg_seg_*."""
+    n = len(walk)
+    scale = lcm(*(c.denominator for v in walk for c in v))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in walk]
+    boxes = [
+        (tuple(map(min, a, b)), tuple(map(max, a, b)))
+        if sum(s != t for s, t in zip(a, b)) == 1 else None
+        for a, b in zip(ints, ints[1:] + ints[:1])
+    ]
+    seg_seg = seg_seg_3d if len(walk[0]) == 3 else seg_seg_2d
+    for i in range(n):
+        box_i = boxes[i]
+        for j in range(i + 1, n):
+            box_j = boxes[j]
+            if box_i is None or box_j is None:
+                meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
+                if meet is not None:
+                    yield i, j, meet
+                continue
+            hit = box_meet(box_i, box_j)
+            if hit is None:
+                continue
+            lo, hi = (tuple(F(c, scale) for c in corner) for corner in hit)
+            yield i, j, ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
+
+
+def _assert_meets_match(walk):
+    assert list(_meets(walk)) == list(_reference_meets(walk))
+
+
+def _lattice_walk(rng, dim, steps, oblique=0):
+    """Closed walk on the grid {0..3}^dim / 3 with ``steps`` axis steps and
+    ``oblique`` diagonal jumps.  The grid is small, so segments overlap,
+    touch and cross often, and many sweep events share a coordinate."""
+    jumps = set(rng.sample(range(steps + oblique), oblique))
+    v = (0,) * dim
+    pts = [v]
+    for step in range(steps + oblique):
+        if step in jumps:
+            axes = rng.sample(range(dim), rng.randint(2, dim))
+        else:
+            axes = [rng.randrange(dim)]
+        w = tuple((c + rng.randint(1, 3)) % 4 if k in axes else c for k, c in enumerate(v))
+        pts.append(w)
+        v = w
+    for ax in range(dim):  # back to the start along the axes
+        w = tuple(0 if k <= ax else c for k, c in enumerate(v))
+        if w != v:
+            pts.append(w)
+            v = w
+    pts.pop()  # the walk is back at the origin
+    return [tuple(F(c, 3) for c in p) for p in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3]), st.integers(2, 30), st.integers(0, 2))
+def test_meets_matches_reference_on_lattice_walks(rng, dim, steps, oblique):
+    walk = _lattice_walk(rng, dim, steps, oblique)
+    assume(len(walk) >= 3)
+    _assert_meets_match(walk)
+
+
+def _hit_kind(walk, i, j, meet):
+    kind, x = meet
+    if kind == "overlap":
+        return "overlap"
+    n = len(walk)
+    ends = [x in (walk[k], walk[(k + 1) % n]) for k in (i, j)]
+    return {2: "endpoint", 1: "T-junction", 0: "crossing"}[sum(ends)]
+
+
+def test_lattice_walk_corpus_reaches_every_kind_of_hit():
+    rng = random.Random(11)
+    kinds = {2: set(), 3: set()}
+    oblique_hits = 0
+    for _ in range(200):
+        dim = rng.choice([2, 3])
+        walk = _lattice_walk(rng, dim, rng.randint(2, 30), rng.randint(0, 2))
+        if len(walk) < 3:
+            continue
+        n = len(walk)
+        for i, j, meet in _meets(walk):
+            if all(sum(s != t for s, t in zip(walk[k], walk[(k + 1) % n])) == 1 for k in (i, j)):
+                kinds[dim].add(_hit_kind(walk, i, j, meet))
+            else:
+                oblique_hits += 1
+    assert kinds[2] == kinds[3] == {"overlap", "endpoint", "T-junction", "crossing"}
+    assert oblique_hits > 0
+
+
+# sweep-event ties on the line x = 1 (y = 1 / 3 after scaling): horizontal
+# segments end and start there while vertical ones sit there, and the walk
+# meets itself on that line away from its own corners
+TIES = [
+    # one horizontal ends and three start at x = 1; two verticals overlap there
+    [(0, 0), (1, 0), (1, 2), (2, 2), (2, 3), (1, 3), (1, 1), (3, 1), (3, 4), (0, 4)],
+    # the walk passes (1, 1) twice: two horizontals end or start there, two verticals end there
+    [(0, 1), (1, 1), (1, 0), (3, 0), (3, 2), (1, 2), (1, 1), (2, 1), (2, 3), (0, 3)],
+    # the first walk in the plane z = 1, closed through z = 0
+    [(0, 0, 1), (1, 0, 1), (1, 2, 1), (2, 2, 1), (2, 3, 1), (1, 3, 1), (1, 1, 1), (3, 1, 1), (3, 1, 0),
+     (0, 1, 0), (0, 0, 0)],
+]
+
+
+@pytest.mark.parametrize("walk", TIES, ids=["starts-and-ends", "revisited-corner", "3d-plane"])
+def test_meets_matches_reference_at_sweep_ties(walk):
+    walk = [tuple(F(c, 3) for c in p) for p in walk]
+    _assert_meets_match(walk)
+    n = len(walk)
+    assert any(
+        meet[0] == "point" and meet[1][0] == F(1, 3) and 1 < j - i < n - 1 for i, j, meet in _meets(walk)
+    )
+
+
+@pytest.mark.parametrize("walk", [
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1), (0, 1, 0)],
+    [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 0, 0), (0, 2, 0)],
+    [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (1, 3), (0, 3)],
+    [(0, 0, 0), (1, 2, 3), (2, 0, 1), (1, -1, 2)],
+], ids=["one-oblique", "oblique-through-vertex", "two-oblique-crossing", "all-oblique"])
+def test_meets_matches_reference_with_oblique_segments(walk):
+    _assert_meets_match([tuple(F(c) for c in p) for p in walk])
+
+
+def _depth_view(p):
+    """The reduced planar walk ``project`` sends to _meets along (0, 0, 1)."""
+    walk = []
+    for v in p.vertices:
+        if not walk or v[:2] != walk[-1]:
+            walk.append(v[:2])
+    if walk[0] == walk[-1]:
+        walk.pop()
+    return walk
+
+
+CONSTRUCTIONS = {
+    "squareflake": squareflake,
+    "uniform": lambda m: approximant(KnotAssignment.uniform("trefoil", m), m),
+    "wild-plan": lambda m: approximant(wild_set_plan([F(0), F(1)], "trefoil", m), m),
+}
+
+
+@pytest.mark.parametrize("kind,m", [
+    *(("squareflake", m) for m in range(1, 7)),
+    *(("uniform", m) for m in range(1, 4)),
+    *(("wild-plan", m) for m in range(1, 5)),
+])
+def test_meets_matches_reference_on_constructions(kind, m):
+    poly = CONSTRUCTIONS[kind](m).polyline
+    _assert_meets_match(poly.vertices)
+    _assert_meets_match(_depth_view(poly))
+
+
+def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
+    # the sweep sends only meeting pairs to box_meet: one call per adjacent
+    # pair on the simple squareflake, where the all-pairs loop made n(n-1)/2
+    poly = squareflake(8).polyline
+    hits = len(list(_meets(poly.vertices)))
+    calls = 0
+
+    def counting_box_meet(box1, box2):
+        nonlocal calls
+        calls += 1
+        return box_meet(box1, box2)
+
+    monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
+    assert is_simple(poly)
+    assert calls == hits == len(poly) == 1024
