@@ -313,7 +313,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
         return 2
 
 

@@ -106,18 +106,18 @@ def _meets(walk):
     ("point", p) or ("overlap", (p, q)), as from ``seg_seg_3d``/``seg_seg_2d``.
     The walk is scaled once to integers.  The axis-parallel pairs that meet
     are found by ``_axis_meets`` and meet in the intersection of their boxes;
-    every pair with an oblique segment goes through the exact Fraction
-    routine, one first index i at a time, so a caller that stops at its
-    first bad pair skips the rest.
+    every other pair whose integer bounding boxes meet goes through the exact
+    Fraction routine (closed segments that meet have meeting boxes), one
+    first index i at a time, so a caller that stops at its first bad pair
+    skips the rest.
     """
     n = len(walk)
     scale = lcm(*(c.denominator for v in walk for c in v))
     ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in walk]
-    boxes = [
-        (tuple(map(min, a, b)), tuple(map(max, a, b)))
-        if sum(s != t for s, t in zip(a, b)) == 1 else None
-        for a, b in zip(ints, ints[1:] + ints[:1])
-    ]
+    ends = list(zip(ints, ints[1:] + ints[:1]))
+    bounds = [(tuple(map(min, a, b)), tuple(map(max, a, b))) for a, b in ends]
+    # an axis-parallel segment is its own box; None marks an oblique one
+    boxes = [box if sum(s != t for s, t in zip(a, b)) == 1 else None for box, (a, b) in zip(bounds, ends)]
     oblique = [i for i, box in enumerate(boxes) if box is None]
     after = _axis_meets(boxes)
     seg_seg = seg_seg_3d if len(walk[0]) == 3 else seg_seg_2d
@@ -130,6 +130,8 @@ def _meets(walk):
         for j in others:
             box_j = boxes[j]
             if box_i is None or box_j is None:
+                if box_meet(bounds[i], bounds[j]) is None:
+                    continue
                 meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
                 if meet is not None:
                     yield i, j, meet

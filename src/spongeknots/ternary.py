@@ -19,10 +19,12 @@ subdivision oracle in the test suite.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .geometry import axis_form, frac
 
@@ -49,26 +51,37 @@ def triadic_exponent(den: int):
 
 @dataclass(frozen=True)
 class TernaryExpansion:
-    """Eventually periodic ternary expansion 0.(preperiod)(period)^inf."""
+    """Eventually periodic ternary expansion 0.(preperiod)(period)^inf.
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    Digits are stored as ``bytes`` of 0, 1 and 2; tuples are accepted and
+    converted, so two expansions are equal exactly when their digits are.
+    """
+
+    preperiod: bytes
+    period: bytes
 
     def __post_init__(self):
-        if not self.period:
+        pre, per = bytes(self.preperiod), bytes(self.period)
+        if not per:
             raise ValueError("period must be non-empty")
-        if any(d not in (0, 1, 2) for d in self.preperiod + self.period):
+        if (pre + per).translate(None, b"\0\1\2"):
             raise ValueError("digits must lie in {0,1,2}")
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
 
-    def digit(self, i: int) -> int:
-        """Digit at 1-based position i."""
-        i -= 1
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
+    @cached_property
+    def ones(self) -> tuple[int, ...]:
+        """0-based positions of the 1s in the first period.
 
-    def prefix(self, k: int) -> tuple[int, ...]:
-        return tuple(self.digit(i) for i in range(1, k + 1))
+        Past the preperiod, position i holds a 1 exactly when
+        i = c (mod len(period)) for some c here.
+        """
+        per, start = self.period, len(self.preperiod)
+        out, i = [], per.find(1)
+        while i >= 0:
+            out.append(start + i)
+            i = per.find(1, i + 1)
+        return tuple(out)
 
     def value(self) -> Fraction:
         pre, per = self.preperiod, self.period
@@ -83,31 +96,57 @@ def expansions(x) -> tuple[TernaryExpansion, ...]:
 
     Non-triadic rationals have exactly one; triadic rationals in (0,1) have
     two (terminating and the tail-of-2s form); 0 and 1 have one each.
+    For x = a / (3**j * d) with d prime to 3, the preperiod is the j digits
+    of a // d and the period is that of (a % d) / d, which repeats from its
+    first digit (its length is the order of 3 modulo d).
     """
     x = _check_unit(x)
     if x == 0:
-        return (TernaryExpansion((), (0,)),)
+        return (TernaryExpansion(b"", b"\0"),)
     if x == 1:
-        return (TernaryExpansion((), (2,)),)
-    num, den = x.numerator, x.denominator
-    seen = {}
-    digits = []
-    rem = num
-    while rem not in seen:
-        seen[rem] = len(digits)
-        rem *= 3
-        d = rem // den
-        rem -= d * den
-        digits.append(d)
-    start = seen[rem]
-    high = TernaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
-    j = triadic_exponent(den)
-    if j is None:
-        return (high,)
-    # terminating expansion has digits[j-1] != 0 and zeros afterwards
-    head = digits[:j]
-    low = TernaryExpansion(tuple(head[:-1] + [head[-1] - 1]), (2,))
-    return (high, low)
+        return (TernaryExpansion(b"", b"\2"),)
+    num, d, j = x.numerator, x.denominator, 0
+    while d % 3 == 0:
+        d //= 3
+        j += 1
+    head = bytes(_digits_of_index(num // d, j))
+    if d == 1:
+        # terminating expansion: its last digit is not 0, and zeros follow
+        low = head[:-1] + bytes((head[-1] - 1,))
+        return TernaryExpansion(head, b"\0"), TernaryExpansion(low, b"\2")
+    return (TernaryExpansion(head, _period_digits(num % d, d)),)
+
+
+_CHUNK = 8
+
+
+@cache
+def _chunk_digits() -> list[bytes]:
+    """i -> the _CHUNK base-3 digits of i; built on first use, so a process
+    that never expands a non-triadic coordinate does not hold it."""
+    return [bytes(ds) for ds in product(range(3), repeat=_CHUNK)]
+
+
+def _period_digits(start: int, d: int) -> bytes:
+    """One period of start / d, for 0 < start < d and d prime to 3.
+
+    Long division, _CHUNK digits per step.  The remainder after i digits is
+    start * 3**i mod d, and the period ends at the first i > 0 where it is
+    back at ``start``: that is within the next s <= _CHUNK digits exactly
+    when the current remainder is start * 3**-s mod d, so those values are
+    looked up instead of keeping a table of every remainder seen.
+    """
+    ends = {}
+    back = start
+    for s in range(1, _CHUNK + 1):
+        back = (back + (-back * d) % 3 * d) // 3  # back * 3**-1 mod d
+        ends.setdefault(back, s)
+    digits, chunks, rem, scale = _chunk_digits(), [], start, 3**_CHUNK
+    while (s := ends.get(rem)) is None:
+        q, rem = divmod(rem * scale, d)
+        chunks.append(digits[q])
+    chunks.append(digits[rem * scale // d][:s])
+    return b"".join(chunks)
 
 
 def ternary_digits(x, k: int) -> tuple[tuple[int, ...], ...]:
@@ -179,26 +218,95 @@ _BAD = {
 }
 
 
-def _first_bad_forever(combo, bad):
-    """First position where a representation tuple breaks the condition, or None.
+def _classes_meet(a: TernaryExpansion, b: TernaryExpansion) -> bool:
+    """Some position past both preperiods holds a 1 in both expansions.
 
-    Decided exactly over preperiod + one joint period; rational expansions
-    are eventually periodic so this is a complete check, not a truncation.
+    Classes c mod p_a and c' mod p_b share a position exactly when
+    c = c' (mod gcd(p_a, p_b)) (generalized CRT), and then they share one
+    past any bound; bucketing one side modulo the gcd costs
+    O(|a.ones| + |b.ones|).
     """
-    pre = max(len(e.preperiod) for e in combo)
-    per = lcm(*(len(e.period) for e in combo))
-    for i in range(1, pre + per + 1):
-        if bad(tuple(e.digit(i) for e in combo)):
-            return i
-    return None
+    if not (a.ones and b.ones):
+        return False
+    g = gcd(len(a.period), len(b.period))
+    seen = {c % g for c in a.ones}
+    return any(c % g in seen for c in b.ones)
+
+
+def _triple_meets(a: TernaryExpansion, b: TernaryExpansion, c: TernaryExpansion) -> bool:
+    """Some position past the preperiods holds a 1 in all three expansions.
+
+    Congruences have a common solution when they are pairwise compatible, so
+    this looks for classes of a, b and c that agree pairwise modulo the gcds
+    of their periods: b's and c's classes are bucketed by their residues, and
+    each distinct residue pair of a's classes looks up its partners.
+    """
+    if not (a.ones and b.ones and c.ones):
+        return False
+    pa, pb, pc = len(a.period), len(b.period), len(c.period)
+    gab, gac, gbc = gcd(pa, pb), gcd(pa, pc), gcd(pb, pc)
+    b_by_ab = defaultdict(set)
+    for x in b.ones:
+        b_by_ab[x % gab].add(x % gbc)
+    c_res = {(x % gac, x % gbc) for x in c.ones}
+    return any(
+        (w, v) in c_res
+        for u, w in {(x % gab, x % gac) for x in a.ones}
+        for v in b_by_ab.get(u, ())
+    )
+
+
+# whether a combo breaks its space's rule somewhere past the joint preperiod
+_PERIODS_BREAK = {
+    "cantor": lambda es: bool(es[0].ones),
+    "carpet_face": lambda es: _classes_meet(es[0], es[1]),
+    "sponge": lambda es: any(_classes_meet(es[a], es[b]) for a, b in ((0, 1), (0, 2), (1, 2))),
+    "carpet2": lambda es: _triple_meets(*es),
+}
+
+
+def _prefix(e: TernaryExpansion, t: int) -> bytes:
+    """The first t digits of an expansion."""
+    pre, per = e.preperiod, e.period
+    if t <= len(pre):
+        return pre[:t]
+    return pre + (per * -(-(t - len(pre)) // len(per)))[:t - len(pre)]
+
+
+def _breaks(combo, space: str) -> bool:
+    """Whether some digit position of a representation combo breaks the rule.
+
+    Positions up to the joint preperiod are checked digit by digit; past it
+    the rule is decided from the residue classes of the periods' 1s, so a
+    combo costs O(preperiods + periods), not the lcm of the periods.
+    """
+    head = max(len(e.preperiod) for e in combo)
+    if first_violation([_prefix(e, head) for e in combo], space) is not None:
+        return True
+    return _PERIODS_BREAK[space](combo)
 
 
 def _limit_scan(coords, space: str):
-    """(combo, first violating position or None) for every tuple of
+    """(combo, whether it breaks the rule) for every tuple of
     representations, one per coordinate."""
-    bad = _BAD[space]
     for combo in product(*(expansions(c) for c in coords)):
-        yield combo, _first_bad_forever(combo, bad)
+        yield combo, _breaks(combo, space)
+
+
+def _first_bad(combo, space: str):
+    """First violating position of a combo, or None.
+
+    Prefixes of doubling length are scanned, up to the joint preperiod plus
+    one joint period, past which the digits repeat.  Refutations call it
+    only for combos that break the rule, so it stops at their first
+    violation and costs O(that position), not the lcm of the periods.
+    """
+    head = max(len(e.preperiod) for e in combo)
+    end = head + lcm(*(len(e.period) for e in combo))
+    n = head + 1
+    while (t := first_violation([_prefix(e, n) for e in combo], space)) is None and n < end:
+        n = min(2 * n, end)
+    return t
 
 
 def satisfying_expansions(coords, space: str):
@@ -207,7 +315,7 @@ def satisfying_expansions(coords, space: str):
     One TernaryExpansion per coordinate such that every digit position
     satisfies the space condition.
     """
-    return next((combo for combo, t in _limit_scan(coords, space) if t is None), None)
+    return next((combo for combo, breaks in _limit_scan(coords, space) if not breaks), None)
 
 
 def first_violation(prefix_combo, space: str):
@@ -255,8 +363,8 @@ def refutation(coords, space: str, k: int | None = None):
     violating position. ValueError when some combo breaks no rule.
     """
     if k is None:
-        combos = list(_limit_scan(coords, space))
-        found = [(t, [e.prefix(t) for e in c]) for c, t in combos if t is not None]
+        combos = [(c, _first_bad(c, space) if breaks else None) for c, breaks in _limit_scan(coords, space)]
+        found = [(t, [_prefix(e, t) for e in c]) for c, t in combos if t is not None]
     else:
         combos = list(_stage_scan([ternary_digits(c, k) for c in coords], space))
         found = [(t, p) for p, t in combos if t is not None]

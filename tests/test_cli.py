@@ -98,6 +98,12 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys, argv):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def test_unknown_catalog_knot_is_usage_error(tmp_path, capsys):
+    # the message is printed bare, not as the repr a KeyError's str() gives
+    assert run(["build", "wildknot", "--stage", "2", "--assign", "all:nope", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown catalog knot: 'nope' (have [")
+
+
 def test_build_embed_and_verify(tmp_path, capsys):
     assert run(["build", "embed", "--knot", "figure-eight", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spongeknots import invariants
+from spongeknots import geometry, invariants
 from spongeknots.geometry import box_meet, seg_seg_2d, seg_seg_3d
 from spongeknots.grid import catalog
 from spongeknots.invariants import (
@@ -473,12 +473,14 @@ def test_meets_matches_reference_with_oblique_segments(walk):
     _assert_meets_match([tuple(F(c) for c in p) for p in walk])
 
 
-def _depth_view(p):
-    """The reduced planar walk ``project`` sends to _meets along (0, 0, 1)."""
+def _view(p, direction=(0, 0, 1)):
+    """The reduced planar walk ``project`` sends to _meets along ``direction``."""
+    proj, _ = _projection_maps(direction)
     walk = []
     for v in p.vertices:
-        if not walk or v[:2] != walk[-1]:
-            walk.append(v[:2])
+        w = proj(v)
+        if not walk or w != walk[-1]:
+            walk.append(w)
     if walk[0] == walk[-1]:
         walk.pop()
     return walk
@@ -499,7 +501,7 @@ CONSTRUCTIONS = {
 def test_meets_matches_reference_on_constructions(kind, m):
     poly = CONSTRUCTIONS[kind](m).polyline
     _assert_meets_match(poly.vertices)
-    _assert_meets_match(_depth_view(poly))
+    _assert_meets_match(_view(poly))
 
 
 def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
@@ -517,3 +519,40 @@ def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
     monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
     assert is_simple(poly)
     assert calls == hits == len(poly) == 1024
+
+
+def _bounding_boxes_meet(walk, i, j):
+    n = len(walk)
+    (a, b), (c, d) = (walk[i], walk[(i + 1) % n]), (walk[j], walk[(j + 1) % n])
+    return all(min(c[k], d[k]) <= max(a[k], b[k]) and min(a[k], b[k]) <= max(c[k], d[k]) for k in range(len(a)))
+
+
+OBLIQUE_WALKS = {
+    "sheared-uniform-2": lambda: _view(CONSTRUCTIONS["uniform"](2).polyline, (3, 2, 6)),
+    "3d-lattice-oblique": lambda: _lattice_walk(random.Random(5), 3, 40, 6),
+}
+
+
+@pytest.mark.parametrize("name", OBLIQUE_WALKS)
+def test_meets_calls_seg_seg_once_per_oblique_pair_with_meeting_boxes(monkeypatch, name):
+    # pairs with an oblique segment reach seg_seg_* only when their integer
+    # bounding boxes meet; the rest are skipped with no Fraction arithmetic
+    walk = OBLIQUE_WALKS[name]()
+    n = len(walk)
+    axis_parallel = [sum(s != t for s, t in zip(walk[i], walk[(i + 1) % n])) == 1 for i in range(n)]
+    oblique_pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if not (axis_parallel[i] and axis_parallel[j])
+    ]
+    boxes_meet = sum(_bounding_boxes_meet(walk, i, j) for i, j in oblique_pairs)
+    want = list(_reference_meets(walk))
+    seg_seg = "seg_seg_3d" if len(walk[0]) == 3 else "seg_seg_2d"
+    calls = 0
+
+    def counting_seg_seg(*args):
+        nonlocal calls
+        calls += 1
+        return getattr(geometry, seg_seg)(*args)
+
+    monkeypatch.setattr(invariants, seg_seg, counting_seg_seg)
+    assert list(_meets(walk)) == want
+    assert calls == boxes_meet < len(oblique_pairs)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from math import ceil, floor
+from itertools import product
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from spongeknots.oracle import oracle_profile, subdivision_oracle
 from spongeknots.ternary import (
+    _BAD,
     AxisSegment,
     TernaryExpansion,
+    _breaks,
     _digits_of_index,
+    _first_bad,
     _stage_scan,
     cantor_endpoints,
     expansions,
@@ -25,6 +29,7 @@ from spongeknots.ternary import (
     membership,
     membership_stage,
     refutation,
+    satisfying_expansions,
     segment_in_stage,
     stage_profile,
     ternary_digits,
@@ -41,11 +46,20 @@ def test_ternary_digits_examples():
     assert ternary_digits(F(1), 2) == ((2, 2),)
 
 
+def _digit(e, i):
+    """Digit of an expansion at 1-based position i."""
+    i -= 1
+    if i < len(e.preperiod):
+        return e.preperiod[i]
+    return e.period[(i - len(e.preperiod)) % len(e.period)]
+
+
 def _expansion_prefixes(x, k):
     out = []
     for e in expansions(x):
-        if e.prefix(k) not in out:
-            out.append(e.prefix(k))
+        prefix = tuple(_digit(e, i) for i in range(1, k + 1))
+        if prefix not in out:
+            out.append(prefix)
     return tuple(out)
 
 
@@ -457,3 +471,194 @@ def test_refutation_cells_hold_the_point_and_are_removed_at_their_stage(case):
         assert all(hi - lo == F(1, 3**c.stage) for lo, hi in c.cell)
         center = tuple((lo + hi) / 2 for lo, hi in c.cell)
         assert oracle_profile(center, c.stage, space) == [True] * c.stage + [False]
+
+
+# --- limit decisions from residue classes against the scan they replaced -----
+
+def _reference_first_bad(combo, space):
+    """First violating position of a representation combo, or None, by a scan
+    of every position through the joint preperiod and one joint period: the
+    O(lcm of periods) loop the residue-class rule replaced."""
+    bad = _BAD[space]
+    pre = max(len(e.preperiod) for e in combo)
+    per = lcm(*(len(e.period) for e in combo))
+    for i in range(1, pre + per + 1):
+        if bad(tuple(_digit(e, i) for e in combo)):
+            return i
+    return None
+
+
+def _reference_expansions(x):
+    """Long division with a table of the remainders seen, the expansion
+    routine the table-free one replaced."""
+    if x == 0:
+        return (TernaryExpansion((), (0,)),)
+    if x == 1:
+        return (TernaryExpansion((), (2,)),)
+    num, den = x.numerator, x.denominator
+    seen, digits, rem = {}, [], num
+    while rem not in seen:
+        seen[rem] = len(digits)
+        d, rem = divmod(rem * 3, den)
+        digits.append(d)
+    start = seen[rem]
+    high = TernaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
+    if not _is_pow3(den):
+        return (high,)
+    head = digits[:start]
+    return (high, TernaryExpansion(tuple(head[:-1] + [head[-1] - 1]), (2,)))
+
+
+SPACE_DIMS = [("cantor", 1), ("carpet_face", 2), ("sponge", 3), ("carpet2", 3)]
+ORACLE_DEPTH = 12
+
+
+def _check_limit_point(point, space):
+    """The new limit path against the reference scan and the subdivision
+    oracle; returns the point's verdict."""
+    combos = list(product(*(expansions(c) for c in point)))
+    assert combos == list(product(*(_reference_expansions(c) for c in point)))
+    firsts = []
+    for combo in combos:
+        want = _reference_first_bad(combo, space)
+        assert _breaks(combo, space) == (want is not None), (combo, space)
+        if want is not None:
+            assert _first_bad(combo, space) == want, (combo, space)
+        firsts.append(want)
+    verdict = membership(point, space)
+    assert verdict == (None in firsts)
+    # stage k keeps the point iff some combo breaks no rule up to position k
+    profile = [any(t is None or t > k for t in firsts) for k in range(ORACLE_DEPTH + 1)]
+    assert oracle_profile(point, ORACLE_DEPTH, space) == profile, (point, space)
+    return verdict
+
+
+def _periodic(pre, period):
+    return TernaryExpansion(pre, period).value()
+
+
+# small periods and preperiods, rich in 1s; coprime periods, so the joint
+# period is their product; triadic points, with two representations each
+_small_digits = st.lists(st.sampled_from((0, 1, 1, 2)), max_size=4).map(tuple)
+_small_point = st.builds(_periodic, _small_digits, _small_digits.filter(bool))
+_coprime_point = st.sampled_from((2, 3, 5, 7, 11)).flatmap(
+    lambda p: st.builds(_periodic, _small_digits, st.lists(st.sampled_from((0, 1, 2)), min_size=p, max_size=p))
+)
+_triadic_point = st.integers(min_value=0, max_value=6).flatmap(
+    lambda j: st.integers(min_value=0, max_value=3**j).map(lambda i: F(i, 3**j))
+)
+limit_points = st.sampled_from(SPACE_DIMS).flatmap(
+    lambda sd: st.tuples(
+        st.just(sd[0]),
+        st.lists(st.one_of(_small_point, _coprime_point, _triadic_point), min_size=sd[1], max_size=sd[1])
+        .map(tuple),
+    )
+)
+
+
+@given(limit_points)
+@settings(max_examples=300)
+def test_limit_verdicts_match_reference_scan_and_oracle(case):
+    space, point = case
+    _check_limit_point(point, space)
+
+
+def _corpus_point(rng, kind):
+    if kind == "small":
+        digits = lambda n: tuple(rng.choice((0, 1, 1, 2)) for _ in range(n))
+        return _periodic(digits(rng.randint(0, 4)), digits(rng.randint(1, 4)))
+    if kind == "coprime":
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        return _periodic((), tuple(rng.choice((0, 1, 2)) for _ in range(p)))
+    if kind == "triadic":
+        j = rng.randint(0, 6)
+        return F(rng.randint(0, 3**j), 3**j)
+    return _random_unit_fraction(rng, 200)
+
+
+def test_limit_corpus_matches_reference_and_reaches_both_verdicts():
+    rng = random.Random(0x1E517)
+    verdicts = {space: set() for space, _ in SPACE_DIMS}
+    for _ in range(150):
+        for space, dim in SPACE_DIMS:
+            point = tuple(
+                _corpus_point(rng, rng.choice(("small", "coprime", "triadic", "random"))) for _ in range(dim)
+            )
+            verdicts[space].add(_check_limit_point(point, space))
+    assert all(v == {True, False} for v in verdicts.values())
+
+
+def _one_hot(pre, p, r, filler=0):
+    """Expansion with preperiod ``pre`` and one 1 in its period, at offset r."""
+    return TernaryExpansion(pre, tuple(1 if i == r else filler for i in range(p)))
+
+
+# pairs of periods with a common factor, and preperiods of 0 and 1 digits
+PERIOD_PAIRS = [(2, 4), (4, 6), (6, 9), (6, 10)]
+
+
+@pytest.mark.parametrize("pa,pb", PERIOD_PAIRS)
+def test_pair_rule_on_every_residue_pair(pa, pb):
+    # carpet_face meets on axes 0 and 1; sponge on any two of its three axes,
+    # the third free of 1s; carpet2 on the pair when the third axis is all 1s
+    none, all_ones = TernaryExpansion((), (2,)), TernaryExpansion((), (1,))
+    for pre_a, pre_b in product(((), (0,)), ((), (2,))):
+        for ra, rb in product(range(pa), range(pb)):
+            a, b = _one_hot(pre_a, pa, ra), _one_hot(pre_b, pb, rb, filler=2)
+            combos = [("carpet_face", (a, b)), ("carpet2", (a, b, all_ones)), ("carpet2", (all_ones, a, b))]
+            combos += [("sponge", c) for c in ((a, b, none), (a, none, b), (none, a, b))]
+            for space, combo in combos:
+                want = _reference_first_bad(combo, space)
+                assert _breaks(combo, space) == (want is not None), (space, combo)
+                if want is not None:
+                    assert _first_bad(combo, space) == want
+
+
+@pytest.mark.parametrize("periods", [(2, 4, 6), (4, 6, 9)])
+def test_triple_rule_on_every_residue_triple(periods):
+    # carpet2 needs one position where all three axes hold a 1
+    seen = set()
+    for residues in product(*(range(p) for p in periods)):
+        combo = tuple(_one_hot((0,) * (i % 2), p, r) for i, (p, r) in enumerate(zip(periods, residues)))
+        want = _reference_first_bad(combo, "carpet2")
+        assert _breaks(combo, "carpet2") == (want is not None), combo
+        seen.add(want is not None)
+    assert seen == {True, False}
+
+
+def test_expansion_digits_are_bytes_and_equal_their_tuple_form():
+    high, low = expansions(F(1, 3))
+    assert (high.preperiod, high.period, low.preperiod, low.period) == (b"\1", b"\0", b"\0", b"\2")
+    assert high == TernaryExpansion((1,), (0,))
+    (quarter,) = expansions(F(1, 4))
+    assert quarter == TernaryExpansion((), (0, 2)) and list(quarter.period) == [0, 2]
+    with pytest.raises(ValueError):
+        TernaryExpansion((), (3,))
+    with pytest.raises(ValueError):
+        TernaryExpansion((1,), ())
+
+
+def _block_point(digits):
+    """The purely periodic point 0.(digits) in base 3."""
+    n = 0
+    for d in digits:
+        n = 3 * n + d
+    return F(n, 3 ** len(digits) - 1)
+
+
+def test_limit_query_with_huge_joint_period_answers():
+    # periods 2 * 10007 and 2 * 10009: the joint period is about 2 * 10**8
+    # positions, but x's 1s sit at even offsets and y's at odd ones, so the
+    # classes never meet modulo gcd = 2
+    rng = random.Random(10007)
+    xs = [rng.choice((0, 1)) if i % 2 == 0 else rng.choice((0, 2)) for i in range(2 * 10007)]
+    ys = [rng.choice((0, 1)) if i % 2 == 1 else rng.choice((0, 2)) for i in range(2 * 10009)]
+    x, y = _block_point(xs), _block_point(ys)
+    (ex,), (ey,) = expansions(x), expansions(y)
+    assert (len(ex.preperiod), len(ex.period), len(ey.preperiod), len(ey.period)) == (0, 20014, 0, 20018)
+    assert in_sponge(x, y, F(0))
+    assert satisfying_expansions((x, y, F(0)), "sponge") == (ex, ey, TernaryExpansion((), (0,)))
+    # one 1 of y shifted onto an even offset meets x's class of that parity
+    r = ys.index(1)
+    ys[r], ys[r + 1] = 0, 1
+    assert not in_sponge(x, _block_point(ys), F(0))
