@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -305,3 +306,64 @@ def test_verify_reruns_the_build_suite(tmp_path, capsys, argv, name):
     if argv[0] == "embed":
         expected = [n for n in expected if n not in EMBED_BUILD_ONLY]
     assert printed == expected
+
+
+# SHA-256 of every file each build in BUILDS writes, except the timestamped
+# sidecar .log: a change to any of them is a change to the output format
+BUILD_PINS = {
+    "embed-figure-eight": {
+        "embed-figure-eight.invariants.csv": "11c470f92ab3444c0b8b6aff42328208e81663bea46b99864aab42043b1c2c49",
+        "embed-figure-eight.json": "867b7c57acbe422282b32472414ca349efe113362d9d34423891a29a7a234b90",
+        "embed-figure-eight.obj": "83039b404c449a9b6c625223e3049e958a71af42ccf0cafb34de060a027e178d",
+        "embed-figure-eight.report.json": "dee55836508f157f18cfe2a5326d7b4fe7afa3b83e79836ed270f917902702a9",
+    },
+    "squareflake-2": {
+        "squareflake-2.json": "b0ed823ef5b194b29b158b566821f75a1fac1450d51c85751a5decae9b44aae1",
+        "squareflake-2.obj": "dbf0e45f7af03d2b73d9354d1ae7b8630412deda8dcc6048e567d632fad9685d",
+        "squareflake-2.report.json": "84ca8078a1cfccfd39a7016ab15c7aaf938e38e8ab42cf67312aafbbbeb77361",
+    },
+    "squareflake-1": {
+        "squareflake-1.json": "3f5097ea856b605fa7726e4c9a443af2718064259c6f793e74dc4b5b900e0218",
+        "squareflake-1.obj": "9538eb8fc2438bc8abbe56512242f95398b4a484686898b75249f443f7d78a72",
+        "squareflake-1.report.json": "ea8f477433ff126ed566de83eff9c40ef06bd107218a1c3c53f4a5f47e36b5fd",
+    },
+    "wildknot-2": {
+        "wildknot-2.assignment.json": "a366ef93cc10afb21f8a474e6cd11b78eb0ca52d460f17b5243e4c44a363c3d1",
+        "wildknot-2.json": "c8c3a7fb40fe5920c0c0a8fc772316d7837486c7617482499fd4e81a34338a19",
+        "wildknot-2.obj": "7d049b5371a084fffaf71f8ecef9d42c634400b5c53347d7463031c73cd91b89",
+        "wildknot-2.report.json": "f9be521fbeeb59cdf905b0370ffe52576032a39e4df769a87067c1cce74c03f5",
+    },
+    "wildknot-1": {
+        "wildknot-1.assignment.json": "99ba4624f836bb2c1b877b612e5d4bccb16608fb4c6a16a436dcdd4d43ddece3",
+        "wildknot-1.json": "9e25ee15bd9f7dbc19fb470f09dc6f2cc36ccc735d89e8200fb62d2bd6c15be9",
+        "wildknot-1.obj": "26ce4a7773698cf20b47c42941cd044dc43c34e082b8bdb1847c013ce35e43fc",
+        "wildknot-1.report.json": "33ebb22082b40985ed9dfce3202a72b6f1e8eb708ba34ceacf95c5af3fe43bef",
+    },
+    "necklace-4-1": {
+        "necklace-4-1.json": "21d9546d79926e3e8e8cd2262d550c602db91af2ea8c913c85d2395fe004fb35",
+        "necklace-4-1.ply": "dda1e7af1c0a5dfcc0f7f6f859499b5124070b37455e555a0525aea379b90820",
+        "necklace-4-1.report.json": "ec39a5b90b4f4ce8cf234bd2a30d6652e20240e19bba55abea9659e1bd5b52e6",
+    },
+}
+
+# artifact kind -> the writer of the object load_artifact returns for it
+REWRITE = {
+    "polyline": serialize.polyline_json,
+    "squareflake": serialize.squareflake_json,
+    "approximant": serialize.approximant_json,
+    "assignment": serialize.assignment_json,
+    "necklace": lambda pair: serialize.necklace_json(*pair),
+}
+
+
+@pytest.mark.parametrize("argv,name", BUILDS, ids=[name for _, name in BUILDS])
+def test_build_writes_pinned_bytes_and_artifacts_round_trip(tmp_path, capsys, argv, name):
+    assert run(["build", *argv, "--out", str(tmp_path)]) == 0
+    written = {p.name: p for p in tmp_path.iterdir() if p.suffix != ".log"}
+    assert {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in written.items()} == BUILD_PINS[name]
+    artifacts = [p for f, p in written.items() if f.endswith(".json") and not f.endswith(".report.json")]
+    assert artifacts
+    for path in artifacts:
+        text = path.read_text()
+        kind, obj = serialize.load_artifact(text)
+        assert serialize.dump_json(REWRITE[kind](obj)) == text
