@@ -34,22 +34,6 @@ def frac(value, den=None) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def integer(value) -> int:
-    """An exact integer as read from JSON; a float, a bool or a string is a
-    TypeError, never truncated or coerced."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"not an integer: {value!r}")
-
-
-def boolean(value) -> bool:
-    """An exact boolean as read from JSON; anything but ``true`` or ``false``
-    (a string, a number, null) is a TypeError, never read by truthiness."""
-    if isinstance(value, bool):
-        return value
-    raise TypeError(f"not a boolean: {value!r}")
-
-
 def sub3(a: Point3, b: Point3) -> Point3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 

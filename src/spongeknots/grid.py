@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import integer
-
 
 @dataclass(frozen=True)
 class GridDiagram:
@@ -37,13 +35,6 @@ class GridDiagram:
         """Mirror image: reflect columns (j -> n+1-j)."""
         m = self.n + 1
         return GridDiagram(self.n, tuple((m - a, m - b) for a, b in self.pairs))
-
-    def to_json_dict(self):
-        return {"n": self.n, "pairs": [[a, b] for a, b in self.pairs]}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(integer(d["n"]), tuple((integer(a), integer(b)) for a, b in d["pairs"]))
 
 
 @dataclass(frozen=True)

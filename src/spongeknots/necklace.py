@@ -27,6 +27,8 @@ class Pearl:
     def __post_init__(self):
         if self.radius_sq <= 0:
             raise ValueError("pearl needs positive squared radius")
+        if not self.word:
+            raise ValueError("pearl needs a non-empty reflection word")
         for a, b in zip(self.word, self.word[1:]):
             if a == b:
                 raise ValueError("reflection word has an immediate repeat")

@@ -4,13 +4,22 @@ JSON is the exact format: every rational is a ``"num/den"`` string and
 field order is fixed, so identical configurations produce byte-identical
 files.  OBJ and PLY are lossy viewer exports and say so in a banner
 comment; timestamps never enter payload files.
+
+Every artifact kind and every shape nested in one is declared once, as a
+table of ``(json key, getter, field type)`` in output order.  A field type
+is a ``(write, read)`` pair of functions, and ``read`` takes only its own
+JSON type: anything else is a TypeError or ValueError.  The same table
+writes an artifact and reads it back, so no field is read any other way.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
+from operator import attrgetter as attr
+from operator import itemgetter as item
 
-from .geometry import Cube, boolean, frac, integer
+from .geometry import Cube, frac
 from .grid import GridDiagram
 from .necklace import Necklace, Pearl
 from .polyline import ClosedPolyline3
@@ -22,209 +31,237 @@ SCHEMA = "v1"
 
 LOSSY_BANNER = "lossy decimal export; exact rationals live in the JSON artifact"
 
+_ABSENT = object()  # a field the JSON object leaves out
+
 
 def rat(x) -> str:
     f = frac(x)
     return f"{f.numerator}/{f.denominator}"
 
 
-def point_json(p):
-    return [rat(c) for c in p]
+def _expect(value, types, what):
+    """``value`` when its exact JSON type is one of ``types`` (so a bool is
+    never an integer)."""
+    if type(value) in types:
+        return value
+    if value is _ABSENT:
+        raise ValueError(f"missing, expected {what}")
+    raise TypeError(f"expected {what}, got {reprlib.repr(value)}")
 
 
-def point_from_json(p):
-    point = tuple(frac(c) for c in p)
-    if len(point) != 3:
-        raise ValueError(f"a point needs 3 coordinates, got {len(point)}")
-    return point
+# --- field types -------------------------------------------------------------
+
+def _same(x):
+    return x
 
 
-# --- polylines -------------------------------------------------------------
-
-def polyline_json(p: ClosedPolyline3) -> dict:
-    marks = {}
-    for key, value in sorted(p.marks.items()):
-        if isinstance(value, int):
-            marks[key] = value
-        else:
-            marks[key] = [point_json(q) for q in value]
-    return {
-        "schema": SCHEMA,
-        "kind": "polyline",
-        "vertices": [point_json(v) for v in p.vertices],
-        "marks": marks,
-    }
+RATIONAL = (rat, lambda v: frac(_expect(v, (str, int), "a rational")))
+INTEGER = (_same, lambda v: _expect(v, (int,), "an integer"))
+BOOLEAN = (_same, lambda v: _expect(v, (bool,), "a boolean"))
+STRING = (_same, lambda v: _expect(v, (str,), "a string"))
 
 
-def polyline_from_json(d: dict) -> ClosedPolyline3:
-    marks = {}
-    for key, value in d.get("marks", {}).items():
-        if isinstance(value, list):
-            marks[key] = tuple(point_from_json(q) for q in value)
-        else:
-            marks[key] = integer(value)
-    return ClosedPolyline3(tuple(point_from_json(v) for v in d["vertices"]), marks)
+def array(field, length=None):
+    """A JSON array of ``field`` values, of exactly ``length`` when given;
+    read as a tuple."""
+    write_item, read_item = field
+
+    def write(xs):
+        return [write_item(x) for x in xs]
+
+    def read(v):
+        _expect(v, (list,), "an array")
+        if length is not None and len(v) != length:
+            raise ValueError(f"expected an array of {length}, got {len(v)} items")
+        return tuple(map(read_item, v))
+
+    return write, read
 
 
-# --- grid diagrams ---------------------------------------------------------
+def record(build, fields, kind=None):
+    """A JSON object of ``fields``, read back as ``build(*values)`` in table
+    order.  With ``kind`` it opens with the ``schema``/``kind`` header, which
+    reading requires.  A field's read error names the field's key."""
 
-def grid_from_json(d: dict) -> GridDiagram:
-    return GridDiagram.from_json_dict(d)
+    def write(obj):
+        out = {"schema": SCHEMA, "kind": kind} if kind else {}
+        for key, get, (write_field, _) in fields:
+            value = write_field(get(obj))
+            if value is not _ABSENT:
+                out[key] = value
+        return out
 
+    def read(v):
+        _expect(v, (dict,), "an object")
+        if kind and v.get("schema") != SCHEMA:
+            raise ValueError(f"expected schema {SCHEMA!r}, got {reprlib.repr(v.get('schema'))}")
+        if kind and v.get("kind") != kind:
+            raise ValueError(f"expected kind {kind!r}, got {reprlib.repr(v.get('kind'))}")
+        values = []
+        try:
+            for key, _, (_, read_field) in fields:
+                values.append(read_field(v.get(key, _ABSENT)))
+        except (TypeError, ValueError) as e:
+            raise type(e)(f"{key}: {e}") from None
+        return build(*values)
 
-# --- axis segments / cubes -------------------------------------------------
-
-def segment_json(s: AxisSegment) -> dict:
-    return {
-        "axis": s.axis,
-        "fixed": [rat(s.fixed[0]), rat(s.fixed[1])],
-        "lo": rat(s.lo),
-        "hi": rat(s.hi),
-    }
-
-
-def segment_from_json(d: dict) -> AxisSegment:
-    return AxisSegment(
-        integer(d["axis"]),
-        (frac(d["fixed"][0]), frac(d["fixed"][1])),
-        frac(d["lo"]),
-        frac(d["hi"]),
-    )
-
-
-def cube_json(c: Cube) -> dict:
-    return {"corner": point_json(c.corner), "side": rat(c.side)}
-
-
-def cube_from_json(d: dict) -> Cube:
-    return Cube(point_from_json(d["corner"]), frac(d["side"]))
+    return write, read
 
 
-# --- squareflake -----------------------------------------------------------
-
-def squareflake_json(s: SquareflakeStage) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "squareflake",
-        "m": s.m,
-        "polyline": polyline_json(s.polyline),
-        "replaced": [
-            {"removed": segment_json(seg), "path": [point_json(p) for p in path]}
-            for seg, path in s.replaced
-        ],
-    }
+def optional(field):
+    """``field``, left out when its value is None and None when left out."""
+    write_field, read_field = field
+    return (lambda x: _ABSENT if x is None else write_field(x),
+            lambda v: None if v is _ABSENT else read_field(v))
 
 
-def squareflake_from_json(d: dict) -> SquareflakeStage:
-    replaced = tuple(
-        (segment_from_json(r["removed"]), tuple(point_from_json(p) for p in r["path"]))
-        for r in d["replaced"]
-    )
-    return SquareflakeStage(integer(d["m"]), polyline_from_json(d["polyline"]), replaced)
+# --- shapes ------------------------------------------------------------------
+
+POINT = array(RATIONAL, 3)
+POINTS = array(POINT)
 
 
-# --- approximants ----------------------------------------------------------
-
-def approximant_json(a: Approximant) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "approximant",
-        "m": a.m,
-        "sponge_stage": a.sponge_stage,
-        "polyline": polyline_json(a.polyline),
-        "ledger": [
-            {
-                "stage": e.stage,
-                "index": e.index,
-                "site_kind": e.kind,
-                "knot": e.knot,
-                "nontrivial": e.nontrivial,
-                "mirror": e.mirror,
-                "spliced": e.spliced,
-                "cube": cube_json(e.cube),
-                "summand_det": e.summand_det,
-            }
-            for e in a.ledger
-        ],
-    }
+def _write_marks(marks):
+    return {k: v if isinstance(v, int) else POINTS[0](v) for k, v in sorted(marks.items())}
 
 
-def approximant_from_json(d: dict) -> Approximant:
-    ledger = tuple(
-        LedgerEntry(
-            integer(e["stage"]), integer(e["index"]), e["site_kind"], e["knot"],
-            boolean(e["nontrivial"]), boolean(e["mirror"]), boolean(e["spliced"]),
-            cube_from_json(e["cube"]), integer(e["summand_det"]),
-        )
-        for e in d["ledger"]
-    )
-    return Approximant(
-        integer(d["m"]), polyline_from_json(d["polyline"]), ledger, integer(d["sponge_stage"])
-    )
+def _read_marks(v):
+    """Each mark is an integer or an array of points."""
+    return {k: (POINTS if type(x) is list else INTEGER)[1](x) for k, x in _expect(v, (dict,), "an object").items()}
 
 
-def assignment_json(a: KnotAssignment) -> dict:
-    return {"schema": SCHEMA, "kind": "assignment", **a.to_json_dict()}
+MARKS = (_write_marks, _read_marks)
+
+SEGMENT = record(AxisSegment, [
+    ("axis", attr("axis"), INTEGER),
+    ("fixed", attr("fixed"), array(RATIONAL, 2)),
+    ("lo", attr("lo"), RATIONAL),
+    ("hi", attr("hi"), RATIONAL),
+])
+
+CUBE = record(Cube, [("corner", attr("corner"), POINT), ("side", attr("side"), RATIONAL)])
+
+LEDGER_ENTRY = record(LedgerEntry, [
+    ("stage", attr("stage"), INTEGER),
+    ("index", attr("index"), INTEGER),
+    ("site_kind", attr("kind"), STRING),
+    ("knot", attr("knot"), STRING),
+    ("nontrivial", attr("nontrivial"), BOOLEAN),
+    ("mirror", attr("mirror"), BOOLEAN),
+    ("spliced", attr("spliced"), BOOLEAN),
+    ("cube", attr("cube"), CUBE),
+    ("summand_det", attr("summand_det"), INTEGER),
+])
+
+# one ((stage, index), (knot, mirror)) item of KnotAssignment.entries
+ASSIGNMENT_ENTRY = record(lambda q, i, knot, mirror: ((q, i), (knot, mirror)), [
+    ("stage", lambda e: e[0][0], INTEGER),
+    ("index", lambda e: e[0][1], INTEGER),
+    ("knot", lambda e: e[1][0], STRING),
+    ("mirror", lambda e: e[1][1], BOOLEAN),
+])
+
+PEARL = record(Pearl, [
+    ("center", attr("center"), POINT),
+    ("radius_sq", attr("radius_sq"), RATIONAL),
+    ("word", attr("word"), array(INTEGER)),
+])
+PEARLS = array(PEARL)
+
+# an iterated generation, read as (generation, pearls)
+GENERATION = record(lambda g, pearls: (g, pearls), [
+    ("generation", attr("generation"), INTEGER),
+    ("pearls", attr("pearls"), PEARLS),
+])
 
 
-def assignment_from_json(d: dict) -> KnotAssignment:
-    entries = {
-        (integer(e["stage"]), integer(e["index"])): (e["knot"], boolean(e["mirror"]))
-        for e in d.get("entries", [])
-    }
-    return KnotAssignment(integer(d["stage"]), entries, d.get("default", "trivial"))
+# --- artifact kinds ----------------------------------------------------------
+
+POLYLINE = record(ClosedPolyline3, [
+    ("vertices", attr("vertices"), POINTS),
+    ("marks", attr("marks"), MARKS),
+], "polyline")
+
+GRID = record(GridDiagram, [
+    ("n", attr("n"), INTEGER),
+    ("pairs", attr("pairs"), array(array(INTEGER, 2))),
+], "grid")
+
+SQUAREFLAKE = record(SquareflakeStage, [
+    ("m", attr("m"), INTEGER),
+    ("polyline", attr("polyline"), POLYLINE),
+    ("replaced", attr("replaced"), array(record(lambda seg, path: (seg, path), [
+        ("removed", item(0), SEGMENT),
+        ("path", item(1), POINTS),
+    ]))),
+], "squareflake")
+
+APPROXIMANT = record(lambda m, stage, poly, ledger: Approximant(m, poly, ledger, stage), [
+    ("m", attr("m"), INTEGER),
+    ("sponge_stage", attr("sponge_stage"), INTEGER),
+    ("polyline", attr("polyline"), POLYLINE),
+    ("ledger", attr("ledger"), array(LEDGER_ENTRY)),
+], "approximant")
+
+ASSIGNMENT = record(lambda stage, default, entries: KnotAssignment(stage, dict(entries), default), [
+    ("stage", attr("stage"), INTEGER),
+    ("default", attr("default"), STRING),
+    ("entries", lambda a: sorted(a.entries.items()), array(ASSIGNMENT_ENTRY)),
+], "assignment")
 
 
-# --- necklaces ---------------------------------------------------------------
-
-def pearl_json(p: Pearl) -> dict:
-    return {
-        "center": point_json(p.center),
-        "radius_sq": rat(p.radius_sq),
-        "word": list(p.word),
-    }
+def _necklaces(n, pearls, knot, iterated):
+    base = Necklace(pearls, knot, n)
+    if iterated is None:
+        return base, None
+    generation, pearls = iterated
+    return base, Necklace(pearls, knot, n, generation=generation)
 
 
-def pearl_from_json(d: dict) -> Pearl:
-    return Pearl(point_from_json(d["center"]), frac(d["radius_sq"]), tuple(integer(j) for j in d["word"]))
+# a (generation-0 necklace, iterated necklace or None) pair
+NECKLACE = record(_necklaces, [
+    ("n", lambda pair: pair[0].n, INTEGER),
+    ("pearls", lambda pair: pair[0].pearls, PEARLS),
+    ("knot", lambda pair: pair[0].knot, POLYLINE),
+    ("iterated", item(1), optional(GENERATION)),
+], "necklace")
+
+KINDS = {"polyline": POLYLINE, "grid": GRID, "squareflake": SQUAREFLAKE, "approximant": APPROXIMANT,
+         "assignment": ASSIGNMENT, "necklace": NECKLACE}
+
+polyline_json = POLYLINE[0]
+segment_json = SEGMENT[0]
+squareflake_json = SQUAREFLAKE[0]
+approximant_json = APPROXIMANT[0]
+assignment_json = ASSIGNMENT[0]
 
 
 def necklace_json(base: Necklace, iterated: Necklace | None = None) -> dict:
     """Generation-0 necklace, optionally with one iterated generation."""
     if base.generation != 0:
         raise ValueError("necklace artifacts store the generation-0 necklace")
-    out = {
-        "schema": SCHEMA,
-        "kind": "necklace",
-        "n": base.n,
-        "pearls": [pearl_json(p) for p in base.pearls],
-        "knot": polyline_json(base.knot),
-    }
-    if iterated is not None:
-        out["iterated"] = {
-            "generation": iterated.generation,
-            "pearls": [pearl_json(p) for p in iterated.pearls],
-        }
-    return out
+    return NECKLACE[0]((base, iterated))
 
 
-def necklace_from_json(d: dict):
-    """(generation-0 necklace, iterated necklace or None)."""
-    base = Necklace(
-        tuple(pearl_from_json(p) for p in d["pearls"]),
-        polyline_from_json(d["knot"]),
-        integer(d["n"]),
-    )
-    it = d.get("iterated")
-    iterated = None
-    if it is not None:
-        iterated = Necklace(
-            tuple(pearl_from_json(p) for p in it["pearls"]),
-            base.knot,
-            base.n,
-            generation=integer(it["generation"]),
-        )
-    return base, iterated
+def dump_json(obj: dict) -> str:
+    return json.dumps(obj, indent=1, ensure_ascii=False) + "\n"
+
+
+def load_artifact(text: str):
+    """(kind, object) of an artifact; ValueError for any malformed input."""
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError("artifact nests too deeply for the JSON parser") from None
+    if type(d) is not dict:
+        raise ValueError("artifact is not a JSON object")
+    kind = d.get("kind")
+    if type(kind) is not str or kind not in KINDS:
+        raise ValueError(f"unknown artifact kind: {reprlib.repr(kind)}")
+    try:
+        return kind, KINDS[kind][1](d)
+    except TypeError as e:
+        raise ValueError(f"malformed {kind} artifact: {e}") from None
 
 
 # --- lossy viewer exports ----------------------------------------------------
@@ -252,35 +289,3 @@ def points_ply(points) -> str:
     ]
     body = [" ".join(repr(float(c)) for c in p) for p in pts]
     return "\n".join(header + body) + "\n"
-
-
-def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=1, ensure_ascii=False) + "\n"
-
-
-def load_json(text: str) -> dict:
-    return json.loads(text)
-
-
-FROM_JSON = {
-    "polyline": polyline_from_json,
-    "grid": grid_from_json,
-    "squareflake": squareflake_from_json,
-    "approximant": approximant_from_json,
-    "assignment": assignment_from_json,
-    "necklace": necklace_from_json,
-}
-
-
-def load_artifact(text: str):
-    """(kind, object) of an artifact; ValueError for any malformed input."""
-    d = load_json(text)
-    if not isinstance(d, dict):
-        raise ValueError("artifact is not a JSON object")
-    kind = d.get("kind")
-    if kind not in FROM_JSON:
-        raise ValueError(f"unknown artifact kind: {kind!r}")
-    try:
-        return kind, FROM_JSON[kind](d)
-    except (AttributeError, KeyError, TypeError) as e:
-        raise ValueError(f"malformed {kind} artifact: {type(e).__name__}: {e}") from None

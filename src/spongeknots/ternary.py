@@ -86,9 +86,8 @@ class TernaryExpansion:
     def value(self) -> Fraction:
         pre, per = self.preperiod, self.period
         scale = 3 ** len(pre)
-        head = Fraction(int("0" + "".join(map(str, pre)), 3) if pre else 0, scale)
-        tail = Fraction(int("".join(map(str, per)), 3), 3 ** len(per) - 1)
-        return head + tail / scale
+        tail = Fraction(_index_of_digits(per), 3 ** len(per) - 1)
+        return (_index_of_digits(pre) + tail) / scale
 
 
 def expansions(x) -> tuple[TernaryExpansion, ...]:
@@ -187,6 +186,18 @@ def _digits_of_index(i: int, k: int) -> tuple[int, ...]:
         ds.append(i % 3)
         i //= 3
     return tuple(reversed(ds))
+
+
+def _index_of_digits(ds) -> int:
+    """The integer whose base-3 digits, most significant first, are ``ds``:
+    the inverse of _digits_of_index, halving long prefixes the same way."""
+    k = len(ds)
+    if k > 64:
+        return _index_of_digits(ds[:k - k // 2]) * 3 ** (k // 2) + _index_of_digits(ds[k - k // 2:])
+    i = 0
+    for d in ds:
+        i = 3 * i + d
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +385,7 @@ def refutation(coords, space: str, k: int | None = None):
     for t, prefixes in found:
         cell = []
         for prefix in prefixes:
-            lo = Fraction(sum(d * 3 ** (t - 1 - i) for i, d in enumerate(prefix[:t])), 3**t)
+            lo = Fraction(_index_of_digits(prefix[:t]), 3**t)
             cell.append((lo, lo + Fraction(1, 3**t)))
         ones = sum(p[t - 1] == 1 for p in prefixes)
         removed = {"carpet_face": "center-square", "carpet2": "center"}.get(space) or _REMOVED_NAME[ones]

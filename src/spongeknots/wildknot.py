@@ -238,16 +238,6 @@ class KnotAssignment:
     def all_trivial(cls, stage: int) -> "KnotAssignment":
         return cls(stage, {})
 
-    def to_json_dict(self):
-        return {
-            "stage": self.stage,
-            "default": self.default,
-            "entries": [
-                {"stage": q, "index": i, "knot": name, "mirror": mirror}
-                for (q, i), (name, mirror) in sorted(self.entries.items())
-            ],
-        }
-
 
 def _summand_stage(n: int) -> int:
     """Cantor stage for spliced summands: strictly more endpoints than levels,

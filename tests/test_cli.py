@@ -198,36 +198,88 @@ def _ledger_text(**fields):
     return serialize.dump_json(data)
 
 
-def _assignment_text(**fields):
-    data = serialize.assignment_json(KnotAssignment.uniform("trefoil", 1))
-    data["entries"][0].update(fields)
+def _assignment_text(entry=(), **fields):
+    data = {**serialize.assignment_json(KnotAssignment.uniform("trefoil", 1)), **fields}
+    data["entries"][0].update(entry)
     return serialize.dump_json(data)
 
 
-@pytest.mark.parametrize("text", [
-    "[1, 2]",
-    '{"kind": "polyline", "vertices": 5}',
-    '{"kind": "polyline", "vertices": [["1/0", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]}',
-    '{"kind": "polyline", "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}',
-    '{"kind": "polyline", "vertices": [[0.1, 0, 0], [1, 0, 0], [1, 1, 0]]}',
-    '{"kind": "polyline", "vertices": [[true, 0, 0], [0, 0, 0], [0, 1, 0]]}',
-    _squareflake_text(m=1.9),
-    '{"kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["1/1", "1/1", "0/1"],'
-    ' ["0/1", "1/1", "0/1"]], "marks": {"sponge_stage": true}}',
-    _ledger_text(mirror="no"),
-    _ledger_text(nontrivial=0),
-    _ledger_text(spliced=None),
-    _assignment_text(mirror="no"),
-    _assignment_text(mirror=0),
-    _assignment_text(mirror=None),
-], ids=["not-an-object", "wrong-type", "zero-denominator", "two-coordinates", "float", "bool", "float-integer",
-        "bool-mark", "ledger-string-boolean", "ledger-integer-boolean", "ledger-null-boolean",
-        "assignment-string-boolean", "assignment-integer-boolean", "assignment-null-boolean"])
-def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text):
+def _square_text(vertex=None, **fields):
+    data = {**serialize.polyline_json(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])), **fields}
+    if vertex is not None:
+        data["vertices"][0] = vertex
+    return serialize.dump_json(data)
+
+
+def _nested_kind_text():
+    data = serialize.squareflake_json(squareflake(1))
+    data["polyline"]["kind"] = "necklace"
+    return serialize.dump_json(data)
+
+
+def _headless_text():
+    data = serialize.polyline_json(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    del data["schema"]
+    return serialize.dump_json(data)
+
+
+def _wordless_pearl_text():
+    base = make_necklace(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 3)
+    data = serialize.necklace_json(base, iterate(base, 1))
+    data["pearls"][0]["word"] = []
+    return serialize.dump_json(data)
+
+
+# (text, the part of the error that names the intended fault)
+MALFORMED = {
+    "not-an-object": ("[1, 2]", "not a JSON object"),
+    "wrong-type": ('{"schema": "v1", "kind": "polyline", "vertices": 5, "marks": {}}', "vertices: expected an array"),
+    "zero-denominator": (
+        '{"schema": "v1", "kind": "polyline", "vertices": [["1/0", "0/1", "0/1"], ["1/1", "0/1", "0/1"],'
+        ' ["0/1", "1/1", "0/1"]], "marks": {}}', "zero denominator"),
+    "two-coordinates": (
+        '{"schema": "v1", "kind": "polyline", "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],'
+        ' "marks": {}}', "expected an array of 3, got 2"),
+    "float": ('{"schema": "v1", "kind": "polyline", "vertices": [[0.1, 0, 0], [1, 0, 0], [1, 1, 0]], "marks": {}}',
+              "expected a rational, got 0.1"),
+    "bool": ('{"schema": "v1", "kind": "polyline", "vertices": [[true, 0, 0], [0, 0, 0], [0, 1, 0]], "marks": {}}',
+             "expected a rational, got True"),
+    "float-integer": (_squareflake_text(m=1.9), "m: expected an integer, got 1.9"),
+    "bool-mark": (
+        '{"schema": "v1", "kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"],'
+        ' ["1/1", "1/1", "0/1"], ["0/1", "1/1", "0/1"]], "marks": {"sponge_stage": true}}',
+        "marks: expected an integer, got True"),
+    "ledger-string-boolean": (_ledger_text(mirror="no"), "mirror: expected a boolean, got 'no'"),
+    "ledger-integer-boolean": (_ledger_text(nontrivial=0), "nontrivial: expected a boolean, got 0"),
+    "ledger-null-boolean": (_ledger_text(spliced=None), "spliced: expected a boolean, got None"),
+    "assignment-string-boolean": (_assignment_text({"mirror": "no"}), "mirror: expected a boolean, got 'no'"),
+    "assignment-integer-boolean": (_assignment_text({"mirror": 0}), "mirror: expected a boolean, got 0"),
+    "assignment-null-boolean": (_assignment_text({"mirror": None}), "mirror: expected a boolean, got None"),
+    "ledger-integer-knot": (_ledger_text(knot=5), "knot: expected a string, got 5"),
+    "ledger-null-knot": (_ledger_text(knot=None), "knot: expected a string, got None"),
+    "ledger-array-site-kind": (_ledger_text(site_kind=["x"]), "site_kind: expected a string, got ['x']"),
+    "assignment-integer-default": (_assignment_text(default=5), "default: expected a string, got 5"),
+    "assignment-integer-knot": (_assignment_text({"knot": 7}), "knot: expected a string, got 7"),
+    "string-vertex": (_square_text("012"), "vertices: expected an array, got '012'"),
+    "object-vertex": (_square_text({"0/1": 1, "1/1": 2, "2/3": 3}), "vertices: expected an array, got {"),
+    "array-kind": ('{"schema": "v1", "kind": []}', "unknown artifact kind: []"),
+    "object-kind": ('{"schema": "v1", "kind": {}}', "unknown artifact kind: {}"),
+    "other-schema": (_square_text(schema="v9"), "expected schema 'v1', got 'v9'"),
+    "missing-schema": (_headless_text(), "expected schema 'v1', got None"),
+    "nested-kind": (_nested_kind_text(), "polyline: expected kind 'polyline', got 'necklace'"),
+    "deep-nesting": ("[" * 100000 + "]" * 100000, "nests too deeply"),
+    "empty-pearl-word": (_wordless_pearl_text(), "pearl needs a non-empty reflection word"),
+}
+
+
+@pytest.mark.parametrize("text, reason", MALFORMED.values(), ids=MALFORMED.keys())
+def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text, reason):
     f = tmp_path / "bad.json"
     f.write_text(text)
     assert run(["verify", str(f)]) == 2
-    assert "schema mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("schema mismatch: ")
+    assert reason in err
 
 
 def _oblique_squareflake():
@@ -257,7 +309,8 @@ def test_predicate_segment_outside_unit_cube_is_usage_error(capsys):
 
 def test_verify_two_vertex_polyline_names_simplicity(tmp_path, capsys):
     f = tmp_path / "short.json"
-    f.write_text('{"kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"]]}')
+    f.write_text('{"schema": "v1", "kind": "polyline", "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"]],'
+                 ' "marks": {}}')
     assert run(["verify", str(f)]) == 1
     assert "simplicity: FAIL (need at least 3 vertices)" in capsys.readouterr().out
 
@@ -346,15 +399,6 @@ BUILD_PINS = {
     },
 }
 
-# artifact kind -> the writer of the object load_artifact returns for it
-REWRITE = {
-    "polyline": serialize.polyline_json,
-    "squareflake": serialize.squareflake_json,
-    "approximant": serialize.approximant_json,
-    "assignment": serialize.assignment_json,
-    "necklace": lambda pair: serialize.necklace_json(*pair),
-}
-
 
 @pytest.mark.parametrize("argv,name", BUILDS, ids=[name for _, name in BUILDS])
 def test_build_writes_pinned_bytes_and_artifacts_round_trip(tmp_path, capsys, argv, name):
@@ -366,4 +410,5 @@ def test_build_writes_pinned_bytes_and_artifacts_round_trip(tmp_path, capsys, ar
     for path in artifacts:
         text = path.read_text()
         kind, obj = serialize.load_artifact(text)
-        assert serialize.dump_json(REWRITE[kind](obj)) == text
+        write, _ = serialize.KINDS[kind]
+        assert serialize.dump_json(write(obj)) == text

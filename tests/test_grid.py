@@ -1,5 +1,6 @@
 import pytest
 
+from spongeknots import serialize
 from spongeknots.grid import (
     GridDiagram,
     catalog,
@@ -94,4 +95,8 @@ def test_mirror_preserves_determinant():
 
 def test_json_roundtrip():
     g = catalog("trefoil")
-    assert GridDiagram.from_json_dict(g.to_json_dict()) == g
+    write, read = serialize.GRID
+    text = serialize.dump_json(write(g))
+    assert text.startswith('{\n "schema": "v1",\n "kind": "grid",\n "n": 5,\n "pairs": [')
+    assert read(write(g)) == g
+    assert serialize.load_artifact(text) == ("grid", g)

@@ -14,6 +14,7 @@ from spongeknots.ternary import (
     TernaryExpansion,
     _breaks,
     _digits_of_index,
+    _index_of_digits,
     _first_bad,
     _stage_scan,
     cantor_endpoints,
@@ -646,13 +647,18 @@ def _block_point(digits):
     return F(n, 3 ** len(digits) - 1)
 
 
-def test_limit_query_with_huge_joint_period_answers():
-    # periods 2 * 10007 and 2 * 10009: the joint period is about 2 * 10**8
-    # positions, but x's 1s sit at even offsets and y's at odd ones, so the
-    # classes never meet modulo gcd = 2
+def _huge_period_digits():
+    """Periods 2 * 10007 and 2 * 10009: the joint period is about 2 * 10**8
+    positions, but x's 1s sit at even offsets and y's at odd ones, so the
+    classes never meet modulo gcd = 2."""
     rng = random.Random(10007)
     xs = [rng.choice((0, 1)) if i % 2 == 0 else rng.choice((0, 2)) for i in range(2 * 10007)]
     ys = [rng.choice((0, 1)) if i % 2 == 1 else rng.choice((0, 2)) for i in range(2 * 10009)]
+    return xs, ys
+
+
+def test_limit_query_with_huge_joint_period_answers():
+    xs, ys = _huge_period_digits()
     x, y = _block_point(xs), _block_point(ys)
     (ex,), (ey,) = expansions(x), expansions(y)
     assert (len(ex.preperiod), len(ex.period), len(ey.preperiod), len(ey.period)) == (0, 20014, 0, 20018)
@@ -662,3 +668,61 @@ def test_limit_query_with_huge_joint_period_answers():
     r = ys.index(1)
     ys[r], ys[r + 1] = 0, 1
     assert not in_sponge(x, _block_point(ys), F(0))
+
+
+def test_refutation_at_a_far_first_violation_holds_the_point():
+    # the shifted pair above: its first violation is at position 20,021,
+    # and each cell corner is built from a 20,021-digit prefix
+    xs, ys = _huge_period_digits()
+    r = ys.index(1)
+    ys[r], ys[r + 1] = 0, 1
+    point = (_block_point(xs), _block_point(ys), F(0))
+    failed_stage, cells = refutation(point, "sponge")
+    assert failed_stage == 20021
+    assert all(c.stage == 20021 for c in cells)
+    for c in cells:
+        assert all(lo <= x <= hi and hi - lo == F(1, 3**c.stage) for x, (lo, hi) in zip(point, c.cell))
+
+
+def _digit_sum(prefix):
+    """The base-3 value of a digit prefix, term by term: O(t^2) for t digits."""
+    t = len(prefix)
+    return sum(d * 3 ** (t - 1 - i) for i, d in enumerate(prefix))
+
+
+def test_index_of_digits_inverts_digits_of_index():
+    rng = random.Random(3)
+    for k in [*range(8), 63, 64, 65, 129, 200, 1000]:
+        for _ in range(20):
+            ds = tuple(rng.randrange(3) for _ in range(k))
+            assert _index_of_digits(ds) == _index_of_digits(bytes(ds)) == _digit_sum(ds)
+            assert _digits_of_index(_index_of_digits(ds), k) == ds
+
+
+def test_value_of_a_period_past_the_string_conversion_limit():
+    # int(str, 3) refuses more than 4,300 digits
+    rng = random.Random(5001)
+    pre = bytes(rng.randrange(3) for _ in range(7))
+    per = bytes(rng.randrange(3) for _ in range(5001))
+    want = (_digit_sum(pre) + F(_digit_sum(per), 3 ** len(per) - 1)) / 3 ** len(pre)
+    assert TernaryExpansion(pre, per).value() == want
+
+
+@given(small_period_points)
+@settings(max_examples=100)
+def test_refutation_cells_match_the_digit_sum_formula(case):
+    space, point = case
+    assume(not membership(point, space))
+    _, cells = refutation(point, space)
+    combos = list(product(*(expansions(c) for c in point)))
+    assert len(cells) == len(combos)
+    for combo, c in zip(combos, cells):
+        t = _reference_first_bad(combo, space)
+        assert c.stage == t
+        assert [lo for lo, _ in c.cell] == [F(_digit_sum([_digit(e, i) for i in range(1, t + 1)]), 3**t) for e in combo]
+    k = max(c.stage for c in cells)
+    _, cells = refutation(point, space, k)
+    found = [(combo, t) for combo, t in _stage_scan([ternary_digits(c, k) for c in point], space)]
+    assert [c.stage for c in cells] == [t for _, t in found]
+    for (combo, t), c in zip(found, cells):
+        assert [lo for lo, _ in c.cell] == [F(_digit_sum(p[:t]), 3**t) for p in combo]
