@@ -6,7 +6,7 @@ from spongeknots.embed import embed_grid, embed_into_box, verify_containment
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.invariants import determinant, determinant_minor, is_simple, project_generic
-from spongeknots.polyline import ClosedPolyline3
+from spongeknots.polyline import ClosedPolyline3, closed_polyline
 from spongeknots.ternary import AxisSegment
 from spongeknots.wildknot import (
     KnotAssignment,
@@ -132,6 +132,56 @@ def test_splice_rejects_summand_meeting_base_outside_t():
     summand = embed_into_box(catalog("unknot"), site.cube.corner, site.cube.side, "y-edge", k=1)
     with pytest.raises(ValueError):
         splice(base, site, summand)
+
+
+# splice inputs: T runs along y on the base's left edge x = z = 0, and the
+# site cube hangs off it on the negative-x side (or on the inside)
+_T = AxisSegment(1, (F(0), F(0)), F(1, 3), F(2, 3))
+_OUT = SpliceSite(0, 0, "custom", _T, Cube((F(-1, 3), F(1, 3), F(0)), F(1, 3)), "y-edge-high")
+_IN = SpliceSite(0, 0, "custom", _T, Cube((F(0), F(1, 3), F(0)), F(1, 3)), "y-edge")
+_SQUARE = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
+_FLAT = [(0, F(4, 9), 0), (F(-1, 9), F(4, 9), 0), (F(-1, 9), F(5, 9), 0), (0, F(5, 9), 0)]
+
+
+def _mark(a, b):
+    return {"splice": tuple(tuple(F(c) for c in p) for p in (a, b))}
+
+
+_GOOD_MARK = _mark(_FLAT[0], _FLAT[3])
+
+# one input per ValueError of splice, in the order splice checks them
+SPLICE_ERRORS = {
+    "no-mark": (_SQUARE, _OUT, _FLAT, {}, "summand carries no splice mark"),
+    "mark-off-line": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[1], _FLAT[0]), "splice mark is not on the site segment"),
+    "mark-leaves-t": (_SQUARE, _OUT, _FLAT, _mark((0, F(2, 9), 0), _FLAT[0]), "splice mark leaves the site segment"),
+    "no-carrier": ([(0, 0, 0), (0, F(1, 2), 0), (1, F(1, 2), 0), (1, 0, 0)], _OUT, _FLAT, _GOOD_MARK,
+                   "site segment does not lie on the base curve"),
+    "oblique-base": ([(0, 0, 0), (0, 1, 0), (1, 0, 0)], _OUT, _FLAT, _GOOD_MARK,
+                     "approximant segments must be axis-aligned"),
+    "base-in-cube": ([(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, F(1, 2), 0), (F(1, 6), F(1, 2), 0), (F(1, 6), 0, 0)],
+                     _IN, _FLAT, _GOOD_MARK, "base meets the splice cube outside T at segment 3"),
+    "summand-leaves-cube": (_SQUARE, _OUT, [_FLAT[0], (F(-1, 2), F(4, 9), 0), (F(-1, 2), F(5, 9), 0), _FLAT[3]],
+                            _GOOD_MARK, "summand leaves the splice cube"),
+    "degenerate-mark": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[0], _FLAT[0]), "degenerate splice mark"),
+    "mark-at-base-vertex": (
+        [(0, 0, 0), (0, F(1, 3), 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)], _OUT,
+        [(0, F(1, 3), 0), (F(-1, 9), F(1, 3), 0), (F(-1, 9), F(4, 9), 0), (0, F(4, 9), 0)],
+        _mark((0, F(1, 3), 0), (0, F(4, 9), 0)), "splice mark touches a base vertex"),
+    "mark-not-a-segment": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[0], (0, F(1, 2), 0)),
+                           "splice mark is not a segment of the summand"),
+}
+
+
+@pytest.mark.parametrize("base, site, summand, marks, message", SPLICE_ERRORS.values(), ids=SPLICE_ERRORS.keys())
+def test_splice_errors_name_the_first_broken_rule(base, site, summand, marks, message):
+    with pytest.raises(ValueError) as exc:
+        splice(closed_polyline(base), site, closed_polyline(summand, marks))
+    assert str(exc.value) == message
+
+
+def test_the_unbroken_splice_error_input_splices():
+    good = splice(closed_polyline(_SQUARE), _OUT, closed_polyline(_FLAT, _GOOD_MARK))
+    assert good.vertices == (_SQUARE[0], *_FLAT, *_SQUARE[1:])
 
 
 def test_double_splice_structure():
