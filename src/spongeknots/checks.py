@@ -44,8 +44,10 @@ class CheckList:
         return None
 
 
-def _add_containment(checks: CheckList, poly, stage: int):
-    checks.add("containment", all(verify_containment(poly, stage)), f"stage {stage}")
+def _triadic_stage(poly):
+    """Least k such that every vertex coordinate lies on the 3**-k grid, else None."""
+    exponents = [triadic_exponent(d) for d in {c.denominator for v in poly.vertices for c in v}]
+    return None if None in exponents else max(exponents)
 
 
 def _grid_stage(poly):
@@ -55,20 +57,28 @@ def _grid_stage(poly):
     """
     if any(axis_form(a, b) is None for a, b in poly.segments()):
         return None
-    exponents = [triadic_exponent(c.denominator) for v in poly.vertices for c in v]
-    return None if None in exponents else max(exponents)
+    return _triadic_stage(poly)
 
 
-def polyline(poly, stage: int | None = None) -> CheckList:
+def _add_containment(checks: CheckList, poly, stage: int):
+    """Containment at ``stage``, decided at the triadic stage E of the
+    vertices when that is less.  An oblique segment fails at every stage,
+    and past digit E no fixed coordinate of an axis-parallel segment has a
+    1 digit in either expansion, so no later stage removes more of it."""
+    triadic = _triadic_stage(poly)
+    decided = stage if triadic is None else min(stage, triadic)
+    checks.add("containment", all(verify_containment(poly, decided)), f"stage {stage}")
+
+
+def polyline(poly) -> CheckList:
     """Containment and simplicity of a bare polyline.
 
-    ``stage`` defaults to the ``sponge_stage`` mark, else to the finest
+    Containment runs at the ``sponge_stage`` mark, else at the finest
     triadic grid whose lines carry every segment (where an embedding puts
-    them); containment is left out when neither gives a stage.
+    them); it is left out when neither gives a stage.
     """
-    if stage is None:
-        mark = poly.marks.get("sponge_stage")
-        stage = mark if isinstance(mark, int) else _grid_stage(poly)
+    mark = poly.marks.get("sponge_stage")
+    stage = mark if isinstance(mark, int) else _grid_stage(poly)
     checks = CheckList()
     if stage is not None:
         _add_containment(checks, poly, stage)
@@ -87,9 +97,13 @@ def squareflake(s) -> CheckList:
     checks = CheckList()
     checks.add("simplicity", is_simple(s.polyline))
     _add_containment(checks, s.polyline, s.m)
+    # a count of b bits cannot equal 2**(m-1) or 4 * 2**m once m > b:
+    # decided without forming the power for a huge stored m
     if s.m >= 1:
-        checks.add("replaced-count", len(s.replaced) == replaced_count(s.m))
-    checks.add("vertex-count", len(s.polyline) == 4 + 4 * (2**s.m - 1))
+        count = len(s.replaced)
+        checks.add("replaced-count", s.m <= count.bit_length() and count == replaced_count(s.m))
+    count = len(s.polyline)
+    checks.add("vertex-count", s.m <= count.bit_length() and count == 4 + 4 * (2**s.m - 1))
     return checks
 
 
@@ -99,6 +113,7 @@ def approximant(a, det: bool | None = None) -> CheckList:
     checks = CheckList()
     checks.add("simplicity", is_simple(a.polyline))
     _add_containment(checks, a.polyline, a.sponge_stage)
+    # stops at the first stage whose count differs, long before a huge stored m
     counts_ok = all(
         sum(1 for e in a.ledger if e.stage == q) == 3 * 2 ** (q - 1)
         for q in range(1, a.m + 1)
@@ -129,9 +144,11 @@ def necklace(base, iterated=None) -> CheckList:
         all(pearls_disjoint(ps[i], ps[j]) for i in range(len(ps)) for j in range(i + 1, len(ps))),
     )
     nest_ok = sib_ok = True
+    orphan = None
     if m >= 1:
         parents = {p.word: p for p in iterate(base, m - 1).pearls}
-        nest_ok = all(pearl_inside(p, parents[p.word[:-1]]) for p in it.pearls)
+        orphan = next((p.word for p in it.pearls if p.word[:-1] not in parents), None)
+        nest_ok = orphan is None and all(pearl_inside(p, parents[p.word[:-1]]) for p in it.pearls)
         groups = {}
         for p in it.pearls:
             groups.setdefault(p.word[:-1], []).append(p)
@@ -139,7 +156,7 @@ def necklace(base, iterated=None) -> CheckList:
             pearls_disjoint(g[i], g[j])
             for g in groups.values() for i in range(len(g)) for j in range(i + 1, len(g))
         )
-    checks.add("nesting", nest_ok)
+    checks.add("nesting", nest_ok, "" if orphan is None else f"no parent pearl for word {list(orphan)}")
     checks.add("sibling-disjointness", sib_ok)
     if iterated is not None:
         recomputed = iterate(base, m)

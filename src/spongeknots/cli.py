@@ -34,7 +34,6 @@ from .ternary import (
 from .wildknot import KnotAssignment, approximant, wild_set_plan
 
 _SPACE_FLAG = {"cantor": "cantor", "carpet-face": "carpet_face", "sponge": "sponge", "carpet2": "carpet2"}
-_DIMS = {"cantor": 1, "carpet_face": 2, "sponge": 3, "carpet2": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +50,7 @@ def _witness_true_limit(space, coords):
 
 def cmd_predicate(args) -> int:
     space = _SPACE_FLAG[args.space]
-    dim = _DIMS[space]
     if args.segment is not None:
-        if space not in ("sponge", "carpet2"):
-            print("segment queries support sponge and carpet2 only", file=sys.stderr)
-            return 2
         axis, f1, f2, lo, hi = args.segment
         seg = AxisSegment(int(axis), (frac(f1), frac(f2)), frac(lo), frac(hi))
         stage = args.stage if args.stage is not None else 0
@@ -71,9 +66,6 @@ def cmd_predicate(args) -> int:
         print(serialize.dump_json(out), end="")
         return 0
     coords = [frac(c) for c in args.coords]
-    if len(coords) != dim:
-        print(f"{args.space} expects {dim} coordinate(s)", file=sys.stderr)
-        return 2
     if args.stage is None:
         verdict = membership(tuple(coords), space)
     else:
@@ -156,8 +148,8 @@ def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks
 
 def cmd_build_embed(args) -> int:
     g = catalog(args.knot)
-    poly, rep = embed_grid(g, args.stage)
-    results = checks.polyline(poly, rep.stage)
+    poly, _ = embed_grid(g, args.stage)
+    results = checks.polyline(poly)
     d = project(poly, (0, 0, 1))
     det = determinant(d)
     tri = tricolorings(d)

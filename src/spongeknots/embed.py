@@ -68,7 +68,8 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
     return poly, EmbeddingReport(k, endpoints)
 
 
-def _orient(unit: Point3, corner: Point3, side: Fraction, orientation: str) -> Point3:
+def _orient(unit: Point3, cube: Cube, orientation: str) -> Point3:
+    """Image of a unit-cube point in ``cube``, its edge (x=0, z=0) on the edge ``orientation`` names."""
     X, Y, Z = unit
     if orientation == "y-edge":  # splice edge at (x=corner.x, z=corner.z), along y
         local = (X, Y, Z)
@@ -80,7 +81,7 @@ def _orient(unit: Point3, corner: Point3, side: Fraction, orientation: str) -> P
         local = (Y, 1 - X, Z)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    return tuple(corner[i] + side * local[i] for i in range(3))
+    return tuple(cube.corner[i] + cube.side * local[i] for i in range(3))
 
 
 def sponge_stage_of_cube(q: Cube) -> int:
@@ -114,12 +115,13 @@ def embed_into_box(
     box edge selected by ``orientation`` and is exposed as marks["splice"].
     """
     unit, report = embed_grid(d, k)
-    verts = tuple(_orient(v, corner, side, orientation) for v in unit.vertices)
+    box = Cube(corner, side)
+    verts = tuple(_orient(v, box, orientation) for v in unit.vertices)
     # unit column 1 spans the two row heights that use column 1
     heights = [report.endpoints[row - 1] for row, (a, b) in enumerate(d.pairs, start=1) if 1 in (a, b)]
     lo, hi = min(heights), max(heights)
-    u = _orient((Fraction(0), lo, Fraction(0)), corner, side, orientation)
-    v = _orient((Fraction(0), hi, Fraction(0)), corner, side, orientation)
+    u = _orient((Fraction(0), lo, Fraction(0)), box, orientation)
+    v = _orient((Fraction(0), hi, Fraction(0)), box, orientation)
     mark = tuple(sorted((u, v)))
     return ClosedPolyline3(verts, {"splice": mark, "stage": report.stage})
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyline import ClosedPolyline3
-from .ternary import AxisSegment
+from .ternary import AxisSegment, cantor_endpoints
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,48 +33,32 @@ def replaced_count(m: int) -> int:
     return 2 ** (m - 1)
 
 
+def detours(q: int) -> list[tuple[Fraction, Fraction]]:
+    """Middle thirds (a, b) the stage-q detours remove, ascending: one per
+    interval of the stage-(q-1) Cantor construction."""
+    ends = cantor_endpoints(q - 1)
+    return [(lo + (hi - lo) / 3, hi - (hi - lo) / 3) for lo, hi in zip(ends[::2], ends[1::2])]
+
+
+def _detour(a: Fraction, b: Fraction, depth_x: Fraction):
+    """4-point path around the middle third (a, b), walked downward."""
+    return (ONE, b, ZERO), (depth_x, b, ZERO), (depth_x, a, ZERO), (ONE, a, ZERO)
+
+
 def squareflake(m: int) -> SquareflakeStage:
     if m < 0:
         raise ValueError("m must be >= 0")
-    verts = [
-        (ZERO, ZERO, ZERO),
-        (ZERO, ONE, ZERO),
-        (ONE, ONE, ZERO),
+    edge = []  # detours of stages 1..q, walking down the right edge x = 1
+    stage = []  # detours of stage q, ascending
+    for q in range(1, m + 1):
+        depth_x = 1 - Fraction(1, 3**q)
+        stage = [(a, b, depth_x) for a, b in detours(q)]
+        # one stage-q detour in each gap the earlier detours leave on the edge
+        edge = [d for pair in zip(stage[::-1], edge) for d in pair] + stage[:1]
+    verts = (
+        (ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ONE, ZERO),
+        *(p for a, b, x in edge for p in _detour(a, b, x)),
         (ONE, ZERO, ZERO),
-    ]
-    intervals = [(ZERO, ONE)]  # surviving right-edge intervals, as (lo, hi)
-    replaced = ()
-    for stage in range(1, m + 1):
-        depth_x = Fraction(3**stage - 1, 3**stage)
-        targets = {}
-        next_intervals = []
-        for lo, hi in intervals:
-            third = (hi - lo) / 3
-            a, b = lo + third, hi - third  # removed middle third (a, b)
-            targets[(hi, lo)] = (a, b)
-            next_intervals.append((lo, a))
-            next_intervals.append((b, hi))
-        new_verts = []
-        replaced = []
-        n = len(verts)
-        for i in range(n):
-            v = verts[i]
-            w = verts[(i + 1) % n]
-            new_verts.append(v)
-            if v[0] == ONE and w[0] == ONE and (v[1], w[1]) in targets:
-                a, b = targets[(v[1], w[1])]
-                # traversal on the edge runs downward: v[1] = hi, w[1] = lo
-                detour = (
-                    (ONE, b, ZERO),
-                    (depth_x, b, ZERO),
-                    (depth_x, a, ZERO),
-                    (ONE, a, ZERO),
-                )
-                new_verts.extend(detour)
-                removed = AxisSegment(1, (ONE, ZERO), a, b)
-                replaced.append((removed, detour))
-        assert len(replaced) == len(targets), "missed a surviving edge segment"
-        verts = new_verts
-        intervals = next_intervals
-        replaced = tuple(sorted(replaced, key=lambda r: r[0].lo))
-    return SquareflakeStage(m, ClosedPolyline3(tuple(verts)), replaced)
+    )
+    replaced = tuple((AxisSegment(1, (ONE, ZERO), a, b), _detour(a, b, x)) for a, b, x in stage)
+    return SquareflakeStage(m, ClosedPolyline3(verts), replaced)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
-from .embed import embed_into_cube, stage_for
-from .geometry import Cube, Point3, axis_form, frac
+from .embed import _orient, embed_into_cube, stage_for
+from .geometry import Cube, axis_form, frac
 from .grid import GridDiagram, KNOT_DETERMINANTS, catalog
 from .invariants import determinant, diagram_from_grid
 from .polyline import ClosedPolyline3
-from .squareflake import squareflake
+from .squareflake import detours, squareflake
 from .ternary import AxisSegment, in_cantor, stage_witness
 
 ZERO = Fraction(0)
@@ -34,17 +33,6 @@ class SpliceSite:
     orientation: str  # cube-embedding orientation exposing the splice edge on T
 
 
-def _stage_squares(m: int):
-    """y-intervals of the detour squares added at stage m, ascending."""
-    out = []
-    for digits in product((0, 2), repeat=m - 1):
-        k = 0
-        for d in digits:
-            k = 3 * k + d
-        out.append(k)
-    return sorted(out)
-
-
 def sites(m: int) -> list[SpliceSite]:
     """Splice sites of stage m: three per detour square, 3 * 2^(m-1) total."""
     if m < 1:
@@ -53,9 +41,7 @@ def sites(m: int) -> list[SpliceSite]:
     edge_x = 1 - Fraction(1, 3**m)
     out = []
     index = 1
-    for k in _stage_squares(m):
-        y1 = Fraction(3 * k + 1, 3**m)
-        y2 = Fraction(3 * k + 2, 3**m)
+    for y1, y2 in detours(m):
         bottom = SpliceSite(
             m, index, "bottom",
             AxisSegment(0, (y1, ZERO), 1 - 2 * s, 1 - s),
@@ -83,21 +69,7 @@ def sites(m: int) -> list[SpliceSite]:
 # splicing
 # ---------------------------------------------------------------------------
 
-def _clip_to_cube(a: Point3, b: Point3, cube: Cube):
-    """Closed intersection of an axis-aligned segment with a cube, or None."""
-    data = axis_form(a, b)
-    if data is None:
-        raise ValueError("approximant segments must be axis-aligned")
-    ax, fixed, lo, hi = data
-    others = [i for i in range(3) if i != ax]
-    for f, o in zip(fixed, others):
-        if not (cube.corner[o] <= f <= cube.corner[o] + cube.side):
-            return None
-    clo = max(lo, cube.corner[ax])
-    chi = min(hi, cube.corner[ax] + cube.side)
-    if clo > chi:
-        return None
-    return ax, fixed, clo, chi
+_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
 
 
 def splice(base: ClosedPolyline3, site: SpliceSite, summand: ClosedPolyline3) -> ClosedPolyline3:
@@ -111,75 +83,65 @@ def splice(base: ClosedPolyline3, site: SpliceSite, summand: ClosedPolyline3) ->
     if "splice" not in summand.marks:
         raise ValueError("summand carries no splice mark")
     u, v = summand.marks["splice"]
-    t_ends = site.T.endpoints()
-    # mark inside T
-    ax = site.T.axis
+    T = site.T
+    ax = T.axis
     for p in (u, v):
-        if tuple(p[i] for i in range(3) if i != ax) != site.T.fixed:
+        if tuple(p[i] for i in _OTHER_AXES[ax]) != T.fixed:
             raise ValueError("splice mark is not on the site segment")
-        if not (site.T.lo <= p[ax] <= site.T.hi):
+        if not (T.lo <= p[ax] <= T.hi):
             raise ValueError("splice mark leaves the site segment")
-    # T inside one base segment
-    carrier = None
     verts = base.vertices
     n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        data = axis_form(a, b)
-        if data is None or data[0] != ax:
-            continue
-        if data[1] == site.T.fixed and data[2] <= site.T.lo and site.T.hi <= data[3]:
-            carrier = i
-            break
+    forms = [axis_form(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    # T inside one base segment
+    carrier = next(
+        (i for i, f in enumerate(forms)
+         if f is not None and f[0] == ax and f[1] == T.fixed and f[2] <= T.lo and T.hi <= f[3]),
+        None,
+    )
     if carrier is None:
         raise ValueError("site segment does not lie on the base curve")
     # base meets the summand's cube only along T
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        clip = _clip_to_cube(a, b, site.cube)
-        if clip is None:
+    near = site.cube.corner
+    far = tuple(c + site.cube.side for c in near)
+    for i, form in enumerate(forms):
+        if form is None:
+            raise ValueError("approximant segments must be axis-aligned")
+        fax, fixed, lo, hi = form
+        (o1, o2), (f1, f2) = _OTHER_AXES[fax], fixed
+        if not (near[o1] <= f1 <= far[o1] and near[o2] <= f2 <= far[o2]):
             continue
-        cax, cfixed, clo, chi = clip
-        on_t = cax == ax and cfixed == site.T.fixed and site.T.lo <= clo and chi <= site.T.hi
-        if not on_t:
+        clo, chi = max(lo, near[fax]), min(hi, far[fax])
+        if clo <= chi and not (fax == ax and fixed == T.fixed and T.lo <= clo and chi <= T.hi):
             raise ValueError(f"base meets the splice cube outside T at segment {i}")
     for w in summand.vertices:
         if not site.cube.contains_point(w):
             raise ValueError("summand leaves the splice cube")
 
     # orient the mark along the carrier walk direction
-    a, b = verts[carrier], verts[(carrier + 1) % n]
     if u == v:
         raise ValueError("degenerate splice mark")
-    lo_m, hi_m = min(u[ax], v[ax]), max(u[ax], v[ax])
-    if not (min(a[ax], b[ax]) < lo_m and hi_m < max(a[ax], b[ax])):
+    _, _, c_lo, c_hi = forms[carrier]
+    if not (c_lo < min(u[ax], v[ax]) and max(u[ax], v[ax]) < c_hi):
         raise ValueError("splice mark touches a base vertex")
-    forward = b[ax] > a[ax]
+    forward = verts[(carrier + 1) % n][ax] > verts[carrier][ax]
     first, last = (u, v) if (u[ax] < v[ax]) == forward else (v, u)
     # locate the mark segment on the summand
     sverts = summand.vertices
     sn = len(sverts)
-    mark_at = None
-    for t in range(sn):
-        pair = (sverts[t], sverts[(t + 1) % sn])
-        if pair == (first, last):
-            mark_at = (t, False)
-            break
-        if pair == (last, first):
-            mark_at = (t, True)
-            break
-    if mark_at is None:
+    pairs = ((sverts[t], sverts[(t + 1) % sn]) for t in range(sn))
+    t = next((t for t, pair in enumerate(pairs) if pair in ((first, last), (last, first))), None)
+    if t is None:
         raise ValueError("splice mark is not a segment of the summand")
-    t, reverse = mark_at
-    if reverse:
-        path = [sverts[(t + 1 + j) % sn] for j in range(sn)]
-    else:
-        path = [sverts[(t + 1 + j) % sn] for j in range(sn)]
-        path.reverse()
-    # path now runs from `first` around the summand to `last`
-    assert path[0] == first and path[-1] == last
-    new_verts = list(verts[: carrier + 1]) + path + list(verts[carrier + 1:])
-    return ClosedPolyline3(tuple(new_verts), dict(base.marks))
+    # the summand walked from `first` around to `last`
+    path = sverts[t + 1:] + sverts[:t + 1]
+    if sverts[t] == first:
+        path = path[::-1]
+    return ClosedPolyline3(verts[: carrier + 1] + path + verts[carrier + 1:], dict(base.marks))
+
+
+# unit-cube quad whose first side runs along the splice edge x = z = 0
+_FLAT_QUAD = tuple((Fraction(x, 3), Fraction(y, 3), ZERO) for x, y in ((0, 0), (0, 1), (1, 1), (1, 0)))
 
 
 def flat_unknot(site: SpliceSite) -> ClosedPolyline3:
@@ -189,23 +151,10 @@ def flat_unknot(site: SpliceSite) -> ClosedPolyline3:
     Keeping to cell boundaries of the face carpet makes the rectangle lie
     in the sponge at every stage and keeps neighboring rectangles apart.
     """
-    cx, cy, cz = site.cube.corner
-    s = site.cube.side
-    w = s / 3
-    if site.kind == "bottom":
-        quad = [(cx, cy), (cx + w, cy), (cx + w, cy + w), (cx, cy + w)]
-        mark = ((cx, cy, cz), (cx + w, cy, cz))
-    elif site.kind == "left":
-        quad = [(cx, cy), (cx, cy + w), (cx + w, cy + w), (cx + w, cy)]
-        mark = ((cx, cy, cz), (cx, cy + w, cz))
-    elif site.kind == "top":
-        y = cy + s
-        quad = [(cx, y), (cx + w, y), (cx + w, y - w), (cx, y - w)]
-        mark = ((cx, y, cz), (cx + w, y, cz))
-    else:
+    if site.kind not in ("bottom", "left", "top"):
         raise ValueError(f"unknown site kind {site.kind!r}")
-    verts = tuple((x, y, cz) for x, y in quad)
-    return ClosedPolyline3(verts, {"splice": mark, "stage": 0})
+    verts = tuple(_orient(p, site.cube, site.orientation) for p in _FLAT_QUAD)
+    return ClosedPolyline3(verts, {"splice": verts[:2], "stage": 0})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -83,8 +84,13 @@ def test_predicate_segment_at_a_deep_stage(capsys, space, segment, verdict):
     assert json.loads(capsys.readouterr().out)["verdict"] is verdict
 
 
-def test_predicate_wrong_arity_is_usage_error(capsys):
-    assert run(["predicate", "--space", "sponge", "1/2"]) == 2
+@pytest.mark.parametrize("argv, reason", [
+    (["--space", "sponge", "1/2"], "sponge expects 3 coordinates"),
+    (["--space", "cantor", "--segment", "0", "0", "0", "0", "1"], "space must be 'sponge' or 'carpet2'"),
+], ids=["wrong-arity", "cantor-segment"])
+def test_predicate_space_mismatch_is_usage_error(capsys, argv, reason):
+    assert run(["predicate", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -180,6 +186,56 @@ def test_verify_shrunk_parent_pearl_names_nesting(tmp_path, capsys):
     assert run(["verify", str(f)]) == 1
     out = capsys.readouterr().out
     assert "nesting: FAIL" in out
+
+
+def _orphan_generation(data):
+    data["iterated"]["generation"] = 5
+
+
+def _orphan_base_word(data):
+    data["pearls"][0]["word"] = [9]
+
+
+@pytest.mark.parametrize("edit", [_orphan_generation, _orphan_base_word], ids=["generation-5", "base-word-9"])
+def test_verify_pearl_word_without_parent_fails_nesting(tmp_path, capsys, edit):
+    base = make_necklace(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 3)
+    data = serialize.necklace_json(base, iterate(base, 1))
+    edit(data)
+    f = tmp_path / "orphan.json"
+    f.write_text(serialize.dump_json(data))
+    assert run(["verify", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert "nesting: FAIL (no parent pearl for word [1, 2])" in captured.out
+    assert "error:" not in captured.err
+
+
+def _huge_squareflake():
+    return {**serialize.squareflake_json(squareflake(1)), "m": 10**9}
+
+
+def _huge_approximant():
+    data = serialize.approximant_json(approximant(KnotAssignment.uniform("trefoil", 1), 1))
+    return {**data, "m": 10**9, "sponge_stage": 10**9}
+
+
+@pytest.mark.parametrize("make, failing", [
+    (_huge_squareflake, ["replaced-count", "vertex-count"]),
+    (_huge_approximant, ["ledger-counts"]),
+], ids=["squareflake", "approximant"])
+def test_verify_huge_stored_stage_fails_its_counts(tmp_path, capsys, make, failing):
+    # decided from the stored counts without forming 2**m (a 125 MB integer
+    # at m = 10**9), and containment at the grid stage of the curve
+    f = tmp_path / "huge.json"
+    f.write_text(serialize.dump_json(make()))
+    tracemalloc.start()
+    try:
+        assert run(["verify", str(f)]) == 1
+        assert tracemalloc.get_traced_memory()[1] < 10**7
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert "containment: PASS (stage 1000000000)" in out
+    assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == failing
 
 
 def test_verify_unknown_schema_is_usage_error(tmp_path, capsys):

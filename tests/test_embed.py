@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+
+from spongeknots import checks
 
 from spongeknots.embed import (
     embed_grid,
@@ -10,7 +13,7 @@ from spongeknots.embed import (
     verify_containment,
 )
 from spongeknots.geometry import Cube
-from spongeknots.grid import catalog
+from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
     determinant,
     determinant_minor,
@@ -20,6 +23,9 @@ from spongeknots.invariants import (
     project_generic,
     tricolorings,
 )
+from spongeknots.polyline import ClosedPolyline3, closed_polyline
+from spongeknots.squareflake import squareflake
+from spongeknots.ternary import AxisSegment, segment_in_stage
 
 
 def test_stage_for():
@@ -156,3 +162,37 @@ def test_containment_stage_monotone_for_embeddings():
     poly, rep = embed_grid(catalog("figure-eight"))
     for k in range(rep.stage + 3):
         assert all(verify_containment(poly, k))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_embedding_grid_stage_is_its_stage(name):
+    # build checks an embedding at the stage verify infers from its grid
+    g = catalog(name)
+    for k in range(stage_for(g.n), 7):
+        poly, rep = embed_grid(g, k)
+        assert checks._grid_stage(poly) == rep.stage == k
+
+
+@pytest.mark.parametrize("space", ["sponge", "carpet2"])
+def test_containment_past_the_grid_stage_is_containment_at_it(space):
+    # fixed coordinates on the 3**-E grid have no 1 digit past E in either
+    # expansion, so stages E, E + 1, ... keep the same grid segments
+    rng = random.Random(9)
+    for _ in range(150):
+        e = rng.randrange(5)
+        lo, hi = sorted(rng.sample(range(3**e + 1), 2)) if e else (0, 1)
+        seg = AxisSegment(rng.randrange(3), (F(rng.randrange(3**e + 1), 3**e), F(rng.randrange(3**e + 1), 3**e)),
+                          F(lo, 3**e), F(hi, 3**e))
+        verdict = segment_in_stage(seg, e, space)
+        assert all(segment_in_stage(seg, k, space) == verdict for k in range(e + 1, e + 5))
+
+
+@pytest.mark.parametrize("stage", range(1, 8))
+def test_containment_check_matches_containment_at_the_stored_stage(stage):
+    # grid stage 3; the rectangle's bottom side is removed by stage 2, not by stage 1
+    late = closed_polyline([(F(1, 9), F(4, 27), 0), (F(2, 9), F(4, 27), 0), (F(2, 9), 1, 0), (F(1, 9), 1, 0)])
+    for poly in (squareflake(3).polyline, late):
+        assert checks._grid_stage(poly) == 3
+        name, ok, detail = checks.polyline(ClosedPolyline3(poly.vertices, {"sponge_stage": stage})).results[0]
+        assert (name, detail) == ("containment", f"stage {stage}")
+        assert ok == all(verify_containment(poly, stage)) == (poly is not late or stage < 2)

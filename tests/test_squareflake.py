@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from spongeknots.invariants import is_simple
+from spongeknots.polyline import ClosedPolyline3
 from spongeknots.squareflake import replaced_count, squareflake
 from spongeknots.ternary import AxisSegment, segment_in_stage
 
@@ -82,3 +83,50 @@ def test_stability_outside_replaced_thirds(m):
     assert old - touched == new - added
     assert touched <= old
     assert added <= new
+
+
+ZERO, ONE = F(0), F(1)
+
+
+def _reference_squareflake(m):
+    """Stage by stage: find each surviving right-edge interval by rescanning
+    the whole curve and insert its middle-third detour there."""
+    verts = [(ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ONE, ZERO), (ONE, ZERO, ZERO)]
+    intervals = [(ZERO, ONE)]  # surviving right-edge intervals, as (lo, hi)
+    replaced = ()
+    for stage in range(1, m + 1):
+        depth_x = F(3**stage - 1, 3**stage)
+        targets = {}
+        next_intervals = []
+        for lo, hi in intervals:
+            third = (hi - lo) / 3
+            a, b = lo + third, hi - third  # removed middle third (a, b)
+            targets[(hi, lo)] = (a, b)
+            next_intervals.append((lo, a))
+            next_intervals.append((b, hi))
+        new_verts = []
+        replaced = []
+        n = len(verts)
+        for i in range(n):
+            v = verts[i]
+            w = verts[(i + 1) % n]
+            new_verts.append(v)
+            if v[0] == ONE and w[0] == ONE and (v[1], w[1]) in targets:
+                a, b = targets[(v[1], w[1])]
+                # traversal on the edge runs downward: v[1] = hi, w[1] = lo
+                detour = ((ONE, b, ZERO), (depth_x, b, ZERO), (depth_x, a, ZERO), (ONE, a, ZERO))
+                new_verts.extend(detour)
+                replaced.append((AxisSegment(1, (ONE, ZERO), a, b), detour))
+        assert len(replaced) == len(targets), "missed a surviving edge segment"
+        verts = new_verts
+        intervals = next_intervals
+        replaced = tuple(sorted(replaced, key=lambda r: r[0].lo))
+    return ClosedPolyline3(tuple(verts)), replaced
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_squareflake_matches_the_per_stage_rescan(m):
+    s = squareflake(m)
+    poly, replaced = _reference_squareflake(m)
+    assert s.polyline.vertices == poly.vertices
+    assert s.replaced == replaced

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from spongeknots.wildknot import (
     SpliceSite,
     approximant,
     clearance,
+    flat_unknot,
     neighborhood_census,
     sites,
     splice,
@@ -56,6 +58,68 @@ def test_site_cubes_survive_their_stage():
     for m in (1, 2, 3):
         for s in sites(m):
             assert check_surviving_cube(s.cube) == m + 1
+
+
+def _reference_sites(m):
+    """Sites placed from digit products: the stage-m squares sit at
+    y = (3k + 1) / 3^m, k running over the {0, 2}-digit numbers."""
+    s = F(1, 3 ** (m + 1))
+    edge_x = 1 - F(1, 3**m)
+    squares = []
+    for digits in product((0, 2), repeat=m - 1):
+        k = 0
+        for d in digits:
+            k = 3 * k + d
+        squares.append(k)
+    out = []
+    for k in sorted(squares):
+        y1, y2 = F(3 * k + 1, 3**m), F(3 * k + 2, 3**m)
+        index = len(out) + 1
+        out += [
+            SpliceSite(m, index, "bottom", AxisSegment(0, (y1, F(0)), 1 - 2 * s, 1 - s),
+                       Cube((1 - 2 * s, y1, F(0)), s), "x-edge-low"),
+            SpliceSite(m, index + 1, "left", AxisSegment(1, (edge_x, F(0)), y1 + s, y1 + 2 * s),
+                       Cube((edge_x, y1 + s, F(0)), s), "y-edge"),
+            SpliceSite(m, index + 2, "top", AxisSegment(0, (y2, F(0)), 1 - 2 * s, 1 - s),
+                       Cube((1 - 2 * s, y2 - s, F(0)), s), "x-edge-high"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_sites_match_the_digit_formula(m):
+    assert sites(m) == _reference_sites(m)
+
+
+def _reference_flat_unknot(site):
+    """The low one-ninth cell of the site cube's face, one quad per kind."""
+    cx, cy, cz = site.cube.corner
+    s = site.cube.side
+    w = s / 3
+    if site.kind == "bottom":
+        quad = [(cx, cy), (cx + w, cy), (cx + w, cy + w), (cx, cy + w)]
+        mark = ((cx, cy, cz), (cx + w, cy, cz))
+    elif site.kind == "left":
+        quad = [(cx, cy), (cx, cy + w), (cx + w, cy + w), (cx + w, cy)]
+        mark = ((cx, cy, cz), (cx, cy + w, cz))
+    else:
+        y = cy + s
+        quad = [(cx, y), (cx + w, y), (cx + w, y - w), (cx, y - w)]
+        mark = ((cx, y, cz), (cx + w, y, cz))
+    return tuple((x, y, cz) for x, y in quad), mark
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_flat_unknot_matches_the_hand_written_quads(m):
+    for site in sites(m):
+        got = flat_unknot(site)
+        assert (got.vertices, got.marks["splice"]) == _reference_flat_unknot(site)
+        assert got.marks["stage"] == 0
+
+
+def test_flat_unknot_rejects_an_unknown_site_kind():
+    with pytest.raises(ValueError, match="unknown site kind 'custom'"):
+        flat_unknot(_custom_site(F(1, 9), F(2, 9), (F(-1, 9), F(1, 9), F(0))))
 
 
 def _custom_site(t_lo, t_hi, corner):
@@ -160,6 +224,9 @@ SPLICE_ERRORS = {
                      "approximant segments must be axis-aligned"),
     "base-in-cube": ([(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, F(1, 2), 0), (F(1, 6), F(1, 2), 0), (F(1, 6), 0, 0)],
                      _IN, _FLAT, _GOOD_MARK, "base meets the splice cube outside T at segment 3"),
+    "base-runs-past-t": (_SQUARE, SpliceSite(0, 0, "custom", AxisSegment(1, (F(0), F(0)), F(1, 3), F(5, 9)),
+                                             _OUT.cube, "y-edge-high"),
+                         _FLAT, _GOOD_MARK, "base meets the splice cube outside T at segment 0"),
     "summand-leaves-cube": (_SQUARE, _OUT, [_FLAT[0], (F(-1, 2), F(4, 9), 0), (F(-1, 2), F(5, 9), 0), _FLAT[3]],
                             _GOOD_MARK, "summand leaves the splice cube"),
     "degenerate-mark": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[0], _FLAT[0]), "degenerate splice mark"),
