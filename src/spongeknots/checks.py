@@ -14,7 +14,7 @@ from .embed import verify_containment
 from .geometry import axis_form
 from .grid import validate
 from .invariants import determinant, is_simple, project_generic
-from .necklace import iterate, pearl_inside, pearls_disjoint
+from .necklace import Pearl, iterate, limit_point, pearl_inside, pearls_disjoint
 from .squareflake import replaced_count
 from .ternary import triadic_exponent
 
@@ -132,12 +132,38 @@ def assignment(_) -> CheckList:
     return checks
 
 
+def _pearl_count(n: int, m: int, stored: int):
+    """n(n-1)**m, or None when it certainly exceeds ``stored``: the bit
+    lengths are compared first, so a huge generation forms no huge power."""
+    if m > 0 and m * ((n - 1).bit_length() - 1) > stored.bit_length():
+        return None
+    return n * (n - 1) ** m
+
+
+def _parent(base, word, m: int):
+    """The generation-(m-1) pearl addressed by ``word``, built by the chain of
+    inversions ``iterate`` runs; None when no such pearl exists."""
+    if len(word) != m:
+        return None
+    try:
+        center, radius_sq = limit_point(base, word)
+    except ValueError:
+        return None
+    return Pearl(center, radius_sq, word)
+
+
 def necklace(base, iterated=None) -> CheckList:
-    """Checks of a generation-0 necklace and, when given, one iterated generation."""
+    """Checks of a generation-0 necklace and, when given, one iterated generation.
+
+    Each stored pearl's parent is built from the pearl's own word, and the
+    generation is iterated only when it cannot hold more pearls than are
+    stored, so the cost follows the artifact, not its stored generation.
+    """
     it = iterated if iterated is not None else base
     m = it.generation
+    count = _pearl_count(base.n, m, len(it.pearls))
     checks = CheckList()
-    checks.add("pearl-count", len(it.pearls) == base.n * (base.n - 1) ** m, f"{len(it.pearls)} pearls")
+    checks.add("pearl-count", len(it.pearls) == count, f"{len(it.pearls)} pearls")
     ps = base.pearls
     checks.add(
         "pearl-disjointness",
@@ -146,12 +172,12 @@ def necklace(base, iterated=None) -> CheckList:
     nest_ok = sib_ok = True
     orphan = None
     if m >= 1:
-        parents = {p.word: p for p in iterate(base, m - 1).pearls}
-        orphan = next((p.word for p in it.pearls if p.word[:-1] not in parents), None)
-        nest_ok = orphan is None and all(pearl_inside(p, parents[p.word[:-1]]) for p in it.pearls)
         groups = {}
         for p in it.pearls:
             groups.setdefault(p.word[:-1], []).append(p)
+        parents = {word: _parent(base, word, m) for word in groups}
+        orphan = next((p.word for p in it.pearls if parents[p.word[:-1]] is None), None)
+        nest_ok = orphan is None and all(pearl_inside(p, parents[p.word[:-1]]) for p in it.pearls)
         sib_ok = all(
             pearls_disjoint(g[i], g[j])
             for g in groups.values() for i in range(len(g)) for j in range(i + 1, len(g))
@@ -159,10 +185,9 @@ def necklace(base, iterated=None) -> CheckList:
     checks.add("nesting", nest_ok, "" if orphan is None else f"no parent pearl for word {list(orphan)}")
     checks.add("sibling-disjointness", sib_ok)
     if iterated is not None:
-        recomputed = iterate(base, m)
-        match = {p.word: (p.center, p.radius_sq) for p in recomputed.pearls} == {
-            p.word: (p.center, p.radius_sq) for p in iterated.pearls
-        }
+        match = count is not None and count <= len(iterated.pearls) and {
+            p.word: (p.center, p.radius_sq) for p in iterate(base, m).pearls
+        } == {p.word: (p.center, p.radius_sq) for p in iterated.pearls}
         checks.add("iterate-match", match)
     return checks
 

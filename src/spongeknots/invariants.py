@@ -169,7 +169,6 @@ class Crossing:
     over_arc: int
     under_in: int
     under_out: int
-    sign: int
     point: Point2
 
 
@@ -179,15 +178,16 @@ class KnotDiagram:
 
     ``walk`` is the cyclic list of corner points of the projected curve;
     ``events`` lists the crossings as (segment_i, segment_j, point,
-    over_is_i).  Both are retained so the face arrangement can be rebuilt
-    for the Goeritz computation.
+    over_is_i); ``passes[i]`` lists the (crossing id, passes over) of walk
+    segment i in order along it.  They are retained so the face arrangement
+    can be rebuilt for the Goeritz computation.
     """
 
     crossings: tuple[Crossing, ...]
     n_arcs: int
-    source: str
     walk: tuple[Point2, ...] = field(repr=False)
     events: tuple = field(repr=False)
+    passes: tuple = field(repr=False)
 
     @property
     def crossing_count(self) -> int:
@@ -201,54 +201,39 @@ def _segment_param(a: Point2, b: Point2, x: Point2) -> Fraction:
     return (x[1] - a[1]) / dy
 
 
-def _build_diagram(walk, events, source) -> KnotDiagram:
-    """walk: cyclic 2D corner points; events: (i, j, point, over_is_i)."""
+def _passes(walk, events):
+    """Per walk segment, the (crossing id, passes over) of its crossings in
+    order along it."""
     m = len(walk)
-    if not events:
-        return KnotDiagram((), 1, source, tuple(walk), ())
-    # passages: (position along the cyclic curve, crossing id, is_over, seg index)
-    per_seg = [[] for _ in range(m)]
+    along = [[] for _ in range(m)]
     for cid, (i, j, x, over_is_i) in enumerate(events):
-        a_i, b_i = walk[i], walk[(i + 1) % m]
-        a_j, b_j = walk[j], walk[(j + 1) % m]
-        per_seg[i].append((_segment_param(a_i, b_i, x), cid, over_is_i))
-        per_seg[j].append((_segment_param(a_j, b_j, x), cid, not over_is_i))
-    passages = []  # (crossing id, is_over) in curve order
-    for i in range(m):
-        for t, cid, over in sorted(per_seg[i], key=lambda e: e[0]):
-            passages.append((cid, over))
-    n_pass = len(passages)
-    unders = [q for q, (cid, over) in enumerate(passages) if not over]
-    n_arcs = len(unders)
-    # arc id for each passage position: arcs are the open runs between unders;
-    # run after unders[r] (exclusive) up to unders[r+1] (inclusive) gets id r+1 mod n_arcs
-    arc_at = [None] * n_pass
-    for r in range(n_arcs):
-        start = unders[r]
-        end = unders[(r + 1) % n_arcs]
-        q = (start + 1) % n_pass
-        while True:
-            arc_at[q] = (r + 1) % n_arcs
-            if q == end:
-                break
-            q = (q + 1) % n_pass
-    over_arc = {}
-    under_in = {}
-    under_out = {}
-    for q, (cid, over) in enumerate(passages):
-        if over:
-            over_arc[cid] = arc_at[q]
-        else:
-            under_in[cid] = arc_at[q]
-            under_out[cid] = (arc_at[q] + 1) % n_arcs
-    crossings = []
-    for cid, (i, j, x, over_is_i) in enumerate(events):
-        oi, oj = (i, j) if over_is_i else (j, i)
-        o_dir = sub2(walk[(oi + 1) % m], walk[oi])
-        u_dir = sub2(walk[(oj + 1) % m], walk[oj])
-        sign = 1 if cross2(o_dir, u_dir) > 0 else -1
-        crossings.append(Crossing(over_arc[cid], under_in[cid], under_out[cid], sign, x))
-    return KnotDiagram(tuple(crossings), n_arcs, source, tuple(walk), tuple(events))
+        along[i].append((_segment_param(walk[i], walk[(i + 1) % m], x), cid, over_is_i))
+        along[j].append((_segment_param(walk[j], walk[(j + 1) % m], x), cid, not over_is_i))
+    return tuple(tuple((cid, over) for _, cid, over in sorted(seg)) for seg in along)
+
+
+def _build_diagram(walk, events) -> KnotDiagram:
+    """walk: cyclic 2D corner points; events: (i, j, point, over_is_i).
+
+    Arcs run from one under passage to the next along the curve, so a
+    passage lies on arc (under passages before it) mod (crossing count), and
+    the under strand leaves a crossing on the next arc.
+    """
+    passes = _passes(walk, events)
+    n = len(events)
+    over_arc, under_in = [0] * n, [0] * n
+    unders = 0
+    for seg in passes:
+        for cid, over in seg:
+            if over:
+                over_arc[cid] = unders % n
+            else:
+                under_in[cid] = unders % n
+                unders += 1
+    crossings = tuple(
+        Crossing(over_arc[c], under_in[c], (under_in[c] + 1) % n, events[c][2]) for c in range(n)
+    )
+    return KnotDiagram(crossings, max(n, 1), tuple(walk), tuple(events), passes)
 
 
 def diagram_from_grid(d: GridDiagram) -> KnotDiagram:
@@ -266,7 +251,7 @@ def diagram_from_grid(d: GridDiagram) -> KnotDiagram:
             xlo, xhi = sorted((walk[i][0], walk[(i + 1) % m][0]))
             if xlo < col < xhi and ylo < row < yhi:
                 events.append((i, j, (col, row), False))  # vertical (j) over
-    return _build_diagram(walk, tuple(events), "grid")
+    return _build_diagram(walk, tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +289,14 @@ def project(p: ClosedPolyline3, direction) -> KnotDiagram:
     verts = p.vertices
     n = len(verts)
     images = [proj(v) for v in verts]
-    walk = []
-    seg_of = []  # original segment index for each reduced segment
-    for i in range(n):
-        if images[i] == images[(i + 1) % n]:
-            continue  # collapsed: parallel to direction
-        walk.append(images[i])
-        seg_of.append(i)
-    # merge consecutive equal walk corners produced by collapses
-    reduced = []
-    red_seg = []
-    for q in range(len(walk)):
-        if reduced and walk[q] == reduced[-1]:
-            continue
-        reduced.append(walk[q])
-        red_seg.append(seg_of[q])
-    if len(reduced) >= 2 and reduced[0] == reduced[-1]:
-        reduced.pop()
-        red_seg.pop()
+    # segments parallel to the direction collapse; the corners left are
+    # the images of the others' starts, and no two neighbours are equal,
+    # since a collapsed run has one image at both its ends
+    red_seg = [i for i in range(n) if images[i] != images[(i + 1) % n]]
+    reduced = tuple(images[i] for i in red_seg)
     m = len(reduced)
     if m < 3:
         raise NonGenericProjection("projection collapses the curve")
-    # reduced walk segment q: reduced[q] -> reduced[q+1], drawn by original
-    # segment red_seg... the original non-collapsed segment whose image starts
-    # at reduced[q]; its endpoints give the depth interpolation.
     events = []
     for i, j, (kind, x) in _meets(reduced):
         if kind == "overlap":
@@ -341,12 +310,12 @@ def project(p: ClosedPolyline3, direction) -> KnotDiagram:
         if di == dj:
             raise NonGenericProjection(f"depth tie between segments {i} and {j}")
         events.append((i, j, x, di < dj))
-    seen = {}
-    for (i, j, x, _) in events:
+    seen = set()
+    for (_, _, x, _) in events:
         if x in seen:
             raise NonGenericProjection(f"triple point at {x}")
-        seen[x] = (i, j)
-    return _build_diagram(tuple(reduced), tuple(events), "projection")
+        seen.add(x)
+    return _build_diagram(reduced, tuple(events))
 
 
 def _depth_at(p: ClosedPolyline3, orig_seg: int, proj, depth, x: Point2) -> Fraction:
@@ -357,8 +326,7 @@ def _depth_at(p: ClosedPolyline3, orig_seg: int, proj, depth, x: Point2) -> Frac
     return depth(a) + t * (depth(b) - depth(a))
 
 
-def _primes():
-    yield from (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 def generic_directions():
@@ -369,10 +337,9 @@ def generic_directions():
     p < q, which are never parallel to an axis segment.
     """
     yield (0, 0, 1)
-    ps = list(_primes())
-    for i in range(len(ps) - 1):
-        for j in range(i + 1, len(ps)):
-            yield (ps[j], ps[i], ps[i] * ps[j])
+    for i, p in enumerate(_PRIMES):
+        for q in _PRIMES[i + 1:]:
+            yield (q, p, p * q)
 
 
 def project_generic(p: ClosedPolyline3, skip: int = 0) -> tuple[KnotDiagram, tuple]:
@@ -500,20 +467,10 @@ class _Arrangement:
 
     def __init__(self, d: KnotDiagram):
         m = len(d.walk)
-        splits = [[] for _ in range(m)]
-        for (i, j, x, _) in d.events:
-            a_i, b_i = d.walk[i], d.walk[(i + 1) % m]
-            a_j, b_j = d.walk[j], d.walk[(j + 1) % m]
-            splits[i].append((_segment_param(a_i, b_i, x), x))
-            splits[j].append((_segment_param(a_j, b_j, x), x))
         edges = []
-        for i in range(m):
-            pts = [d.walk[i]]
-            for _, x in sorted(splits[i], key=lambda e: e[0]):
-                pts.append(x)
-            pts.append(d.walk[(i + 1) % m])
-            for a, b in zip(pts, pts[1:]):
-                edges.append((a, b))
+        for i, seg in enumerate(d.passes):
+            pts = [d.walk[i], *(d.events[cid][2] for cid, _ in seg), d.walk[(i + 1) % m]]
+            edges.extend(zip(pts, pts[1:]))
         self.edges = edges
         # half-edges: (point_from, point_to); twin = reversed
         out = {}
@@ -619,8 +576,7 @@ def determinant(d: KnotDiagram, color_class: int = 0) -> int:
             incid.append((f_swept, f_swept_op, 1))
         else:
             incid.append((f_other, f_other_op, -1))
-    regions = sorted({f for i, (fa, fb, _) in enumerate(incid) for f in (fa, fb)}
-                     | {i for i, c in enumerate(color) if c == color_class})
+    regions = [f for f, c in enumerate(color) if c == color_class]
     index = {f: k for k, f in enumerate(regions)}
     nw = len(regions)
     g = [[0] * nw for _ in range(nw)]

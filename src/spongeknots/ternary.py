@@ -23,14 +23,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .geometry import axis_form, frac
 
 SPACES = ("cantor", "carpet_face", "sponge", "carpet2")
 
-_SPACE_DIM = {"cantor": 1, "carpet_face": 2, "sponge": 3, "carpet2": 3}
+# space -> (coordinates, how many of them holding a 1 at one digit position
+# remove the cell there)
+_RULES = {"cantor": (1, 1), "carpet_face": (2, 2), "sponge": (3, 2), "carpet2": (3, 3)}
 
 
 def _check_unit(x: Fraction) -> Fraction:
@@ -205,27 +207,9 @@ def _index_of_digits(ds) -> int:
 # position kills membership
 # ---------------------------------------------------------------------------
 
-def _bad_cantor(ds) -> bool:
-    return ds[0] == 1
-
-
-def _bad_carpet_face(ds) -> bool:
-    return ds[0] == 1 and ds[1] == 1
-
-
-def _bad_sponge(ds) -> bool:
-    return (ds[0] == 1) + (ds[1] == 1) + (ds[2] == 1) >= 2
-
-
-def _bad_carpet2(ds) -> bool:
-    return ds[0] == 1 and ds[1] == 1 and ds[2] == 1
-
-
 _BAD = {
-    "cantor": _bad_cantor,
-    "carpet_face": _bad_carpet_face,
-    "sponge": _bad_sponge,
-    "carpet2": _bad_carpet2,
+    space: frozenset(ds for ds in product(range(3), repeat=dim) if ds.count(1) >= ones)
+    for space, (dim, ones) in _RULES.items()
 }
 
 
@@ -267,13 +251,8 @@ def _triple_meets(a: TernaryExpansion, b: TernaryExpansion, c: TernaryExpansion)
     )
 
 
-# whether a combo breaks its space's rule somewhere past the joint preperiod
-_PERIODS_BREAK = {
-    "cantor": lambda es: bool(es[0].ones),
-    "carpet_face": lambda es: _classes_meet(es[0], es[1]),
-    "sponge": lambda es: any(_classes_meet(es[a], es[b]) for a, b in ((0, 1), (0, 2), (1, 2))),
-    "carpet2": lambda es: _triple_meets(*es),
-}
+# k -> whether k expansions share a 1 somewhere past their preperiods
+_MEET = {1: lambda e: bool(e.ones), 2: _classes_meet, 3: _triple_meets}
 
 
 def _prefix(e: TernaryExpansion, t: int) -> bytes:
@@ -294,7 +273,8 @@ def _breaks(combo, space: str) -> bool:
     head = max(len(e.preperiod) for e in combo)
     if first_violation([_prefix(e, head) for e in combo], space) is not None:
         return True
-    return _PERIODS_BREAK[space](combo)
+    ones = _RULES[space][1]
+    return any(_MEET[ones](*es) for es in combinations(combo, ones))
 
 
 def _limit_scan(coords, space: str):
@@ -333,7 +313,7 @@ def first_violation(prefix_combo, space: str):
     """1-based position where digit prefixes break the space rule, or None."""
     bad = _BAD[space]
     for i, ds in enumerate(zip(*prefix_combo), 1):
-        if bad(ds):
+        if ds in bad:
             return i
     return None
 
@@ -347,7 +327,7 @@ def _stage_scan(prefix_options, space: str):
 
 def stage_witness(coords, k: int, space: str):
     """Length-k digit prefixes, one per coordinate, that break no rule; or None."""
-    options = [ternary_digits(c, k) for c in coords]
+    options = [ternary_digits(c, k) for c in _point(coords, space)]
     return next((combo for combo, t in _stage_scan(options, space) if t is None), None)
 
 
@@ -373,6 +353,7 @@ def refutation(coords, space: str, k: int | None = None):
     outside the limit set, and each cell sits at its combo's exact first
     violating position. ValueError when some combo breaks no rule.
     """
+    coords = _point(coords, space)
     if k is None:
         combos = [(c, _first_bad(c, space) if breaks else None) for c, breaks in _limit_scan(coords, space)]
         found = [(t, [_prefix(e, t) for e in c]) for c, t in combos if t is not None]
@@ -396,8 +377,9 @@ def refutation(coords, space: str, k: int | None = None):
 def _point(point, space: str):
     """The point's coordinates, checked to lie in [0, 1] and to match the space."""
     coords = tuple(_check_unit(c) for c in point)
-    if len(coords) != _SPACE_DIM[space]:
-        raise ValueError(f"{space} expects {_SPACE_DIM[space]} coordinates")
+    dim = _RULES[space][0]
+    if len(coords) != dim:
+        raise ValueError(f"{space} expects {dim} coordinates")
     return coords
 
 
@@ -424,7 +406,7 @@ def stage_profile(coords, kmax: int, space: str) -> list[bool]:
     if kmax < 0:
         raise ValueError("stage must be >= 0")
     deepest = 0  # largest prefix length some combo survives
-    for _, t in _stage_scan([ternary_digits(c, kmax) for c in coords], space):
+    for _, t in _stage_scan([ternary_digits(c, kmax) for c in _point(coords, space)], space):
         deepest = kmax if t is None else max(deepest, t - 1)
         if deepest == kmax:
             break
@@ -559,7 +541,7 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
         key = tuple((a[t], b[t]) for a, b in combos)
         if key not in rows:
             rows[key] = tuple(
-                sum(1 << j for j, ds in enumerate(key) if not bad(ds[:axis] + (d,) + ds[axis:]))
+                sum(1 << j for j, ds in enumerate(key) if ds[:axis] + (d,) + ds[axis:] not in bad)
                 for d in range(3)
             )
         alive.append(rows[key])

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .embed import _orient, embed_into_cube, stage_for
 from .geometry import Cube, axis_form, frac
-from .grid import GridDiagram, KNOT_DETERMINANTS, catalog
-from .invariants import determinant, diagram_from_grid
+from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3
 from .squareflake import detours, squareflake
 from .ternary import AxisSegment, in_cantor, stage_witness
@@ -231,15 +230,11 @@ class Approximant:
         )
 
 
-def _resolve_knot(spec):
-    """(name, diagram, det) for an assignment value."""
-    if isinstance(spec, GridDiagram):
-        return "custom", spec, determinant(diagram_from_grid(spec))
-    name = str(spec)
+def _resolve_knot(name):
+    """(diagram, det) for a knot name of an assignment."""
     if name == TRIVIAL:
-        return TRIVIAL, None, 1
-    g = catalog(name)
-    return name, g, KNOT_DETERMINANTS[name]
+        return None, 1
+    return catalog(name), KNOT_DETERMINANTS[name]
 
 
 def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -> Approximant:
@@ -255,8 +250,8 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
     top_stage = m
     for q in range(1, m + 1):
         for site in sites(q):
-            name_spec, mirror = assign.get(q, site.index)
-            name, diagram, det = _resolve_knot(name_spec)
+            name, mirror = assign.get(q, site.index)
+            diagram, det = _resolve_knot(name)
             nontrivial = name != TRIVIAL
             spliced = nontrivial or include_trivial
             if nontrivial:

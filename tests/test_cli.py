@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from spongeknots import serialize
+from spongeknots import necklace, serialize
 from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
-from spongeknots.necklace import iterate, make_necklace
+from spongeknots.necklace import invert_pearl, iterate, make_necklace
 from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.wildknot import KnotAssignment, approximant
@@ -207,6 +207,34 @@ def test_verify_pearl_word_without_parent_fails_nesting(tmp_path, capsys, edit):
     captured = capsys.readouterr()
     assert "nesting: FAIL (no parent pearl for word [1, 2])" in captured.out
     assert "error:" not in captured.err
+
+
+@pytest.mark.parametrize("generation", [14, 10**9])
+def test_verify_huge_stored_generation_fails_without_iterating(tmp_path, capsys, monkeypatch, generation):
+    # no stored pearl has a word of generation + 1 letters and the generation
+    # holds more pearls than are stored, so no pearl is inverted at all
+    base = make_necklace(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 3)
+    data = serialize.necklace_json(base, iterate(base, 1))
+    data["iterated"]["generation"] = generation
+    f = tmp_path / "huge.json"
+    f.write_text(serialize.dump_json(data))
+    inversions = 0
+
+    def counting_invert_pearl(b, other):
+        nonlocal inversions
+        inversions += 1
+        return invert_pearl(b, other)
+
+    monkeypatch.setattr(necklace, "invert_pearl", counting_invert_pearl)
+    assert run(["verify", str(f)]) == 1
+    assert inversions == 0
+    assert capsys.readouterr().out.splitlines()[:5] == [
+        "pearl-count: FAIL (6 pearls)",
+        "pearl-disjointness: PASS",
+        "nesting: FAIL (no parent pearl for word [1, 2])",
+        "sibling-disjointness: PASS",
+        "iterate-match: FAIL",
+    ]
 
 
 def _huge_squareflake():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from spongeknots import geometry, invariants
 from spongeknots.geometry import box_meet, seg_seg_2d, seg_seg_3d
-from spongeknots.grid import catalog
+from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
     NonGenericProjection,
     _build_diagram,
     _meets,
     _depth_at,
     _projection_maps,
+    _segment_param,
     determinant,
     determinant_minor,
     diagram_from_grid,
@@ -253,7 +254,7 @@ def _reference_project(p, direction):
         if x in seen:
             raise NonGenericProjection(f"triple point at {x}")
         seen.add(x)
-    return _build_diagram(tuple(reduced), tuple(events), "projection")
+    return _build_diagram(tuple(reduced), tuple(events))
 
 
 def _outcome(f, *args):
@@ -341,6 +342,85 @@ def test_is_simple_and_project_match_reference_on_oblique_curves():
         closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1), (0, 1, 0)]),
     ):
         _assert_matches_reference(poly)
+
+
+# ---------------------------------------------------------------------------
+# arc numbering against the passage loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_arcs(walk, events):
+    """(n_arcs, [(over_arc, under_in, under_out, point)]) from the loop
+    _build_diagram ran before it counted under passages: passages in curve
+    order, then each run between two unders labelled one at a time."""
+    m = len(walk)
+    if not events:
+        return 1, []
+    per_seg = [[] for _ in range(m)]
+    for cid, (i, j, x, over_is_i) in enumerate(events):
+        a_i, b_i = walk[i], walk[(i + 1) % m]
+        a_j, b_j = walk[j], walk[(j + 1) % m]
+        per_seg[i].append((_segment_param(a_i, b_i, x), cid, over_is_i))
+        per_seg[j].append((_segment_param(a_j, b_j, x), cid, not over_is_i))
+    passages = []
+    for i in range(m):
+        for t, cid, over in sorted(per_seg[i], key=lambda e: e[0]):
+            passages.append((cid, over))
+    n_pass = len(passages)
+    unders = [q for q, (cid, over) in enumerate(passages) if not over]
+    n_arcs = len(unders)
+    arc_at = [None] * n_pass
+    for r in range(n_arcs):
+        start = unders[r]
+        end = unders[(r + 1) % n_arcs]
+        q = (start + 1) % n_pass
+        while True:
+            arc_at[q] = (r + 1) % n_arcs
+            if q == end:
+                break
+            q = (q + 1) % n_pass
+    over_arc, under_in, under_out = {}, {}, {}
+    for q, (cid, over) in enumerate(passages):
+        if over:
+            over_arc[cid] = arc_at[q]
+        else:
+            under_in[cid] = arc_at[q]
+            under_out[cid] = (arc_at[q] + 1) % n_arcs
+    return n_arcs, [(over_arc[c], under_in[c], under_out[c], x) for c, (_, _, x, _) in enumerate(events)]
+
+
+def _assert_arcs_match(d):
+    want = _reference_arcs(d.walk, d.events)
+    assert (d.n_arcs, [(c.over_arc, c.under_in, c.under_out, c.point) for c in d.crossings]) == want
+
+
+def test_arcs_match_reference_on_catalog_grids_and_mirrors():
+    for name in catalog_names():
+        for g in (catalog(name), catalog(name).mirrored()):
+            _assert_arcs_match(diagram_from_grid(g))
+
+
+def test_arcs_match_reference_on_reference_corpus():
+    # the random walks of test_reference_corpus_is_not_trivial, along every view
+    rng = random.Random(7)
+    diagrams = 0
+    for _ in range(300):
+        pts = _random_walk(rng, rng.randint(2, 14), rng.random() < 0.5)
+        if len(pts) < 3:
+            continue
+        poly = closed_polyline([tuple(F(c, 3) for c in p) for p in pts])
+        for direction in VIEWS:
+            d = _outcome(project, poly, direction)
+            if isinstance(d, tuple):
+                continue
+            _assert_arcs_match(d)
+            diagrams += d.crossing_count > 0
+    assert diagrams > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_arcs_match_reference_on_uniform_approximants(m):
+    d, _ = project_generic(approximant(KnotAssignment.uniform("trefoil", m), m).polyline)
+    _assert_arcs_match(d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,78 @@
+"""Static rules over the package source, read with ``ast``.
+
+* No floating point in any decision: no float literal and no ``float(``
+  call, except in the two writers of lossy viewer files.
+* No unused import: every name a module imports is read in it, or listed
+  in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spongeknots"
+MODULES = sorted(SRC.glob("*.py"))
+
+# (module, function) pairs allowed to hold floats: they write OBJ/PLY text
+FLOAT_WRITERS = {("serialize.py", "polyline_obj"), ("serialize.py", "points_ply")}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _floats(tree, module):
+    """(line, what) of every float literal and float( call outside FLOAT_WRITERS."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (module, function) not in FLOAT_WRITERS:
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append((node.lineno, repr(node.value)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append((node.lineno, "float("))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads or lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floating_point_outside_viewer_writers(path):
+    assert _floats(_tree(path), path.name) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(_tree(path)) == []
+
+
+def test_rules_see_what_they_forbid():
+    source = "import os\nfrom math import gcd, lcm\n\ndef f(x):\n    return float(x) + 0.5 + lcm(x)\n"
+    tree = ast.parse(source)
+    assert _floats(tree, "serialize.py") == [(5, "float("), (5, "0.5")]
+    assert _unused_imports(tree) == [(1, "os"), (2, "gcd")]
+    writer = ast.parse("def points_ply(p):\n    return float(p)\n")
+    assert _floats(writer, "serialize.py") == []
+    assert _floats(writer, "geometry.py") == [(2, "float(")]

@@ -484,7 +484,7 @@ def _reference_first_bad(combo, space):
     pre = max(len(e.preperiod) for e in combo)
     per = lcm(*(len(e.period) for e in combo))
     for i in range(1, pre + per + 1):
-        if bad(tuple(_digit(e, i) for e in combo)):
+        if tuple(_digit(e, i) for e in combo) in bad:
             return i
     return None
 
