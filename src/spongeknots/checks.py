@@ -14,7 +14,7 @@ from .embed import verify_containment
 from .geometry import axis_form
 from .grid import validate
 from .invariants import determinant, is_simple, project_generic
-from .necklace import Pearl, iterate, limit_point, pearl_inside, pearls_disjoint
+from .necklace import iterate, pearl_inside, pearls_by_word, pearls_disjoint
 from .squareflake import replaced_count
 from .ternary import triadic_exponent
 
@@ -109,9 +109,11 @@ def squareflake(s) -> CheckList:
 
 def approximant(a, det: bool | None = None) -> CheckList:
     """``det`` forces (True) or skips (False) the determinant; None checks it
-    only when at most 9 summands are spliced."""
+    only when at most 9 summands are spliced.  A curve that is not simple
+    has no knot type, so its determinant is skipped too."""
     checks = CheckList()
-    checks.add("simplicity", is_simple(a.polyline))
+    simple = is_simple(a.polyline)
+    checks.add("simplicity", simple)
     _add_containment(checks, a.polyline, a.sponge_stage)
     # stops at the first stage whose count differs, long before a huge stored m
     counts_ok = all(
@@ -119,7 +121,7 @@ def approximant(a, det: bool | None = None) -> CheckList:
         for q in range(1, a.m + 1)
     )
     checks.add("ledger-counts", counts_ok)
-    if det or (det is None and a.spliced_count() <= 9):
+    if simple and (det or (det is None and a.spliced_count() <= 9)):
         d, direction = project_generic(a.polyline)
         value = determinant(d)
         checks.add("determinant", value == a.expected_determinant(), f"det {value} along {direction}")
@@ -140,24 +142,13 @@ def _pearl_count(n: int, m: int, stored: int):
     return n * (n - 1) ** m
 
 
-def _parent(base, word, m: int):
-    """The generation-(m-1) pearl addressed by ``word``, built by the chain of
-    inversions ``iterate`` runs; None when no such pearl exists."""
-    if len(word) != m:
-        return None
-    try:
-        center, radius_sq = limit_point(base, word)
-    except ValueError:
-        return None
-    return Pearl(center, radius_sq, word)
-
-
 def necklace(base, iterated=None) -> CheckList:
     """Checks of a generation-0 necklace and, when given, one iterated generation.
 
-    Each stored pearl's parent is built from the pearl's own word, and the
-    generation is iterated only when it cannot hold more pearls than are
-    stored, so the cost follows the artifact, not its stored generation.
+    Each stored pearl's parent is built from the pearl's own word, each
+    suffix of the parent words inverted once, and the generation is
+    iterated only when it cannot hold more pearls than are stored, so the
+    cost follows the artifact, not its stored generation.
     """
     it = iterated if iterated is not None else base
     m = it.generation
@@ -175,8 +166,8 @@ def necklace(base, iterated=None) -> CheckList:
         groups = {}
         for p in it.pearls:
             groups.setdefault(p.word[:-1], []).append(p)
-        parents = {word: _parent(base, word, m) for word in groups}
-        orphan = next((p.word for p in it.pearls if parents[p.word[:-1]] is None), None)
+        parents = pearls_by_word(base, [word for word in groups if len(word) == m])
+        orphan = next((p.word for p in it.pearls if parents.get(p.word[:-1]) is None), None)
         nest_ok = orphan is None and all(pearl_inside(p, parents[p.word[:-1]]) for p in it.pearls)
         sib_ok = all(
             pearls_disjoint(g[i], g[j])

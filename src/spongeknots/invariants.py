@@ -21,10 +21,9 @@ from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 
-from .geometry import Point2, Point3, box_meet, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
+from .geometry import Point2, Point3, box_meet, cross2, seg_seg_2d, seg_seg_3d, sub2
 from .grid import GridDiagram, walk_points
 from .polyline import ClosedPolyline3
 
@@ -179,8 +178,7 @@ class KnotDiagram:
     ``walk`` is the cyclic list of corner points of the projected curve;
     ``events`` lists the crossings as (segment_i, segment_j, point,
     over_is_i); ``passes[i]`` lists the (crossing id, passes over) of walk
-    segment i in order along it.  They are retained so the face arrangement
-    can be rebuilt for the Goeritz computation.
+    segment i in order along it, from which the Goeritz faces are traced.
     """
 
     crossings: tuple[Crossing, ...]
@@ -443,105 +441,59 @@ def tricolorings(d: KnotDiagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Goeritz determinant via the face arrangement
+# Goeritz determinant via the faces of the crossing order
 # ---------------------------------------------------------------------------
 
-def _dir_cmp(d1, d2):
-    """CCW angular order starting just above the +x axis."""
-    def half(d):
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
+def _checkerboard(d: KnotDiagram):
+    """Faces and checkerboard classes of a diagram with crossings, traced
+    from its crossing order alone as a rotation system (Edmonds 1960).
 
-    h1, h2 = half(d1), half(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = cross2(d1, d2)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
-class _Arrangement:
-    """Planar subdivision of the diagram walk split at crossing points."""
-
-    def __init__(self, d: KnotDiagram):
-        m = len(d.walk)
-        edges = []
-        for i, seg in enumerate(d.passes):
-            pts = [d.walk[i], *(d.events[cid][2] for cid, _ in seg), d.walk[(i + 1) % m]]
-            edges.extend(zip(pts, pts[1:]))
-        self.edges = edges
-        # half-edges: (point_from, point_to); twin = reversed
-        out = {}
-        for a, b in edges:
-            out.setdefault(a, []).append(b)
-            out.setdefault(b, []).append(a)
-        for v, nbrs in out.items():
-            nbrs.sort(key=cmp_to_key(lambda p, q: _dir_cmp(sub2(p, v), sub2(q, v))))
-            for p, q in zip(nbrs, nbrs[1:]):
-                if sub2(p, v) == sub2(q, v):
-                    raise ValueError("overlapping edges at a vertex")
-        self.out = out
-        self._build_faces()
-
-    def _next_halfedge(self, h):
-        a, b = h
-        nbrs = self.out[b]
-        back = a
-        idx = nbrs.index(back)
-        return (b, nbrs[(idx - 1) % len(nbrs)])
-
-    def _build_faces(self):
-        face_of = {}
-        faces = []
-        for a, b in self.edges:
-            for h in ((a, b), (b, a)):
-                if h in face_of:
-                    continue
-                fid = len(faces)
-                cycle = []
-                cur = h
-                while cur not in face_of:
-                    face_of[cur] = fid
-                    cycle.append(cur)
-                    cur = self._next_halfedge(cur)
-                faces.append(cycle)
-        self.face_of = face_of
-        self.faces = faces
-        areas = []
-        for cycle in faces:
-            s = ZERO
-            for (a, b) in cycle:
-                s += cross2(a, b)
-            areas.append(s / 2)
-        self.areas = areas
-        negs = [i for i, s in enumerate(areas) if s < 0]
-        if len(negs) != 1:
-            raise ValueError("arrangement is not a single connected diagram")
-        self.outer = negs[0]
-
-    def two_coloring(self):
-        """0/1 colors per face, alternating across every edge; outer gets 0."""
-        nf = len(self.faces)
-        color = [None] * nf
-        color[self.outer] = 0
-        stack = [self.outer]
-        adj = [[] for _ in range(nf)]
-        for a, b in self.edges:
-            f1 = self.face_of[(a, b)]
-            f2 = self.face_of[(b, a)]
-            adj[f1].append(f2)
-            adj[f2].append(f1)
-        while stack:
-            f = stack.pop()
-            for g in adj[f]:
-                if color[g] is None:
-                    color[g] = 1 - color[f]
-                    stack.append(g)
-                elif color[g] == color[f]:
-                    raise ValueError("diagram faces are not checkerboard colorable")
-        return color
+    Piece k of the curve runs from passage k to passage k + 1 of the cyclic
+    list of the 2c passages; dart 2k runs along it and dart 2k + 1 back.
+    At a crossing with over direction o and under direction u, the darts
+    leaving it are, counter-clockwise, +o, +u, -o, -u when u points left of
+    o, else +o, -u, -o, +u.  A face is an orbit of "reverse the dart, then
+    turn to its clockwise neighbour", and lies left of each of its darts.
+    The face left of the curve changes class at every passage; class 0 is
+    the unbounded face's.  Returns (face of each dart, class of each face,
+    the darts leaving each crossing counter-clockwise from +o).
+    """
+    walk, m = d.walk, len(d.walk)
+    passages = [(i, cid, over) for i, seg in enumerate(d.passes) for cid, over in seg]
+    n = len(passages)
+    at = {(cid, over): (q, i) for q, (i, cid, over) in enumerate(passages)}
+    rings, clockwise = [], [0] * (2 * n)
+    for cid in range(d.crossing_count):
+        (qo, io), (qu, iu) = at[cid, True], at[cid, False]
+        o, u = (sub2(walk[(i + 1) % m], walk[i]) for i in (io, iu))
+        plus_u, minus_u = 2 * qu, 2 * ((qu - 1) % n) + 1
+        if cross2(o, u) < 0:
+            plus_u, minus_u = minus_u, plus_u
+        ring = (2 * qo, plus_u, 2 * ((qo - 1) % n) + 1, minus_u)
+        rings.append(ring)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            clockwise[b] = a
+    # faces are numbered as the walk meets them from walk[0]: dense elimination
+    # of the Goeritz minor in this order is about 3x faster on approximants
+    face, faces = [None] * (2 * n), 0
+    for start in (h % (2 * n) for h in range(-2, 2 * n - 2)):  # walk[0] is on piece n - 1
+        h = start
+        while face[h] is None:
+            face[h] = faces
+            h = clockwise[h ^ 1]
+        faces = max(faces, face[start] + 1)
+    assert faces == d.crossing_count + 2, "crossing order is not a plane diagram"
+    # the least corner v is no crossing and lies on the piece ending the
+    # passages before it; the unbounded face is right of it on a left turn
+    v = min(range(m), key=walk.__getitem__)
+    left = cross2(sub2(walk[v], walk[v - 1]), sub2(walk[(v + 1) % m], walk[v])) > 0
+    outer = 2 * sum(map(len, d.passes[:v])) - 2 + left
+    color = [None] * faces
+    for h in range(2 * n):
+        c = (h // 2 + h + outer // 2 + outer) % 2  # (piece + side) mod 2, 0 on the outer dart
+        assert color[face[h]] in (None, c), "faces are not checkerboard colourable"
+        color[face[h]] = c
+    return face, color, rings
 
 
 def determinant(d: KnotDiagram, color_class: int = 0) -> int:
@@ -553,24 +505,10 @@ def determinant(d: KnotDiagram, color_class: int = 0) -> int:
     """
     if d.crossing_count == 0:
         return 1
-    arr = _Arrangement(d)
-    color = arr.two_coloring()
-    m = len(d.walk)
+    face, color, rings = _checkerboard(d)
     incid = []  # per crossing: (face_a, face_b, eta) over the chosen class
-    for (i, j, x, over_is_i) in d.events:
-        oi, oj = (i, j) if over_is_i else (j, i)
-        o = sub2(d.walk[(oi + 1) % m], d.walk[oi])
-        u = sub2(d.walk[(oj + 1) % m], d.walk[oj])
-        if cross2(o, u) < 0:
-            u = (-u[0], -u[1])
-        h_o = _outgoing_along(arr, x, o)
-        h_no = _outgoing_along(arr, x, (-o[0], -o[1]))
-        h_u = _outgoing_along(arr, x, u)
-        h_nu = _outgoing_along(arr, x, (-u[0], -u[1]))
-        f_swept = arr.face_of[h_o]
-        f_swept_op = arr.face_of[h_no]
-        f_other = arr.face_of[h_u]
-        f_other_op = arr.face_of[h_nu]
+    for ring in rings:
+        f_swept, f_other, f_swept_op, f_other_op = (face[h] for h in ring)
         assert color[f_swept] == color[f_swept_op] != color[f_other] == color[f_other_op]
         if color[f_swept] == color_class:
             incid.append((f_swept, f_swept_op, 1))
@@ -590,11 +528,3 @@ def determinant(d: KnotDiagram, color_class: int = 0) -> int:
         g[k][k] = -sum(g[k][t] for t in range(nw) if t != k)
     minor = [row[1:] for row in g[1:]]
     return abs(_bareiss_det(minor))
-
-
-def _outgoing_along(arr: _Arrangement, v: Point2, direction: Point2):
-    for w in arr.out[v]:
-        d = sub2(w, v)
-        if cross2(d, direction) == 0 and dot2(d, direction) > 0:
-            return (v, w)
-    raise ValueError(f"no outgoing edge at {v} along {direction}")

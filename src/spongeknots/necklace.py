@@ -149,6 +149,31 @@ def limit_point(t: Necklace, word) -> tuple[Point3, Fraction]:
     return pearl.center, pearl.radius_sq
 
 
+def pearls_by_word(t: Necklace, words) -> dict:
+    """The pearl each word addresses, built by the chain of inversions
+    ``limit_point`` runs, or None where that chain fails (an unknown
+    generator, a word that is not reduced, a pearl holding an inversion
+    center).  Pearls are kept by word, so each suffix the words share is
+    inverted once, however many words end in it."""
+    base = {p.word[0]: p for p in t.pearls}
+    built = {}  # suffix -> its pearl, or None
+    for word in words:
+        if not word or any(w not in base for w in word) or any(a == b for a, b in zip(word, word[1:])):
+            built[word] = None
+            continue
+        pearl = base[word[-1]]
+        for k in range(len(word) - 2, -1, -1):
+            suffix = word[k:]
+            if suffix not in built:
+                try:
+                    built[suffix] = None if pearl is None else invert_pearl(base[word[k]], pearl)
+                except ValueError:
+                    built[suffix] = None
+            pearl = built[suffix]
+        built[word] = pearl
+    return {word: built[word] for word in words}
+
+
 def summand_ledger(n: int, m: int):
     """Connected-summand counts per stage for an n-pearl necklace knot K.
 

@@ -271,7 +271,7 @@ def _breaks(combo, space: str) -> bool:
     combo costs O(preperiods + periods), not the lcm of the periods.
     """
     head = max(len(e.preperiod) for e in combo)
-    if first_violation([_prefix(e, head) for e in combo], space) is not None:
+    if _first_violation([_prefix(e, head) for e in combo], space) is not None:
         return True
     ones = _RULES[space][1]
     return any(_MEET[ones](*es) for es in combinations(combo, ones))
@@ -295,7 +295,7 @@ def _first_bad(combo, space: str):
     head = max(len(e.preperiod) for e in combo)
     end = head + lcm(*(len(e.period) for e in combo))
     n = head + 1
-    while (t := first_violation([_prefix(e, n) for e in combo], space)) is None and n < end:
+    while (t := _first_violation([_prefix(e, n) for e in combo], space)) is None and n < end:
         n = min(2 * n, end)
     return t
 
@@ -309,7 +309,7 @@ def satisfying_expansions(coords, space: str):
     return next((combo for combo, breaks in _limit_scan(coords, space) if not breaks), None)
 
 
-def first_violation(prefix_combo, space: str):
+def _first_violation(prefix_combo, space: str):
     """1-based position where digit prefixes break the space rule, or None."""
     bad = _BAD[space]
     for i, ds in enumerate(zip(*prefix_combo), 1):
@@ -322,7 +322,7 @@ def _stage_scan(prefix_options, space: str):
     """(combo, first violating position or None) for every tuple of
     equal-length digit prefixes, one from each axis's options."""
     for combo in product(*prefix_options):
-        yield combo, first_violation(combo, space)
+        yield combo, _first_violation(combo, space)
 
 
 def stage_witness(coords, k: int, space: str):

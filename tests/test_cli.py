@@ -1,11 +1,12 @@
 import hashlib
 import json
+import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from spongeknots import necklace, serialize
+from spongeknots import checks, necklace, serialize
 from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
@@ -237,6 +238,26 @@ def test_verify_huge_stored_generation_fails_without_iterating(tmp_path, capsys,
     ]
 
 
+def test_necklace_suite_inverts_each_parent_suffix_once(tmp_path, capsys, monkeypatch):
+    # parents share suffixes: each suffix of two or more letters of a parent
+    # word costs one inversion, not one per parent word that ends in it
+    assert run(["build", "necklace", "--pearls", "3", "--generation", "6", "--out", str(tmp_path)]) == 0
+    _, (base, it) = serialize.load_artifact((tmp_path / "necklace-3-6.json").read_text())
+    expected = iterate(base, 6)
+    monkeypatch.setattr(checks, "iterate", lambda t, m: expected)  # leave the iterate-match pearls out of the count
+    inversions = 0
+
+    def counting_invert_pearl(b, other):
+        nonlocal inversions
+        inversions += 1
+        return invert_pearl(b, other)
+
+    monkeypatch.setattr(necklace, "invert_pearl", counting_invert_pearl)
+    assert checks.necklace(base, it).ok
+    suffixes = {p.word[k:-1] for p in it.pearls for k in range(it.generation - 1)}
+    assert 0 < inversions <= len(suffixes) == 186
+
+
 def _huge_squareflake():
     return {**serialize.squareflake_json(squareflake(1)), "m": 10**9}
 
@@ -264,6 +285,25 @@ def test_verify_huge_stored_stage_fails_its_counts(tmp_path, capsys, make, faili
     out = capsys.readouterr().out
     assert "containment: PASS (stage 1000000000)" in out
     assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == failing
+
+
+def test_verify_non_simple_approximant_fails_without_projecting(tmp_path, capsys):
+    # a curve that is not simple has no knot type: no generic view is
+    # searched for and no determinant line is printed
+    assert run(["build", "wildknot", "--stage", "2", "--assign", "all:trefoil", "--out", str(tmp_path)]) == 0
+    f = tmp_path / "wildknot-2.json"
+    data = json.loads(f.read_text())
+    data["polyline"]["vertices"][148][0] = "1/2"
+    f.write_text(serialize.dump_json(data))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["verify", str(f)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == [
+        "simplicity: FAIL",
+        "containment: FAIL (stage 5)",
+        "ledger-counts: PASS",
+    ]
 
 
 def test_verify_unknown_schema_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 from math import lcm
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spongeknots import geometry, invariants
-from spongeknots.geometry import box_meet, seg_seg_2d, seg_seg_3d
+from spongeknots.geometry import box_meet, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
 from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
     NonGenericProjection,
     _build_diagram,
+    _checkerboard,
     _meets,
     _depth_at,
     _projection_maps,
@@ -399,10 +401,10 @@ def test_arcs_match_reference_on_catalog_grids_and_mirrors():
             _assert_arcs_match(diagram_from_grid(g))
 
 
-def test_arcs_match_reference_on_reference_corpus():
-    # the random walks of test_reference_corpus_is_not_trivial, along every view
+def _corpus_diagrams():
+    """Diagrams of the random walks of test_reference_corpus_is_not_trivial,
+    along every view."""
     rng = random.Random(7)
-    diagrams = 0
     for _ in range(300):
         pts = _random_walk(rng, rng.randint(2, 14), rng.random() < 0.5)
         if len(pts) < 3:
@@ -410,10 +412,15 @@ def test_arcs_match_reference_on_reference_corpus():
         poly = closed_polyline([tuple(F(c, 3) for c in p) for p in pts])
         for direction in VIEWS:
             d = _outcome(project, poly, direction)
-            if isinstance(d, tuple):
-                continue
-            _assert_arcs_match(d)
-            diagrams += d.crossing_count > 0
+            if not isinstance(d, tuple):
+                yield d
+
+
+def test_arcs_match_reference_on_reference_corpus():
+    diagrams = 0
+    for d in _corpus_diagrams():
+        _assert_arcs_match(d)
+        diagrams += d.crossing_count > 0
     assert diagrams > 0
 
 
@@ -636,3 +643,173 @@ def test_meets_calls_seg_seg_once_per_oblique_pair_with_meeting_boxes(monkeypatc
     monkeypatch.setattr(invariants, seg_seg, counting_seg_seg)
     assert list(_meets(walk)) == want
     assert calls == boxes_meet < len(oblique_pairs)
+
+
+# ---------------------------------------------------------------------------
+# faces traced from the crossing order against the plane arrangement
+# ---------------------------------------------------------------------------
+
+def _dir_cmp(d1, d2):
+    """CCW angular order starting just above the +x axis."""
+    def half(d):
+        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
+
+    h1, h2 = half(d1), half(d2)
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    c = cross2(d1, d2)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+class _Arrangement:
+    """Planar subdivision of the diagram walk split at crossing points: the
+    Fraction geometry ``determinant`` read its faces from before it traced
+    them from the crossing order."""
+
+    def __init__(self, d):
+        m = len(d.walk)
+        edges = []
+        for i, seg in enumerate(d.passes):
+            pts = [d.walk[i], *(d.events[cid][2] for cid, _ in seg), d.walk[(i + 1) % m]]
+            edges.extend(zip(pts, pts[1:]))
+        self.edges = edges
+        # half-edges: (point_from, point_to); twin = reversed
+        out = {}
+        for a, b in edges:
+            out.setdefault(a, []).append(b)
+            out.setdefault(b, []).append(a)
+        for v, nbrs in out.items():
+            nbrs.sort(key=cmp_to_key(lambda p, q: _dir_cmp(sub2(p, v), sub2(q, v))))
+            for p, q in zip(nbrs, nbrs[1:]):
+                if sub2(p, v) == sub2(q, v):
+                    raise ValueError("overlapping edges at a vertex")
+        self.out = out
+        self._build_faces()
+
+    def _next_halfedge(self, h):
+        a, b = h
+        nbrs = self.out[b]
+        back = a
+        idx = nbrs.index(back)
+        return (b, nbrs[(idx - 1) % len(nbrs)])
+
+    def _build_faces(self):
+        face_of = {}
+        faces = []
+        for a, b in self.edges:
+            for h in ((a, b), (b, a)):
+                if h in face_of:
+                    continue
+                fid = len(faces)
+                cycle = []
+                cur = h
+                while cur not in face_of:
+                    face_of[cur] = fid
+                    cycle.append(cur)
+                    cur = self._next_halfedge(cur)
+                faces.append(cycle)
+        self.face_of = face_of
+        self.faces = faces
+        areas = []
+        for cycle in faces:
+            s = F(0)
+            for (a, b) in cycle:
+                s += cross2(a, b)
+            areas.append(s / 2)
+        self.areas = areas
+        negs = [i for i, s in enumerate(areas) if s < 0]
+        if len(negs) != 1:
+            raise ValueError("arrangement is not a single connected diagram")
+        self.outer = negs[0]
+
+    def two_coloring(self):
+        """0/1 colors per face, alternating across every edge; outer gets 0."""
+        nf = len(self.faces)
+        color = [None] * nf
+        color[self.outer] = 0
+        stack = [self.outer]
+        adj = [[] for _ in range(nf)]
+        for a, b in self.edges:
+            f1 = self.face_of[(a, b)]
+            f2 = self.face_of[(b, a)]
+            adj[f1].append(f2)
+            adj[f2].append(f1)
+        while stack:
+            f = stack.pop()
+            for g in adj[f]:
+                if color[g] is None:
+                    color[g] = 1 - color[f]
+                    stack.append(g)
+                elif color[g] == color[f]:
+                    raise ValueError("diagram faces are not checkerboard colorable")
+        return color
+
+
+def _outgoing_along(arr, v, direction):
+    for w in arr.out[v]:
+        d = sub2(w, v)
+        if cross2(d, direction) == 0 and dot2(d, direction) > 0:
+            return (v, w)
+    raise ValueError(f"no outgoing edge at {v} along {direction}")
+
+
+def _reference_faces(d):
+    """(arrangement face of each dart of ``_checkerboard``, arrangement
+    colours): dart 2k leaves passage k along the walk, dart 2k + 1 leaves
+    passage k + 1 against it."""
+    arr = _Arrangement(d)
+    m = len(d.walk)
+    passages = [(i, cid) for i, seg in enumerate(d.passes) for cid, _ in seg]
+    faces = []
+    for q, (i, cid) in enumerate(passages):
+        j, cid_next = passages[(q + 1) % len(passages)]
+        ahead = _outgoing_along(arr, d.events[cid][2], sub2(d.walk[(i + 1) % m], d.walk[i]))
+        back = _outgoing_along(arr, d.events[cid_next][2], sub2(d.walk[j], d.walk[(j + 1) % m]))
+        faces += [arr.face_of[ahead], arr.face_of[back]]
+    assert len(set(faces)) == len(arr.faces)
+    return faces, arr.two_coloring()
+
+
+def _kinks(d):
+    """Pieces that start and end at the same crossing."""
+    cids = [cid for seg in d.passes for cid, _ in seg]
+    return sum(a == b for a, b in zip(cids, cids[1:] + cids[:1]))
+
+
+def _assert_faces_match(d):
+    # the same faces and classes, numbered alike, so the Goeritz matrix is
+    # the one the arrangement gave, entry for entry
+    face, color, _ = _checkerboard(d)
+    ref_face, ref_color = _reference_faces(d)
+    assert face == ref_face
+    assert len(set(face)) == d.crossing_count + 2
+    assert color == ref_color
+
+
+def test_faces_match_reference_on_catalog_grids_and_mirrors():
+    for name in catalog_names():
+        for g in (catalog(name), catalog(name).mirrored()):
+            d = diagram_from_grid(g)
+            if d.crossing_count:
+                _assert_faces_match(d)
+
+
+def test_faces_match_reference_on_reference_corpus():
+    diagrams = kinks = 0
+    for d in _corpus_diagrams():
+        if d.crossing_count:
+            _assert_faces_match(d)
+            diagrams += 1
+            kinks += _kinks(d) > 0
+    assert diagrams > 0 and kinks > 0
+
+
+@pytest.mark.parametrize("knot", ["trefoil", "figure-eight"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_faces_match_reference_on_uniform_approximants(m, knot):
+    d, _ = project_generic(approximant(KnotAssignment.uniform(knot, m), m).polyline)
+    _assert_faces_match(d)

@@ -4,6 +4,9 @@
   call, except in the two writers of lossy viewer files.
 * No unused import: every name a module imports is read in it, or listed
   in its ``__all__``.
+* No unread private name: every module-level function, class or
+  assignment whose name starts with a single underscore is read somewhere
+  in the package, as a name, an attribute or an import.
 """
 
 import ast
@@ -58,6 +61,41 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def _private_definitions(tree):
+    """(line, name) of every module-level function, class or assignment
+    whose name starts with a single underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.lineno, t.id) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(tree):
+    """Every name a module reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def _unread_privates(trees):
+    """(module, line, name) of the private module-level names no module reads."""
+    read = set().union(*map(_reads, trees.values()))
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items() for line, name in _private_definitions(tree) if name not in read
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_floating_point_outside_viewer_writers(path):
     assert _floats(_tree(path), path.name) == []
@@ -68,6 +106,10 @@ def test_no_unused_import(path):
     assert _unused_imports(_tree(path)) == []
 
 
+def test_no_unread_private_name():
+    assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
+
+
 def test_rules_see_what_they_forbid():
     source = "import os\nfrom math import gcd, lcm\n\ndef f(x):\n    return float(x) + 0.5 + lcm(x)\n"
     tree = ast.parse(source)
@@ -76,3 +118,6 @@ def test_rules_see_what_they_forbid():
     writer = ast.parse("def points_ply(p):\n    return float(p)\n")
     assert _floats(writer, "serialize.py") == []
     assert _floats(writer, "geometry.py") == [(2, "float(")]
+    dead = ast.parse("_LIMIT = 3\n\ndef _dead(x):\n    return x\n\ndef _used(x):\n    return x + _LIMIT\n")
+    user = ast.parse("from a import _used\n__all__ = []\n")
+    assert _unread_privates({"a.py": dead, "b.py": user}) == [("a.py", 3, "_dead")]
