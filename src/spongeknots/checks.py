@@ -9,6 +9,7 @@ default is derived from the artifact itself.
 from __future__ import annotations
 
 import sys
+from math import lcm
 
 from .embed import verify_containment
 from .geometry import axis_form
@@ -60,13 +61,66 @@ def _grid_stage(poly):
     return _triadic_stage(poly)
 
 
+def _order_of_3(d: int, limit: int):
+    """Least n >= 1 with 3**n = 1 mod d, for d prime to 3; None past ``limit``."""
+    x, n = 3 % d, 1
+    while x != 1 % d:
+        if n >= limit:
+            return None
+        x, n = x * 3 % d, n + 1
+    return n
+
+
+def _settled_stage(coords, stage: int) -> int:
+    """A stage K past which the containment verdict of no segment between
+    points with these coordinates changes, or ``stage`` when K is not less.
+
+    Write each coordinate's denominator as 3**j * d with d prime to 3.
+    Every expansion of the coordinate repeats with period ord_d(3) from
+    digit j, so with P the largest j and L the lcm of the orders, the
+    digits of all coordinates repeat with period L from digit P; K is
+    P + 7L.  A segment leaves the stage-k sponge exactly when some stage-k
+    cell of its running range (the cells whose digits lie between the
+    paths of lo and of hi) kills every combination of expansions of its
+    fixed coordinates, at most 4.  Choose such a cell digit by digit: the
+    state (the combinations killed so far, and whether the digits still
+    follow lo's path and hi's) changes at most 6 times, and what a digit
+    does depends only on the state and on the coordinates' digits at that
+    position.  So of 7 whole periods past P, one leaves the state as it
+    found it; cutting it out gives a cell one period shorter that kills
+    every combination.  A segment that fails at some stage thus fails by
+    stage K, and as the stages shrink, its verdict at every stage past K
+    is its verdict at K.  One period is not enough: the segment x = 9/26,
+    z = 0, y in [0, 1/13] has P = 0 and L = 3 and first fails at stage 4.
+    """
+    p, l = 0, 1
+    for den in {c.denominator for c in coords}:
+        j = 0
+        while den % 3 == 0:
+            den //= 3
+            j += 1
+        p = max(p, j)
+        n = _order_of_3(den, max(stage - p, 0) // 7 + 1)
+        if n is None:
+            return stage
+        l = lcm(l, n)
+        if p + 7 * l >= stage:
+            return stage
+    return p + 7 * l
+
+
 def _add_containment(checks: CheckList, poly, stage: int):
     """Containment at ``stage``, decided at the triadic stage E of the
     vertices when that is less.  An oblique segment fails at every stage,
     and past digit E no fixed coordinate of an axis-parallel segment has a
-    1 digit in either expansion, so no later stage removes more of it."""
+    1 digit in either expansion, so no later stage removes more of it.  A
+    curve with a vertex that is not triadic is decided by
+    ``_settled_stage`` instead."""
     triadic = _triadic_stage(poly)
-    decided = stage if triadic is None else min(stage, triadic)
+    if triadic is None:
+        decided = _settled_stage((c for v in poly.vertices for c in v), stage)
+    else:
+        decided = min(stage, triadic)
     checks.add("containment", all(verify_containment(poly, decided)), f"stage {stage}")
 
 

@@ -210,6 +210,29 @@ def test_verify_pearl_word_without_parent_fails_nesting(tmp_path, capsys, edit):
     assert "error:" not in captured.err
 
 
+def _overlapping_pearls(data):
+    data["pearls"][1]["center"] = data["pearls"][0]["center"]
+
+
+def _missing_pearl(data):
+    del data["pearls"][-1]
+
+
+@pytest.mark.parametrize("edit, line", [(_overlapping_pearls, "pearl-disjointness: FAIL"),
+                                        (_missing_pearl, "pearl-count: FAIL (2 pearls)")],
+                         ids=["overlap", "count"])
+def test_verify_broken_generation_zero_names_the_failed_check(tmp_path, capsys, edit, line):
+    base = make_necklace(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 3)
+    data = serialize.necklace_json(base)
+    edit(data)
+    f = tmp_path / "broken.json"
+    f.write_text(serialize.dump_json(data))
+    assert run(["verify", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert line in captured.out.splitlines()
+    assert "error:" not in captured.err
+
+
 @pytest.mark.parametrize("generation", [14, 10**9])
 def test_verify_huge_stored_generation_fails_without_iterating(tmp_path, capsys, monkeypatch, generation):
     # no stored pearl has a word of generation + 1 letters and the generation

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spongeknots import checks
 
@@ -196,3 +198,43 @@ def test_containment_check_matches_containment_at_the_stored_stage(stage):
         name, ok, detail = checks.polyline(ClosedPolyline3(poly.vertices, {"sponge_stage": stage})).results[0]
         assert (name, detail) == ("containment", f"stage {stage}")
         assert ok == all(verify_containment(poly, stage)) == (poly is not late or stage < 2)
+
+
+# denominators 3**j * d whose orders of 3 modulo d are 1, 2, 3 and 6
+_coordinates = st.tuples(st.sampled_from((1, 2, 4, 7, 8, 13, 14, 26)), st.integers(0, 2)).flatmap(
+    lambda dj: st.integers(0, dj[0] * 3 ** dj[1]).map(lambda a: F(a, dj[0] * 3 ** dj[1])))
+
+
+@st.composite
+def _segments(draw):
+    """Any segment, or (half the time) a short one from 0 on a face: the
+    kind whose verdict settles late."""
+    if draw(st.booleans()):
+        d, j = draw(st.sampled_from((1, 2, 4, 7, 8, 13, 14, 26))), draw(st.integers(1, 6))
+        lo, hi, other = F(0), F(1, d * 3**j), F(0)
+    else:
+        lo, hi = sorted(draw(st.lists(_coordinates, min_size=2, max_size=2, unique=True)))
+        other = draw(_coordinates)
+    return AxisSegment(draw(st.integers(0, 2)), (draw(_coordinates), other), lo, hi)
+
+
+@given(_segments(), st.sampled_from(["sponge", "carpet2"]))
+@settings(max_examples=150, deadline=None)
+def test_containment_past_the_settled_stage_is_containment_at_it(seg, space):
+    cap = checks._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9)
+    verdict = segment_in_stage(seg, cap, space)
+    assert all(segment_in_stage(seg, k, space) == verdict for k in range(cap + 1, 3 * cap + 1))
+
+
+def test_one_period_past_the_preperiod_does_not_settle_containment():
+    seg = AxisSegment(1, (F(9, 26), F(0)), F(0), F(1, 13))  # preperiod 0, period 3
+    assert [segment_in_stage(seg, k) for k in range(6)] == [True] * 4 + [False] * 2
+    assert checks._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9) == 21
+
+
+def test_containment_of_a_non_triadic_curve_is_decided_at_its_settled_stage():
+    square = [(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)]
+    assert checks._settled_stage((c for v in closed_polyline(square).vertices for c in v), 10**5) == 7
+    for stage in (1, 7, 10, 10**5):
+        name, ok, detail = checks.polyline(closed_polyline(square, {"sponge_stage": stage})).results[0]
+        assert (name, ok, detail) == ("containment", False, f"stage {stage}")

@@ -1,3 +1,4 @@
+import io
 import random
 from collections import defaultdict
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spongeknots import checks
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
 from spongeknots.necklace import (
@@ -209,8 +211,16 @@ def test_necklace_validation_catches_overlap():
     p1 = Pearl((F(0), F(0), F(0)), F(1), (1,))
     p2 = Pearl((F(1), F(0), F(0)), F(1), (2,))
     p3 = Pearl((F(5), F(0), F(0)), F(1), (3,))
-    with pytest.raises(ValueError):
-        Necklace((p1, p2, p3), unit_square(), 3)
+    out = io.StringIO()
+    checks.necklace(Necklace((p1, p2, p3), unit_square(), 3)).report(out)
+    assert "pearl-disjointness: FAIL" in out.getvalue().splitlines()
+
+
+def test_necklace_validation_catches_a_pearl_count_other_than_n():
+    base = make_necklace(unit_square(), 4)
+    out = io.StringIO()
+    checks.necklace(Necklace(base.pearls[:3], base.knot, 4)).report(out)
+    assert out.getvalue().splitlines()[:2] == ["pearl-count: FAIL (3 pearls)", "pearl-disjointness: PASS"]
 
 
 def test_pearl_word_validation():

@@ -2,14 +2,19 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spongeknots.embed import embed_grid, embed_into_box, verify_containment
-from spongeknots.geometry import Cube
+from spongeknots import wildknot
+from spongeknots.embed import embed_grid, embed_into_box, embed_into_cube, verify_containment
+from spongeknots.geometry import Cube, axis_form
 from spongeknots.grid import catalog
 from spongeknots.invariants import determinant, determinant_minor, is_simple, project_generic
 from spongeknots.polyline import ClosedPolyline3, closed_polyline
+from spongeknots.squareflake import squareflake
 from spongeknots.ternary import AxisSegment
 from spongeknots.wildknot import (
+    TRIVIAL,
     KnotAssignment,
     SpliceSite,
     approximant,
@@ -19,6 +24,8 @@ from spongeknots.wildknot import (
     sites,
     splice,
     wild_set_plan,
+    _splice_sites,
+    _summand_stage,
 )
 
 
@@ -249,6 +256,264 @@ def test_splice_errors_name_the_first_broken_rule(base, site, summand, marks, me
 def test_the_unbroken_splice_error_input_splices():
     good = splice(closed_polyline(_SQUARE), _OUT, closed_polyline(_FLAT, _GOOD_MARK))
     assert good.vertices == (_SQUARE[0], *_FLAT, *_SQUARE[1:])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass splice against the site-by-site reference
+# ---------------------------------------------------------------------------
+
+_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
+def _reference_splice(base, site, summand):
+    """One site at a time: every segment's axis form, a scan for the
+    carrier, a scan clearing every segment against the site cube, and a
+    fresh polyline."""
+    if "splice" not in summand.marks:
+        raise ValueError("summand carries no splice mark")
+    u, v = summand.marks["splice"]
+    T = site.T
+    ax = T.axis
+    for p in (u, v):
+        if tuple(p[i] for i in _OTHER_AXES[ax]) != T.fixed:
+            raise ValueError("splice mark is not on the site segment")
+        if not (T.lo <= p[ax] <= T.hi):
+            raise ValueError("splice mark leaves the site segment")
+    verts = base.vertices
+    n = len(verts)
+    forms = [axis_form(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    carrier = next(
+        (i for i, f in enumerate(forms)
+         if f is not None and f[0] == ax and f[1] == T.fixed and f[2] <= T.lo and T.hi <= f[3]),
+        None,
+    )
+    if carrier is None:
+        raise ValueError("site segment does not lie on the base curve")
+    near = site.cube.corner
+    far = tuple(c + site.cube.side for c in near)
+    for i, form in enumerate(forms):
+        if form is None:
+            raise ValueError("approximant segments must be axis-aligned")
+        fax, fixed, lo, hi = form
+        (o1, o2), (f1, f2) = _OTHER_AXES[fax], fixed
+        if not (near[o1] <= f1 <= far[o1] and near[o2] <= f2 <= far[o2]):
+            continue
+        clo, chi = max(lo, near[fax]), min(hi, far[fax])
+        if clo <= chi and not (fax == ax and fixed == T.fixed and T.lo <= clo and chi <= T.hi):
+            raise ValueError(f"base meets the splice cube outside T at segment {i}")
+    for w in summand.vertices:
+        if not site.cube.contains_point(w):
+            raise ValueError("summand leaves the splice cube")
+    if u == v:
+        raise ValueError("degenerate splice mark")
+    _, _, c_lo, c_hi = forms[carrier]
+    if not (c_lo < min(u[ax], v[ax]) and max(u[ax], v[ax]) < c_hi):
+        raise ValueError("splice mark touches a base vertex")
+    forward = verts[(carrier + 1) % n][ax] > verts[carrier][ax]
+    first, last = (u, v) if (u[ax] < v[ax]) == forward else (v, u)
+    sverts = summand.vertices
+    sn = len(sverts)
+    pairs = ((sverts[t], sverts[(t + 1) % sn]) for t in range(sn))
+    t = next((t for t, pair in enumerate(pairs) if pair in ((first, last), (last, first))), None)
+    if t is None:
+        raise ValueError("splice mark is not a segment of the summand")
+    path = sverts[t + 1:] + sverts[:t + 1]
+    if sverts[t] == first:
+        path = path[::-1]
+    return ClosedPolyline3(verts[: carrier + 1] + path + verts[carrier + 1:], dict(base.marks))
+
+
+def _reference_pairs(assign, m, include_trivial=False):
+    """(site, summand) in splice order, each summand embedded on its own."""
+    pairs = []
+    for q in range(1, m + 1):
+        for site in sites(q):
+            name, mirror = assign.get(q, site.index)
+            if name != TRIVIAL:
+                g = catalog(name).mirrored() if mirror else catalog(name)
+                pairs.append((site, embed_into_cube(g, site.cube, site.orientation, k=_summand_stage(g.n))))
+            elif include_trivial:
+                pairs.append((site, flat_unknot(site)))
+    return pairs
+
+
+def _reference_loop(base, pairs):
+    for site, summand in pairs:
+        base = _reference_splice(base, site, summand)
+    return base
+
+
+def _reference_approximant(assign, m, include_trivial=False):
+    """The stage-m curve spliced one site at a time."""
+    return _reference_loop(squareflake(m).polyline, _reference_pairs(assign, m, include_trivial))
+
+
+def _outcome(fn, *args):
+    """The vertices fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args).vertices
+    except ValueError as e:
+        return str(e)
+
+
+_FORMS = {
+    "uniform": lambda m: (KnotAssignment.uniform("trefoil", m), False),
+    "plan": lambda m: (wild_set_plan([F(0), F(1)], "trefoil", m), False),
+    "include-trivial": lambda m: (wild_set_plan([F(0), F(1)], "trefoil", m), True),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_approximant_matches_the_site_by_site_reference(form, m):
+    assign, include_trivial = _FORMS[form](m)
+    a = approximant(assign, m, include_trivial)
+    assert a.polyline.vertices == _reference_approximant(assign, m, include_trivial).vertices
+
+
+def test_approximant_embeds_each_summand_once(monkeypatch):
+    calls = []
+    real = wildknot.embed_into_box
+    monkeypatch.setattr(wildknot, "embed_into_box", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    entries = {(q, s.index): ("trefoil", s.index % 2 == 0) for q in (1, 2, 3) for s in sites(q)}
+    a = approximant(KnotAssignment(3, entries), 3)
+    assert a.spliced_count() == 21 and len(calls) == 2  # plain and mirror trefoil
+
+
+def _flat_site(x, t_lo, t_hi):
+    """Site on the line x, z = 0 along y, its cube off toward smaller x."""
+    side = t_hi - t_lo
+    return SpliceSite(0, 0, "custom", AxisSegment(1, (x, F(0)), t_lo, t_hi),
+                      Cube((x - side, t_lo, F(0)), side), "y-edge-high")
+
+
+def _flat_quad(x, lo, hi, depth):
+    """Rectangle from the segment x, y in [lo, hi] out to x - depth; the segment is its mark."""
+    quad = [(x, lo, 0), (x - depth, lo, 0), (x - depth, hi, 0), (x, hi, 0)]
+    return closed_polyline(quad, _mark(quad[0], quad[3]))
+
+
+_HALF_SQUARE = [(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_sites_sharing_a_carrier_go_in_walk_order(order):
+    spec = [(F(1, 9), F(2, 9)), (F(4, 9), F(5, 9)), (F(7, 9), F(8, 9))]
+    pairs = [
+        (_flat_site(F(1, 2), lo, hi), _flat_quad(F(1, 2), lo + F(1, 27), hi - F(1, 27), F(1, 27)))
+        for lo, hi in (spec[k] for k in order)
+    ]
+    base = closed_polyline(_HALF_SQUARE)
+    got = _splice_sites(base, pairs)
+    assert got.vertices == _reference_loop(base, pairs).vertices
+    ys = [y for x, y, _ in got.vertices if x == F(1, 2)]
+    assert ys == sorted(ys) and len(got) == 4 + 3 * 4
+
+
+def test_a_site_on_an_earlier_summand_splices_into_it():
+    pairs = [
+        (_flat_site(F(1, 2), F(1, 3), F(2, 3)), _flat_quad(F(1, 2), F(4, 9), F(5, 9), F(1, 3))),
+        (_flat_site(F(1, 6), F(13, 27), F(14, 27)), _flat_quad(F(1, 6), F(13, 27), F(14, 27), F(1, 27))),
+    ]
+    base = closed_polyline(_HALF_SQUARE)
+    got = _splice_sites(base, pairs)
+    assert got.vertices == _reference_loop(base, pairs).vertices
+    assert len(got) == 12 and is_simple(got)
+
+
+def _shifted(poly, dx):
+    verts = [(x + dx, y, z) for x, y, z in poly.vertices]
+    return closed_polyline(verts, {"splice": tuple((x + dx, y, z) for x, y, z in poly.marks["splice"])})
+
+
+def _broken(pairs, k, make):
+    return pairs[:k] + [(pairs[k][0], make(*pairs[k]))] + pairs[k + 1:]
+
+
+_BROKEN = {
+    "no-mark": lambda site, s: ClosedPolyline3(s.vertices, {}),
+    "leaves-cube": lambda site, s: _shifted(s, -site.cube.side / 2),
+    "mark-not-a-segment": lambda site, s: ClosedPolyline3(
+        s.vertices, {"splice": (site.T.endpoints()[0], site.T.endpoints()[1])}),
+    # the bottom cube's whole face: it touches the next (left) site cube
+    "touches-the-next-cube": lambda site, s: closed_polyline(
+        [site.cube.corner, (site.cube.corner[0], site.cube.corner[1] + site.cube.side, 0),
+         (site.cube.corner[0] + site.cube.side, site.cube.corner[1] + site.cube.side, 0),
+         (site.cube.corner[0] + site.cube.side, site.cube.corner[1], 0)],
+        {"splice": (site.cube.corner, (site.cube.corner[0] + site.cube.side, site.cube.corner[1], 0))}),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_BROKEN))
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_one_broken_summand_raises_what_the_reference_raises(how, k):
+    base = squareflake(2).polyline
+    pairs = _broken(_reference_pairs(KnotAssignment.uniform("trefoil", 2), 2), k, _BROKEN[how])
+    expected = _outcome(_reference_loop, base, pairs)
+    assert isinstance(expected, str)
+    assert _outcome(_splice_sites, base, pairs) == expected
+
+
+def test_a_summand_touching_a_later_cube_is_named_by_its_segment():
+    base = squareflake(1).polyline
+    pairs = _broken(_reference_pairs(KnotAssignment.uniform("trefoil", 1), 1, True), 0, _BROKEN["touches-the-next-cube"])
+    message = "base meets the splice cube outside T at segment 6"  # the summand side x = 7/9
+    assert _outcome(_reference_loop, base, pairs) == message
+    assert _outcome(_splice_sites, base, pairs) == message
+
+
+# a site on a side of the square [1/3, 2/3]^2 at z = 1/3, or on the far
+# side of an earlier summand, with a rectangle summand bulging off it; all
+# on the 1/729 grid, and short enough to stay in the unit cube
+_N, _A, _B = 729, 243, 486
+_SQUARE_HOSTS = [  # (axis, fixed coordinates, lo, hi) of the square's sides
+    (1, (_A, _A), _A, _B), (0, (_B, _A), _A, _B), (1, (_B, _A), _A, _B), (0, (_A, _A), _A, _B),
+]
+
+
+@st.composite
+def _site_pairs(draw):
+    hosts = list(_SQUARE_HOSTS)
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        ax, fixed, lo, hi = draw(st.sampled_from(hosts))
+        t_lo = draw(st.integers(lo, hi - 3))
+        t_hi = draw(st.integers(t_lo + 3, min(hi, t_lo + 54)))
+        side = t_hi - t_lo
+        bulge = draw(st.sampled_from([(b, sgn) for b in range(3) if b != ax for sgn in (1, -1)]))
+        third = 3 - ax - bulge[0]
+        corner = [0, 0, 0]
+        corner[ax] = t_lo
+        for o, f in zip(_OTHER_AXES[ax], fixed):
+            corner[o] = f
+        corner[bulge[0]] -= side if bulge[1] < 0 else 0
+        corner[third] -= draw(st.sampled_from([0, side]))
+        m_lo = draw(st.integers(t_lo, t_hi - 1))
+        m_hi = draw(st.integers(m_lo + 1, t_hi))
+        slip = draw(st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1)))  # now and then a mark leaving T
+        m_lo, m_hi = m_lo + min(slip, 0), m_hi + max(slip, 0)
+        depth = bulge[1] * draw(st.integers(1, side + 2))
+        quad = []
+        for along, out in ((m_lo, 0), (m_lo, depth), (m_hi, depth), (m_hi, 0)):
+            p = list(corner)
+            p[ax] = along
+            p[bulge[0]] = fixed[_OTHER_AXES[ax].index(bulge[0])] + out
+            p[third] = fixed[_OTHER_AXES[ax].index(third)]
+            quad.append(tuple(F(c, _N) for c in p))
+        mark = (quad[0], quad[3]) if draw(st.booleans()) else (quad[3], quad[0])
+        t = AxisSegment(ax, tuple(F(f, _N) for f in fixed), F(t_lo, _N), F(t_hi, _N))
+        site = SpliceSite(0, 0, "custom", t, Cube(tuple(F(c, _N) for c in corner), F(side, _N)), "y-edge")
+        pairs.append((site, ClosedPolyline3(tuple(quad), {"splice": mark})))
+        far_fixed = tuple(int(c * _N) for c in (quad[1][o] for o in _OTHER_AXES[ax]))
+        hosts.append((ax, far_fixed, m_lo, m_hi) if m_hi - m_lo >= 3 else hosts[0])
+    return pairs
+
+
+@given(_site_pairs())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_splicing_matches_the_reference_on_random_sites(pairs):
+    base = closed_polyline([(F(x, _N), F(y, _N), F(1, 3)) for x, y in ((_A, _A), (_A, _B), (_B, _B), (_B, _A))])
+    assert _outcome(_splice_sites, base, pairs) == _outcome(_reference_loop, base, pairs)
 
 
 def test_double_splice_structure():
