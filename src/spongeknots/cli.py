@@ -20,7 +20,7 @@ from .geometry import frac
 from .grid import KNOT_DETERMINANTS, catalog, catalog_names
 from .invariants import determinant, diagram_from_grid, project, tricolorings
 from .necklace import iterate, make_necklace
-from .polyline import ClosedPolyline3
+from .polyline import ClosedPolyline3, PolylineError
 from .squareflake import squareflake
 from .ternary import (
     AxisSegment,
@@ -231,13 +231,12 @@ def cmd_verify(args) -> int:
         return 2
     try:
         kind, obj = serialize.load_artifact(text)
+    except PolylineError as e:
+        # structurally broken polyline: report as a named check failure
+        results = checks.CheckList()
+        results.add("simplicity", False, str(e))
+        return _finish(results)
     except ValueError as e:
-        msg = str(e)
-        if "duplicate vertex" in msg or "3 vertices" in msg:
-            # structurally broken polyline: report as a named check failure
-            results = checks.CheckList()
-            results.add("simplicity", False, msg)
-            return _finish(results)
         print(f"schema mismatch: {e}", file=sys.stderr)
         return 2
     return _finish(checks.SUITES[kind](obj))

@@ -7,6 +7,11 @@ from dataclasses import dataclass, field
 from .geometry import Point3, frac
 
 
+class PolylineError(ValueError):
+    """A vertex list that makes no closed polyline: too few vertices, or
+    two consecutive ones equal."""
+
+
 @dataclass(frozen=True)
 class ClosedPolyline3:
     """Cyclic vertex list; segment i joins vertex i to vertex i+1 (mod n).
@@ -22,11 +27,11 @@ class ClosedPolyline3:
 
     def __post_init__(self):
         if len(self.vertices) < 3:
-            raise ValueError("need at least 3 vertices")
+            raise PolylineError("need at least 3 vertices")
         n = len(self.vertices)
         for i in range(n):
             if self.vertices[i] == self.vertices[(i + 1) % n]:
-                raise ValueError(f"consecutive duplicate vertex at index {i}")
+                raise PolylineError(f"consecutive duplicate vertex at index {i}")
 
     def __len__(self):
         return len(self.vertices)

@@ -510,8 +510,78 @@ class AxisSegment:
         return tuple(a), tuple(b)
 
 
+def _order_of_3(d: int, limit: int):
+    """Least n >= 1 with 3**n = 1 mod d, for d prime to 3; None past ``limit``."""
+    x, n = 3 % d, 1
+    while x != 1 % d:
+        if n >= limit:
+            return None
+        x, n = x * 3 % d, n + 1
+    return n
+
+
+def _settled_stage(coords, stage: int) -> int:
+    """A stage K past which the containment verdict of no segment between
+    points with these coordinates changes, or ``stage`` when K is not less.
+
+    Write each coordinate's denominator as 3**j * d with d prime to 3.
+    Every expansion of the coordinate repeats with period ord_d(3) from
+    digit j, so with P the largest j and L the lcm of the orders, the
+    digits of all coordinates repeat with period L from digit P; K is
+    P + 7L.  A segment leaves the stage-k sponge exactly when some stage-k
+    cell of its running range (the cells whose digits lie between the
+    paths of lo and of hi) kills every combination of expansions of its
+    fixed coordinates, at most 4.  Choose such a cell digit by digit: the
+    state (the combinations killed so far, and whether the digits still
+    follow lo's path and hi's) changes at most 6 times, and what a digit
+    does depends only on the state and on the coordinates' digits at that
+    position.  So of 7 whole periods past P, one leaves the state as it
+    found it; cutting it out gives a cell one period shorter that kills
+    every combination.  A segment that fails at some stage thus fails by
+    stage K, and as the stages shrink, its verdict at every stage past K
+    is its verdict at K.  One period is not enough: the segment x = 9/26,
+    z = 0, y in [0, 1/13] has P = 0 and L = 3 and first fails at stage 4.
+    """
+    p, l = 0, 1
+    for den in {c.denominator for c in coords}:
+        j = 0
+        while den % 3 == 0:
+            den //= 3
+            j += 1
+        p = max(p, j)
+        n = _order_of_3(den, max(stage - p, 0) // 7 + 1)
+        if n is None:
+            return stage
+        l = lcm(l, n)
+        if p + 7 * l >= stage:
+            return stage
+    return p + 7 * l
+
+
 def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     """Exact: does every point of the segment lie in the stage-k prefractal?
+
+    Decided at the segment's settled stage when that is less than k.  When
+    both fixed coordinates are triadic, it is the larger of their
+    exponents E: past digit E neither has a 1 digit in either expansion,
+    and both spaces need two 1s at one position to remove a cell, so no
+    later stage removes more of the segment.  Otherwise it is
+    ``_settled_stage`` of the segment's four coordinates.
+    """
+    if space not in ("sponge", "carpet2"):
+        raise ValueError("space must be 'sponge' or 'carpet2'")
+    if k < 0:
+        raise ValueError("stage must be >= 0")
+    exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
+    if None in exponents:
+        settled = _settled_stage((*seg.fixed, seg.lo, seg.hi), k)
+    else:
+        settled = max(exponents)
+    return _walk(seg, min(k, settled), space)
+
+
+def _walk(seg: AxisSegment, k: int, space: str) -> bool:
+    """Whether the segment lies in the stage-k prefractal, decided at k itself.
 
     The segment meets running cells ``lo_idx..hi_idx`` of the 3**k grid with
     positive length.  A running cell survives when some combo of the fixed
@@ -527,10 +597,6 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     ``full`` for each block strictly between them, so it costs O(k) mask
     steps instead of one rule scan per running cell; no sampling involved.
     """
-    if space not in ("sponge", "carpet2"):
-        raise ValueError("space must be 'sponge' or 'carpet2'")
-    if k < 0:
-        raise ValueError("stage must be >= 0")
     bad, axis = _BAD[space], seg.axis
     combos = list(product(*(ternary_digits(c, k) for c in seg.fixed)))
     masks = range(1 << len(combos))

@@ -169,6 +169,16 @@ def test_verify_corrupted_polyline_names_simplicity(tmp_path, capsys):
     assert "simplicity: FAIL" in out
 
 
+def test_verify_corrupted_nested_polyline_names_simplicity(tmp_path, capsys):
+    # the nested polyline's read error keeps its type under the field's name
+    data = serialize.squareflake_json(squareflake(1))
+    data["polyline"]["vertices"].insert(1, data["polyline"]["vertices"][1])
+    f = tmp_path / "bad.json"
+    f.write_text(serialize.dump_json(data))
+    assert run(["verify", str(f)]) == 1
+    assert capsys.readouterr().out == "simplicity: FAIL (polyline: consecutive duplicate vertex at index 1)\n"
+
+
 def test_verify_self_intersecting_polyline_fails(tmp_path, capsys):
     bowtie = closed_polyline([(0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)])
     f = tmp_path / "bowtie.json"
@@ -310,6 +320,77 @@ def test_verify_huge_stored_stage_fails_its_counts(tmp_path, capsys, make, faili
     assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == failing
 
 
+def _wildknot_2(**fields):
+    return {**serialize.approximant_json(approximant(KnotAssignment.uniform("trefoil", 2), 2)), **fields}
+
+
+def _extra_stage_3_entry():
+    data = _wildknot_2()
+    data["ledger"].append({**data["ledger"][-1], "stage": 3})
+    return data
+
+
+def _index_99():
+    data = _wildknot_2()
+    data["ledger"][4]["index"] = 99
+    return data
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _wildknot_2(m=1), lambda: _wildknot_2(m=0), lambda: _wildknot_2(m=-1), _extra_stage_3_entry, _index_99,
+], ids=["m-1", "m-0", "m-minus-1", "stage-3-entry", "index-99"])
+def test_verify_ledger_off_the_sites_of_its_stages_fails_its_counts(tmp_path, capsys, make):
+    # the ledger must hold each site of stages 1..m exactly once
+    f = tmp_path / "ledger.json"
+    f.write_text(serialize.dump_json(make()))
+    assert run(["verify", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == ["ledger-counts"]
+
+
+def _far_vertex_embed(tmp_path):
+    assert run(["build", "embed", "--knot", "trefoil", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "embed-trefoil.json").read_text())
+    data["marks"]["sponge_stage"] = 10**9
+    data["vertices"][0][2] = "1/1000003"
+    return data
+
+
+def _far_vertex_wildknot(tmp_path):
+    assert run(["build", "wildknot", "--stage", "2", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "wildknot-2.json").read_text())
+    data["sponge_stage"] = 10**9
+    data["polyline"]["vertices"][0][2] = "1/1000003"
+    return data
+
+
+@pytest.mark.parametrize("make, lines", [
+    (_far_vertex_embed, ["containment: FAIL (stage 1000000000)", "simplicity: PASS"]),
+    (_far_vertex_wildknot, ["simplicity: PASS", "containment: FAIL (stage 1000000000)", "ledger-counts: PASS",
+                            "determinant: PASS (det 19683 along (0, 0, 1))"]),
+], ids=["embed", "wildknot"])
+def test_verify_one_non_triadic_vertex_at_a_huge_stage_is_prompt(tmp_path, capsys, make, lines):
+    # each segment settles at its own stage: the one non-triadic vertex
+    # (settled stage of the curve 2,333,340) holds back no other segment
+    f = tmp_path / "far.json"
+    f.write_text(serialize.dump_json(make(tmp_path)))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["verify", str(f)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_predicate_segment_at_a_huge_stage_is_prompt(capsys):
+    segment = ["--segment", "0", "1/3", "0", "0", "1"]
+    assert run(["predicate", "--space", "sponge", "--stage", "3000", *segment]) == 0
+    deep = json.loads(capsys.readouterr().out)["verdict"]
+    start = time.perf_counter()
+    assert run(["predicate", "--space", "sponge", "--stage", "1000000", *segment]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["verdict"] is deep
+
+
 def test_verify_non_simple_approximant_fails_without_projecting(tmp_path, capsys):
     # a curve that is not simple has no knot type: no generic view is
     # searched for and no determinant line is printed
@@ -416,6 +497,10 @@ MALFORMED = {
     "nested-kind": (_nested_kind_text(), "polyline: expected kind 'polyline', got 'necklace'"),
     "deep-nesting": ("[" * 100000 + "]" * 100000, "nests too deeply"),
     "empty-pearl-word": (_wordless_pearl_text(), "pearl needs a non-empty reflection word"),
+    "kind-like-a-polyline-error": ('{"schema": "v1", "kind": "duplicate vertex"}',
+                                   "unknown artifact kind: 'duplicate vertex'"),
+    "schema-like-a-polyline-error": ('{"schema": "need 3 vertices", "kind": "polyline"}',
+                                     "expected schema 'v1', got 'need 3 vertices'"),
 }
 
 

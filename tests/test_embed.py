@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongeknots import checks
+from spongeknots import checks, ternary
 
 from spongeknots.embed import (
     embed_grid,
@@ -186,7 +186,7 @@ def test_containment_past_the_grid_stage_is_containment_at_it(space):
         seg = AxisSegment(rng.randrange(3), (F(rng.randrange(3**e + 1), 3**e), F(rng.randrange(3**e + 1), 3**e)),
                           F(lo, 3**e), F(hi, 3**e))
         verdict = segment_in_stage(seg, e, space)
-        assert all(segment_in_stage(seg, k, space) == verdict for k in range(e + 1, e + 5))
+        assert all(ternary._walk(seg, k, space) == verdict for k in range(e + 1, e + 5))
 
 
 @pytest.mark.parametrize("stage", range(1, 8))
@@ -205,36 +205,43 @@ _coordinates = st.tuples(st.sampled_from((1, 2, 4, 7, 8, 13, 14, 26)), st.intege
     lambda dj: st.integers(0, dj[0] * 3 ** dj[1]).map(lambda a: F(a, dj[0] * 3 ** dj[1])))
 
 
+_triadic = st.integers(0, 3).flatmap(lambda j: st.integers(0, 3**j).map(lambda a: F(a, 3**j)))
+
+
 @st.composite
 def _segments(draw):
-    """Any segment, or (half the time) a short one from 0 on a face: the
-    kind whose verdict settles late."""
-    if draw(st.booleans()):
+    """Any segment; a short one from 0 on a face, the kind whose verdict
+    settles late; or one on a line of a triadic grid whose ends need not
+    be triadic, which settles at the grid's stage."""
+    kind = draw(st.sampled_from(("any", "short", "triadic-line")))
+    line = _triadic if kind == "triadic-line" else _coordinates
+    if kind == "short":
         d, j = draw(st.sampled_from((1, 2, 4, 7, 8, 13, 14, 26))), draw(st.integers(1, 6))
         lo, hi, other = F(0), F(1, d * 3**j), F(0)
     else:
         lo, hi = sorted(draw(st.lists(_coordinates, min_size=2, max_size=2, unique=True)))
-        other = draw(_coordinates)
-    return AxisSegment(draw(st.integers(0, 2)), (draw(_coordinates), other), lo, hi)
+        other = draw(line)
+    return AxisSegment(draw(st.integers(0, 2)), (draw(line), other), lo, hi)
 
 
 @given(_segments(), st.sampled_from(["sponge", "carpet2"]))
 @settings(max_examples=150, deadline=None)
 def test_containment_past_the_settled_stage_is_containment_at_it(seg, space):
-    cap = checks._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9)
-    verdict = segment_in_stage(seg, cap, space)
-    assert all(segment_in_stage(seg, k, space) == verdict for k in range(cap + 1, 3 * cap + 1))
+    # against the walk at the stage itself: a segment settles no later than
+    # the settled stage of its four coordinates
+    cap = ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9)
+    assert all(segment_in_stage(seg, k, space) == ternary._walk(seg, k, space) for k in range(3 * cap + 1))
 
 
 def test_one_period_past_the_preperiod_does_not_settle_containment():
     seg = AxisSegment(1, (F(9, 26), F(0)), F(0), F(1, 13))  # preperiod 0, period 3
     assert [segment_in_stage(seg, k) for k in range(6)] == [True] * 4 + [False] * 2
-    assert checks._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9) == 21
+    assert ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9) == 21
 
 
 def test_containment_of_a_non_triadic_curve_is_decided_at_its_settled_stage():
     square = [(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)]
-    assert checks._settled_stage((c for v in closed_polyline(square).vertices for c in v), 10**5) == 7
+    assert ternary._settled_stage((c for v in closed_polyline(square).vertices for c in v), 10**5) == 7
     for stage in (1, 7, 10, 10**5):
         name, ok, detail = checks.polyline(closed_polyline(square, {"sponge_stage": stage})).results[0]
         assert (name, ok, detail) == ("containment", False, f"stage {stage}")
