@@ -102,9 +102,9 @@ def approximant(a, det: bool | None = None) -> CheckList:
     stage = a.sponge_stage
     checks.add("containment", all(verify_containment(a.polyline, stage)), f"stage {stage}")
     # the ledger holds each site of stages 1..m once: 3 * (2**m - 1) distinct
-    # (stage, index) pairs, stage q indexing 1..3 * 2**(q-1).  A ledger of
-    # b bits cannot hold that many once m > b: decided without forming the
-    # power for a huge stored m
+    # (stage, index) pairs, stage q indexing 1..3 * 2**(q-1).  A length of
+    # b bits cannot equal that count once m > b: decided without forming
+    # the power for a huge stored m
     count = len(a.ledger)
     pairs = {(e.stage, e.index) for e in a.ledger}
     counts_ok = (

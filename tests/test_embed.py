@@ -227,8 +227,9 @@ def _segments(draw):
 @given(_segments(), st.sampled_from(["sponge", "carpet2"]))
 @settings(max_examples=150, deadline=None)
 def test_containment_past_the_settled_stage_is_containment_at_it(seg, space):
-    # against the walk at the stage itself: a segment settles no later than
-    # the settled stage of its four coordinates
+    # segment_in_stage decides at the segment's own settled stage, never
+    # past cap, and the walk at k itself: they agree at every k exactly
+    # when the verdict has settled by then
     cap = ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9)
     assert all(segment_in_stage(seg, k, space) == ternary._walk(seg, k, space) for k in range(3 * cap + 1))
 
