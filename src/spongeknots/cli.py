@@ -24,6 +24,7 @@ from .polyline import ClosedPolyline3, PolylineError
 from .squareflake import squareflake
 from .ternary import (
     AxisSegment,
+    check_segment_space,
     membership,
     membership_stage,
     refutation,
@@ -53,13 +54,15 @@ def cmd_predicate(args) -> int:
     if args.segment is not None:
         axis, f1, f2, lo, hi = args.segment
         seg = AxisSegment(int(axis), (frac(f1), frac(f2)), frac(lo), frac(hi))
-        stage = args.stage if args.stage is not None else 0
-        verdict = segment_in_stage(seg, stage, space)
+        check_segment_space(space)
+        if args.stage is None:
+            raise ValueError("--segment needs --stage")
+        verdict = segment_in_stage(seg, args.stage, space)
         out = {
             "schema": serialize.SCHEMA,
             "query": "segment",
             "space": args.space,
-            "stage": stage,
+            "stage": args.stage,
             "segment": serialize.segment_json(seg),
             "verdict": verdict,
         }
@@ -142,7 +145,7 @@ def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks
         ],
     }
     _write(out / f"{name}.report.json", serialize.dump_json(report))
-    _sidecar_log(out / f"{name}.log", " ".join(sys.argv[1:]))
+    _sidecar_log(out / f"{name}.log", " ".join(args.argv))
     return _finish(results)
 
 
@@ -255,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predicate", help="membership queries with digit witnesses")
     p.add_argument("--space", choices=sorted(_SPACE_FLAG), required=True)
-    p.add_argument("--stage", type=int, default=None, help="prefractal stage; omit for the limit set")
+    p.add_argument("--stage", type=int, default=None,
+                   help="prefractal stage; omit for the limit set of a point, required with --segment")
     p.add_argument("--segment", nargs=5, metavar=("AXIS", "FIX1", "FIX2", "LO", "HI"), default=None)
     p.add_argument("coords", nargs="*", help="rational coordinates like 7/9")
     p.set_defaults(func=cmd_predicate)
@@ -299,8 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv  # the command the sidecar .log records
     try:
         return args.func(args)
     except (ValueError, KeyError) as e:

@@ -144,6 +144,9 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
     verdicts = []
     for a, b in poly.segments():
         form = axis_form(a, b)
-        inside = form is not None and all(0 <= c <= 1 for c in a + b)
-        verdicts.append(inside and segment_in_stage(AxisSegment(*form), stage, space))
+        try:
+            seg = AxisSegment(*form) if form else None
+        except ValueError:  # it leaves the unit cube
+            seg = None
+        verdicts.append(seg is not None and segment_in_stage(seg, stage, space))
     return tuple(verdicts)

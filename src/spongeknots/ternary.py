@@ -190,6 +190,23 @@ def _digits_of_index(i: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(ds))
 
 
+# i -> the 4 base-3 digits of i, for i < 81
+_DIGITS4 = [bytes(ds) for ds in product(range(3), repeat=4)]
+
+
+def _digit_bytes(i: int, k: int) -> bytes:
+    """The k base-3 digits of i as bytes, most significant first: the
+    digits of _digits_of_index, four per division."""
+    if k > 64:
+        high, low = divmod(i, 3 ** (k // 2))
+        return _digit_bytes(high, k - k // 2) + _digit_bytes(low, k // 2)
+    chunks = []
+    for _ in range(-(-k // 4)):
+        i, r = divmod(i, 81)
+        chunks.append(_DIGITS4[r])
+    return b"".join(reversed(chunks))[4 * len(chunks) - k:]
+
+
 def _index_of_digits(ds) -> int:
     """The integer whose base-3 digits, most significant first, are ``ds``:
     the inverse of _digits_of_index, halving long prefixes the same way."""
@@ -211,6 +228,33 @@ _BAD = {
     space: frozenset(ds for ds in product(range(3), repeat=dim) if ds.count(1) >= ones)
     for space, (dim, ones) in _RULES.items()
 }
+
+
+class _AliveRows(dict):
+    """Alive rows of one space, filled on first use.
+
+    A key holds the two fixed digits of every combo at one digit position,
+    flattened: (a0, b0, a1, b1, ...) for at most 4 combos, so at most
+    9 + 81 + 729 + 6561 keys.  Its row gives, for running digit d = 0, 1, 2,
+    the mask of the combos whose digits together with d break no rule.
+    Both rules count the 1s among the three digits, so the row is the same
+    whichever axis d runs along.  It depends only on the rule, never on a
+    segment.
+    """
+
+    def __init__(self, space: str):
+        super().__init__()
+        self.bad = _BAD[space]
+
+    def __missing__(self, key):
+        pairs = list(zip(key[::2], key[1::2]))
+        row = self[key] = tuple(
+            sum(1 << j for j, (a, b) in enumerate(pairs) if (d, a, b) not in self.bad) for d in range(3)
+        )
+        return row
+
+
+_ALIVE = {space: _AliveRows(space) for space in ("sponge", "carpet2")}
 
 
 def _classes_meet(a: TernaryExpansion, b: TernaryExpansion) -> bool:
@@ -492,7 +536,7 @@ class AxisSegment:
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
         for c in (*self.fixed, self.lo, self.hi):
-            if not (0 <= c <= 1):
+            if not (0 <= c.numerator <= c.denominator):
                 raise ValueError("segment leaves the unit cube")
 
     @classmethod
@@ -558,6 +602,12 @@ def _settled_stage(coords, stage: int) -> int:
     return p + 7 * l
 
 
+def check_segment_space(space: str):
+    """ValueError unless segments can be checked in the space."""
+    if space not in ("sponge", "carpet2"):
+        raise ValueError("space must be 'sponge' or 'carpet2'")
+
+
 def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     """Exact: does every point of the segment lie in the stage-k prefractal?
 
@@ -568,8 +618,7 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     later stage removes more of the segment.  Otherwise it is
     ``_settled_stage`` of the segment's four coordinates.
     """
-    if space not in ("sponge", "carpet2"):
-        raise ValueError("space must be 'sponge' or 'carpet2'")
+    check_segment_space(space)
     if k < 0:
         raise ValueError("stage must be >= 0")
     exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
@@ -585,40 +634,32 @@ def _walk(seg: AxisSegment, k: int, space: str) -> bool:
 
     The segment meets running cells ``lo_idx..hi_idx`` of the 3**k grid with
     positive length.  A running cell survives when some combo of the fixed
-    coordinates' digit prefixes (at most 2 x 2, from ``ternary_digits``)
+    coordinates' stage-k cells (at most 2 x 2, from ``_cell_candidates``)
     breaks no rule at any position together with the cell's digits.
 
     Combos are bits of a mask: ``alive[t][d]`` holds the combos that running
-    digit d keeps at position t + 1, so a cell survives when the AND of its
-    digits' masks is non-zero.  ``full[t][m]`` says every cell below a block
-    of t fixed running digits survives when the combos in m are still alive,
-    filled bottom-up from ``full[k][m] = m != 0``.  The walk follows the two
-    boundary paths of ``[lo_idx, hi_idx]`` down the ternary tree and reads
-    ``full`` for each block strictly between them, so it costs O(k) mask
-    steps instead of one rule scan per running cell; no sampling involved.
+    digit d keeps at position t + 1, read from the space's ``_ALIVE`` table,
+    so a cell survives when the AND of its digits' masks is non-zero.
+    ``full[t][m]`` says every cell below a block of t fixed running digits
+    survives when the combos in m are still alive, filled bottom-up from
+    ``full[k][m] = m != 0``.  The walk follows the two boundary paths of
+    ``[lo_idx, hi_idx]`` down the ternary tree and reads ``full`` for each
+    block strictly between them, so it costs O(k) mask steps instead of one
+    rule scan per running cell; no sampling involved.
     """
-    bad, axis = _BAD[space], seg.axis
-    combos = list(product(*(ternary_digits(c, k) for c in seg.fixed)))
-    masks = range(1 << len(combos))
+    scale = 3**k
+    firsts, seconds = ([_digit_bytes(i, k) for i in _cell_candidates(c, scale)] for c in seg.fixed)
+    # each combo's two digit strings in turn, so zip reads one key per position
+    digits = [ds for a in firsts for b in seconds for ds in (a, b)]
+    alive = list(map(_ALIVE[space].__getitem__, zip(*digits)))
+    masks = range(1 << len(firsts) * len(seconds))
 
-    rows = {}  # fixed digits of every combo at one position -> alive row
-    alive = []
-    for t in range(k):
-        key = tuple((a[t], b[t]) for a, b in combos)
-        if key not in rows:
-            rows[key] = tuple(
-                sum(1 << j for j, ds in enumerate(key) if ds[:axis] + (d,) + ds[axis:] not in bad)
-                for d in range(3)
-            )
-        alive.append(rows[key])
-
-    scale = 3 ** k
     lo_idx = (seg.lo.numerator * scale) // seg.lo.denominator
     hi_t = seg.hi.numerator * scale
     hi_idx = hi_t // seg.hi.denominator
     if hi_t % seg.hi.denominator == 0:
         hi_idx -= 1
-    lo_ds, hi_ds = _digits_of_index(lo_idx, k), _digits_of_index(hi_idx, k)
+    lo_ds, hi_ds = _digit_bytes(lo_idx, k), _digit_bytes(hi_idx, k)
 
     # the shared path, down to the first digit where the two ends part
     m, split = masks[-1], 0

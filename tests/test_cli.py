@@ -534,6 +534,14 @@ def test_verify_uncontainable_curve_fails_containment(tmp_path, capsys, make):
     assert "error:" not in captured.err
 
 
+def test_predicate_segment_without_stage_is_usage_error(capsys):
+    # the line through the centre cube: removed at stage 1, in the cube at
+    # stage 0, so a missing stage must not be read as 0
+    assert run(["predicate", "--space", "sponge", "--segment", "0", "1/2", "1/2", "0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --segment needs --stage\n")
+
+
 def test_predicate_segment_outside_unit_cube_is_usage_error(capsys):
     assert run(["predicate", "--space", "sponge", "--segment", "0", "2", "0", "0", "1"]) == 2
     assert "leaves the unit cube" in capsys.readouterr().err
@@ -630,6 +638,15 @@ BUILD_PINS = {
         "necklace-4-1.report.json": "ec39a5b90b4f4ce8cf234bd2a30d6652e20240e19bba55abea9659e1bd5b52e6",
     },
 }
+
+
+def test_sidecar_log_records_the_argv_main_was_given(tmp_path, capsys, monkeypatch):
+    # in-process, the host's own arguments are not the command that built
+    monkeypatch.setattr("sys.argv", ["python3", "-c", "--some-host-flag"])
+    argv = ["build", "squareflake", "--stage", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _, command = (tmp_path / "squareflake-3.log").read_text().split(" ", 1)
+    assert command == " ".join(argv) + "\n"
 
 
 @pytest.mark.parametrize("argv,name", BUILDS, ids=[name for _, name in BUILDS])

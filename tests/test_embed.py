@@ -25,9 +25,12 @@ from spongeknots.invariants import (
     project_generic,
     tricolorings,
 )
+from spongeknots.geometry import axis_form
 from spongeknots.polyline import ClosedPolyline3, closed_polyline
 from spongeknots.squareflake import squareflake
-from spongeknots.ternary import AxisSegment, segment_in_stage
+from spongeknots.ternary import AxisSegment, segment_in_stage, triadic_exponent
+from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
+from test_ternary import _reference_segment_in_stage
 
 
 def test_stage_for():
@@ -246,3 +249,76 @@ def test_containment_of_a_non_triadic_curve_is_decided_at_its_settled_stage():
     for stage in (1, 7, 10, 10**5):
         name, ok, detail = checks.polyline(closed_polyline(square, {"sponge_stage": stage})).results[0]
         assert (name, ok, detail) == ("containment", False, f"stage {stage}")
+
+
+# --- containment of whole curves against the loop it replaced ----------------
+
+def _reference_verify_containment(poly, stage, space="sponge"):
+    """Per-segment verdicts by the Fraction unit-cube test, then the cell
+    enumeration of test_ternary at the stage each segment settles at."""
+    verdicts = []
+    for a, b in poly.segments():
+        form = axis_form(a, b)
+        inside = form is not None and all(0 <= c <= 1 for c in a + b)
+        if inside:
+            seg = AxisSegment(*form)
+            exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
+            if None in exponents:
+                settled = ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), stage)
+            else:
+                settled = max(exponents)
+            inside = _reference_segment_in_stage(seg, min(stage, settled), space)
+        verdicts.append(inside)
+    return tuple(verdicts)
+
+
+@pytest.fixture(scope="module")
+def benchmark_curves():
+    """(curve, stored stage) of the full build of each benchmark workload."""
+    wild = approximant(wild_set_plan([F(0), F(1)], "trefoil", 7), 7)
+    uniform = approximant(KnotAssignment.uniform("trefoil", 4), 4)
+    return [(wild.polyline, wild.sponge_stage), (uniform.polyline, uniform.sponge_stage),
+            (squareflake(8).polyline, 8)]
+
+
+def test_containment_of_the_benchmark_curves_matches_the_reference(benchmark_curves):
+    for poly, stage in benchmark_curves:
+        verdicts = verify_containment(poly, stage)
+        assert verdicts == _reference_verify_containment(poly, stage)
+        assert all(verdicts)
+
+
+def test_containment_of_moved_benchmark_curves_matches_the_reference(benchmark_curves):
+    # one vertex's coordinate moved out of the cube, or onto its faces as a
+    # plain int: its two segments become oblique, leave the cube or run on
+    rng = random.Random(14)
+    seen = set()
+    for poly, stage in benchmark_curves:
+        i = rng.randrange(len(poly))
+        for axis in range(3):
+            for value in (F(-1, 3), F(4, 3), 0, 1):
+                vertices = list(poly.vertices)
+                vertices[i] = vertices[i][:axis] + (value,) + vertices[i][axis + 1:]
+                if vertices[i] in (vertices[i - 1], vertices[(i + 1) % len(poly)]):
+                    continue
+                moved = ClosedPolyline3(tuple(vertices))
+                verdicts = verify_containment(moved, stage)
+                assert verdicts == _reference_verify_containment(moved, stage), (i, axis, value)
+                seen.add(verdicts[i - 1])
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("space", ["sponge", "carpet2"])
+def test_containment_off_the_triadic_grid_matches_the_reference(space):
+    oblique = closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    halves = closed_polyline([(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)])
+    quarters = closed_polyline([(F(1, 4), 0, F(1, 4)), (F(1, 4), 1, F(1, 4)), (F(3, 4), 1, F(1, 4)),
+                                (F(3, 4), F(1, 13), F(1, 4)), (F(3, 4), F(1, 13), F(9, 26)),
+                                (F(3, 4), 0, F(9, 26))])
+    verdicts = set()
+    for poly, stages in ((oblique, (0, 1, 4)), (halves, (0, 1, 2, 10**6)), (quarters, range(6))):
+        for stage in stages:
+            got = verify_containment(poly, stage, space)
+            assert got == _reference_verify_containment(poly, stage, space), (poly, stage)
+            verdicts |= set(got)
+    assert verdicts == {True, False}

@@ -7,6 +7,8 @@
 * No unread private name: every module-level function, class or
   assignment whose name starts with a single underscore is read somewhere
   in the package, as a name, an attribute or an import.
+* No ``sys.argv`` outside ``cli.main``, where it is the default ``argv``:
+  everything else reads the arguments ``main`` was given.
 """
 
 import ast
@@ -37,6 +39,27 @@ def _floats(tree, module):
                 found.append((node.lineno, repr(node.value)))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 found.append((node.lineno, "float("))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+# (module, function) pairs allowed to read sys.argv
+ARGV_READERS = {("cli.py", "main")}
+
+
+def _argv_reads(tree, module):
+    """Line of every ``sys.argv`` outside ARGV_READERS."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if ((module, function) not in ARGV_READERS and isinstance(node, ast.Attribute) and node.attr == "argv"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -106,6 +129,11 @@ def test_no_unused_import(path):
     assert _unused_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sys_argv_outside_main(path):
+    assert _argv_reads(_tree(path), path.name) == []
+
+
 def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
@@ -121,3 +149,6 @@ def test_rules_see_what_they_forbid():
     dead = ast.parse("_LIMIT = 3\n\ndef _dead(x):\n    return x\n\ndef _used(x):\n    return x + _LIMIT\n")
     user = ast.parse("from a import _used\n__all__ = []\n")
     assert _unread_privates({"a.py": dead, "b.py": user}) == [("a.py", 3, "_dead")]
+    argv = ast.parse("import sys\n\ndef main(argv=None):\n    return argv or sys.argv[1:]\n\nLOG = sys.argv\n")
+    assert _argv_reads(argv, "cli.py") == [6]
+    assert _argv_reads(argv, "serialize.py") == [4, 6]

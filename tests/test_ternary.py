@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from spongeknots.oracle import oracle_profile, subdivision_oracle
 from spongeknots.ternary import (
+    _ALIVE,
     _BAD,
     AxisSegment,
     TernaryExpansion,
     _breaks,
+    _digit_bytes,
     _digits_of_index,
     _index_of_digits,
     _first_bad,
@@ -346,6 +348,36 @@ def _reference_segment_in_stage(seg, k, space):
         if all(t is not None for _, t in _stage_scan(options, space)):
             return False
     return True
+
+
+def _reference_row(key, space, axis):
+    """The alive row of a table key, straight from _BAD: for each running
+    digit, the mask of the combos whose digits with it inserted are not bad."""
+    combos = [key[j:j + 2] for j in range(0, len(key), 2)]
+    return tuple(
+        sum(2**j for j, fixed in enumerate(combos) if _insert(fixed, axis, d) not in _BAD[space])
+        for d in range(3)
+    )
+
+
+@pytest.mark.parametrize("space", ["sponge", "carpet2"])
+def test_alive_table_matches_the_rule_on_its_whole_domain_along_every_axis(space):
+    # every key of 1 to 4 combos' fixed digits: 9 + 81 + 729 + 6561 rows,
+    # one table for all three running axes
+    table = _ALIVE[space]
+    for n in range(1, 5):
+        for key in product(range(3), repeat=2 * n):
+            assert all(table[key] == _reference_row(key, space, axis) for axis in range(3)), key
+    assert len(table) == 9 + 81 + 729 + 6561
+
+
+def test_digit_bytes_are_the_digits_of_the_index():
+    # every k across the four-digit steps of the digit table and past the
+    # halving of k > 64; the extreme indices and random ones between
+    rng = random.Random(14)
+    for k in range(71):
+        for i in {0, 1, 80 % 3**k, 81 % 3**k, 3**k - 1, *(rng.randrange(3**k) for _ in range(20))}:
+            assert _digit_bytes(i, k) == bytes(_digits_of_index(i, k)), (i, k)
 
 
 def _fixed_coordinate(rng, k):
