@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 
 from .embed import verify_containment
-from .geometry import axis_form
+from .geometry import running_axis
 from .grid import validate
 from .invariants import determinant, is_simple, project_generic
 from .necklace import iterate, pearl_inside, pearls_by_word, pearls_disjoint
@@ -45,14 +45,15 @@ class CheckList:
 
 
 def _grid_stage(poly):
-    """Least k such that every segment runs along a line of the 3**-k grid.
+    """Least k such that every segment runs along a line of the 3**-k grid:
+    the triadic exponent of the curve's scale, read from its integer form.
 
     None when some segment is oblique or some coordinate is not triadic.
     """
-    if any(axis_form(a, b) is None for a, b in poly.segments()):
+    scale, points = poly.integer_form
+    if any(running_axis(a, b) is None for a, b in zip(points, points[1:] + points[:1])):
         return None
-    exponents = [triadic_exponent(d) for d in {c.denominator for v in poly.vertices for c in v}]
-    return None if None in exponents else max(exponents)
+    return triadic_exponent(scale)
 
 
 def polyline(poly) -> CheckList:

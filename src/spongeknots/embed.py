@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .geometry import Cube, Point3, axis_form
+from .geometry import Cube, Point3, running_axis
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3
-from .ternary import AxisSegment, cantor_endpoints, in_sponge_stage, segment_in_stage, triadic_exponent
+from .ternary import AxisSegment, in_sponge_stage, segment_in_stage, triadic_exponent
 
 
 def stage_for(n: int) -> int:
@@ -34,6 +35,20 @@ class EmbeddingReport:
 
     stage: int
     endpoints: tuple[Fraction, ...]
+
+
+def _first_endpoints(k: int, n: int) -> tuple[Fraction, ...]:
+    """``cantor_endpoints(k)[:n]`` without the other endpoints, in O(n k):
+    endpoint 2j and 2j + 1 bound the j-th stage-k interval, whose low end
+    has the ternary digits 2 x the binary digits of j."""
+    scale = 3**k
+    out = []
+    for i in range(n):
+        j, low = i >> 1, 0
+        for b in range(j.bit_length()):
+            low += (j >> b & 1) * 2 * 3**b
+        out.append(Fraction(low + (i & 1), scale))
+    return tuple(out)
 
 
 def _vertex_cycle(d: GridDiagram, endpoints):
@@ -61,27 +76,48 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
         raise ValueError(str(bad))
     if k is None:
         k = stage_for(d.n)
-    elif 2 ** (k + 1) < d.n:
+    elif (d.n - 1).bit_length() > k + 1:  # 2**(k+1) < n, with no power formed for a huge k
         raise ValueError(f"stage {k} has only {2 ** (k + 1)} endpoints < n = {d.n}")
-    endpoints = tuple(cantor_endpoints(k)[: d.n])
+    endpoints = _first_endpoints(k, d.n)
     poly = ClosedPolyline3(tuple(_vertex_cycle(d, endpoints)))
     return poly, EmbeddingReport(k, endpoints)
 
 
+# orientation -> for each cube axis, the unit axis it carries and whether
+# it is reversed: each puts the unit edge (x=0, z=0) on one edge of the cube
+_ORIENTATIONS = {
+    "y-edge": ((0, False), (1, False), (2, False)),  # edge at (x=corner.x, z=corner.z), along y
+    "y-edge-high": ((0, True), (1, False), (2, False)),  # edge at (x=corner.x+side, z=corner.z), along y
+    "x-edge-low": ((1, False), (0, False), (2, False)),  # edge at (y=corner.y, z=corner.z), along x
+    "x-edge-high": ((1, False), (0, True), (2, False)),  # edge at (y=corner.y+side, z=corner.z), along x
+}
+
+
+def _orientation(orientation: str):
+    if orientation not in _ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return _ORIENTATIONS[orientation]
+
+
 def _orient(unit: Point3, cube: Cube, orientation: str) -> Point3:
     """Image of a unit-cube point in ``cube``, its edge (x=0, z=0) on the edge ``orientation`` names."""
-    X, Y, Z = unit
-    if orientation == "y-edge":  # splice edge at (x=corner.x, z=corner.z), along y
-        local = (X, Y, Z)
-    elif orientation == "y-edge-high":  # edge at (x=corner.x+side, z=corner.z), along y
-        local = (1 - X, Y, Z)
-    elif orientation == "x-edge-low":  # edge at (y=corner.y, z=corner.z), along x
-        local = (Y, X, Z)
-    elif orientation == "x-edge-high":  # edge at (y=corner.y+side, z=corner.z), along x
-        local = (Y, 1 - X, Z)
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    return tuple(cube.corner[i] + cube.side * local[i] for i in range(3))
+    return tuple(
+        c + cube.side * (1 - unit[src] if flip else unit[src])
+        for c, (src, flip) in zip(cube.corner, _orientation(orientation))
+    )
+
+
+def _orient_maps(cube: Cube, orientation: str, scale: int):
+    """``_orient`` as integer affine maps: (den, maps) such that the image of
+    the unit-cube point p / scale, for an int point p, has the coordinate
+    ``(off + mul * p[src]) / den`` for each (src, mul, off) of ``maps``."""
+    den = lcm(cube.side.denominator, *(c.denominator for c in cube.corner))
+    side = cube.side.numerator * (den // cube.side.denominator)
+    maps = []
+    for c, (src, flip) in zip(cube.corner, _orientation(orientation)):
+        off = c.numerator * (den // c.denominator) * scale
+        maps.append((src, -side, off + side * scale) if flip else (src, side, off))
+    return den * scale, tuple(maps)
 
 
 def sponge_stage_of_cube(q: Cube) -> int:
@@ -140,13 +176,20 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
     """Per-segment exact containment verdicts at the given stage.
 
     An oblique segment, or one leaving the unit cube, is not contained.
+    Each segment's axis is read from the curve's integer form, and one
+    Fraction is built per distinct coordinate value.
     """
+    scale, points = poly.integer_form
+    value = {c: Fraction(c, scale) for c in {c for p in points for c in p}}
     verdicts = []
-    for a, b in poly.segments():
-        form = axis_form(a, b)
-        try:
-            seg = AxisSegment(*form) if form else None
-        except ValueError:  # it leaves the unit cube
-            seg = None
+    for a, b in zip(points, points[1:] + points[:1]):
+        ax = running_axis(a, b)
+        seg = None
+        if ax is not None:
+            lo, hi = sorted((a[ax], b[ax]))
+            try:
+                seg = AxisSegment(ax, tuple(value[c] for k, c in enumerate(a) if k != ax), value[lo], value[hi])
+            except ValueError:  # it leaves the unit cube
+                pass
         verdicts.append(seg is not None and segment_in_stage(seg, stage, space))
     return tuple(verdicts)

@@ -93,6 +93,13 @@ def axis_form(a: Point3, b: Point3):
     return (ax, fixed, lo, hi)
 
 
+def running_axis(a, b):
+    """The one axis along which points a and b differ, or None when they
+    differ along several (an oblique segment) or none."""
+    diffs = [k for k, (s, t) in enumerate(zip(a, b)) if s != t]
+    return diffs[0] if len(diffs) == 1 else None
+
+
 def box_meet(box1, box2):
     """Intersection (lo, hi) of two closed axis-aligned boxes, or None.
 

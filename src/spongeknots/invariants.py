@@ -17,13 +17,13 @@ Everything here is exact rational/integer arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .geometry import Point2, Point3, box_meet, cross2, seg_seg_2d, seg_seg_3d, sub2
+from .geometry import Point2, box_meet, cross2, running_axis, seg_seg_2d, seg_seg_3d, sub2
 from .grid import GridDiagram, walk_points
 from .polyline import ClosedPolyline3
 
@@ -98,52 +98,77 @@ def _axis_meets(boxes):
     return after
 
 
-def _meets(walk):
-    """(i, j, meet) for every pair i < j of segments of a closed walk that meet.
+def _oblique_partners(bounds, boxes):
+    """Lists ``partners[i]`` of every j > i such that segment i or j is
+    oblique (``boxes[k]`` None) and their bounding boxes ``bounds`` overlap
+    along the first axis.
 
-    Segment i joins walk[i] to walk[i + 1] (mod n), in 2D or 3D.  ``meet`` is
-    ("point", p) or ("overlap", (p, q)), as from ``seg_seg_3d``/``seg_seg_2d``.
-    The walk is scaled once to integers.  The axis-parallel pairs that meet
-    are found by ``_axis_meets`` and meet in the intersection of their boxes;
-    every other pair whose integer bounding boxes meet goes through the exact
-    Fraction routine (closed segments that meet have meeting boxes), one
-    first index i at a time, so a caller that stops at its first bad pair
-    skips the rest.
+    Segments are swept in order of their low end along that axis, keeping
+    the oblique and the axis-parallel ones whose high end may still reach
+    the sweep position in two lists; a segment pairs with the oblique ones
+    still active and, when it is oblique itself, with the axis-parallel
+    ones.  Each list drops its ended segments as it is read, so the sweep
+    costs O(n log n + pairs).
+    """
+    n = len(bounds)
+    partners = [[] for _ in range(n)]
+    if None not in boxes:
+        return partners
+    active = ([], [])  # axis-parallel, oblique
+    for k in sorted(range(n), key=lambda k: bounds[k][0][0]):
+        x = bounds[k][0][0]
+        oblique = boxes[k] is None
+        for group in active if oblique else active[1:]:
+            group[:] = [j for j in group if bounds[j][1][0] >= x]
+            for j in group:
+                partners[min(j, k)].append(max(j, k))
+        active[oblique].append(k)
+    return partners
+
+
+def _meets(walk):
+    """(i, j, meet) for every pair i < j of segments of a closed integer walk
+    that meet, in order of i, then j.
+
+    Segment i joins walk[i] to walk[i + 1] (mod n), in 2D or 3D, and every
+    coordinate is an int.  ``meet`` is ("point", p) or ("overlap", (p, q))
+    in the walk's coordinates, as from ``seg_seg_3d``/``seg_seg_2d``.  The
+    axis-parallel pairs that meet are found by ``_axis_meets`` and meet in
+    the intersection of their boxes, an integer box.  A pair with an
+    oblique segment is a candidate only when ``_oblique_partners`` finds
+    their ranges along the first axis overlapping, and goes through the
+    exact routine, on the integers as Fractions, only when their bounding
+    boxes meet (closed segments that meet have meeting boxes).  Pairs are
+    yielded one first index i at a time, so a caller that stops at its
+    first bad pair skips the rest.
     """
     n = len(walk)
-    scale = lcm(*(c.denominator for v in walk for c in v))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in walk]
-    ends = list(zip(ints, ints[1:] + ints[:1]))
+    ends = list(zip(walk, walk[1:] + walk[:1]))
     bounds = [(tuple(map(min, a, b)), tuple(map(max, a, b))) for a, b in ends]
     # an axis-parallel segment is its own box; None marks an oblique one
-    boxes = [box if sum(s != t for s, t in zip(a, b)) == 1 else None for box, (a, b) in zip(bounds, ends)]
-    oblique = [i for i, box in enumerate(boxes) if box is None]
+    boxes = [None if running_axis(a, b) is None else box for box, (a, b) in zip(bounds, ends)]
     after = _axis_meets(boxes)
+    partners = _oblique_partners(bounds, boxes)
     seg_seg = seg_seg_3d if len(walk[0]) == 3 else seg_seg_2d
     for i in range(n):
         box_i = boxes[i]
-        if box_i is None:
-            others = range(i + 1, n)
-        else:
-            others = sorted(after[i] + oblique[bisect_right(oblique, i):])
-        for j in others:
+        for j in sorted(after[i] + partners[i]):
             box_j = boxes[j]
             if box_i is None or box_j is None:
                 if box_meet(bounds[i], bounds[j]) is None:
                     continue
-                meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
+                meet = seg_seg(*(tuple(map(Fraction, v)) for v in (*ends[i], *ends[j])))
                 if meet is not None:
                     yield i, j, meet
                 continue
-            hit = box_meet(box_i, box_j)
-            lo, hi = (tuple(Fraction(c, scale) for c in corner) for corner in hit)
-            yield i, j, ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
+            lo, hi = box_meet(box_i, box_j)
+            yield i, j, ("point", lo) if lo == hi else ("overlap", (lo, hi))
 
 
 def is_simple(p: ClosedPolyline3) -> bool:
     """Exact: no two non-adjacent segments meet; adjacent ones meet only at
-    the shared vertex."""
-    verts = p.vertices
+    the shared vertex.  Decided on the curve's integer form."""
+    verts = p.integer_form.points
     n = len(verts)
     for i, j, (kind, x) in _meets(verts):
         if kind == "overlap":
@@ -256,25 +281,6 @@ def diagram_from_grid(d: GridDiagram) -> KnotDiagram:
 # projection
 # ---------------------------------------------------------------------------
 
-def _projection_maps(direction):
-    d = tuple(Fraction(c) for c in direction)
-    if d == (ZERO, ZERO, ZERO):
-        raise ValueError("direction must be nonzero")
-    for ax in (2, 1, 0):
-        if d[ax] != 0:
-            break
-    keep = [i for i in range(3) if i != ax]
-
-    def proj(v: Point3) -> Point2:
-        t = v[ax] / d[ax]
-        return (v[keep[0]] - t * d[keep[0]], v[keep[1]] - t * d[keep[1]])
-
-    def depth(v: Point3) -> Fraction:
-        return v[ax] / d[ax]
-
-    return proj, depth
-
-
 def project(p: ClosedPolyline3, direction) -> KnotDiagram:
     """Exact orthogonal-view diagram of the polyline along ``direction``.
 
@@ -282,46 +288,76 @@ def project(p: ClosedPolyline3, direction) -> KnotDiagram:
     from the planar walk.  Genericity is checked exactly: no collinear
     overlaps, no touching at segment endpoints, no triple points, no depth
     ties; any violation raises NonGenericProjection naming the pair.
+
+    Decided on integers: with the direction scaled to integers d and ax its
+    last nonzero axis, the integer vertex v has the image
+    ``(v[k] * d[ax] - v[ax] * d[k]) * sign(d[ax])`` for the other axes k
+    and the depth ``v[ax] * sign(d[ax])``, positive multiples of the view
+    coordinates and depth.  A crossing is kept as its parameters along the
+    two segments over one common denominator, so touches, depth ties and
+    triple points are compared by cross-multiplying.  The diagram is built
+    in Fractions only at the end.
     """
-    proj, depth = _projection_maps(direction)
-    verts = p.vertices
+    d = tuple(Fraction(c) for c in direction)
+    if d == (ZERO, ZERO, ZERO):
+        raise ValueError("direction must be nonzero")
+    ax = next(k for k in (2, 1, 0) if d[k] != 0)
+    k0, k1 = (k for k in range(3) if k != ax)
+    scale_d = lcm(*(c.denominator for c in d))
+    d_ax, d0, d1 = (d[k].numerator * (scale_d // d[k].denominator) for k in (ax, k0, k1))
+    sign = 1 if d_ax > 0 else -1
+    scale, verts = p.integer_form
     n = len(verts)
-    images = [proj(v) for v in verts]
+    images = [((v[k0] * d_ax - v[ax] * d0) * sign, (v[k1] * d_ax - v[ax] * d1) * sign) for v in verts]
     # segments parallel to the direction collapse; the corners left are
     # the images of the others' starts, and no two neighbours are equal,
     # since a collapsed run has one image at both its ends
     red_seg = [i for i in range(n) if images[i] != images[(i + 1) % n]]
-    reduced = tuple(images[i] for i in red_seg)
+    reduced = [images[i] for i in red_seg]
     m = len(reduced)
     if m < 3:
         raise NonGenericProjection("projection collapses the curve")
-    events = []
-    for i, j, (kind, x) in _meets(reduced):
+    events = []  # (i, j, crossing point times den, den, over_is_i)
+    for i, j, (kind, _) in _meets(reduced):
         if kind == "overlap":
             raise NonGenericProjection(f"collinear overlap of segments {i} and {j}")
         if (j == i + 1) or (i == 0 and j == m - 1):
             continue  # can only be the shared corner
-        if x in (reduced[i], reduced[(i + 1) % m], reduced[j], reduced[(j + 1) % m]):
+        (px, py), (qx, qy) = reduced[i], reduced[(i + 1) % m]
+        (cx, cy), (ex, ey) = reduced[j], reduced[(j + 1) % m]
+        ux, uy, vx, vy, wx, wy = qx - px, qy - py, ex - cx, ey - cy, cx - px, cy - py
+        # the crossing is at s / den along segment i and t / den along j
+        den, s, t = ux * vy - uy * vx, wx * vy - wy * vx, wx * uy - wy * ux
+        if den < 0:
+            den, s, t = -den, -s, -t
+        # parallel segments meet in one point only at an end of both
+        if den == 0 or s in (0, den) or t in (0, den):
             raise NonGenericProjection(f"segments {i} and {j} touch at an endpoint")
-        di = _depth_at(p, red_seg[i], proj, depth, x)
-        dj = _depth_at(p, red_seg[j], proj, depth, x)
+        di = _depth_times(verts, red_seg[i], ax, sign, den, s)
+        dj = _depth_times(verts, red_seg[j], ax, sign, den, t)
         if di == dj:
             raise NonGenericProjection(f"depth tie between segments {i} and {j}")
-        events.append((i, j, x, di < dj))
+        events.append((i, j, (px * den + ux * s, py * den + uy * s), den, di < dj))
+    # the view coordinates are the integer images over scale * |d[ax]|
+    unit = scale * abs(d_ax)
     seen = set()
-    for (_, _, x, _) in events:
-        if x in seen:
-            raise NonGenericProjection(f"triple point at {x}")
-        seen.add(x)
-    return _build_diagram(reduced, tuple(events))
+    for (_, _, (x, y), den, _) in events:
+        g = gcd(x, y, den)
+        key = (x // g, y // g, den // g)  # the point in lowest terms
+        if key in seen:
+            raise NonGenericProjection(f"triple point at {(Fraction(x, den * unit), Fraction(y, den * unit))}")
+        seen.add(key)
+    walk = tuple((Fraction(x, unit), Fraction(y, unit)) for x, y in reduced)
+    return _build_diagram(walk, tuple(
+        (i, j, (Fraction(x, den * unit), Fraction(y, den * unit)), over) for i, j, (x, y), den, over in events
+    ))
 
 
-def _depth_at(p: ClosedPolyline3, orig_seg: int, proj, depth, x: Point2) -> Fraction:
-    a = p.vertices[orig_seg]
-    b = p.vertices[(orig_seg + 1) % len(p.vertices)]
-    pa, pb = proj(a), proj(b)
-    t = _segment_param(pa, pb, x)
-    return depth(a) + t * (depth(b) - depth(a))
+def _depth_times(verts, seg: int, ax: int, sign: int, den: int, s: int) -> int:
+    """Depth of the point s / den along integer segment ``seg``, times den
+    and a positive constant."""
+    a, b = verts[seg][ax] * sign, verts[(seg + 1) % len(verts)][ax] * sign
+    return a * den + s * (b - a)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .embed import _orient, check_surviving_cube, embed_into_box, stage_for
-from .geometry import Cube, frac
+from .embed import _orient, _orient_maps, check_surviving_cube, embed_into_box, stage_for
+from .geometry import Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3
 from .squareflake import detours, squareflake
@@ -142,7 +142,8 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     ``splice`` lists them, against the curve the earlier splices left,
     their summand segments included.
 
-    Every coordinate is scaled to integers once.  Each segment of the base
+    Each curve's integer form, and each site, is brought to one integer
+    scale, the lcm of their scales and denominators.  Each segment of the base
     and of every summand is filed once by its line, for carriers, and once
     under the site cubes it meets (``_cube_meets``).  A segment that takes
     a summand is cut into pieces, kept as its sorted walk positions
@@ -158,10 +159,11 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     """
     verts = base.vertices
     n = len(verts)
-    dens = {c.denominator for v in verts for c in v}
+    # each curve's integer form, and the sites' coordinates, on one scale
+    dens = {base.integer_form.scale}
     for site, summand in pairs:
         T, cube = site.T, site.cube
-        dens.update(c.denominator for v in summand.vertices for c in v)
+        dens.add(summand.integer_form.scale)
         dens.update(c.denominator for c in (*T.fixed, T.lo, T.hi, *cube.corner, cube.side))
     scale = lcm(*dens)
     factor = {d: scale // d for d in dens}
@@ -169,12 +171,16 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     def scaled(coords):
         return tuple(c.numerator * factor[c.denominator] for c in coords)
 
+    def rescaled(poly):
+        f = factor[poly.integer_form.scale]
+        return [tuple(c * f for c in p) for p in poly.integer_form.points]
+
     # every segment: the base's, then each summand's in its own order
-    points = [scaled(v) for v in verts]
+    points = rescaled(base)
     ends = list(zip(points, points[1:] + points[:1]))
     offsets, summand_points = [], []
     for _, summand in pairs:
-        pts = [scaled(v) for v in summand.vertices]
+        pts = rescaled(summand)
         offsets.append(len(ends))
         summand_points.append(pts)
         ends.extend(zip(pts, pts[1:] + pts[:1]))
@@ -183,9 +189,8 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     fixeds = [None] * total  # the other two coordinates
     lines = defaultdict(list)  # (axis, fixed coordinates) -> [(lo, hi, segment)]
     for i, (a, b) in enumerate(ends):
-        diffs = [k for k in range(3) if a[k] != b[k]]
-        if len(diffs) == 1:
-            ax = axes[i] = diffs[0]
+        ax = axes[i] = running_axis(a, b)
+        if ax is not None:
             fixed = fixeds[i] = tuple(a[k] for k in _OTHER_AXES[ax])
             lines[ax, fixed].append((min(a[ax], b[ax]), max(a[ax], b[ax]), i))
     reach = {}  # per line: running maximum of hi over its entries sorted by lo
@@ -289,15 +294,19 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         if not (c_lo < min(u[ax], v[ax]) * scale and max(u[ax], v[ax]) * scale < c_hi):
             raise ValueError("splice mark touches a base vertex")
         first, last = (u, v) if (u[ax] < v[ax]) == (s > 0) else (v, u)
-        # locate the mark segment on the summand
-        sverts = summand.vertices
-        sn = len(sverts)
-        pairs_at = ((sverts[t], sverts[(t + 1) % sn]) for t in range(sn))
-        t = next((t for t, pair in enumerate(pairs_at) if pair in ((first, last), (last, first))), None)
+        # locate the mark segment on the summand, on integers: a mark off
+        # the scale's grid is no segment of it
+        ends_at = [[c * scale for c in p] for p in (first, last)]
+        sn = len(pts)
+        t = None
+        if all(c.denominator == 1 for p in ends_at for c in p):
+            head, tail = (tuple(c.numerator for c in p) for p in ends_at)
+            t = next((t for t in range(sn) if (pts[t], pts[(t + 1) % sn]) in ((head, tail), (tail, head))), None)
         if t is None:
             raise ValueError("splice mark is not a segment of the summand")
         # the summand walked from `first` around to `last`, cut into the carrier piece
-        backward = sverts[t] == first
+        sverts = summand.vertices
+        backward = pts[t] == head
         order = [(t - d) % sn for d in range(sn)] if backward else [(t + 1 + d) % sn for d in range(sn)]
         at, to = s * pts[order[0]][ax], s * pts[order[-1]][ax]
         cut[2 * piece + 1:2 * piece + 1] = [at, to]
@@ -428,10 +437,13 @@ def _resolve_knot(name):
 
 def _placed(unit: ClosedPolyline3, site: SpliceSite) -> ClosedPolyline3:
     """The unit-cube summand carried into the site cube, as
-    ``embed_into_cube`` would embed it there."""
-    verts = tuple(_orient(p, site.cube, site.orientation) for p in unit.vertices)
+    ``embed_into_cube`` would embed it there: its integer form goes through
+    one integer affine map per coordinate."""
+    scale, points = unit.integer_form
+    den, maps = _orient_maps(site.cube, site.orientation, scale)
+    placed = [tuple(off + mul * p[src] for src, mul, off in maps) for p in points]
     mark = tuple(sorted(_orient(p, site.cube, site.orientation) for p in unit.marks["splice"]))
-    return ClosedPolyline3(verts, {"splice": mark})
+    return ClosedPolyline3.from_integers(den, placed, {"splice": mark})
 
 
 def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -> Approximant:

@@ -1,11 +1,16 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongeknots import checks, ternary
+from spongeknots import checks, embed, ternary
 
 from spongeknots.embed import (
     embed_grid,
@@ -28,9 +33,12 @@ from spongeknots.invariants import (
 from spongeknots.geometry import axis_form
 from spongeknots.polyline import ClosedPolyline3, closed_polyline
 from spongeknots.squareflake import squareflake
-from spongeknots.ternary import AxisSegment, segment_in_stage, triadic_exponent
+from spongeknots.ternary import AxisSegment, cantor_endpoints, segment_in_stage, triadic_exponent
 from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
+from test_invariants import fraction_counter
 from test_ternary import _reference_segment_in_stage
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_stage_for():
@@ -80,6 +88,37 @@ def test_stage_override():
     assert is_simple(poly)
     with pytest.raises(ValueError):
         embed_grid(catalog("trefoil"), k=1)  # 4 endpoints < 5
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_first_endpoints_are_the_first_cantor_endpoints(name):
+    n = catalog(name).n
+    for k in range(stage_for(n), 9):
+        want = tuple(cantor_endpoints(k)[:n])
+        assert embed._first_endpoints(k, n) == want
+        assert embed_grid(catalog(name), k)[1].endpoints == want
+    assert embed._first_endpoints(3, 16) == tuple(cantor_endpoints(3))
+
+
+def _limited_run(argv, cwd):
+    """The CLI in a child process with 1 GB of address space and 10 s."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "spongeknots.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=10, preexec_fn=limit)
+
+
+def test_an_embedding_at_a_deep_stage_builds_and_verifies_promptly(tmp_path):
+    # the endpoints are made directly: no 2**41 of them are listed first
+    build = _limited_run(["build", "embed", "--knot", "trefoil", "--stage", "40", "--out", "."], tmp_path)
+    verify = _limited_run(["verify", "embed-trefoil.json"], tmp_path)
+    for proc in (build, verify):
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines and all(": PASS" in line for line in lines), proc.stdout
+    assert "containment: PASS (stage 40)" in verify.stdout
 
 
 def test_crossing_fidelity_depth_projection():
@@ -286,6 +325,15 @@ def test_containment_of_the_benchmark_curves_matches_the_reference(benchmark_cur
         verdicts = verify_containment(poly, stage)
         assert verdicts == _reference_verify_containment(poly, stage)
         assert all(verdicts)
+
+
+def test_containment_builds_one_fraction_per_distinct_coordinate(benchmark_curves, monkeypatch):
+    _, (poly, stage), _ = benchmark_curves
+    poly = ClosedPolyline3(poly.vertices)
+    values = {c for v in poly.vertices for c in v}
+    built = fraction_counter(monkeypatch)
+    assert all(verify_containment(poly, stage))
+    assert 0 < len(built) <= len(values)
 
 
 def test_containment_of_moved_benchmark_curves_matches_the_reference(benchmark_curves):

@@ -15,8 +15,6 @@ from spongeknots.invariants import (
     _build_diagram,
     _checkerboard,
     _meets,
-    _depth_at,
-    _projection_maps,
     _segment_param,
     determinant,
     determinant_minor,
@@ -190,7 +188,34 @@ def test_box_meet_on_each_kind_of_meet(s1, s2, kind):
 
 
 # The O(n^2) Fraction code that is_simple and project ran before they
-# shared _meets, kept as the oracle: every pair goes through seg_seg_*.
+# shared _meets, kept as the oracle: every pair goes through seg_seg_*,
+# and the view is taken in Fractions.
+
+def _projection_maps(direction):
+    d = tuple(F(c) for c in direction)
+    if d == (0, 0, 0):
+        raise ValueError("direction must be nonzero")
+    for ax in (2, 1, 0):
+        if d[ax] != 0:
+            break
+    keep = [i for i in range(3) if i != ax]
+
+    def proj(v):
+        t = v[ax] / d[ax]
+        return (v[keep[0]] - t * d[keep[0]], v[keep[1]] - t * d[keep[1]])
+
+    def depth(v):
+        return v[ax] / d[ax]
+
+    return proj, depth
+
+
+def _depth_at(p, orig_seg, proj, depth, x):
+    a = p.vertices[orig_seg]
+    b = p.vertices[(orig_seg + 1) % len(p.vertices)]
+    t = _segment_param(proj(a), proj(b), x)
+    return depth(a) + t * (depth(b) - depth(a))
+
 
 def _reference_is_simple(p):
     verts = p.vertices
@@ -266,8 +291,12 @@ def _outcome(f, *args):
         return ("NonGenericProjection", str(e))
 
 
-# the depth axis, and the first sheared directions project_generic tries
-VIEWS = [d for d, _ in zip(generic_directions(), range(4))]
+# the depth axis, and the first sheared directions project_generic tries;
+# then views along x and y, with a negative depth component, and with
+# Fraction components, so the image's sign follows the depth component's
+VIEWS = [d for d, _ in zip(generic_directions(), range(4))] + [
+    (1, 0, 0), (0, -1, 0), (-3, 2, -6), (F(1, 2), F(-1, 3), F(5, 7)),
+]
 
 
 def _assert_matches_reference(poly):
@@ -308,20 +337,24 @@ def test_is_simple_and_project_match_reference_on_random_walks(seed, steps, obli
 
 def test_reference_corpus_is_not_trivial():
     # the random walks reach simple and non-simple curves, diagrams and
-    # every genericity failure
+    # every genericity failure, and every view gives diagrams with crossings
     rng = random.Random(7)
-    simple, outcomes = set(), set()
+    simple, outcomes, crossed = set(), set(), set()
     for _ in range(300):
         pts = _random_walk(rng, rng.randint(2, 14), rng.random() < 0.5)
         if len(pts) < 3:
             continue
         poly = closed_polyline([tuple(F(c, 3) for c in p) for p in pts])
         simple.add(is_simple(poly))
-        for direction in VIEWS[:2]:
+        for direction in VIEWS:
             r = _outcome(project, poly, direction)
-            outcomes.add(r[1].split(" ")[0] if isinstance(r, tuple) else "diagram")
+            if direction in VIEWS[:2]:
+                outcomes.add(r[1].split(" ")[0] if isinstance(r, tuple) else "diagram")
+            if not isinstance(r, tuple) and r.crossing_count:
+                crossed.add(direction)
     assert simple == {True, False}
     assert {"diagram", "collinear", "segments", "depth", "projection"} <= outcomes
+    assert crossed == set(VIEWS)
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -434,9 +467,11 @@ def test_arcs_match_reference_on_uniform_approximants(m):
 # the orthogonal sweep in _meets against the all-pairs loop it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_meets(walk):
+def _reference_meets(walk, boxed=False):
     """The O(n^2) loop _meets ran before the sweep: every pair of segments,
-    axis-parallel pairs as integer boxes, every other pair through seg_seg_*."""
+    axis-parallel pairs as integer boxes, every other pair through seg_seg_*.
+    With ``boxed``, pairs whose bounding boxes do not meet are skipped first,
+    as the loop before the oblique sweep did: the same hits, sooner."""
     n = len(walk)
     scale = lcm(*(c.denominator for v in walk for c in v))
     ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in walk]
@@ -451,6 +486,8 @@ def _reference_meets(walk):
         for j in range(i + 1, n):
             box_j = boxes[j]
             if box_i is None or box_j is None:
+                if boxed and not _bounding_boxes_meet(walk, i, j):
+                    continue
                 meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
                 if meet is not None:
                     yield i, j, meet
@@ -462,8 +499,17 @@ def _reference_meets(walk):
             yield i, j, ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
 
 
+def _scaled(walk):
+    """The walk times the lcm of its denominators, as ints: what _meets takes."""
+    scale = lcm(*(F(c).denominator for v in walk for c in v))
+    return [tuple(int(F(c) * scale) for c in v) for v in walk]
+
+
 def _assert_meets_match(walk):
-    assert list(_meets(walk)) == list(_reference_meets(walk))
+    # both on the scaled walk, the reference's as Fractions: the same pairs
+    # in the same order, meeting in the same points
+    ints = _scaled(walk)
+    assert list(_meets(ints)) == list(_reference_meets([tuple(map(F, v)) for v in ints]))
 
 
 def _lattice_walk(rng, dim, steps, oblique=0):
@@ -516,7 +562,7 @@ def test_lattice_walk_corpus_reaches_every_kind_of_hit():
         walk = _lattice_walk(rng, dim, rng.randint(2, 30), rng.randint(0, 2))
         if len(walk) < 3:
             continue
-        n = len(walk)
+        walk, n = _scaled(walk), len(walk)
         for i, j, meet in _meets(walk):
             if all(sum(s != t for s, t in zip(walk[k], walk[(k + 1) % n])) == 1 for k in (i, j)):
                 kinds[dim].add(_hit_kind(walk, i, j, meet))
@@ -526,7 +572,7 @@ def test_lattice_walk_corpus_reaches_every_kind_of_hit():
     assert oblique_hits > 0
 
 
-# sweep-event ties on the line x = 1 (y = 1 / 3 after scaling): horizontal
+# sweep-event ties on the line x = 1 (x = 1 / 3 before scaling): horizontal
 # segments end and start there while vertical ones sit there, and the walk
 # meets itself on that line away from its own corners
 TIES = [
@@ -542,12 +588,9 @@ TIES = [
 
 @pytest.mark.parametrize("walk", TIES, ids=["starts-and-ends", "revisited-corner", "3d-plane"])
 def test_meets_matches_reference_at_sweep_ties(walk):
-    walk = [tuple(F(c, 3) for c in p) for p in walk]
-    _assert_meets_match(walk)
+    _assert_meets_match([tuple(F(c, 3) for c in p) for p in walk])
     n = len(walk)
-    assert any(
-        meet[0] == "point" and meet[1][0] == F(1, 3) and 1 < j - i < n - 1 for i, j, meet in _meets(walk)
-    )
+    assert any(meet[0] == "point" and meet[1][0] == 1 and 1 < j - i < n - 1 for i, j, meet in _meets(walk))
 
 
 @pytest.mark.parametrize("walk", [
@@ -595,7 +638,7 @@ def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
     # the sweep sends only meeting pairs to box_meet: one call per adjacent
     # pair on the simple squareflake, where the all-pairs loop made n(n-1)/2
     poly = squareflake(8).polyline
-    hits = len(list(_meets(poly.vertices)))
+    hits = len(list(_meets(poly.integer_form.points)))
     calls = 0
 
     def counting_box_meet(box1, box2):
@@ -606,6 +649,46 @@ def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
     monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
     assert is_simple(poly)
     assert calls == hits == len(poly) == 1024
+
+
+def fraction_counter(monkeypatch):
+    """A list that counts every Fraction built while the patch holds."""
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    return built
+
+
+def test_is_simple_builds_no_fraction(monkeypatch):
+    poly = squareflake(8).polyline
+    built = fraction_counter(monkeypatch)
+    assert is_simple(poly)
+    assert built == []
+
+
+def test_meets_box_tests_only_pairs_whose_x_ranges_overlap(monkeypatch):
+    # the uniform m = 4 curve seen along (3, 2, 6): the projected depth
+    # connectors are oblique, and only pairs that overlap along x reach box_meet
+    walk = _scaled(_view(CONSTRUCTIONS["uniform"](4).polyline, (3, 2, 6)))
+    n = len(walk)
+    xs = [sorted((walk[i][0], walk[(i + 1) % n][0])) for i in range(n)]
+    overlapping = sum(xs[i][0] <= xs[j][1] and xs[j][0] <= xs[i][1] for i in range(n) for j in range(i + 1, n))
+    want = list(_reference_meets([tuple(map(F, v)) for v in walk], boxed=True))
+    calls = 0
+
+    def counting_box_meet(box1, box2):
+        nonlocal calls
+        calls += 1
+        return box_meet(box1, box2)
+
+    monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
+    assert list(_meets(walk)) == want
+    assert len(want) < calls <= overlapping < n * (n - 1) // 4
 
 
 def _bounding_boxes_meet(walk, i, j):
@@ -624,14 +707,14 @@ OBLIQUE_WALKS = {
 def test_meets_calls_seg_seg_once_per_oblique_pair_with_meeting_boxes(monkeypatch, name):
     # pairs with an oblique segment reach seg_seg_* only when their integer
     # bounding boxes meet; the rest are skipped with no Fraction arithmetic
-    walk = OBLIQUE_WALKS[name]()
+    walk = _scaled(OBLIQUE_WALKS[name]())
     n = len(walk)
     axis_parallel = [sum(s != t for s, t in zip(walk[i], walk[(i + 1) % n])) == 1 for i in range(n)]
     oblique_pairs = [
         (i, j) for i in range(n) for j in range(i + 1, n) if not (axis_parallel[i] and axis_parallel[j])
     ]
     boxes_meet = sum(_bounding_boxes_meet(walk, i, j) for i, j in oblique_pairs)
-    want = list(_reference_meets(walk))
+    want = list(_reference_meets([tuple(map(F, v)) for v in walk]))
     seg_seg = "seg_seg_3d" if len(walk[0]) == 3 else "seg_seg_2d"
     calls = 0
 

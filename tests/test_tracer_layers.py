@@ -3,7 +3,8 @@ still be called where the benchmark looks for it.
 
 A missing or bypassed name breaks only traced benchmark runs, which the other
 tests never start, so this reads ``perfbench/tracer.py`` by path, checks its
-table and runs the tracer on the smallest wild-plan build and verify.
+table and runs the tracer on the smallest wild-plan build and verify, which
+never projects, and on the smallest uniform-det build and verify, which does.
 """
 
 import importlib
@@ -50,3 +51,25 @@ def test_trace_of_a_wild_plan_build_and_verify_sees_each_layer(tmp_path, capsys)
     assert spans["ternary.segment_in_stage"] == tracer.counts["ternary.segments"] == 2 * segments
     for layer in ("invariants.is_simple", "wildknot.approximant", "serialize.dump", "serialize.load"):
         assert spans.get(layer, 0) >= 1, layer
+
+
+def test_trace_of_a_uniform_det_build_and_verify_sees_the_projection(tmp_path, capsys):
+    # the smallest uniform-det build projects and takes the determinant; the
+    # tracer reads each returned direction back as a generic_directions index
+    pinned = json.loads((TRACER.parent / "expected.json").read_text())["uniform-det"]["smoke"]["crossings"]
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        build = ["build", "wildknot", "--stage", "2", "--assign", "all:trefoil", "--det", "--out", str(tmp_path)]
+        assert spongeknots.cli.main(build) == 0
+        assert spongeknots.cli.main(["verify", str(tmp_path / "wildknot-2.json")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = {}
+    for layer, *_ in tracer.spans:
+        spans[layer] = spans.get(layer, 0) + 1
+    for layer in ("invariants.project", "invariants.determinant", "invariants.is_simple", "wildknot.approximant"):
+        assert spans.get(layer, 0) >= 1, layer
+    # one projection in the build and one in the verify, each with the pinned crossings
+    assert tracer.counts["invariants.crossings"] == 2 * pinned == 54
+    assert tracer.counts["invariants.directions_tried"] >= 2

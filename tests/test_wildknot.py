@@ -371,6 +371,35 @@ def test_approximant_matches_the_site_by_site_reference(form, m):
     assert a.polyline.vertices == _reference_approximant(assign, m, include_trivial).vertices
 
 
+def _reference_orient(unit, cube, orientation):
+    """The unit point in the cube, each orientation spelled out in Fractions."""
+    X, Y, Z = unit
+    local = {"y-edge": (X, Y, Z), "y-edge-high": (1 - X, Y, Z), "x-edge-low": (Y, X, Z),
+             "x-edge-high": (Y, 1 - X, Z)}[orientation]
+    return tuple(cube.corner[i] + cube.side * local[i] for i in range(3))
+
+
+_ORIENTATIONS = ["y-edge", "y-edge-high", "x-edge-low", "x-edge-high"]
+_cube_coordinates = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ORIENTATIONS), st.tuples(*[_cube_coordinates] * 3),
+       st.fractions(min_value=F(1, 30), max_value=F(3), max_denominator=30), st.sampled_from(["trefoil", "figure-eight"]))
+def test_placed_summand_is_the_unit_summand_oriented_into_the_cube(orientation, corner, side, knot):
+    # one integer affine map per coordinate gives the Fraction images, and
+    # the integer form kept with them is the one they give
+    g = catalog(knot)
+    unit = embed_into_box(g, (F(0),) * 3, F(1), "y-edge", _summand_stage(g.n))
+    site = SpliceSite(1, 1, "custom", AxisSegment(0, (F(0), F(0)), F(0), F(1)), Cube(corner, side), orientation)
+    placed = wildknot._placed(unit, site)
+    assert placed.vertices == tuple(_reference_orient(v, site.cube, orientation) for v in unit.vertices)
+    assert placed.marks["splice"] == tuple(sorted(
+        _reference_orient(v, site.cube, orientation) for v in unit.marks["splice"]))
+    assert placed.integer_form == ClosedPolyline3(placed.vertices).integer_form
+    assert embed_into_box(g, corner, side, orientation, _summand_stage(g.n)).vertices == placed.vertices
+
+
 def test_approximant_embeds_each_summand_once(monkeypatch):
     calls = []
     real = wildknot.embed_into_box
