@@ -76,6 +76,8 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
         raise ValueError(str(bad))
     if k is None:
         k = stage_for(d.n)
+    elif k < 0:
+        raise ValueError("stage must be >= 0")
     elif (d.n - 1).bit_length() > k + 1:  # 2**(k+1) < n, with no power formed for a huge k
         raise ValueError(f"stage {k} has only {2 ** (k + 1)} endpoints < n = {d.n}")
     endpoints = _first_endpoints(k, d.n)

@@ -88,6 +88,8 @@ def test_stage_override():
     assert is_simple(poly)
     with pytest.raises(ValueError):
         embed_grid(catalog("trefoil"), k=1)  # 4 endpoints < 5
+    with pytest.raises(ValueError, match="stage must be >= 0"):
+        embed_grid(catalog("trefoil"), k=-5)  # not "only 0.0625 endpoints"
 
 
 @pytest.mark.parametrize("name", catalog_names())

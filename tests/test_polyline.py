@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from spongeknots.polyline import ClosedPolyline3, PolylineError
 
-_coordinates = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=60)
+_coordinates = st.builds(F, st.integers(-180, 180), st.integers(1, 60))
 _points = st.tuples(_coordinates, _coordinates, _coordinates | st.integers(-3, 3))
 
 
