@@ -25,10 +25,9 @@ from .squareflake import squareflake
 from .ternary import (
     AxisSegment,
     check_segment_space,
-    membership,
+    limit_certificate,
     membership_stage,
     refutation,
-    satisfying_expansions,
     segment_in_stage,
     stage_witness,
 )
@@ -40,14 +39,6 @@ _SPACE_FLAG = {"cantor": "cantor", "carpet-face": "carpet_face", "sponge": "spon
 # ---------------------------------------------------------------------------
 # predicate
 # ---------------------------------------------------------------------------
-
-def _witness_true_limit(space, coords):
-    """The first representation combo that satisfies the space condition."""
-    combo = satisfying_expansions(coords, space)
-    if combo is None:
-        return None
-    return [{"preperiod": list(e.preperiod), "period": list(e.period)} for e in combo]
-
 
 def cmd_predicate(args) -> int:
     space = _SPACE_FLAG[args.space]
@@ -70,7 +61,8 @@ def cmd_predicate(args) -> int:
         return 0
     coords = [frac(c) for c in args.coords]
     if args.stage is None:
-        verdict = membership(tuple(coords), space)
+        witness, refuted = limit_certificate(tuple(coords), space)
+        verdict = witness is not None
     else:
         verdict = membership_stage(tuple(coords), args.stage, space)
     out = {
@@ -82,11 +74,11 @@ def cmd_predicate(args) -> int:
         "verdict": verdict,
     }
     if verdict and args.stage is None:
-        out["witness"] = _witness_true_limit(space, coords)
+        out["witness"] = [{"preperiod": list(e.preperiod), "period": list(e.period)} for e in witness]
     elif verdict:
         out["witness"] = [list(p) for p in stage_witness(coords, args.stage, space)]
     else:
-        failed_stage, cells = refutation(coords, space, args.stage)
+        failed_stage, cells = refuted if args.stage is None else refutation(coords, space, args.stage)
         out["refutation"] = {
             "failed_stage": failed_stage,
             "cells": [

@@ -34,6 +34,16 @@ SPACES = ("cantor", "carpet_face", "sponge", "carpet2")
 # remove the cell there)
 _RULES = {"cantor": (1, 1), "carpet_face": (2, 2), "sponge": (3, 2), "carpet2": (3, 3)}
 
+# space -> how many coordinates with a 1-free digit string put the point in
+# the space: the other coordinates then hold fewer than ``ones`` 1s at every
+# position, whatever their digits
+_FREE_ENOUGH = {space: dim - ones + 1 for space, (dim, ones) in _RULES.items()}
+
+
+def _one_free(digit_strings) -> bool:
+    """Some digit string among one coordinate's options has no digit 1."""
+    return any(1 not in ds for ds in digit_strings)
+
 
 def _check_unit(x: Fraction) -> Fraction:
     x = frac(x)
@@ -42,13 +52,19 @@ def _check_unit(x: Fraction) -> Fraction:
     return x
 
 
-def triadic_exponent(den: int):
-    """j such that den == 3**j, else None."""
+def _split_three(den: int) -> tuple[int, int]:
+    """(j, d) with den == 3**j * d and d prime to 3."""
     j = 0
     while den % 3 == 0:
         den //= 3
         j += 1
-    return j if den == 1 else None
+    return j, den
+
+
+def triadic_exponent(den: int):
+    """j such that den == 3**j, else None."""
+    j, d = _split_three(den)
+    return j if d == 1 else None
 
 
 @dataclass(frozen=True)
@@ -106,10 +122,8 @@ def expansions(x) -> tuple[TernaryExpansion, ...]:
         return (TernaryExpansion(b"", b"\0"),)
     if x == 1:
         return (TernaryExpansion(b"", b"\2"),)
-    num, d, j = x.numerator, x.denominator, 0
-    while d % 3 == 0:
-        d //= 3
-        j += 1
+    num = x.numerator
+    j, d = _split_three(x.denominator)
     head = bytes(_digits_of_index(num // d, j))
     if d == 1:
         # terminating expansion: its last digit is not 0, and zeros follow
@@ -321,13 +335,6 @@ def _breaks(combo, space: str) -> bool:
     return any(_MEET[ones](*es) for es in combinations(combo, ones))
 
 
-def _limit_scan(coords, space: str):
-    """(combo, whether it breaks the rule) for every tuple of
-    representations, one per coordinate."""
-    for combo in product(*(expansions(c) for c in coords)):
-        yield combo, _breaks(combo, space)
-
-
 def _first_bad(combo, space: str):
     """First violating position of a combo, or None.
 
@@ -350,7 +357,13 @@ def satisfying_expansions(coords, space: str):
     One TernaryExpansion per coordinate such that every digit position
     satisfies the space condition.
     """
-    return next((combo for combo, breaks in _limit_scan(coords, space) if not breaks), None)
+    return _witness([expansions(c) for c in coords], space)
+
+
+def _witness(options, space: str):
+    """The first combo, one expansion from each coordinate's options, that
+    breaks no rule; or None."""
+    return next((combo for combo in product(*options) if not _breaks(combo, space)), None)
 
 
 def _first_violation(prefix_combo, space: str):
@@ -399,13 +412,38 @@ def refutation(coords, space: str, k: int | None = None):
     """
     coords = _point(coords, space)
     if k is None:
-        combos = [(c, _first_bad(c, space) if breaks else None) for c, breaks in _limit_scan(coords, space)]
-        found = [(t, [_prefix(e, t) for e in c]) for c, t in combos if t is not None]
-    else:
-        combos = list(_stage_scan([ternary_digits(c, k) for c in coords], space))
-        found = [(t, p) for p, t in combos if t is not None]
-    if len(found) < len(combos):
+        _, refuted = limit_certificate(coords, space)
+        if refuted is None:
+            raise ValueError("refutation requested for a member point")
+        return refuted
+    combos = list(_stage_scan([ternary_digits(c, k) for c in coords], space))
+    if any(t is None for _, t in combos):
         raise ValueError("refutation requested for a member point")
+    return _removed_cells([(t, p) for p, t in combos], space)
+
+
+def limit_certificate(point, space: str):
+    """(witness, None) for a point of the limit set, else (None, refutation),
+    from one expansion of each coordinate.
+
+    The witness is that of ``satisfying_expansions`` and the refutation that
+    of ``refutation`` without a stage, so a caller that wants whichever of
+    them the point has expands no coordinate twice.
+    """
+    options = [expansions(c) for c in _point(point, space)]
+    witness = _witness(options, space)
+    if witness is not None:
+        return witness, None
+    found = []
+    for combo in product(*options):
+        t = _first_bad(combo, space)
+        found.append((t, [_prefix(e, t) for e in combo]))
+    return None, _removed_cells(found, space)
+
+
+def _removed_cells(found, space: str):
+    """(failed_stage, cells) from (first violating position t, digit
+    prefixes of length at least t) of every representation combo."""
     cells = []
     for t, prefixes in found:
         cell = []
@@ -428,8 +466,25 @@ def _point(point, space: str):
 
 
 def membership(point, space: str) -> bool:
-    """Limit-set membership for any supported space."""
-    return satisfying_expansions(_point(point, space), space) is not None
+    """Limit-set membership for any supported space.
+
+    Coordinates are expanded one at a time, cheapest first: in order of
+    j + d for a denominator 3**j * d with d prime to 3, which bounds the
+    digits of an expansion, as its period divides phi(d) < d.  Once
+    ``_FREE_ENOUGH[space]`` of them have an expansion with no digit 1 the
+    point is a member whatever the others hold, and they are never
+    expanded.  Otherwise every combo of the expansions is scanned, as
+    ``satisfying_expansions`` does, with no coordinate expanded twice.
+    """
+    coords = _point(point, space)
+    options = [()] * len(coords)
+    free, enough = 0, _FREE_ENOUGH[space]
+    for i in sorted(range(len(coords)), key=lambda i: sum(_split_three(coords[i].denominator))):
+        options[i] = expansions(coords[i])
+        free += _one_free(e.preperiod + e.period for e in options[i])
+        if free >= enough:
+            return True
+    return _witness(options, space) is not None
 
 
 def membership_stage(point, k: int, space: str) -> bool:
@@ -588,12 +643,9 @@ def _settled_stage(coords, stage: int) -> int:
     """
     p, l = 0, 1
     for den in {c.denominator for c in coords}:
-        j = 0
-        while den % 3 == 0:
-            den //= 3
-            j += 1
+        j, d = _split_three(den)
         p = max(p, j)
-        n = _order_of_3(den, max(stage - p, 0) // 7 + 1)
+        n = _order_of_3(d, max(stage - p, 0) // 7 + 1)
         if n is None:
             return stage
         l = lcm(l, n)
@@ -645,10 +697,16 @@ def _walk(seg: AxisSegment, k: int, space: str) -> bool:
     ``full[k][m] = m != 0``.  The walk follows the two boundary paths of
     ``[lo_idx, hi_idx]`` down the ternary tree and reads ``full`` for each
     block strictly between them, so it costs O(k) mask steps instead of one
-    rule scan per running cell; no sampling involved.
+    rule scan per running cell; no sampling involved.  Before any of it, a
+    segment is inside when enough of its fixed coordinates have a cell with
+    no digit 1 (``_FREE_ENOUGH``: both for ``sponge``, one for ``carpet2``),
+    since no running digit then brings a position up to the 1s that remove
+    a cell.
     """
     scale = 3**k
     firsts, seconds = ([_digit_bytes(i, k) for i in _cell_candidates(c, scale)] for c in seg.fixed)
+    if _one_free(firsts) + _one_free(seconds) >= _FREE_ENOUGH[space]:
+        return True
     # each combo's two digit strings in turn, so zip reads one key per position
     digits = [ds for a in firsts for b in seconds for ds in (a, b)]
     alive = list(map(_ALIVE[space].__getitem__, zip(*digits)))

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spongeknots import checks, necklace, serialize
+from spongeknots import checks, necklace, serialize, ternary
 from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
@@ -63,6 +63,19 @@ def test_predicate_refutation_past_one_period(capsys):
     assert cells
     for cell in cells:
         assert all(F(lo) <= x <= F(hi) for x, (lo, hi) in zip(point, cell))
+
+
+def test_predicate_expands_each_coordinate_once(monkeypatch, capsys):
+    # one refutation and one witness, each needing the 100,002-digit period
+    made = []
+    period_digits = ternary._period_digits
+    monkeypatch.setattr(ternary, "_period_digits", lambda start, d: made.append(d) or period_digits(start, d))
+    for coords, verdict in ((["1/2", "1/2", "1/100003"], False), (["0", "2/3", "1/100003"], True)):
+        made.clear()
+        assert run(["predicate", "--space", "sponge", *coords]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] is verdict and ("witness" in out) == verdict
+        assert made.count(100003) == 1
 
 
 def test_predicate_segment(capsys):

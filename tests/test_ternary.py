@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spongeknots import ternary
 from spongeknots.oracle import oracle_profile, subdivision_oracle
 from spongeknots.ternary import (
     _ALIVE,
@@ -19,6 +20,7 @@ from spongeknots.ternary import (
     _index_of_digits,
     _first_bad,
     _stage_scan,
+    _walk,
     cantor_endpoints,
     expansions,
     in_cantor,
@@ -758,3 +760,92 @@ def test_refutation_cells_match_the_digit_sum_formula(case):
     assert [c.stage for c in cells] == [t for _, t in found]
     for (combo, t), c in zip(found, cells):
         assert [lo for lo, _ in c.cell] == [F(_digit_sum(p[:t]), 3**t) for p in combo]
+
+
+# --- early accept: enough 1-free coordinates settle the point -----------------
+
+_free_periodic = st.lists(st.sampled_from((0, 2)), min_size=1, max_size=8).map(_block_point)
+# 0 and 1, triadics with two expansions, 1-free periodic points, points with
+# 1s in their digits and denominators where 3 has order 5003 and 5004
+_early_coordinate = st.one_of(
+    st.sampled_from((F(0), F(1), F(1, 4), F(3, 4))),
+    _triadic_point,
+    _free_periodic,
+    _small_point,
+    st.sampled_from((10007, 10009)).flatmap(lambda d: st.integers(min_value=0, max_value=d).map(lambda a: F(a, d))),
+)
+early_points = st.sampled_from(SPACE_DIMS).flatmap(
+    lambda sd: st.tuples(st.just(sd[0]), st.lists(_early_coordinate, min_size=sd[1], max_size=sd[1]).map(tuple))
+)
+
+
+@given(early_points)
+@settings(max_examples=300)
+def test_membership_is_the_witness_scan_in_every_space(case):
+    space, point = case
+    assert membership(point, space) == (satisfying_expansions(point, space) is not None)
+
+
+@pytest.fixture
+def periods_made(monkeypatch):
+    """The denominators of every period that _period_digits computes."""
+    made = []
+    period_digits = ternary._period_digits
+
+    def counted(start, d):
+        made.append(d)
+        return period_digits(start, d)
+
+    monkeypatch.setattr(ternary, "_period_digits", counted)
+    return made
+
+
+def test_enough_one_free_coordinates_leave_the_rest_unexpanded(periods_made):
+    big = F(1, 1000003)
+    # 0 and 2/3 = 0.2000... are 1-free: two of three settle the sponge
+    assert in_sponge(F(2, 3), F(0), big)
+    # one 1-free coordinate settles the carpet face and carpet2, wherever it is
+    assert in_carpet_face(big, F(3, 4))
+    assert in_carpet2(big, big, F(2, 3))
+    assert periods_made == [4]
+    # 1/2 = 0.111... is not 1-free, so the sponge needs every coordinate
+    point = (F(0), F(1, 2), F(1, 10007))
+    assert in_sponge(*point) == (satisfying_expansions(point, "sponge") is not None)
+    assert periods_made.count(10007) == 2
+
+
+def _free_fixed(k):
+    """Fixed coordinates with a stage-k cell whose digits hold no 1."""
+    return st.one_of(
+        st.sampled_from((F(0), F(1), F(1, 4), F(3, 4))),
+        _free_periodic,
+        st.lists(st.sampled_from((0, 2)), min_size=k, max_size=k + 1).map(
+            lambda ds: F(_index_of_digits(ds), 3 ** len(ds))
+        ),
+    )
+
+
+def _free_fixed_pair(k, space):
+    """Two fixed coordinates, both with a 1-free cell for the sponge, one of
+    them (either) for carpet2."""
+    other = _free_fixed(k) if space == "sponge" else _segment_rationals(k)
+    return st.tuples(_free_fixed(k), other).flatmap(lambda ab: st.sampled_from((ab, ab[::-1])))
+
+
+free_fixed_segments = st.tuples(st.integers(min_value=0, max_value=7), st.sampled_from(("sponge", "carpet2"))).flatmap(
+    lambda ks: st.tuples(
+        st.just(ks[0]),
+        st.integers(min_value=0, max_value=2),
+        _free_fixed_pair(*ks),
+        st.lists(_segment_rationals(ks[0]), min_size=2, max_size=2, unique=True).map(sorted),
+        st.just(ks[1]),
+    )
+)
+
+
+@given(free_fixed_segments)
+def test_segment_with_enough_one_free_fixed_coordinates_matches_reference(case):
+    k, axis, fixed, (lo, hi), space = case
+    seg = AxisSegment(axis, fixed, lo, hi)
+    assert _reference_segment_in_stage(seg, k, space)
+    assert _walk(seg, k, space) and segment_in_stage(seg, k, space)
