@@ -16,7 +16,7 @@ from math import lcm
 from .geometry import Cube, Point3, running_axis
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3
-from .ternary import AxisSegment, in_sponge_stage, segment_in_stage, triadic_exponent
+from .ternary import AxisSegment, SegmentMemo, in_sponge_stage, segment_in_stage, triadic_exponent
 
 
 def stage_for(n: int) -> int:
@@ -179,10 +179,16 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
 
     An oblique segment, or one leaving the unit cube, is not contained.
     Each segment's axis is read from the curve's integer form, and one
-    Fraction is built per distinct coordinate value.
+    Fraction is built per distinct coordinate value.  A negative stage is
+    a ValueError before any segment is read.  One ``SegmentMemo`` serves
+    the whole pass, so each distinct value's digits at a stage are split
+    once.
     """
+    if stage < 0:
+        raise ValueError("stage must be >= 0")
     scale, points = poly.integer_form
     value = {c: Fraction(c, scale) for c in {c for p in points for c in p}}
+    memo = SegmentMemo()
     verdicts = []
     for a, b in zip(points, points[1:] + points[:1]):
         ax = running_axis(a, b)
@@ -193,5 +199,5 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
                 seg = AxisSegment(ax, tuple(value[c] for k, c in enumerate(a) if k != ax), value[lo], value[hi])
             except ValueError:  # it leaves the unit cube
                 pass
-        verdicts.append(seg is not None and segment_in_stage(seg, stage, space))
+        verdicts.append(seg is not None and segment_in_stage(seg, stage, space, memo=memo))
     return tuple(verdicts)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from contextvars import ContextVar
 from operator import attrgetter as attr
 from operator import itemgetter as item
 
@@ -55,7 +56,25 @@ def _same(x):
     return x
 
 
-RATIONAL = (rat, lambda v: frac(_expect(v, (str, int), "a rational")))
+# str -> Fraction of the rational strings one load_artifact call has parsed;
+# None outside such a call
+_PARSED = ContextVar("parsed_rationals", default=None)
+
+
+def _read_rational(v):
+    """A rational read from a "num/den" string or an int; within one load,
+    each distinct string is parsed once, and only a parse that succeeded
+    is kept."""
+    parsed = _PARSED.get()
+    if parsed is None or type(v) is not str:
+        return frac(_expect(v, (str, int), "a rational"))
+    x = parsed.get(v)
+    if x is None:
+        x = parsed[v] = frac(v)
+    return x
+
+
+RATIONAL = (rat, _read_rational)
 INTEGER = (_same, lambda v: _expect(v, (int,), "an integer"))
 BOOLEAN = (_same, lambda v: _expect(v, (bool,), "a boolean"))
 STRING = (_same, lambda v: _expect(v, (str,), "a string"))
@@ -258,18 +277,25 @@ def load_artifact(text: str):
     kind = d.get("kind")
     if type(kind) is not str or kind not in KINDS:
         raise ValueError(f"unknown artifact kind: {reprlib.repr(kind)}")
+    token = _PARSED.set({})
     try:
         return kind, KINDS[kind][1](d)
     except TypeError as e:
         raise ValueError(f"malformed {kind} artifact: {e}") from None
+    finally:
+        _PARSED.reset(token)
 
 
 # --- lossy viewer exports ----------------------------------------------------
 
 def polyline_obj(p: ClosedPolyline3) -> str:
+    """OBJ text of the curve, each distinct coordinate written once from its
+    integer form: int true division is correctly rounded, as
+    ``Fraction.__float__`` is, so the text is that of the Fraction values."""
+    scale, points = p.integer_form
+    text = {c: repr(c / scale) for c in {c for q in points for c in q}}
     lines = [f"# {LOSSY_BANNER}"]
-    for v in p.vertices:
-        lines.append("v " + " ".join(repr(float(c)) for c in v))
+    lines += ["v " + " ".join(map(text.__getitem__, q)) for q in points]
     idx = " ".join(str(i + 1) for i in range(len(p.vertices)))
     lines.append(f"l {idx} 1")  # closed loop repeats the first index
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -174,12 +174,11 @@ def ternary_digits(x, k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0:
         raise ValueError("k must be >= 0")
     x = _check_unit(x)
-    return tuple(_digits_of_index(i, k) for i in _cell_candidates(x, 3**k))
+    return tuple(_digits_of_index(i, k) for i in _cell_candidates(x.numerator, x.denominator, 3**k))
 
 
-def _cell_candidates(c: Fraction, scale: int) -> tuple[int, ...]:
-    """Indices i with c in [i/scale, (i+1)/scale], i in [0, scale-1]."""
-    num, den = c.numerator, c.denominator
+def _cell_candidates(num: int, den: int, scale: int) -> tuple[int, ...]:
+    """Indices i with num/den in [i/scale, (i+1)/scale], i in [0, scale-1]."""
     t = num * scale
     i = t // den
     out = []
@@ -244,8 +243,20 @@ _BAD = {
 }
 
 
-class _AliveRows(dict):
-    """Alive rows of one space, filled on first use.
+class _Filled(dict):
+    """A dict that fills each missing key with ``make(key)`` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _alive_row(bad, key):
+    """The alive row of one space's rule ``bad`` for one key.
 
     A key holds the two fixed digits of every combo at one digit position,
     flattened: (a0, b0, a1, b1, ...) for at most 4 combos, so at most
@@ -255,20 +266,11 @@ class _AliveRows(dict):
     whichever axis d runs along.  It depends only on the rule, never on a
     segment.
     """
-
-    def __init__(self, space: str):
-        super().__init__()
-        self.bad = _BAD[space]
-
-    def __missing__(self, key):
-        pairs = list(zip(key[::2], key[1::2]))
-        row = self[key] = tuple(
-            sum(1 << j for j, (a, b) in enumerate(pairs) if (d, a, b) not in self.bad) for d in range(3)
-        )
-        return row
+    pairs = list(zip(key[::2], key[1::2]))
+    return tuple(sum(1 << j for j, (a, b) in enumerate(pairs) if (d, a, b) not in bad) for d in range(3))
 
 
-_ALIVE = {space: _AliveRows(space) for space in ("sponge", "carpet2")}
+_ALIVE = {space: _Filled(partial(_alive_row, _BAD[space])) for space in ("sponge", "carpet2")}
 
 
 def _classes_meet(a: TernaryExpansion, b: TernaryExpansion) -> bool:
@@ -660,7 +662,35 @@ def check_segment_space(space: str):
         raise ValueError("space must be 'sponge' or 'carpet2'")
 
 
-def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
+def _stage_cells(key):
+    """(the digit strings of the closed stage-k cells holding num / den, the
+    terminating one first; whether one of them has no digit 1) for the key
+    (num, den, k)."""
+    num, den, k = key
+    ds = tuple(_digit_bytes(i, k) for i in _cell_candidates(num, den, 3**k))
+    return ds, _one_free(ds)
+
+
+class SegmentMemo:
+    """What containment derives from each distinct coordinate value, for one
+    pass over the segments of a curve.
+
+    ``cells`` maps (numerator, denominator, k) to ``_stage_cells`` of the
+    value, and ``exponents`` a denominator to its ``triadic_exponent``, each
+    filled on first use.  Keys are ints, never Fractions: hashing a Fraction
+    costs about what splitting its digits does.  It holds at most
+    (distinct values x stages) digit strings of k bytes each, and lives only
+    as long as the pass that made it.
+    """
+
+    __slots__ = ("cells", "exponents")
+
+    def __init__(self):
+        self.cells = _Filled(_stage_cells)
+        self.exponents = _Filled(triadic_exponent)
+
+
+def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge", *, memo: SegmentMemo | None = None) -> bool:
     """Exact: does every point of the segment lie in the stage-k prefractal?
 
     Decided at the segment's settled stage when that is less than k.  When
@@ -669,25 +699,34 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     and both spaces need two 1s at one position to remove a cell, so no
     later stage removes more of the segment.  Otherwise it is
     ``_settled_stage`` of the segment's four coordinates.
+
+    ``memo`` carries the digits of the values already seen from one call to
+    the next; without it the call makes its own.
     """
     check_segment_space(space)
     if k < 0:
         raise ValueError("stage must be >= 0")
-    exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
+    if memo is None:
+        memo = SegmentMemo()
+    exponents = [memo.exponents[c.denominator] for c in seg.fixed]
     if None in exponents:
         settled = _settled_stage((*seg.fixed, seg.lo, seg.hi), k)
     else:
         settled = max(exponents)
-    return _walk(seg, min(k, settled), space)
+    return _walk(seg, min(k, settled), space, memo.cells)
 
 
-def _walk(seg: AxisSegment, k: int, space: str) -> bool:
+def _walk(seg: AxisSegment, k: int, space: str, cells=None) -> bool:
     """Whether the segment lies in the stage-k prefractal, decided at k itself.
 
     The segment meets running cells ``lo_idx..hi_idx`` of the 3**k grid with
-    positive length.  A running cell survives when some combo of the fixed
-    coordinates' stage-k cells (at most 2 x 2, from ``_cell_candidates``)
-    breaks no rule at any position together with the cell's digits.
+    positive length: lo_idx is the first cell of ``_cell_candidates`` of lo
+    (lo < 1), and hi_idx the last of hi (the one below hi when hi * 3**k is
+    an integer, as hi > 0).  So ``cells`` (``SegmentMemo.cells``, a fresh
+    one when not given) gives the digits of both ends and of the fixed
+    coordinates' stage-k cells.  A running cell survives when some combo
+    of the fixed coordinates' cells (at most 2 x 2) breaks no rule at any
+    position together with the cell's digits.
 
     Combos are bits of a mask: ``alive[t][d]`` holds the combos that running
     digit d keeps at position t + 1, read from the space's ``_ALIVE`` table,
@@ -703,21 +742,19 @@ def _walk(seg: AxisSegment, k: int, space: str) -> bool:
     since no running digit then brings a position up to the 1s that remove
     a cell.
     """
-    scale = 3**k
-    firsts, seconds = ([_digit_bytes(i, k) for i in _cell_candidates(c, scale)] for c in seg.fixed)
-    if _one_free(firsts) + _one_free(seconds) >= _FREE_ENOUGH[space]:
+    if cells is None:
+        cells = _Filled(_stage_cells)
+    (u, v), lo, hi = seg.fixed, seg.lo, seg.hi
+    firsts, u_free = cells[u.numerator, u.denominator, k]
+    seconds, v_free = cells[v.numerator, v.denominator, k]
+    if u_free + v_free >= _FREE_ENOUGH[space]:
         return True
     # each combo's two digit strings in turn, so zip reads one key per position
     digits = [ds for a in firsts for b in seconds for ds in (a, b)]
     alive = list(map(_ALIVE[space].__getitem__, zip(*digits)))
     masks = range(1 << len(firsts) * len(seconds))
-
-    lo_idx = (seg.lo.numerator * scale) // seg.lo.denominator
-    hi_t = seg.hi.numerator * scale
-    hi_idx = hi_t // seg.hi.denominator
-    if hi_t % seg.hi.denominator == 0:
-        hi_idx -= 1
-    lo_ds, hi_ds = _digit_bytes(lo_idx, k), _digit_bytes(hi_idx, k)
+    lo_ds = cells[lo.numerator, lo.denominator, k][0][0]
+    hi_ds = cells[hi.numerator, hi.denominator, k][0][-1]
 
     # the shared path, down to the first digit where the two ends part
     m, split = masks[-1], 0

@@ -394,6 +394,18 @@ def test_verify_one_non_triadic_vertex_at_a_huge_stage_is_prompt(tmp_path, capsy
     assert capsys.readouterr().out.splitlines() == lines
 
 
+@pytest.mark.parametrize("vertices", [
+    [(0, 0, 0), (1, 1, 0), (0, 1, 1)],
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+], ids=["oblique", "axis-parallel"])
+def test_verify_a_negative_stored_stage_is_a_usage_error_whatever_the_segments(tmp_path, capsys, vertices):
+    f = tmp_path / "negative.json"
+    f.write_text(serialize.dump_json(serialize.polyline_json(closed_polyline(vertices, {"sponge_stage": -1}))))
+    assert run(["verify", str(f)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: stage must be >= 0\n")
+
+
 def test_predicate_segment_at_a_huge_stage_is_prompt(capsys):
     segment = ["--segment", "0", "1/3", "0", "0", "1"]
     assert run(["predicate", "--space", "sponge", "--stage", "3000", *segment]) == 0

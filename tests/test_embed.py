@@ -7,10 +7,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spongeknots import checks, embed, ternary
+from spongeknots import checks, embed, serialize, ternary
 
 from spongeknots.embed import (
     embed_grid,
@@ -294,6 +294,14 @@ def test_containment_of_a_non_triadic_curve_is_decided_at_its_settled_stage():
 
 # --- containment of whole curves against the loop it replaced ----------------
 
+def _walk_stage(seg, stage):
+    """The stage segment_in_stage decides the segment at, asked for ``stage``."""
+    exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
+    if None in exponents:
+        return min(stage, ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), stage))
+    return min(stage, max(exponents))
+
+
 def _reference_verify_containment(poly, stage, space="sponge"):
     """Per-segment verdicts by the Fraction unit-cube test, then the cell
     enumeration of test_ternary at the stage each segment settles at."""
@@ -303,12 +311,7 @@ def _reference_verify_containment(poly, stage, space="sponge"):
         inside = form is not None and all(0 <= c <= 1 for c in a + b)
         if inside:
             seg = AxisSegment(*form)
-            exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
-            if None in exponents:
-                settled = ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), stage)
-            else:
-                settled = max(exponents)
-            inside = _reference_segment_in_stage(seg, min(stage, settled), space)
+            inside = _reference_segment_in_stage(seg, _walk_stage(seg, stage), space)
         verdicts.append(inside)
     return tuple(verdicts)
 
@@ -372,3 +375,62 @@ def test_containment_off_the_triadic_grid_matches_the_reference(space):
             assert got == _reference_verify_containment(poly, stage, space), (poly, stage)
             verdicts |= set(got)
     assert verdicts == {True, False}
+
+
+# --- one memo of digits per containment pass ----------------------------------
+
+# few values, so that a walk repeats them: triadic, not triadic, and off the cube
+_WALK_VALUES = st.sampled_from([F(0), F(1), F(1, 3), F(2, 3), F(1, 9), F(7, 9), F(4, 27), F(20, 27),
+                                F(1, 2), F(1, 4), F(9, 26), F(1, 13), F(-1, 3), F(4, 3)])
+
+
+@st.composite
+def axis_walks(draw):
+    """A closed curve whose steps each change one coordinate; the step that
+    closes it may change several, and is then oblique."""
+    point = draw(st.tuples(_WALK_VALUES, _WALK_VALUES, _WALK_VALUES))
+    vertices = [point]
+    for _ in range(draw(st.integers(min_value=2, max_value=16))):
+        axis = draw(st.integers(min_value=0, max_value=2))
+        c = draw(_WALK_VALUES.filter(lambda c: c != point[axis]))
+        point = point[:axis] + (c,) + point[axis + 1:]
+        vertices.append(point)
+    assume(vertices[-1] != vertices[0])
+    return ClosedPolyline3(tuple(vertices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis_walks(), st.integers(min_value=0, max_value=5), st.sampled_from(["sponge", "carpet2"]))
+def test_one_memo_per_pass_matches_fresh_calls_per_segment(poly, stage, space):
+    fresh = []
+    for a, b in poly.segments():
+        form = axis_form(a, b)
+        inside = form is not None and all(0 <= c <= 1 for c in a + b)
+        fresh.append(inside and segment_in_stage(AxisSegment(*form), stage, space))
+    assert verify_containment(poly, stage, space) == tuple(fresh) == _reference_verify_containment(poly, stage, space)
+
+
+def test_one_pass_splits_each_value_at_each_stage_at_most_twice(benchmark_curves, monkeypatch):
+    # a value has at most two stage-k cells, which also give the digits of
+    # a running end, so one pass splits at most two digit strings per
+    # distinct (value, stage); a fresh memo per segment splits far more
+    split = []
+    digit_bytes = ternary._digit_bytes
+    monkeypatch.setattr(ternary, "_digit_bytes", lambda i, k: split.append((i, k)) or digit_bytes(i, k))
+    for poly, stage in benchmark_curves:
+        segments = [AxisSegment.from_endpoints(a, b) for a, b in poly.segments()]
+        pairs = {(c, _walk_stage(seg, stage)) for seg in segments for c in (*seg.fixed, seg.lo, seg.hi)}
+        split.clear()
+        assert all(verify_containment(poly, stage))
+        in_one_pass = len(split)
+        split.clear()
+        assert all(segment_in_stage(seg, stage) for seg in segments)
+        assert 0 < in_one_pass <= 2 * len(pairs) < len(split), (in_one_pass, len(pairs), len(split))
+
+
+def test_obj_text_is_that_of_the_fraction_values(benchmark_curves):
+    off_grid = closed_polyline([(F(1, 7), 0, F(5, 13)), (F(1, 7), F(10**20 + 1, 3 * 10**20), F(5, 13)),
+                                (1, F(1, 3), F(2, 3))])
+    for poly in [p for p, _ in benchmark_curves] + [off_grid]:
+        lines = serialize.polyline_obj(poly).splitlines()
+        assert lines[1:-1] == ["v " + " ".join(repr(float(c)) for c in v) for v in poly.vertices]

@@ -9,6 +9,11 @@
   in the package, as a name, an attribute or an import.
 * No ``sys.argv`` outside ``cli.main``, where it is the default ``argv``:
   everything else reads the arguments ``main`` was given.
+* ``functools.cache`` and ``lru_cache`` only decorate functions with no
+  parameters.  A cache keyed on arguments outlives the call that filled
+  it, so a later call in the same process (as in a benchmark that repeats
+  one artifact) is faster than any single command run alone; work per
+  call is shared through a memo that the call itself makes.
 """
 
 import ast
@@ -65,6 +70,29 @@ def _argv_reads(tree, module):
 
     visit(tree, None)
     return found
+
+
+_CACHES = {"cache", "lru_cache"}
+
+
+def _cache_uses(tree):
+    """Line of every ``cache`` or ``lru_cache`` (by name, or as an attribute
+    of ``functools``) that is not part of the decorators of a function with
+    no parameters."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                allowed |= {id(n) for dec in node.decorator_list for n in ast.walk(dec)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed and (
+            isinstance(node, ast.Name) and node.id in _CACHES
+            or isinstance(node, ast.Attribute) and node.attr in _CACHES
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"
+        )
+    )
 
 
 def _unused_imports(tree):
@@ -134,6 +162,11 @@ def test_no_sys_argv_outside_main(path):
     assert _argv_reads(_tree(path), path.name) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_only_on_functions_with_no_parameters(path):
+    assert _cache_uses(_tree(path)) == []
+
+
 def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
@@ -152,3 +185,11 @@ def test_rules_see_what_they_forbid():
     argv = ast.parse("import sys\n\ndef main(argv=None):\n    return argv or sys.argv[1:]\n\nLOG = sys.argv\n")
     assert _argv_reads(argv, "cli.py") == [6]
     assert _argv_reads(argv, "serialize.py") == [4, 6]
+    caches = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@cache\ndef table():\n    return []\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef row(i):\n    return i\n\n"
+        "@functools.cache\ndef col(*, j):\n    return j\n\n"
+        "square = lru_cache(lambda i: i * i)\n"
+    )
+    assert _cache_uses(caches) == [8, 12, 16]
