@@ -50,14 +50,6 @@ def dot3(a: Point3, b: Point3) -> Fraction:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def cross3(a: Point3, b: Point3) -> Point3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def norm_sq3(a: Point3) -> Fraction:
     return dot3(a, a)
 
@@ -72,10 +64,6 @@ def sub2(a: Point2, b: Point2) -> Point2:
 
 def cross2(a: Point2, b: Point2) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def dot2(a: Point2, b: Point2) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
 
 
 def axis_form(a: Point3, b: Point3):
@@ -111,85 +99,6 @@ def box_meet(box1, box2):
         if a > d or c > b:
             return None
     return tuple(map(max, lo1, lo2)), tuple(map(min, hi1, hi2))
-
-
-def _interval_overlap(a_lo, a_hi, b_lo, b_hi):
-    """Overlap of two closed 1D intervals, or None."""
-    lo = max(a_lo, b_lo)
-    hi = min(a_hi, b_hi)
-    if lo > hi:
-        return None
-    return (lo, hi)
-
-
-def seg_seg_3d(a: Point3, b: Point3, c: Point3, d: Point3):
-    """Exact intersection of closed 3D segments [a,b] and [c,d].
-
-    Returns None, ("point", p), or ("overlap", (p, q)) with p != q.
-    Degenerate (zero-length) input segments raise ValueError.
-    """
-    u = sub3(b, a)
-    v = sub3(d, c)
-    if u == (ZERO, ZERO, ZERO) or v == (ZERO, ZERO, ZERO):
-        raise ValueError("degenerate segment")
-    w = sub3(c, a)
-    uxv = cross3(u, v)
-    if uxv == (ZERO, ZERO, ZERO):
-        # parallel; collinear iff w parallel to u as well
-        if cross3(w, u) != (ZERO, ZERO, ZERO):
-            return None
-        # project both segments to the parameter line of [a,b]
-        uu = norm_sq3(u)
-        t_c = dot3(w, u) / uu
-        t_d = dot3(sub3(d, a), u) / uu
-        lo, hi = min(t_c, t_d), max(t_c, t_d)
-        ov = _interval_overlap(ZERO, ONE, lo, hi)
-        if ov is None:
-            return None
-        p = add3(a, scale3(u, ov[0]))
-        q = add3(a, scale3(u, ov[1]))
-        if p == q:
-            return ("point", p)
-        return ("overlap", (p, q))
-    # skew or intersecting lines: intersect iff coplanar
-    if dot3(w, uxv) != ZERO:
-        return None
-    denom = norm_sq3(uxv)
-    s = dot3(cross3(w, v), uxv) / denom
-    t = dot3(cross3(w, u), uxv) / denom
-    if ZERO <= s <= ONE and ZERO <= t <= ONE:
-        return ("point", add3(a, scale3(u, s)))
-    return None
-
-
-def seg_seg_2d(a: Point2, b: Point2, c: Point2, d: Point2):
-    """Exact intersection of closed 2D segments; same result shape as seg_seg_3d."""
-    u = sub2(b, a)
-    v = sub2(d, c)
-    if u == (ZERO, ZERO) or v == (ZERO, ZERO):
-        raise ValueError("degenerate segment")
-    w = sub2(c, a)
-    denom = cross2(u, v)
-    if denom == ZERO:
-        if cross2(w, u) != ZERO:
-            return None
-        uu = dot2(u, u)
-        t_c = dot2(w, u) / uu
-        t_d = dot2(sub2(d, a), u) / uu
-        lo, hi = min(t_c, t_d), max(t_c, t_d)
-        ov = _interval_overlap(ZERO, ONE, lo, hi)
-        if ov is None:
-            return None
-        p = (a[0] + u[0] * ov[0], a[1] + u[1] * ov[0])
-        q = (a[0] + u[0] * ov[1], a[1] + u[1] * ov[1])
-        if p == q:
-            return ("point", p)
-        return ("overlap", (p, q))
-    s = cross2(w, v) / denom
-    t = cross2(w, u) / denom
-    if ZERO <= s <= ONE and ZERO <= t <= ONE:
-        return ("point", (a[0] + u[0] * s, a[1] + u[1] * s))
-    return None
 
 
 def point_segment_dist_sq3(p: Point3, a: Point3, b: Point3) -> Fraction:

@@ -12,7 +12,7 @@ knot invariants:
 * ``tricolorings`` -- the number of Fox 3-colorings, from the nullity of
   the same crossing relations over GF(3).
 
-Everything here is exact rational/integer arithmetic.
+Every decision here is exact integer arithmetic on the curves' integer forms.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
+from operator import mul
 
-from .geometry import Point2, box_meet, cross2, running_axis, seg_seg_2d, seg_seg_3d, sub2
+from .geometry import box_meet, cross2, running_axis, sub2
 from .grid import GridDiagram, walk_points
 from .polyline import ClosedPolyline3
-
-ZERO = Fraction(0)
 
 
 class NonGenericProjection(ValueError):
@@ -126,21 +126,68 @@ def _oblique_partners(bounds, boxes):
     return partners
 
 
+def _cross(u, v):
+    """Cross product of integer vectors: its three components in 3D, its
+    one (the z-component) in 2D."""
+    if len(u) == 2:
+        return (u[0] * v[1] - u[1] * v[0],)
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _meet(a, b, c, d):
+    """How the integer segments [a, b] and [c, d], in 2D or 3D, meet: None,
+    "overlap", or (den, s, t) with den > 0 when they meet in one point,
+    which lies s / den along [a, b] and t / den along [c, d].
+
+    Decided by integer cross and dot products (de Berg et al.,
+    *Computational Geometry*, ch. 2).  With u = b - a, v = d - c,
+    w = c - a and n = u x v: lines that are not parallel meet, in 3D only
+    when w . n = 0, at s / den = (w x v) . n / n . n and
+    t / den = (w x u) . n / n . n.  Parallel segments meet only when w is
+    parallel to u as well, and are then compared along u.
+    """
+    u, v, w = (tuple(q - p for p, q in zip(*e)) for e in ((a, b), (c, d), (a, c)))
+    n = _cross(u, v)
+    if any(n):
+        if len(n) == 3 and _dot(w, n):
+            return None  # skew lines
+        den, s, t = _dot(n, n), _dot(_cross(w, v), n), _dot(_cross(w, u), n)
+        return (den, s, t) if 0 <= s <= den and 0 <= t <= den else None
+    if any(_cross(w, u)):
+        return None  # parallel lines apart
+    # one line: c and d lie tc / uu and td / uu along [a, b]
+    uu, tc = _dot(u, u), _dot(w, u)
+    td = tc + _dot(v, u)
+    lo, hi = min(tc, td), max(tc, td)
+    if hi < 0 or lo > uu:
+        return None
+    if hi > 0 and lo < uu:
+        return "overlap"
+    # end to end, at a (hi = 0) or at b (lo = uu), where c sits when tc is 0 or uu
+    return 1, int(lo == uu), int(tc not in (0, uu))
+
+
 def _meets(walk):
-    """(i, j, meet) for every pair i < j of segments of a closed integer walk
-    that meet, in order of i, then j.
+    """(i, j, meet) for the pairs i < j of segments of a closed integer walk
+    that overlap or meet away from a shared vertex, in order of i, then j.
 
     Segment i joins walk[i] to walk[i + 1] (mod n), in 2D or 3D, and every
-    coordinate is an int.  ``meet`` is ("point", p) or ("overlap", (p, q))
-    in the walk's coordinates, as from ``seg_seg_3d``/``seg_seg_2d``.  The
-    axis-parallel pairs that meet are found by ``_axis_meets`` and meet in
-    the intersection of their boxes, an integer box.  A pair with an
-    oblique segment is a candidate only when ``_oblique_partners`` finds
-    their ranges along the first axis overlapping, and goes through the
-    exact routine, on the integers as Fractions, only when their bounding
-    boxes meet (closed segments that meet have meeting boxes).  Pairs are
-    yielded one first index i at a time, so a caller that stops at its
-    first bad pair skips the rest.
+    coordinate is an int.  ``meet`` is "overlap", or (den, s, t) as from
+    ``_meet`` for a pair that meets in one point.  Neighbours share a
+    vertex and meet in one point only there, so they are yielded only when
+    they overlap.  The axis-parallel pairs that meet are found by
+    ``_axis_meets`` and meet in the intersection of their boxes, an
+    integer box; ``_meet`` is asked only for the parameters of a point hit
+    of non-neighbours.  A pair
+    with an oblique segment is a candidate only when ``_oblique_partners``
+    finds their ranges along the first axis overlapping, and goes through
+    ``_meet`` only when their bounding boxes meet (closed segments that
+    meet have meeting boxes).  Pairs are yielded one first index i at a
+    time, so a caller that stops at its first bad pair skips the rest.
     """
     n = len(walk)
     ends = list(zip(walk, walk[1:] + walk[:1]))
@@ -149,39 +196,28 @@ def _meets(walk):
     boxes = [None if running_axis(a, b) is None else box for box, (a, b) in zip(bounds, ends)]
     after = _axis_meets(boxes)
     partners = _oblique_partners(bounds, boxes)
-    seg_seg = seg_seg_3d if len(walk[0]) == 3 else seg_seg_2d
     for i in range(n):
         box_i = boxes[i]
         for j in sorted(after[i] + partners[i]):
             box_j = boxes[j]
-            if box_i is None or box_j is None:
-                if box_meet(bounds[i], bounds[j]) is None:
-                    continue
-                meet = seg_seg(*(tuple(map(Fraction, v)) for v in (*ends[i], *ends[j])))
-                if meet is not None:
+            neighbours = j == i + 1 or (i == 0 and j == n - 1)
+            if box_i is not None and box_j is not None:
+                lo, hi = box_meet(box_i, box_j)
+                if lo != hi:
+                    yield i, j, "overlap"
+                elif not neighbours:
+                    yield i, j, _meet(*ends[i], *ends[j])
+            elif box_meet(bounds[i], bounds[j]) is not None:
+                meet = _meet(*ends[i], *ends[j])
+                if meet == "overlap" or (meet is not None and not neighbours):
                     yield i, j, meet
-                continue
-            lo, hi = box_meet(box_i, box_j)
-            yield i, j, ("point", lo) if lo == hi else ("overlap", (lo, hi))
 
 
 def is_simple(p: ClosedPolyline3) -> bool:
-    """Exact: no two non-adjacent segments meet; adjacent ones meet only at
-    the shared vertex.  Decided on the curve's integer form."""
-    verts = p.integer_form.points
-    n = len(verts)
-    for i, j, (kind, x) in _meets(verts):
-        if kind == "overlap":
-            return False
-        if j == i + 1:
-            shared = verts[j]
-        elif i == 0 and j == n - 1:
-            shared = verts[0]
-        else:
-            return False
-        if x != shared:
-            return False
-    return True
+    """Exact: no two segments overlap and no two non-adjacent ones meet, so
+    adjacent ones meet only at their shared vertex.  Decided on the curve's
+    integer form."""
+    return next(_meets(p.integer_form.points), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +229,24 @@ class Crossing:
     over_arc: int
     under_in: int
     under_out: int
-    point: Point2
 
 
 @dataclass(frozen=True)
 class KnotDiagram:
     """Combinatorial diagram of a knot plus the planar walk that drew it.
 
-    ``walk`` is the cyclic list of corner points of the projected curve;
-    ``events`` lists the crossings as (segment_i, segment_j, point,
-    over_is_i); ``passes[i]`` lists the (crossing id, passes over) of walk
-    segment i in order along it, from which the Goeritz faces are traced.
+    ``walk`` is the cyclic list of integer corner points of the drawn curve,
+    ``unit`` times its view coordinates; ``events`` lists the crossings as
+    (segment_i, segment_j, den, s, t, over_is_i), the crossing lying
+    s / den along segment i and t / den along segment j; ``passes[i]``
+    lists the (crossing id, passes over) of walk segment i in order along
+    it, from which the Goeritz faces are traced.
     """
 
     crossings: tuple[Crossing, ...]
     n_arcs: int
-    walk: tuple[Point2, ...] = field(repr=False)
+    walk: tuple = field(repr=False)
+    unit: int = field(repr=False)
     events: tuple = field(repr=False)
     passes: tuple = field(repr=False)
 
@@ -217,32 +255,27 @@ class KnotDiagram:
         return len(self.crossings)
 
 
-def _segment_param(a: Point2, b: Point2, x: Point2) -> Fraction:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if dx != 0:
-        return (x[0] - a[0]) / dx
-    return (x[1] - a[1]) / dy
-
-
-def _passes(walk, events):
-    """Per walk segment, the (crossing id, passes over) of its crossings in
-    order along it."""
-    m = len(walk)
+def _passes(m, events):
+    """Per segment of an m-segment walk, the (crossing id, passes over) of
+    its crossings in order along it, their parameters s / den compared by
+    cross-multiplying."""
     along = [[] for _ in range(m)]
-    for cid, (i, j, x, over_is_i) in enumerate(events):
-        along[i].append((_segment_param(walk[i], walk[(i + 1) % m], x), cid, over_is_i))
-        along[j].append((_segment_param(walk[j], walk[(j + 1) % m], x), cid, not over_is_i))
-    return tuple(tuple((cid, over) for _, cid, over in sorted(seg)) for seg in along)
+    for cid, (i, j, den, s, t, over_is_i) in enumerate(events):
+        along[i].append((s, den, cid, over_is_i))
+        along[j].append((t, den, cid, not over_is_i))
+    order = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+    return tuple(tuple((cid, over) for _, _, cid, over in sorted(seg, key=order)) for seg in along)
 
 
-def _build_diagram(walk, events) -> KnotDiagram:
-    """walk: cyclic 2D corner points; events: (i, j, point, over_is_i).
+def _build_diagram(walk, unit, events) -> KnotDiagram:
+    """walk: cyclic 2D integer corner points, ``unit`` times the drawn ones;
+    events: (i, j, den, s, t, over_is_i).
 
     Arcs run from one under passage to the next along the curve, so a
     passage lies on arc (under passages before it) mod (crossing count), and
     the under strand leaves a crossing on the next arc.
     """
-    passes = _passes(walk, events)
+    passes = _passes(len(walk), events)
     n = len(events)
     over_arc, under_in = [0] * n, [0] * n
     unders = 0
@@ -253,28 +286,23 @@ def _build_diagram(walk, events) -> KnotDiagram:
             else:
                 under_in[cid] = unders % n
                 unders += 1
-    crossings = tuple(
-        Crossing(over_arc[c], under_in[c], (under_in[c] + 1) % n, events[c][2]) for c in range(n)
-    )
-    return KnotDiagram(crossings, max(n, 1), tuple(walk), tuple(events), passes)
+    crossings = tuple(Crossing(over_arc[c], under_in[c], (under_in[c] + 1) % n) for c in range(n))
+    return KnotDiagram(crossings, max(n, 1), tuple(walk), unit, tuple(events), passes)
 
 
 def diagram_from_grid(d: GridDiagram) -> KnotDiagram:
     """Diagram of the rendered grid presentation, verticals over horizontals."""
-    pts = walk_points(d)
-    walk = tuple((Fraction(x), Fraction(y)) for x, y in pts)
+    walk = tuple(walk_points(d))
     m = len(walk)
     events = []
-    # even walk segments are horizontal (rows), odd are vertical (columns)
+    # even walk segments are horizontal (rows), odd are vertical (columns);
+    # a row and a column share a corner or cross inside both
     for j in range(1, m, 2):
-        col = walk[j][0]
-        ylo, yhi = sorted((walk[j][1], walk[(j + 1) % m][1]))
         for i in range(0, m, 2):
-            row = walk[i][1]
-            xlo, xhi = sorted((walk[i][0], walk[(i + 1) % m][0]))
-            if xlo < col < xhi and ylo < row < yhi:
-                events.append((i, j, (col, row), False))  # vertical (j) over
-    return _build_diagram(walk, tuple(events))
+            meet = _meet(walk[i], walk[(i + 1) % m], walk[j], walk[(j + 1) % m])
+            if meet is not None and 0 < meet[1] < meet[0] and 0 < meet[2] < meet[0]:
+                events.append((i, j, *meet, False))  # vertical (j) over
+    return _build_diagram(walk, 1, tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +317,21 @@ def project(p: ClosedPolyline3, direction) -> KnotDiagram:
     overlaps, no touching at segment endpoints, no triple points, no depth
     ties; any violation raises NonGenericProjection naming the pair.
 
-    Decided on integers: with the direction scaled to integers d and ax its
-    last nonzero axis, the integer vertex v has the image
-    ``(v[k] * d[ax] - v[ax] * d[k]) * sign(d[ax])`` for the other axes k
-    and the depth ``v[ax] * sign(d[ax])``, positive multiples of the view
-    coordinates and depth.  A crossing is kept as its parameters along the
-    two segments over one common denominator, so touches, depth ties and
-    triple points are compared by cross-multiplying.  The diagram is built
-    in Fractions only at the end.
+    Decided on integers: with the direction (ints or Fractions) scaled to
+    integers d and ax its last nonzero axis, the integer vertex v has the
+    image ``(v[k] * d[ax] - v[ax] * d[k]) * sign(d[ax])`` for the other axes
+    k and the depth ``v[ax] * sign(d[ax])``, positive multiples of the view
+    coordinates and depth.  Each crossing is kept as the parameters
+    (den, s, t) ``_meets`` gives it, so touches, depth ties and triple
+    points are compared by cross-multiplying, and the diagram keeps the
+    integer walk.
     """
-    d = tuple(Fraction(c) for c in direction)
-    if d == (ZERO, ZERO, ZERO):
+    if not any(direction):
         raise ValueError("direction must be nonzero")
-    ax = next(k for k in (2, 1, 0) if d[k] != 0)
+    ax = next(k for k in (2, 1, 0) if direction[k] != 0)
     k0, k1 = (k for k in range(3) if k != ax)
-    scale_d = lcm(*(c.denominator for c in d))
-    d_ax, d0, d1 = (d[k].numerator * (scale_d // d[k].denominator) for k in (ax, k0, k1))
+    scale_d = lcm(*(c.denominator for c in direction))
+    d_ax, d0, d1 = (direction[k].numerator * (scale_d // direction[k].denominator) for k in (ax, k0, k1))
     sign = 1 if d_ax > 0 else -1
     scale, verts = p.integer_form
     n = len(verts)
@@ -317,40 +344,30 @@ def project(p: ClosedPolyline3, direction) -> KnotDiagram:
     m = len(reduced)
     if m < 3:
         raise NonGenericProjection("projection collapses the curve")
-    events = []  # (i, j, crossing point times den, den, over_is_i)
-    for i, j, (kind, _) in _meets(reduced):
-        if kind == "overlap":
+    events = []  # (i, j, den, s, t, over_is_i)
+    for i, j, meet in _meets(reduced):
+        if meet == "overlap":
             raise NonGenericProjection(f"collinear overlap of segments {i} and {j}")
-        if (j == i + 1) or (i == 0 and j == m - 1):
-            continue  # can only be the shared corner
-        (px, py), (qx, qy) = reduced[i], reduced[(i + 1) % m]
-        (cx, cy), (ex, ey) = reduced[j], reduced[(j + 1) % m]
-        ux, uy, vx, vy, wx, wy = qx - px, qy - py, ex - cx, ey - cy, cx - px, cy - py
-        # the crossing is at s / den along segment i and t / den along j
-        den, s, t = ux * vy - uy * vx, wx * vy - wy * vx, wx * uy - wy * ux
-        if den < 0:
-            den, s, t = -den, -s, -t
-        # parallel segments meet in one point only at an end of both
-        if den == 0 or s in (0, den) or t in (0, den):
+        den, s, t = meet
+        if s in (0, den) or t in (0, den):
             raise NonGenericProjection(f"segments {i} and {j} touch at an endpoint")
         di = _depth_times(verts, red_seg[i], ax, sign, den, s)
         dj = _depth_times(verts, red_seg[j], ax, sign, den, t)
         if di == dj:
             raise NonGenericProjection(f"depth tie between segments {i} and {j}")
-        events.append((i, j, (px * den + ux * s, py * den + uy * s), den, di < dj))
+        events.append((i, j, den, s, t, di < dj))
     # the view coordinates are the integer images over scale * |d[ax]|
     unit = scale * abs(d_ax)
     seen = set()
-    for (_, _, (x, y), den, _) in events:
+    for i, _, den, s, _, _ in events:
+        (px, py), (qx, qy) = reduced[i], reduced[(i + 1) % m]
+        x, y = px * den + (qx - px) * s, py * den + (qy - py) * s
         g = gcd(x, y, den)
-        key = (x // g, y // g, den // g)  # the point in lowest terms
+        key = (x // g, y // g, den // g)  # the crossing point in lowest terms
         if key in seen:
             raise NonGenericProjection(f"triple point at {(Fraction(x, den * unit), Fraction(y, den * unit))}")
         seen.add(key)
-    walk = tuple((Fraction(x, unit), Fraction(y, unit)) for x, y in reduced)
-    return _build_diagram(walk, tuple(
-        (i, j, (Fraction(x, den * unit), Fraction(y, den * unit)), over) for i, j, (x, y), den, over in events
-    ))
+    return _build_diagram(reduced, unit, tuple(events))
 
 
 def _depth_times(verts, seg: int, ax: int, sign: int, den: int, s: int) -> int:
@@ -376,17 +393,14 @@ def generic_directions():
             yield (q, p, p * q)
 
 
-def project_generic(p: ClosedPolyline3, skip: int = 0) -> tuple[KnotDiagram, tuple]:
-    """First generic projection of p (after skipping ``skip`` successes)."""
-    successes = 0
+def project_generic(p: ClosedPolyline3) -> tuple[KnotDiagram, tuple]:
+    """First generic projection of p along ``generic_directions``, with its
+    direction."""
     for d in generic_directions():
         try:
-            diag = project(p, d)
+            return project(p, d), d
         except NonGenericProjection:
             continue
-        if successes == skip:
-            return diag, d
-        successes += 1
     raise NonGenericProjection("no generic direction found in the search sequence")
 
 
@@ -491,8 +505,10 @@ def _checkerboard(d: KnotDiagram):
     o, else +o, -u, -o, +u.  A face is an orbit of "reverse the dart, then
     turn to its clockwise neighbour", and lies left of each of its darts.
     The face left of the curve changes class at every passage; class 0 is
-    the unbounded face's.  Returns (face of each dart, class of each face,
-    the darts leaving each crossing counter-clockwise from +o).
+    the unbounded face's.  The turning senses and the least corner are read
+    on the integer walk: a positive scale changes neither.  Returns (face
+    of each dart, class of each face, the darts leaving each crossing
+    counter-clockwise from +o).
     """
     walk, m = d.walk, len(d.walk)
     passages = [(i, cid, over) for i, seg in enumerate(d.passes) for cid, over in seg]

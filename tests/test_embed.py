@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from spongeknots.invariants import (
     diagram_from_grid,
     is_simple,
     project,
-    project_generic,
     tricolorings,
 )
 from spongeknots.geometry import axis_form
@@ -35,7 +35,7 @@ from spongeknots.polyline import ClosedPolyline3, closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.ternary import AxisSegment, cantor_endpoints, segment_in_stage, triadic_exponent
 from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
-from test_invariants import fraction_counter
+from test_invariants import crossing_points, fraction_counter, generic_views
 from test_ternary import _reference_segment_in_stage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -129,8 +129,8 @@ def test_crossing_fidelity_depth_projection():
     planar = diagram_from_grid(g)
     diagram = project(poly, (0, 0, 1))
     p = {v: rep.endpoints[v - 1] for v in range(1, g.n + 1)}
-    expected = {(p[col], p[row]) for col, row in (c.point for c in planar.crossings)}
-    got = {c.point for c in diagram.crossings}
+    expected = {(p[col], p[row]) for col, row in crossing_points(planar)}
+    got = set(crossing_points(diagram))
     assert got == expected
     # columns live on the front face z=0, rows on the back face z=1, and the
     # viewer looks along +z: every crossing keeps the vertical strand over,
@@ -150,10 +150,7 @@ def test_invariant_preservation_grid_vs_projection():
 
 def test_determinant_invariant_across_generic_directions():
     poly, _ = embed_grid(catalog("trefoil"))
-    seen = []
-    for skip in range(3):
-        d, direction = project_generic(poly, skip=skip)
-        seen.append((direction, determinant(d)))
+    seen = [(direction, determinant(d)) for d, direction in islice(generic_views(poly), 3)]
     dirs = {s[0] for s in seen}
     assert len(dirs) == 3
     assert {s[1] for s in seen} == {3}

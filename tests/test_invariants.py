@@ -1,21 +1,20 @@
 import random
 from fractions import Fraction as F
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spongeknots import geometry, invariants
-from spongeknots.geometry import box_meet, cross2, dot2, seg_seg_2d, seg_seg_3d, sub2
+from spongeknots import invariants
+from spongeknots.geometry import add3, box_meet, cross2, dot3, norm_sq3, running_axis, scale3, sub2, sub3
 from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
     NonGenericProjection,
-    _build_diagram,
     _checkerboard,
+    _meet,
     _meets,
-    _segment_param,
     determinant,
     determinant_minor,
     diagram_from_grid,
@@ -118,6 +117,206 @@ def test_project_generic_finds_direction_for_oblique_curve():
     p = closed_polyline([(0, 0, 0), (1, 2, 3), (2, 0, 1), (1, -1, 2)])
     d, direction = project_generic(p)
     assert determinant(d) == determinant_minor(d)
+
+
+def generic_views(poly):
+    """(diagram, direction) of each generic projection of poly, in the
+    order of ``generic_directions``: the first is project_generic's."""
+    for direction in generic_directions():
+        d = _outcome(project, poly, direction)
+        if not isinstance(d, tuple):
+            yield d, direction
+
+
+# ---------------------------------------------------------------------------
+# the exact Fraction intersection routines, kept as the reference that the
+# integer meets are checked against
+# ---------------------------------------------------------------------------
+
+def cross3(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def dot2(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _interval_overlap(a_lo, a_hi, b_lo, b_hi):
+    """Overlap of two closed 1D intervals, or None."""
+    lo = max(a_lo, b_lo)
+    hi = min(a_hi, b_hi)
+    if lo > hi:
+        return None
+    return (lo, hi)
+
+
+def seg_seg_3d(a, b, c, d):
+    """Exact intersection of closed 3D segments [a,b] and [c,d] of Fraction
+    points: None, ("point", p), or ("overlap", (p, q)) with p != q."""
+    u = sub3(b, a)
+    v = sub3(d, c)
+    if u == (0, 0, 0) or v == (0, 0, 0):
+        raise ValueError("degenerate segment")
+    w = sub3(c, a)
+    uxv = cross3(u, v)
+    if uxv == (0, 0, 0):
+        # parallel; collinear iff w parallel to u as well
+        if cross3(w, u) != (0, 0, 0):
+            return None
+        # project both segments to the parameter line of [a,b]
+        uu = norm_sq3(u)
+        t_c = dot3(w, u) / uu
+        t_d = dot3(sub3(d, a), u) / uu
+        ov = _interval_overlap(F(0), F(1), min(t_c, t_d), max(t_c, t_d))
+        if ov is None:
+            return None
+        p = add3(a, scale3(u, ov[0]))
+        q = add3(a, scale3(u, ov[1]))
+        if p == q:
+            return ("point", p)
+        return ("overlap", (p, q))
+    # skew or intersecting lines: intersect iff coplanar
+    if dot3(w, uxv) != 0:
+        return None
+    denom = norm_sq3(uxv)
+    s = dot3(cross3(w, v), uxv) / denom
+    t = dot3(cross3(w, u), uxv) / denom
+    if 0 <= s <= 1 and 0 <= t <= 1:
+        return ("point", add3(a, scale3(u, s)))
+    return None
+
+
+def seg_seg_2d(a, b, c, d):
+    """Exact intersection of closed 2D segments; same result shape as seg_seg_3d."""
+    u = sub2(b, a)
+    v = sub2(d, c)
+    if u == (0, 0) or v == (0, 0):
+        raise ValueError("degenerate segment")
+    w = sub2(c, a)
+    denom = cross2(u, v)
+    if denom == 0:
+        if cross2(w, u) != 0:
+            return None
+        uu = dot2(u, u)
+        t_c = dot2(w, u) / uu
+        t_d = dot2(sub2(d, a), u) / uu
+        ov = _interval_overlap(F(0), F(1), min(t_c, t_d), max(t_c, t_d))
+        if ov is None:
+            return None
+        p = (a[0] + u[0] * ov[0], a[1] + u[1] * ov[0])
+        q = (a[0] + u[0] * ov[1], a[1] + u[1] * ov[1])
+        if p == q:
+            return ("point", p)
+        return ("overlap", (p, q))
+    s = cross2(w, v) / denom
+    t = cross2(w, u) / denom
+    if 0 <= s <= 1 and 0 <= t <= 1:
+        return ("point", (a[0] + u[0] * s, a[1] + u[1] * s))
+    return None
+
+
+def _segment_param(a, b, x):
+    """How far the point x of the segment [a, b] lies along it, a Fraction."""
+    k = next(k for k in range(len(a)) if a[k] != b[k])
+    return F(x[k] - a[k]) / (b[k] - a[k])
+
+
+def _fraction_walk(d):
+    """A diagram's walk in its view coordinates, as Fractions."""
+    return tuple((F(x, d.unit), F(y, d.unit)) for x, y in d.walk)
+
+
+def _point_at(a, b, s):
+    """The point s along the segment [a, b]."""
+    return tuple(p + (q - p) * s for p, q in zip(a, b))
+
+
+def _fraction_events(d):
+    """A diagram's crossings as (i, j, point, over_is_i), each point a
+    Fraction pair s / den along walk segment i."""
+    walk, m = _fraction_walk(d), len(d.walk)
+    return tuple((i, j, _point_at(walk[i], walk[(i + 1) % m], F(s, den)), over) for i, j, den, s, _, over in d.events)
+
+
+def crossing_points(d):
+    """Each crossing's point in the diagram's view coordinates."""
+    return [x for _, _, x, _ in _fraction_events(d)]
+
+
+# ---------------------------------------------------------------------------
+# one pair meet on integers against the Fraction routines
+# ---------------------------------------------------------------------------
+
+def _assert_meet_matches_reference(a, b, c, d):
+    seg_seg = seg_seg_3d if len(a) == 3 else seg_seg_2d
+    want = seg_seg(*(tuple(map(F, v)) for v in (a, b, c, d)))
+    got = _meet(a, b, c, d)
+    if want is None or want[0] == "overlap":
+        assert got == (want[0] if want else None)
+        return
+    den, s, t = got
+    assert den > 0 and 0 <= s <= den and 0 <= t <= den
+    assert _point_at(a, b, F(s, den)) == _point_at(c, d, F(t, den)) == want[1]
+
+
+def _segment_pair(randint, dim):
+    """Endpoints a, b, c, d of two integer segments in ``dim`` dimensions,
+    as ``randint(lo, hi)`` picks them: on the grid 0..3, or one time in
+    three with [c, d] on the line of [a, b].  Either may be degenerate."""
+    a, b, c, d = (tuple(randint(0, 3) for _ in range(dim)) for _ in range(4))
+    if randint(0, 2) == 0:
+        u = tuple(q - p for p, q in zip(a, b))
+        g = gcd(*u) or 1
+        k, length = randint(-2, 3), randint(-2, 2)
+        c = tuple(p + k * x // g for p, x in zip(a, u))
+        d = tuple(p + length * x // g for p, x in zip(c, u))
+    return a, b, c, d
+
+
+@settings(max_examples=500)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_meet_matches_reference(data, dim):
+    a, b, c, d = _segment_pair(lambda lo, hi: data.draw(st.integers(lo, hi)), dim)
+    assume(a != b and c != d)
+    _assert_meet_matches_reference(a, b, c, d)
+
+
+def _meet_kind(a, b, c, d):
+    """The kind of meet of two Fraction segments, read off the reference."""
+    u, v, w = sub3(b, a), sub3(d, c), sub3(c, a)
+    meet = seg_seg_3d(a, b, c, d)
+    parallel = cross3(u, v) == (0, 0, 0)
+    if meet is None:
+        if parallel:
+            return "parallel apart" if cross3(w, u) != (0, 0, 0) else "collinear apart"
+        return "skew" if dot3(w, cross3(u, v)) else "coplanar apart"
+    if meet[0] == "overlap":
+        return "collinear overlap"
+    if parallel:
+        return "collinear point"
+    return "touch" if meet[1] in (a, b, c, d) else "crossing"
+
+
+def test_meet_corpus_reaches_every_kind():
+    # segment pairs drawn as the hypothesis test draws them meet in every
+    # way _meet tells apart
+    rng = random.Random(18)
+    kinds = {2: set(), 3: set()}
+    for _ in range(3000):
+        dim = rng.choice([2, 3])
+        a, b, c, d = _segment_pair(rng.randint, dim)
+        if a == b or c == d:
+            continue
+        _assert_meet_matches_reference(a, b, c, d)
+        kinds[dim].add(_meet_kind(*(tuple(map(F, v + (0,) * (3 - dim))) for v in (a, b, c, d))))
+    every = {"parallel apart", "collinear apart", "coplanar apart", "collinear overlap", "collinear point",
+             "touch", "crossing"}
+    assert kinds[2] == every
+    assert kinds[3] == every | {"skew"}
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +480,15 @@ def _reference_project(p, direction):
         if x in seen:
             raise NonGenericProjection(f"triple point at {x}")
         seen.add(x)
-    return _build_diagram(tuple(reduced), tuple(events))
+    walk, events = tuple(reduced), tuple(events)
+    return walk, events, _reference_arcs(walk, events)
+
+
+def _drawn(d):
+    """A diagram as _reference_project draws it: its walk and crossings in
+    Fractions, and its arcs."""
+    walk, events = _fraction_walk(d), _fraction_events(d)
+    return walk, events, (d.n_arcs, [(c.over_arc, c.under_in, c.under_out, e[2]) for c, e in zip(d.crossings, events)])
 
 
 def _outcome(f, *args):
@@ -289,6 +496,10 @@ def _outcome(f, *args):
         return f(*args)
     except NonGenericProjection as e:
         return ("NonGenericProjection", str(e))
+
+
+def _drawn_projection(poly, direction):
+    return _drawn(project(poly, direction))
 
 
 # the depth axis, and the first sheared directions project_generic tries;
@@ -302,7 +513,7 @@ VIEWS = [d for d, _ in zip(generic_directions(), range(4))] + [
 def _assert_matches_reference(poly):
     assert is_simple(poly) == _reference_is_simple(poly)
     for direction in VIEWS:
-        assert _outcome(project, poly, direction) == _outcome(_reference_project, poly, direction)
+        assert _outcome(_drawn_projection, poly, direction) == _outcome(_reference_project, poly, direction)
 
 
 def _random_walk(rng, steps, oblique):
@@ -367,7 +578,9 @@ def test_is_simple_and_project_match_reference_on_uniform_approximants(m):
     a = approximant(KnotAssignment.uniform("trefoil", m), m)
     assert is_simple(a.polyline) == _reference_is_simple(a.polyline)
     for direction in VIEWS[:2]:
-        assert _outcome(project, a.polyline, direction) == _outcome(_reference_project, a.polyline, direction)
+        assert _outcome(_drawn_projection, a.polyline, direction) == _outcome(
+            _reference_project, a.polyline, direction
+        )
 
 
 def test_is_simple_and_project_match_reference_on_oblique_curves():
@@ -424,8 +637,8 @@ def _reference_arcs(walk, events):
 
 
 def _assert_arcs_match(d):
-    want = _reference_arcs(d.walk, d.events)
-    assert (d.n_arcs, [(c.over_arc, c.under_in, c.under_out, c.point) for c in d.crossings]) == want
+    walk, events, arcs = _drawn(d)
+    assert arcs == _reference_arcs(walk, events)
 
 
 def test_arcs_match_reference_on_catalog_grids_and_mirrors():
@@ -470,8 +683,11 @@ def test_arcs_match_reference_on_uniform_approximants(m):
 def _reference_meets(walk, boxed=False):
     """The O(n^2) loop _meets ran before the sweep: every pair of segments,
     axis-parallel pairs as integer boxes, every other pair through seg_seg_*.
-    With ``boxed``, pairs whose bounding boxes do not meet are skipped first,
-    as the loop before the oblique sweep did: the same hits, sooner."""
+    Each meet is given as _meets gives it, its point as the Fraction
+    parameters (s, t) along the two segments, and neighbours that meet at
+    their shared vertex are dropped.  With ``boxed``, pairs whose bounding
+    boxes do not meet are skipped first, as the loop before the oblique
+    sweep did: the same hits, sooner."""
     n = len(walk)
     scale = lcm(*(c.denominator for v in walk for c in v))
     ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in walk]
@@ -489,14 +705,21 @@ def _reference_meets(walk, boxed=False):
                 if boxed and not _bounding_boxes_meet(walk, i, j):
                     continue
                 meet = seg_seg(walk[i], walk[(i + 1) % n], walk[j], walk[(j + 1) % n])
-                if meet is not None:
-                    yield i, j, meet
+            else:
+                hit = box_meet(box_i, box_j)
+                if hit is None:
+                    continue
+                lo, hi = (tuple(F(c, scale) for c in corner) for corner in hit)
+                meet = ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
+            if meet is None:
                 continue
-            hit = box_meet(box_i, box_j)
-            if hit is None:
+            if meet[0] == "overlap":
+                yield i, j, "overlap"
                 continue
-            lo, hi = (tuple(F(c, scale) for c in corner) for corner in hit)
-            yield i, j, ("point", lo) if hit[0] == hit[1] else ("overlap", (lo, hi))
+            x = meet[1]
+            if (j == i + 1 and x == walk[j]) or (i == 0 and j == n - 1 and x == walk[0]):
+                continue
+            yield i, j, tuple(_segment_param(walk[k], walk[(k + 1) % n], x) for k in (i, j))
 
 
 def _scaled(walk):
@@ -505,11 +728,16 @@ def _scaled(walk):
     return [tuple(int(F(c) * scale) for c in v) for v in walk]
 
 
+def _with_params(meets):
+    """_meets' output, each point meet (den, s, t) as (s / den, t / den)."""
+    return [(i, j, meet if meet == "overlap" else (F(meet[1], meet[0]), F(meet[2], meet[0]))) for i, j, meet in meets]
+
+
 def _assert_meets_match(walk):
     # both on the scaled walk, the reference's as Fractions: the same pairs
     # in the same order, meeting in the same points
     ints = _scaled(walk)
-    assert list(_meets(ints)) == list(_reference_meets([tuple(map(F, v)) for v in ints]))
+    assert _with_params(_meets(ints)) == list(_reference_meets([tuple(map(F, v)) for v in ints]))
 
 
 def _lattice_walk(rng, dim, steps, oblique=0):
@@ -544,13 +772,11 @@ def test_meets_matches_reference_on_lattice_walks(rng, dim, steps, oblique):
     _assert_meets_match(walk)
 
 
-def _hit_kind(walk, i, j, meet):
-    kind, x = meet
-    if kind == "overlap":
+def _hit_kind(meet):
+    if meet == "overlap":
         return "overlap"
-    n = len(walk)
-    ends = [x in (walk[k], walk[(k + 1) % n]) for k in (i, j)]
-    return {2: "endpoint", 1: "T-junction", 0: "crossing"}[sum(ends)]
+    den, s, t = meet
+    return {2: "endpoint", 1: "T-junction", 0: "crossing"}[(s in (0, den)) + (t in (0, den))]
 
 
 def test_lattice_walk_corpus_reaches_every_kind_of_hit():
@@ -565,7 +791,7 @@ def test_lattice_walk_corpus_reaches_every_kind_of_hit():
         walk, n = _scaled(walk), len(walk)
         for i, j, meet in _meets(walk):
             if all(sum(s != t for s, t in zip(walk[k], walk[(k + 1) % n])) == 1 for k in (i, j)):
-                kinds[dim].add(_hit_kind(walk, i, j, meet))
+                kinds[dim].add(_hit_kind(meet))
             else:
                 oblique_hits += 1
     assert kinds[2] == kinds[3] == {"overlap", "endpoint", "T-junction", "crossing"}
@@ -589,8 +815,11 @@ TIES = [
 @pytest.mark.parametrize("walk", TIES, ids=["starts-and-ends", "revisited-corner", "3d-plane"])
 def test_meets_matches_reference_at_sweep_ties(walk):
     _assert_meets_match([tuple(F(c, 3) for c in p) for p in walk])
-    n = len(walk)
-    assert any(meet[0] == "point" and meet[1][0] == 1 and 1 < j - i < n - 1 for i, j, meet in _meets(walk))
+    # a point meet of non-neighbours on the line x = 1
+    assert any(
+        meet != "overlap" and _point_at(walk[i], walk[(i + 1) % len(walk)], F(meet[1], meet[0]))[0] == 1
+        for i, j, meet in _meets(walk)
+    )
 
 
 @pytest.mark.parametrize("walk", [
@@ -636,9 +865,10 @@ def test_meets_matches_reference_on_constructions(kind, m):
 
 def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
     # the sweep sends only meeting pairs to box_meet: one call per adjacent
-    # pair on the simple squareflake, where the all-pairs loop made n(n-1)/2
+    # pair on the simple squareflake, where the all-pairs loop made n(n-1)/2;
+    # neighbours meeting at their shared vertex are not yielded
     poly = squareflake(8).polyline
-    hits = len(list(_meets(poly.integer_form.points)))
+    assert list(_meets(poly.integer_form.points)) == []
     calls = 0
 
     def counting_box_meet(box1, box2):
@@ -648,7 +878,7 @@ def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
 
     monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
     assert is_simple(poly)
-    assert calls == hits == len(poly) == 1024
+    assert calls == len(poly) == 1024
 
 
 def fraction_counter(monkeypatch):
@@ -665,9 +895,22 @@ def fraction_counter(monkeypatch):
 
 
 def test_is_simple_builds_no_fraction(monkeypatch):
+    # simplicity, projection, diagrams and invariants all run on integers;
+    # the inputs are built before the count starts
     poly = squareflake(8).polyline
+    uniform = {m: CONSTRUCTIONS["uniform"](m) for m in (2, 3)}
+    det = uniform[3].expected_determinant()
+    sheared = _scaled(_view(uniform[2].polyline, (3, 2, 6)))  # oblique planar pairs
+    grids = [catalog(name) for name in catalog_names()]
     built = fraction_counter(monkeypatch)
     assert is_simple(poly)
+    d, _ = project_generic(uniform[3].polyline)
+    assert determinant(d) == determinant_minor(d) == det
+    assert tricolorings(d) == 3 * det  # 22 trefoils: 3^23 colourings
+    with pytest.raises(NonGenericProjection, match="segments 4 and 19 touch at an endpoint"):
+        project(uniform[2].polyline, (3, 2, 6))
+    assert any(meet != "overlap" for _, _, meet in _meets(sheared))
+    assert [determinant(diagram_from_grid(g)) for g in grids] == [5, 3, 1]
     assert built == []
 
 
@@ -687,7 +930,7 @@ def test_meets_box_tests_only_pairs_whose_x_ranges_overlap(monkeypatch):
         return box_meet(box1, box2)
 
     monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
-    assert list(_meets(walk)) == want
+    assert _with_params(_meets(walk)) == want
     assert len(want) < calls <= overlapping < n * (n - 1) // 4
 
 
@@ -704,9 +947,10 @@ OBLIQUE_WALKS = {
 
 
 @pytest.mark.parametrize("name", OBLIQUE_WALKS)
-def test_meets_calls_seg_seg_once_per_oblique_pair_with_meeting_boxes(monkeypatch, name):
-    # pairs with an oblique segment reach seg_seg_* only when their integer
-    # bounding boxes meet; the rest are skipped with no Fraction arithmetic
+def test_meets_calls_meet_once_per_pair_that_needs_it(monkeypatch, name):
+    # pairs with an oblique segment reach _meet only when their integer
+    # bounding boxes meet, the rest are skipped, and axis-parallel pairs
+    # reach it only for the parameters of a point hit of non-neighbours
     walk = _scaled(OBLIQUE_WALKS[name]())
     n = len(walk)
     axis_parallel = [sum(s != t for s, t in zip(walk[i], walk[(i + 1) % n])) == 1 for i in range(n)]
@@ -715,17 +959,17 @@ def test_meets_calls_seg_seg_once_per_oblique_pair_with_meeting_boxes(monkeypatc
     ]
     boxes_meet = sum(_bounding_boxes_meet(walk, i, j) for i, j in oblique_pairs)
     want = list(_reference_meets([tuple(map(F, v)) for v in walk]))
-    seg_seg = "seg_seg_3d" if len(walk[0]) == 3 else "seg_seg_2d"
-    calls = 0
+    axis_points = sum(meet != "overlap" and axis_parallel[i] and axis_parallel[j] for i, j, meet in want)
+    calls = {True: 0, False: 0}  # by whether both segments are axis-parallel
 
-    def counting_seg_seg(*args):
-        nonlocal calls
-        calls += 1
-        return getattr(geometry, seg_seg)(*args)
+    def counting_meet(a, b, c, d):
+        calls[running_axis(a, b) is not None and running_axis(c, d) is not None] += 1
+        return _meet(a, b, c, d)
 
-    monkeypatch.setattr(invariants, seg_seg, counting_seg_seg)
-    assert list(_meets(walk)) == want
-    assert calls == boxes_meet < len(oblique_pairs)
+    monkeypatch.setattr(invariants, "_meet", counting_meet)
+    assert _with_params(_meets(walk)) == want
+    assert calls[False] == boxes_meet < len(oblique_pairs)
+    assert calls[True] == axis_points
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +998,11 @@ class _Arrangement:
     them from the crossing order."""
 
     def __init__(self, d):
-        m = len(d.walk)
+        walk, points = _fraction_walk(d), crossing_points(d)
+        m = len(walk)
         edges = []
         for i, seg in enumerate(d.passes):
-            pts = [d.walk[i], *(d.events[cid][2] for cid, _ in seg), d.walk[(i + 1) % m]]
+            pts = [walk[i], *(points[cid] for cid, _ in seg), walk[(i + 1) % m]]
             edges.extend(zip(pts, pts[1:]))
         self.edges = edges
         # half-edges: (point_from, point_to); twin = reversed
@@ -845,13 +1090,14 @@ def _reference_faces(d):
     colours): dart 2k leaves passage k along the walk, dart 2k + 1 leaves
     passage k + 1 against it."""
     arr = _Arrangement(d)
-    m = len(d.walk)
+    walk, points = _fraction_walk(d), crossing_points(d)
+    m = len(walk)
     passages = [(i, cid) for i, seg in enumerate(d.passes) for cid, _ in seg]
     faces = []
     for q, (i, cid) in enumerate(passages):
         j, cid_next = passages[(q + 1) % len(passages)]
-        ahead = _outgoing_along(arr, d.events[cid][2], sub2(d.walk[(i + 1) % m], d.walk[i]))
-        back = _outgoing_along(arr, d.events[cid_next][2], sub2(d.walk[j], d.walk[(j + 1) % m]))
+        ahead = _outgoing_along(arr, points[cid], sub2(walk[(i + 1) % m], walk[i]))
+        back = _outgoing_along(arr, points[cid_next], sub2(walk[j], walk[(j + 1) % m]))
         faces += [arr.face_of[ahead], arr.face_of[back]]
     assert len(set(faces)) == len(arr.faces)
     return faces, arr.two_coloring()

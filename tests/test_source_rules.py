@@ -7,6 +7,8 @@
 * No unread private name: every module-level function, class or
   assignment whose name starts with a single underscore is read somewhere
   in the package, as a name, an attribute or an import.
+* No dead function or class: every module-level function and class is
+  read by its own module or another one, or exported from ``__init__``.
 * No ``sys.argv`` outside ``cli.main``, where it is the default ``argv``:
   everything else reads the arguments ``main`` was given.
 * ``functools.cache`` and ``lru_cache`` only decorate functions with no
@@ -138,13 +140,26 @@ def _reads(tree):
     return read
 
 
-def _unread_privates(trees):
-    """(module, line, name) of the private module-level names no module reads."""
+def _functions_and_classes(tree):
+    """(line, name) of every module-level function and class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.lineno, node.name) for node in tree.body if isinstance(node, kinds)]
+
+
+def _unread(trees, definitions):
+    """(module, line, name) of the ``definitions(tree)`` that no module
+    reads, as a name, an attribute or an import (``__init__`` imports what
+    the package exports)."""
     read = set().union(*map(_reads, trees.values()))
     return sorted(
         (module, line, name)
-        for module, tree in trees.items() for line, name in _private_definitions(tree) if name not in read
+        for module, tree in trees.items() for line, name in definitions(tree) if name not in read
     )
+
+
+def _unread_privates(trees):
+    """(module, line, name) of the private module-level names no module reads."""
+    return _unread(trees, _private_definitions)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -171,6 +186,10 @@ def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
 
+def test_every_function_and_class_is_referenced_or_exported():
+    assert _unread({path.name: _tree(path) for path in MODULES}, _functions_and_classes) == []
+
+
 def test_rules_see_what_they_forbid():
     source = "import os\nfrom math import gcd, lcm\n\ndef f(x):\n    return float(x) + 0.5 + lcm(x)\n"
     tree = ast.parse(source)
@@ -182,6 +201,12 @@ def test_rules_see_what_they_forbid():
     dead = ast.parse("_LIMIT = 3\n\ndef _dead(x):\n    return x\n\ndef _used(x):\n    return x + _LIMIT\n")
     user = ast.parse("from a import _used\n__all__ = []\n")
     assert _unread_privates({"a.py": dead, "b.py": user}) == [("a.py", 3, "_dead")]
+    public = ast.parse("def kept(u):\n    return u\n\ndef left(u):\n    return u\n\nclass Shown:\n    pass\n")
+    init = ast.parse("from .a import kept\n")
+    caller = ast.parse("def f(a):\n    return a.Shown()\n")
+    assert _unread({"a.py": public, "__init__.py": init, "b.py": caller}, _functions_and_classes) == [
+        ("a.py", 4, "left"), ("b.py", 1, "f"),
+    ]
     argv = ast.parse("import sys\n\ndef main(argv=None):\n    return argv or sys.argv[1:]\n\nLOG = sys.argv\n")
     assert _argv_reads(argv, "cli.py") == [6]
     assert _argv_reads(argv, "serialize.py") == [4, 6]
