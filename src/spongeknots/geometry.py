@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 
 Point2 = tuple[Fraction, Fraction]
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -84,8 +85,8 @@ def axis_form(a: Point3, b: Point3):
 def running_axis(a, b):
     """The one axis along which points a and b differ, or None when they
     differ along several (an oblique segment) or none."""
-    diffs = [k for k, (s, t) in enumerate(zip(a, b)) if s != t]
-    return diffs[0] if len(diffs) == 1 else None
+    differs = list(map(ne, a, b))
+    return differs.index(True) if differs.count(True) == 1 else None
 
 
 def box_meet(box1, box2):

@@ -22,6 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -38,70 +39,76 @@ class NonGenericProjection(ValueError):
 # simplicity
 # ---------------------------------------------------------------------------
 
-def _axis_meets(boxes):
-    """Lists ``after[i]`` of every j > i such that the axis-parallel segments
-    with boxes i and j meet; ``boxes[i]`` is None for an oblique segment.
+def _axis_meets(boxes, axes):
+    """(i, j) with i < j for the axis-parallel segments i and j whose boxes
+    meet, but for perpendicular neighbours, which meet only at their shared
+    vertex.  ``boxes[i]`` is segment i's box, its ends in order, and
+    ``axes[i]`` the axis it runs along, None for an oblique segment.
 
     Collinear segments are bucketed by their line and paired along it in
-    order of ``lo``.  Perpendicular ones, along axes a < b, can meet only
-    at one value of the remaining coordinates; each such group is swept
-    along a, keeping the b-coordinates of the a-segments that span the
-    sweep position in a sorted list, and each b-segment queries its span
-    of that list.  At one position inserts come before queries and queries
-    before removals, since segments are closed.  O(n log n + hits) for n
-    segments, besides the list moves.
+    order of ``lo``; neighbours among them are kept, since a fold-back is
+    an overlap.  Perpendicular ones, along axes a < b that both carry
+    segments, can meet only at one value of the remaining coordinate; each
+    such group is swept along a, keeping the b-coordinates of the
+    a-segments that span the sweep position in a sorted list, and each
+    b-segment queries its span of that list.  At one position inserts come
+    before queries and queries before removals, since segments are closed.
+    O(n log n + hits) comparisons for n segments; each ``insort`` and
+    ``del`` also moves O(active) list entries.
     """
     n = len(boxes)
-    after = [[] for _ in range(n)]
-    lines = defaultdict(list)  # (axis, fixed coordinates) -> [(lo, hi, i)]
-    groups = defaultdict(list)  # (a, b, remaining coordinates) -> [(a-coordinate, kind, ...)]
-    for i, box in enumerate(boxes):
-        if box is None:
-            continue
-        lo, hi = box
-        ax = next(a for a in range(len(lo)) if lo[a] != hi[a])
-        lines[ax, lo[:ax] + lo[ax + 1:]].append((lo[ax], hi[ax], i))
-        for other in range(len(lo)):
-            if other == ax:
-                continue
-            a, b = min(ax, other), max(ax, other)
-            rest = tuple(c for k, c in enumerate(lo) if k != a and k != b)
-            events = groups[a, b, rest]
-            if ax == a:  # spans a at b-coordinate lo[b]: insert (kind 0), then remove (kind 2)
-                key = lo[b] * n + i
-                events.append((lo[a], 0, key))
-                events.append((hi[a], 2, key))
-            else:  # sits at a-coordinate lo[a], spans b: query (kind 1)
-                events.append((lo[a], 1, lo[b] * n, (hi[b] + 1) * n, i))
-    for line in lines.values():
-        line.sort()
-        for k, (_, hi, i) in enumerate(line):
-            for t in range(k + 1, len(line)):
-                lo_j, _, j = line[t]
-                if lo_j > hi:
-                    break
-                after[min(i, j)].append(max(i, j))
-    for events in groups.values():
-        events.sort()
-        active = []  # b-coordinate * n + segment index, sorted
-        for event in events:
-            kind = event[1]
-            if kind == 0:
-                insort(active, event[2])
-            elif kind == 2:
-                del active[bisect_left(active, event[2])]
-            else:
-                i = event[4]
-                for key in active[bisect_left(active, event[2]):bisect_left(active, event[3])]:
-                    j = key % n
-                    after[min(i, j)].append(max(i, j))
-    return after
+    by_axis = defaultdict(list)  # axis -> segments running along it
+    for i, ax in enumerate(axes):
+        if ax is not None:
+            by_axis[ax].append(i)
+    pairs = []
+    for ax, segs in by_axis.items():
+        lines = defaultdict(list)  # fixed coordinates -> [(lo, hi, i)]
+        for i in segs:
+            lo, hi = boxes[i]
+            lines[lo[:ax] + lo[ax + 1:]].append((lo[ax], hi[ax], i))
+        for line in lines.values():
+            line.sort()
+            for k, (_, hi, i) in enumerate(line):
+                for t in range(k + 1, len(line)):
+                    lo_j, _, j = line[t]
+                    if lo_j > hi:
+                        break
+                    pairs.append((i, j) if i < j else (j, i))
+    for a, b in combinations(sorted(by_axis), 2):
+        rest = 3 - a - b  # the remaining axis of a 3D walk
+        groups = defaultdict(list)  # remaining coordinate -> [(a-coordinate, kind, ...)]
+        for i in by_axis[a]:  # spans a at b-coordinate lo[b]: insert (kind 0), then remove (kind 2)
+            lo, hi = boxes[i]
+            events = groups[lo[rest] if rest < len(lo) else None]
+            key = lo[b] * n + i
+            events.append((lo[a], 0, key))
+            events.append((hi[a], 2, key))
+        for i in by_axis[b]:  # sits at a-coordinate lo[a], spans b: query (kind 1)
+            lo, hi = boxes[i]
+            groups[lo[rest] if rest < len(lo) else None].append((lo[a], 1, lo[b] * n, (hi[b] + 1) * n, i))
+        for events in groups.values():
+            events.sort()
+            active = []  # b-coordinate * n + segment index, sorted
+            for event in events:
+                kind = event[1]
+                if kind == 0:
+                    insort(active, event[2])
+                elif kind == 2:
+                    del active[bisect_left(active, event[2])]
+                else:
+                    i = event[4]
+                    for key in active[bisect_left(active, event[2]):bisect_left(active, event[3])]:
+                        j = key % n
+                        if (i - j) % n not in (1, n - 1):  # perpendicular neighbours are dropped
+                            pairs.append((i, j) if i < j else (j, i))
+    return pairs
 
 
-def _oblique_partners(bounds, boxes):
-    """Lists ``partners[i]`` of every j > i such that segment i or j is
-    oblique (``boxes[k]`` None) and their bounding boxes ``bounds`` overlap
-    along the first axis.
+def _oblique_partners(bounds, axes):
+    """(i, j) with i < j for every two segments, i or j oblique
+    (``axes[k]`` None), whose bounding boxes ``bounds`` overlap along the
+    first axis.
 
     Segments are swept in order of their low end along that axis, keeping
     the oblique and the axis-parallel ones whose high end may still reach
@@ -110,20 +117,16 @@ def _oblique_partners(bounds, boxes):
     ones.  Each list drops its ended segments as it is read, so the sweep
     costs O(n log n + pairs).
     """
-    n = len(bounds)
-    partners = [[] for _ in range(n)]
-    if None not in boxes:
-        return partners
+    pairs = []
     active = ([], [])  # axis-parallel, oblique
-    for k in sorted(range(n), key=lambda k: bounds[k][0][0]):
+    for k in sorted(range(len(bounds)), key=lambda k: bounds[k][0][0]):
         x = bounds[k][0][0]
-        oblique = boxes[k] is None
+        oblique = axes[k] is None
         for group in active if oblique else active[1:]:
             group[:] = [j for j in group if bounds[j][1][0] >= x]
-            for j in group:
-                partners[min(j, k)].append(max(j, k))
+            pairs += [(j, k) if j < k else (k, j) for j in group]
         active[oblique].append(k)
-    return partners
+    return pairs
 
 
 def _cross(u, v):
@@ -179,38 +182,39 @@ def _meets(walk):
     coordinate is an int.  ``meet`` is "overlap", or (den, s, t) as from
     ``_meet`` for a pair that meets in one point.  Neighbours share a
     vertex and meet in one point only there, so they are yielded only when
-    they overlap.  The axis-parallel pairs that meet are found by
-    ``_axis_meets`` and meet in the intersection of their boxes, an
-    integer box; ``_meet`` is asked only for the parameters of a point hit
-    of non-neighbours.  A pair
-    with an oblique segment is a candidate only when ``_oblique_partners``
-    finds their ranges along the first axis overlapping, and goes through
-    ``_meet`` only when their bounding boxes meet (closed segments that
-    meet have meeting boxes).  Pairs are yielded one first index i at a
-    time, so a caller that stops at its first bad pair skips the rest.
+    they overlap.  The candidate pairs, found by ``_axis_meets`` and
+    ``_oblique_partners``, are sorted once into one list.  The axis-parallel
+    pairs among them meet in the intersection of their boxes, an integer
+    box; ``_meet`` is asked only for the parameters of a point hit of
+    non-neighbours.  A pair with an oblique segment goes through ``_meet``
+    only when their bounding boxes meet (closed segments that meet have
+    meeting boxes).  Pairs are decided one at a time, so a caller that
+    stops at its first bad pair skips the rest.
     """
     n = len(walk)
     ends = list(zip(walk, walk[1:] + walk[:1]))
-    bounds = [(tuple(map(min, a, b)), tuple(map(max, a, b))) for a, b in ends]
-    # an axis-parallel segment is its own box; None marks an oblique one
-    boxes = [None if running_axis(a, b) is None else box for box, (a, b) in zip(bounds, ends)]
-    after = _axis_meets(boxes)
-    partners = _oblique_partners(bounds, boxes)
-    for i in range(n):
-        box_i = boxes[i]
-        for j in sorted(after[i] + partners[i]):
-            box_j = boxes[j]
-            neighbours = j == i + 1 or (i == 0 and j == n - 1)
-            if box_i is not None and box_j is not None:
-                lo, hi = box_meet(box_i, box_j)
-                if lo != hi:
-                    yield i, j, "overlap"
-                elif not neighbours:
-                    yield i, j, _meet(*ends[i], *ends[j])
-            elif box_meet(bounds[i], bounds[j]) is not None:
-                meet = _meet(*ends[i], *ends[j])
-                if meet == "overlap" or (meet is not None and not neighbours):
-                    yield i, j, meet
+    axes = [running_axis(a, b) for a, b in ends]  # None marks an oblique segment
+    # an axis-parallel segment is its own box, its ends in order
+    bounds = [
+        ((a, b) if a < b else (b, a)) if ax is not None else (tuple(map(min, a, b)), tuple(map(max, a, b)))
+        for ax, (a, b) in zip(axes, ends)
+    ]
+    pairs = _axis_meets(bounds, axes)
+    if None in axes:
+        pairs += _oblique_partners(bounds, axes)
+    pairs.sort()
+    for i, j in pairs:
+        neighbours = j == i + 1 or (i == 0 and j == n - 1)
+        hit = box_meet(bounds[i], bounds[j])
+        if axes[i] is not None and axes[j] is not None:
+            if hit[0] != hit[1]:
+                yield i, j, "overlap"
+            elif not neighbours:
+                yield i, j, _meet(*ends[i], *ends[j])
+        elif hit is not None:
+            meet = _meet(*ends[i], *ends[j])
+            if meet == "overlap" or (meet is not None and not neighbours):
+                yield i, j, meet
 
 
 def is_simple(p: ClosedPolyline3) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import reprlib
 from contextvars import ContextVar
+from math import gcd
 from operator import attrgetter as attr
 from operator import itemgetter as item
 
@@ -196,8 +197,19 @@ GENERATION = record(lambda g, pearls: (g, pearls), [
 
 # --- artifact kinds ----------------------------------------------------------
 
+def _write_integer_points(form):
+    """The points of an integer form (scale, points) as ``POINTS`` writes
+    them, each distinct coordinate c once: c / scale in lowest terms."""
+    scale, points = form
+    text = {}
+    for c in {c for p in points for c in p}:
+        g = gcd(c, scale)
+        text[c] = f"{c // g}/{scale // g}"
+    return [[text[c] for c in p] for p in points]
+
+
 POLYLINE = record(ClosedPolyline3, [
-    ("vertices", attr("vertices"), POINTS),
+    ("vertices", attr("integer_form"), (_write_integer_points, POINTS[1])),
     ("marks", attr("marks"), MARKS),
 ], "polyline")
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import cmp_to_key
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -863,22 +864,108 @@ def test_meets_matches_reference_on_constructions(kind, m):
     _assert_meets_match(_view(poly))
 
 
+def _counting(monkeypatch, name):
+    """A list that grows by one item per call of ``invariants.<name>`` while
+    the patch holds, each call's result."""
+    calls, f = [], getattr(invariants, name)
+
+    def counted(*args):
+        calls.append(f(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(invariants, name, counted)
+    return calls
+
+
+def _axis_parallel(walk, k):
+    return running_axis(walk[k], walk[(k + 1) % len(walk)]) is not None
+
+
+def _collinear_neighbours(walk):
+    """The pairs (i, j), i < j, of neighbouring segments along one axis."""
+    n = len(walk)
+    axes = [running_axis(walk[k], walk[(k + 1) % n]) for k in range(n)]
+    return {tuple(sorted((k, (k + 1) % n))) for k in range(n) if axes[k] is not None and axes[k] == axes[k + 1 - n]}
+
+
 def test_is_simple_calls_box_meet_once_per_axis_parallel_hit(monkeypatch):
-    # the sweep sends only meeting pairs to box_meet: one call per adjacent
-    # pair on the simple squareflake, where the all-pairs loop made n(n-1)/2;
-    # neighbours meeting at their shared vertex are not yielded
+    # the sweep sends on only pairs that can overlap or meet away from a
+    # shared vertex: none on the simple squareflake, where every box hit is
+    # a perpendicular neighbour pair and the all-pairs loop made n(n-1)/2
+    # calls; on the tie walks one call per yielded axis-parallel pair and
+    # per collinear neighbour pair
     poly = squareflake(8).polyline
+    calls = _counting(monkeypatch, "box_meet")
     assert list(_meets(poly.integer_form.points)) == []
-    calls = 0
-
-    def counting_box_meet(box1, box2):
-        nonlocal calls
-        calls += 1
-        return box_meet(box1, box2)
-
-    monkeypatch.setattr(invariants, "box_meet", counting_box_meet)
     assert is_simple(poly)
-    assert calls == len(poly) == 1024
+    assert calls == []
+    for walk in TIES:
+        del calls[:]
+        yielded = {(i, j) for i, j, _ in _meets(walk) if _axis_parallel(walk, i) and _axis_parallel(walk, j)}
+        assert yielded
+        assert len(calls) == len(yielded | _collinear_neighbours(walk))
+
+
+def _grid_walks(dim, sizes):
+    """Every closed axis-parallel walk on {0, 1, 2}^dim with a vertex count
+    in ``sizes``, as lists of int points: each step, the closing one too,
+    changes exactly one coordinate, so no vertex repeats the one before it."""
+    stack = [[v] for v in product(range(3), repeat=dim)]
+    while stack:
+        walk = stack.pop()
+        if len(walk) in sizes and running_axis(walk[-1], walk[0]) is not None:
+            yield walk
+        if len(walk) < max(sizes):
+            v = walk[-1]
+            stack += [walk + [v[:k] + (c,) + v[k + 1:]] for k in range(dim) for c in range(3) if c != v[k]]
+
+
+def test_meets_matches_reference_on_every_small_grid_walk(monkeypatch):
+    # every walk of 3 to 6 vertices on the 3 x 3 grid and of 3 to 5 on the
+    # 3 x 3 x 3 one: n = 3, where every pair is a neighbour pair, n = 4,
+    # where |i - j| = n - 1 is the wrap pair, and the wrap pair (0, n - 1)
+    # perpendicular, collinear, and folding back; box_meet sees each
+    # yielded pair and each collinear neighbour pair once, and no other
+    calls = _counting(monkeypatch, "box_meet")
+    walks = wraps = 0
+    kinds = set()
+    for dim, sizes in ((2, range(3, 7)), (3, range(3, 6))):
+        for walk in _grid_walks(dim, sizes):
+            n = len(walk)
+            del calls[:]
+            meets = _with_params(_meets(walk))
+            assert meets == list(_reference_meets(walk)), walk
+            assert len(calls) == len({(i, j) for i, j, _ in meets} | _collinear_neighbours(walk)), walk
+            walks += 1
+            wraps += (0, n - 1, "overlap") in meets
+            first, last = (running_axis(walk[k], walk[(k + 1) % n]) for k in (0, n - 1))
+            kinds.add((n, "collinear" if first == last else "perpendicular"))
+    # closed walks of length L on the rook's graph: the trace of A^L
+    assert walks == (36 + 324 + 900 + 4356) + (162 + 2430 + 7290)
+    assert wraps > 0
+    # three axis steps close up only along one line
+    want = {(n, kind) for n in range(3, 7) for kind in ("collinear", "perpendicular")}
+    assert kinds == want - {(3, "perpendicular")}
+
+
+def test_sweep_work_counts_on_squareflakes(monkeypatch):
+    # deterministic work counts, no timing: the perpendicular sweep inserts
+    # each x-running segment once (only the axis pair (0, 1) occurs in the
+    # plane), so inserts grow with n, and no pair reaches the candidate list
+    inserts = _counting(monkeypatch, "insort")
+    axis_pairs = _counting(monkeypatch, "_axis_meets")
+    oblique_pairs = _counting(monkeypatch, "_oblique_partners")
+    counts = {}
+    for m in range(5, 9):
+        walk = squareflake(m).polyline.integer_form.points
+        del inserts[:]
+        assert list(_meets(walk)) == []
+        counts[m] = len(inserts)
+    n = len(walk)
+    assert counts[8] == sum(walk[k][0] != walk[(k + 1) % n][0] for k in range(n)) == 512
+    assert all(counts[m + 1] <= 2.5 * counts[m] for m in range(5, 8))
+    assert len(axis_pairs) == 4 and all(pairs == [] for pairs in axis_pairs)
+    assert oblique_pairs == []
 
 
 def fraction_counter(monkeypatch):
