@@ -12,6 +12,7 @@ import datetime
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import checks, serialize
@@ -294,11 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and kept for the
+    process: parsing leaves the parser as it was, and a process that runs
+    many commands builds it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = argv  # the command the sidecar .log records
     try:
         return args.func(args)

@@ -174,15 +174,19 @@ def embed_into_cube(
     return poly
 
 
+# running axis -> the fixed axes, in axis order
+_FIXED_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge"):
     """Per-segment exact containment verdicts at the given stage.
 
     An oblique segment, or one leaving the unit cube, is not contained.
-    Each segment's axis is read from the curve's integer form, and one
-    Fraction is built per distinct coordinate value.  A negative stage is
-    a ValueError before any segment is read.  One ``SegmentMemo`` serves
-    the whole pass, so each distinct value's digits at a stage are split
-    once.
+    Each segment's axis, the order of its ends and the unit-cube test are
+    read from the curve's integer form, and one Fraction is built per
+    distinct coordinate value.  A negative stage is a ValueError before
+    any segment is read.  One ``SegmentMemo`` serves the whole pass, so
+    each distinct value's digits at a stage are split once.
     """
     if stage < 0:
         raise ValueError("stage must be >= 0")
@@ -192,12 +196,11 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
     verdicts = []
     for a, b in zip(points, points[1:] + points[:1]):
         ax = running_axis(a, b)
-        seg = None
-        if ax is not None:
-            lo, hi = sorted((a[ax], b[ax]))
-            try:
-                seg = AxisSegment(ax, tuple(value[c] for k, c in enumerate(a) if k != ax), value[lo], value[hi])
-            except ValueError:  # it leaves the unit cube
-                pass
-        verdicts.append(seg is not None and segment_in_stage(seg, stage, space, memo=memo))
+        inside = ax is not None and min(a) >= 0 and max(a) <= scale and 0 <= b[ax] <= scale
+        if inside:
+            lo, hi = (a[ax], b[ax]) if a[ax] < b[ax] else (b[ax], a[ax])
+            i, j = _FIXED_AXES[ax]
+            seg = AxisSegment(ax, (value[a[i]], value[a[j]]), value[lo], value[hi])
+            inside = segment_in_stage(seg, stage, space, memo=memo)
+        verdicts.append(inside)
     return tuple(verdicts)

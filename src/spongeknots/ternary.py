@@ -40,14 +40,11 @@ _RULES = {"cantor": (1, 1), "carpet_face": (2, 2), "sponge": (3, 2), "carpet2": 
 _FREE_ENOUGH = {space: dim - ones + 1 for space, (dim, ones) in _RULES.items()}
 
 
-def _one_free(digit_strings) -> bool:
-    """Some digit string among one coordinate's options has no digit 1."""
-    return any(1 not in ds for ds in digit_strings)
-
-
-def _check_unit(x: Fraction) -> Fraction:
+def _check_unit(x) -> Fraction:
+    """x as a Fraction, checked on integers to lie in [0, 1] (a Fraction's
+    denominator is positive)."""
     x = frac(x)
-    if not (0 <= x <= 1):
+    if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"coordinate out of [0,1]: {x}")
     return x
 
@@ -55,6 +52,9 @@ def _check_unit(x: Fraction) -> Fraction:
 def _split_three(den: int) -> tuple[int, int]:
     """(j, d) with den == 3**j * d and d prime to 3."""
     j = 0
+    while den % 81 == 0:
+        den //= 81
+        j += 4
     while den % 3 == 0:
         den //= 3
         j += 1
@@ -117,19 +117,46 @@ def expansions(x) -> tuple[TernaryExpansion, ...]:
     of a // d and the period is that of (a % d) / d, which repeats from its
     first digit (its length is the order of 3 modulo d).
     """
-    x = _check_unit(x)
-    if x == 0:
-        return (TernaryExpansion(b"", b"\0"),)
-    if x == 1:
-        return (TernaryExpansion(b"", b"\2"),)
-    num = x.numerator
-    j, d = _split_three(x.denominator)
-    head = bytes(_digits_of_index(num // d, j))
-    if d == 1:
-        # terminating expansion: its last digit is not 0, and zeros follow
-        low = head[:-1] + bytes((head[-1] - 1,))
-        return TernaryExpansion(head, b"\0"), TernaryExpansion(low, b"\2")
-    return (TernaryExpansion(head, _period_digits(num % d, d)),)
+    return _expand(_check_unit(x))
+
+
+def _expand(x: Fraction) -> tuple[TernaryExpansion, ...]:
+    """``expansions`` of a coordinate already checked to lie in [0, 1]."""
+    return _expansions(*_head_and_period(x.numerator, *_split_three(x.denominator)))
+
+
+def _head_and_period(num: int, j: int, d: int) -> tuple[bytes, bytes]:
+    """The digits every expansion of num / (3**j * d) is made from, for d
+    prime to 3 and the value in [0, 1]: its j-digit preperiod and its
+    period, or an empty period when the value is triadic in (0, 1), whose
+    two expansions ``_expansions`` makes from the head alone."""
+    if num == 0:
+        return b"", b"\0"
+    if num == d and j == 0:  # the value 1
+        return b"", b"\2"
+    head = _digit_bytes(num // d, j)
+    return head, b"" if d == 1 else _period_digits(num % d, d)
+
+
+def _expansions(head: bytes, period: bytes) -> tuple[TernaryExpansion, ...]:
+    """The expansions of ``_head_and_period``'s digits."""
+    if period:
+        return (TernaryExpansion(head, period),)
+    # terminating expansion: its last digit is not 0, and zeros follow
+    low = head[:-1] + bytes((head[-1] - 1,))
+    return TernaryExpansion(head, b"\0"), TernaryExpansion(low, b"\2")
+
+
+def _has_one_free(head: bytes, period: bytes) -> bool:
+    """Some expansion of ``_head_and_period``'s digits has no digit 1.
+
+    A triadic head ends in 1 or 2: ending in 2 it is 1-free when it has no
+    other 1, and ending in 1 its other form, the head with that 1 made 0 and
+    2s after, is.  So either way no 1 before its last digit is the test.
+    """
+    if period:
+        return 1 not in head and 1 not in period
+    return head.find(1, 0, -1) < 0
 
 
 _CHUNK = 8
@@ -138,7 +165,7 @@ _CHUNK = 8
 @cache
 def _chunk_digits() -> list[bytes]:
     """i -> the _CHUNK base-3 digits of i; built on first use, so a process
-    that never expands a non-triadic coordinate does not hold it."""
+    that never splits a coordinate into digits does not hold it."""
     return [bytes(ds) for ds in product(range(3), repeat=_CHUNK)]
 
 
@@ -203,21 +230,19 @@ def _digits_of_index(i: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(ds))
 
 
-# i -> the 4 base-3 digits of i, for i < 81
-_DIGITS4 = [bytes(ds) for ds in product(range(3), repeat=4)]
-
-
 def _digit_bytes(i: int, k: int) -> bytes:
-    """The k base-3 digits of i as bytes, most significant first: the
-    digits of _digits_of_index, four per division."""
+    """The k base-3 digits of i < 3**k as bytes, most significant first:
+    the digits of _digits_of_index, _CHUNK per division."""
     if k > 64:
         high, low = divmod(i, 3 ** (k // 2))
         return _digit_bytes(high, k - k // 2) + _digit_bytes(low, k // 2)
-    chunks = []
-    for _ in range(-(-k // 4)):
-        i, r = divmod(i, 81)
-        chunks.append(_DIGITS4[r])
-    return b"".join(reversed(chunks))[4 * len(chunks) - k:]
+    digits, scale = _chunk_digits(), 3**_CHUNK
+    out = digits[i % scale]
+    while k > _CHUNK:
+        i //= scale
+        k -= _CHUNK
+        out = digits[i % scale] + out
+    return out[_CHUNK - k:]
 
 
 def _index_of_digits(ds) -> int:
@@ -359,7 +384,7 @@ def satisfying_expansions(coords, space: str):
     One TernaryExpansion per coordinate such that every digit position
     satisfies the space condition.
     """
-    return _witness([expansions(c) for c in coords], space)
+    return _witness(list(map(_expand, _point(coords, space))), space)
 
 
 def _witness(options, space: str):
@@ -385,9 +410,23 @@ def _stage_scan(prefix_options, space: str):
 
 
 def stage_witness(coords, k: int, space: str):
-    """Length-k digit prefixes, one per coordinate, that break no rule; or None."""
-    options = [ternary_digits(c, k) for c in _point(coords, space)]
-    return next((combo for combo, t in _stage_scan(options, space) if t is None), None)
+    """Length-k digit prefixes, one per coordinate, that break no rule; or None.
+
+    Each prefix is a tuple of digits, the first combo in ``product`` order of
+    the coordinates' ``ternary_digits`` that breaks no rule.
+    """
+    options, _ = _stage_options(_point(coords, space), k)
+    combo = next((combo for combo, t in _stage_scan(options, space) if t is None), None)
+    return None if combo is None else tuple(map(tuple, combo))
+
+
+def _stage_options(coords, k: int):
+    """(the digit strings of each checked coordinate's closed stage-k cells,
+    as ``bytes``; how many coordinates have a cell with no digit 1)."""
+    if k < 0:
+        raise ValueError("stage must be >= 0")
+    cells = [_stage_cells((c.numerator, c.denominator, k)) for c in coords]
+    return [ds for ds, _ in cells], sum(free for _, free in cells)
 
 
 @dataclass(frozen=True)
@@ -412,13 +451,13 @@ def refutation(coords, space: str, k: int | None = None):
     outside the limit set, and each cell sits at its combo's exact first
     violating position. ValueError when some combo breaks no rule.
     """
-    coords = _point(coords, space)
     if k is None:
         _, refuted = limit_certificate(coords, space)
         if refuted is None:
             raise ValueError("refutation requested for a member point")
         return refuted
-    combos = list(_stage_scan([ternary_digits(c, k) for c in coords], space))
+    options, _ = _stage_options(_point(coords, space), k)
+    combos = list(_stage_scan(options, space))
     if any(t is None for _, t in combos):
         raise ValueError("refutation requested for a member point")
     return _removed_cells([(t, p) for p, t in combos], space)
@@ -432,7 +471,7 @@ def limit_certificate(point, space: str):
     of ``refutation`` without a stage, so a caller that wants whichever of
     them the point has expands no coordinate twice.
     """
-    options = [expansions(c) for c in _point(point, space)]
+    options = list(map(_expand, _point(point, space)))
     witness = _witness(options, space)
     if witness is not None:
         return witness, None
@@ -459,8 +498,11 @@ def _removed_cells(found, space: str):
 
 
 def _point(point, space: str):
-    """The point's coordinates, checked to lie in [0, 1] and to match the space."""
-    coords = tuple(_check_unit(c) for c in point)
+    """The point's coordinates, each checked once to lie in [0, 1], and their
+    number checked against the space's."""
+    if space not in _RULES:
+        raise ValueError(f"unknown space {space!r}; expected one of {', '.join(SPACES)}")
+    coords = tuple(map(_check_unit, point))
     dim = _RULES[space][0]
     if len(coords) != dim:
         raise ValueError(f"{space} expects {dim} coordinates")
@@ -470,31 +512,36 @@ def _point(point, space: str):
 def membership(point, space: str) -> bool:
     """Limit-set membership for any supported space.
 
-    Coordinates are expanded one at a time, cheapest first: in order of
-    j + d for a denominator 3**j * d with d prime to 3, which bounds the
-    digits of an expansion, as its period divides phi(d) < d.  Once
-    ``_FREE_ENOUGH[space]`` of them have an expansion with no digit 1 the
-    point is a member whatever the others hold, and they are never
-    expanded.  Otherwise every combo of the expansions is scanned, as
-    ``satisfying_expansions`` does, with no coordinate expanded twice.
+    Each denominator is split once, as 3**j * d with d prime to 3, and the
+    coordinates are expanded one at a time, cheapest first: in order of
+    j + d, which bounds the digits of an expansion, as its period divides
+    phi(d) < d.  Once ``_FREE_ENOUGH[space]`` of them have an expansion with
+    no digit 1 the point is a member whatever the others hold: that is
+    read off the digit bytes, no ``TernaryExpansion`` is made and the other
+    coordinates are never expanded.  Otherwise every combo of the
+    expansions, made from the same bytes, is scanned as
+    ``satisfying_expansions`` does, so no coordinate is expanded twice.
     """
     coords = _point(point, space)
+    splits = [(c.numerator, *_split_three(c.denominator)) for c in coords]
     options = [()] * len(coords)
     free, enough = 0, _FREE_ENOUGH[space]
-    for i in sorted(range(len(coords)), key=lambda i: sum(_split_three(coords[i].denominator))):
-        options[i] = expansions(coords[i])
-        free += _one_free(e.preperiod + e.period for e in options[i])
+    for i in sorted(range(len(coords)), key=lambda i: splits[i][1] + splits[i][2]):
+        options[i] = _head_and_period(*splits[i])
+        free += _has_one_free(*options[i])
         if free >= enough:
             return True
-    return _witness(options, space) is not None
+    return _witness([_expansions(*digits) for digits in options], space) is not None
 
 
 def membership_stage(point, k: int, space: str) -> bool:
-    """Stage-k membership for any supported space; point length must match."""
-    coords = _point(point, space)
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    return stage_witness(coords, k, space) is not None
+    """Stage-k membership for any supported space; point length must match.
+
+    Reads each coordinate's stage-k cells as digit bytes; enough coordinates
+    with a 1-free cell (``_FREE_ENOUGH``) accept the point before any scan.
+    """
+    options, free = _stage_options(_point(point, space), k)
+    return free >= _FREE_ENOUGH[space] or any(t is None for _, t in _stage_scan(options, space))
 
 
 def stage_profile(coords, kmax: int, space: str) -> list[bool]:
@@ -502,12 +549,14 @@ def stage_profile(coords, kmax: int, space: str) -> list[bool]:
 
     A representation combo admits stage k exactly when its first violating
     position exceeds k, so one scan of length-kmax prefixes decides all
-    stages at once.
+    stages at once; enough coordinates with a 1-free stage-kmax cell admit
+    every stage before any scan.
     """
-    if kmax < 0:
-        raise ValueError("stage must be >= 0")
+    options, free = _stage_options(_point(coords, space), kmax)
+    if free >= _FREE_ENOUGH[space]:
+        return [True] * (kmax + 1)
     deepest = 0  # largest prefix length some combo survives
-    for _, t in _stage_scan([ternary_digits(c, kmax) for c in _point(coords, space)], space):
+    for _, t in _stage_scan(options, space):
         deepest = kmax if t is None else max(deepest, t - 1)
         if deepest == kmax:
             break
@@ -590,11 +639,14 @@ class AxisSegment:
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise ValueError("axis must be 0, 1 or 2")
-        if not self.lo < self.hi:
+        # on integers: lo < hi by cross-multiplying (denominators are
+        # positive), and then lo >= 0 and hi <= 1 put the range in [0, 1]
+        ln, ld, hn, hd = self.lo.numerator, self.lo.denominator, self.hi.numerator, self.hi.denominator
+        if not ln * hd < hn * ld:
             raise ValueError("need lo < hi")
-        for c in (*self.fixed, self.lo, self.hi):
-            if not (0 <= c.numerator <= c.denominator):
-                raise ValueError("segment leaves the unit cube")
+        u, v = self.fixed
+        if not (0 <= ln and hn <= hd and 0 <= u.numerator <= u.denominator and 0 <= v.numerator <= v.denominator):
+            raise ValueError("segment leaves the unit cube")
 
     @classmethod
     def from_endpoints(cls, a, b) -> "AxisSegment":
@@ -668,7 +720,7 @@ def _stage_cells(key):
     (num, den, k)."""
     num, den, k = key
     ds = tuple(_digit_bytes(i, k) for i in _cell_candidates(num, den, 3**k))
-    return ds, _one_free(ds)
+    return ds, any(1 not in d for d in ds)
 
 
 class SegmentMemo:

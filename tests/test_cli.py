@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from spongeknots import checks, necklace, serialize, ternary
+from spongeknots import checks, cli, necklace, serialize, ternary
 from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
@@ -76,6 +77,72 @@ def test_predicate_expands_each_coordinate_once(monkeypatch, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] is verdict and ("witness" in out) == verdict
         assert made.count(100003) == 1
+
+
+def _predicate_coordinate(rng):
+    """A coordinate string: a triadic, a small-denominator rational, a
+    1-free periodic point, 12 digits 0 and 2 as criterion 2 draws them, or
+    planted digits rich in 1s followed by 0.(02)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        j = rng.randint(0, 6)
+        return f"{rng.randint(0, 3**j)}/{3**j}"
+    if kind == 1:
+        den = rng.randint(1, 400)
+        return f"{rng.randint(0, den)}/{den}"
+    if kind == 2:
+        p = rng.randint(1, 6)
+        return f"{sum(rng.choice((0, 2)) * 3**i for i in range(p))}/{3**p - 1}"
+    if kind == 3:
+        return f"{sum(rng.choice((0, 2)) * 3**i for i in range(12))}/{3**12}"
+    ds = [rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(1, 8))]
+    n = sum(d * 3**i for i, d in enumerate(reversed(ds)))
+    return f"{4 * n + 1}/{4 * 3 ** len(ds)}"
+
+
+def _seeded_predicate_queries():
+    """Limit and stage point queries in every space, from a fixed seed."""
+    rng = random.Random(0x9E7)
+    dims = {"cantor": 1, "carpet-face": 2, "sponge": 3, "carpet2": 3}
+    for _ in range(150):
+        space = rng.choice(sorted(dims))
+        coords = [_predicate_coordinate(rng) for _ in range(dims[space])]
+        yield ["predicate", "--space", space, *coords]
+        yield ["predicate", "--space", space, "--stage", str(rng.randint(0, 9)), *coords]
+
+
+# SHA-256 of the outputs of _seeded_predicate_queries, as the Fraction-based
+# point predicates wrote them before membership moved onto integers
+SEEDED_PREDICATE_SHA256 = "fc9f6416a6ed64c4ed7f519417e8427c9ffaa33c8d1f32dac4d755bfa21ae3da"
+
+
+def test_seeded_predicate_outputs_are_pinned(capsys):
+    digest, verdicts = hashlib.sha256(), set()
+    for argv in _seeded_predicate_queries():
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        digest.update(out.encode())
+        result = json.loads(out)
+        verdicts.add((result["stage"] is None, result["verdict"]))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert digest.hexdigest() == SEEDED_PREDICATE_SHA256
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert run(["predicate", "--space", "cantor", "1/4"]) == 0
+        assert run(["predicate", "--space", "cantor", "--stage", "2", "1/2"]) == 0
+        with pytest.raises(SystemExit):  # an argparse usage error leaves the parser as it was
+            run(["predicate", "--space", "nope", "1/4"])
+        assert run(["predicate", "--space", "sponge", "1/4", "0", "0"]) == 0
+    finally:
+        cli._parser.cache_clear()  # the next main builds it with the real builder
+    assert built == [1]
+    capsys.readouterr()
 
 
 def test_predicate_segment(capsys):

@@ -37,6 +37,7 @@ from spongeknots.ternary import (
     satisfying_expansions,
     segment_in_stage,
     stage_profile,
+    stage_witness,
     ternary_digits,
 )
 
@@ -849,3 +850,172 @@ def test_segment_with_enough_one_free_fixed_coordinates_matches_reference(case):
     seg = AxisSegment(axis, fixed, lo, hi)
     assert _reference_segment_in_stage(seg, k, space)
     assert _walk(seg, k, space) and segment_in_stage(seg, k, space)
+
+
+# --- point predicates on integers: one check and one split per coordinate ----
+
+@pytest.mark.parametrize("query", [
+    lambda p: membership(p, "nope"),
+    lambda p: membership_stage(p, 2, "nope"),
+    lambda p: stage_profile(p, 2, "nope"),
+    lambda p: satisfying_expansions(p, "nope"),
+    lambda p: stage_witness(p, 2, "nope"),
+    lambda p: refutation(p, "nope"),
+], ids=["membership", "membership_stage", "stage_profile", "satisfying_expansions", "stage_witness", "refutation"])
+def test_unknown_space_is_a_value_error_naming_the_spaces(query):
+    with pytest.raises(ValueError, match="unknown space 'nope'; expected one of cantor, carpet_face, sponge, carpet2"):
+        query((F(0),))
+
+
+def test_satisfying_expansions_checks_the_point_like_membership():
+    with pytest.raises(ValueError, match="sponge expects 3 coordinates"):
+        satisfying_expansions((F(0), F(0)), "sponge")
+    with pytest.raises(ValueError, match=r"coordinate out of \[0,1\]"):
+        satisfying_expansions((F(0), F(4, 3), F(0)), "sponge")
+    with pytest.raises(ValueError, match=r"coordinate out of \[0,1\]"):
+        membership((F(-1, 3),), "cantor")
+
+
+@pytest.fixture
+def point_work(monkeypatch):
+    """Counts of the work a point predicate does: denominators split,
+    TernaryExpansion objects made, ``expansions`` calls and stage scans."""
+    work = {"split": [], "expansions_made": 0, "expansions_calls": 0, "scans": 0}
+    split_three, post_init, stage_scan, expand = (
+        ternary._split_three, TernaryExpansion.__post_init__, ternary._stage_scan, ternary.expansions,
+    )
+
+    def made(self):
+        work["expansions_made"] += 1
+        post_init(self)
+
+    def called(x):
+        work["expansions_calls"] += 1
+        return expand(x)
+
+    def scanned(options, space):
+        work["scans"] += 1
+        return stage_scan(options, space)
+
+    monkeypatch.setattr(ternary, "_split_three", lambda den: work["split"].append(den) or split_three(den))
+    monkeypatch.setattr(TernaryExpansion, "__post_init__", made)
+    monkeypatch.setattr(ternary, "expansions", called)
+    monkeypatch.setattr(ternary, "_stage_scan", scanned)
+    return work
+
+
+def test_dust_point_builds_no_expansion_and_splits_each_denominator_once(point_work, periods_made):
+    # criterion 2: x, y with 12 digits 0 and 2 settle the sponge; z has a
+    # period of 1,000,002 digits and is never expanded
+    rng = random.Random(2)
+    x, y = (F(sum(rng.choice((0, 2)) * 3**i for i in range(12)), 3**12) for _ in range(2))
+    z = F(5, 1000003)
+    assert in_sponge(x, y, z)
+    assert sorted(point_work["split"]) == sorted([x.denominator, y.denominator, z.denominator])
+    assert point_work["expansions_made"] == point_work["expansions_calls"] == 0
+    assert periods_made == []
+
+
+def test_a_triadic_head_is_one_free_unless_a_1_comes_before_its_last_digit(periods_made):
+    # 1/3 = 0.1 = 0.0222... and 7/9 = 0.21 = 0.20222... are 1-free through
+    # their other expansion: they settle the sponge, and 1/10007 is not expanded
+    assert in_sponge(F(1, 3), F(7, 9), F(1, 10007))
+    assert periods_made == []
+    # 4/9 = 0.11 = 0.10222... holds a 1 either way, so 1/10007 is read
+    point = (F(4, 9), F(0), F(1, 10007))
+    assert in_sponge(*point) == (satisfying_expansions(point, "sponge") is not None)
+    assert periods_made == [10007, 10007]
+
+
+def test_a_point_the_shortcut_does_not_settle_is_expanded_once_into_objects(point_work, periods_made):
+    # 1/2 = 0.111... and 1/5 = 0.(0121) in base 3: only 1/3 = 0.0222... is
+    # 1-free, so the sponge scans the combos of 1/3's two expansions, 1/2's
+    # and 1/5's, made from the digits the shortcut read
+    point = (F(1, 3), F(1, 2), F(1, 5))
+    assert in_sponge(*point) == (satisfying_expansions(point, "sponge") is not None)
+    assert sorted(periods_made) == [2, 2, 5, 5]
+    assert point_work["split"] == [3, 2, 5] * 2
+    assert point_work["expansions_made"] == 2 * 4 and point_work["expansions_calls"] == 0
+
+
+def test_stage_queries_with_enough_one_free_cells_run_no_scan(point_work):
+    # 2/9 = 0.02 and 1/4 = 0.0202... have 1-free cells at every stage; 1/2 = 0.111... has none
+    point = (F(2, 9), F(1, 2), F(1, 4))
+    assert membership_stage(point, 6, "sponge") and stage_profile(point, 6, "sponge") == [True] * 7
+    assert point_work["scans"] == 0
+    assert not membership_stage((F(1, 2), F(1, 2), F(1, 4)), 6, "sponge")
+    assert point_work["scans"] == 1
+    # the witness is still the first combo of the scan, as tuples of digits
+    assert stage_witness(point, 3, "sponge") == ((0, 2, 0), (1, 1, 1), (0, 2, 0))
+
+
+def _one_free_cell_coordinate(k):
+    """Coordinates with a stage-k cell whose digits hold no 1."""
+    return st.one_of(
+        st.sampled_from((F(0), F(1), F(1, 4), F(3, 4))),
+        _free_periodic,
+        st.lists(st.sampled_from((0, 2)), min_size=0, max_size=k + 1).map(
+            lambda ds: F(_index_of_digits(ds), 3 ** len(ds))
+        ),
+    )
+
+
+# (N + 1/4) / 3**L: the L digits of N, rich in 1s, then 0.(02), so its cells
+# at stages up to L hold N's digits
+_planted_coordinate = st.lists(st.sampled_from((0, 1, 1, 2)), min_size=1, max_size=6).map(
+    lambda ds: (_index_of_digits(ds) + F(1, 4)) / 3 ** len(ds)
+)
+stage_points = st.tuples(st.sampled_from(SPACE_DIMS), st.integers(min_value=0, max_value=5)).flatmap(
+    lambda sdk: st.tuples(
+        st.just(sdk[0][0]),
+        st.just(sdk[1]),
+        st.lists(
+            st.one_of(_one_free_cell_coordinate(sdk[1]), _planted_coordinate, _triadic_point, unit_fractions),
+            min_size=sdk[0][1], max_size=sdk[0][1],
+        ).map(tuple),
+    )
+)
+
+
+@given(stage_points)
+@settings(max_examples=300)
+def test_stage_verdict_witness_and_oracle_agree_in_every_space(case):
+    space, k, point = case
+    verdict = subdivision_oracle(point, k, space)
+    assert membership_stage(point, k, space) == (stage_witness(point, k, space) is not None) == verdict
+    assert stage_profile(point, k, space) == oracle_profile(point, k, space)
+    if not verdict:
+        failed_stage, _ = refutation(point, space, k)
+        assert failed_stage <= k
+
+
+def _stage_corpus_coordinate(rng, k):
+    kind = rng.randrange(4)
+    if kind == 0:  # planted digits rich in 1s, then 0.(02)
+        ds = [rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(1, k + 1))]
+        return (_index_of_digits(ds) + F(1, 4)) / 3 ** len(ds)
+    if kind == 1:  # a 1-free stage-k cell
+        return F(_index_of_digits([rng.choice((0, 2)) for _ in range(k)]), 3**k)
+    if kind == 2:
+        j = rng.randint(0, k)
+        return F(rng.randint(0, 3**j), 3**j)
+    return _random_unit_fraction(rng, 200)
+
+
+def test_stage_corpus_reaches_the_early_accept_the_scan_and_non_members():
+    # the early accept (enough 1-free cells), members found only by the
+    # scan, and non-members, in every space where the rule allows each
+    rng = random.Random(0x57A6E)
+    seen = {space: set() for space, _ in SPACE_DIMS}
+    for _ in range(200):
+        for space, dim in SPACE_DIMS:
+            k = rng.randint(1, 6)
+            point = tuple(_stage_corpus_coordinate(rng, k) for _ in range(dim))
+            verdict = subdivision_oracle(point, k, space)
+            assert membership_stage(point, k, space) == (stage_witness(point, k, space) is not None) == verdict
+            assert stage_profile(point, k, space) == oracle_profile(point, k, space)
+            _, free = ternary._stage_options(point, k)
+            seen[space].add("early" if free >= ternary._FREE_ENOUGH[space] else "scan" if verdict else "out")
+    # one coordinate's cells hold a 1 exactly where the Cantor rule removes them
+    assert seen.pop("cantor") == {"early", "out"}
+    assert all(classes == {"early", "scan", "out"} for classes in seen.values())
