@@ -11,7 +11,6 @@ import argparse
 import datetime
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .geometry import frac
 from .grid import KNOT_DETERMINANTS, catalog, catalog_names
 from .invariants import determinant, diagram_from_grid, project, tricolorings
 from .necklace import iterate, make_necklace
-from .polyline import ClosedPolyline3, PolylineError
+from .polyline import ClosedPolyline3, IntegerForm, PolylineError
 from .squareflake import squareflake
 from .ternary import (
     AxisSegment,
@@ -142,7 +141,17 @@ def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks
     return _finish(results)
 
 
+def _check_denominator_digits(stage: int | None):
+    """A stage-k embedding writes 3**k; refuse a k whose power is past the
+    int-to-str limit (0 for none, or before Python 3.10.7), deciding a k
+    over three times the limit (27 > 10) without forming the power."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and stage is not None and (stage > 3 * limit or 3**stage >= 10**limit):
+        raise ValueError(f"stage {stage} needs 3**{stage}, over the int-to-str limit of {limit} decimal digits")
+
+
 def cmd_build_embed(args) -> int:
+    _check_denominator_digits(args.stage)
     g = catalog(args.knot)
     poly, _ = embed_grid(g, args.stage)
     results = checks.polyline(poly)
@@ -195,10 +204,7 @@ def cmd_build_wildknot(args) -> int:
 
 def _necklace_base(name: str) -> ClosedPolyline3:
     if name == "square":
-        return ClosedPolyline3(
-            ((Fraction(0), Fraction(0), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)),
-             (Fraction(1), Fraction(1), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))),
-        )
+        return ClosedPolyline3(IntegerForm(1, ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))))
     poly, _ = embed_grid(catalog(name))
     return poly
 

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .geometry import Cube, Point3, running_axis
+from .geometry import ZERO, Cube, Point3, running_axis
 from .grid import GridDiagram, validate, walk_points
-from .polyline import ClosedPolyline3
-from .ternary import AxisSegment, SegmentMemo, in_sponge_stage, segment_in_stage, triadic_exponent
+from .polyline import ClosedPolyline3, IntegerForm
+from .ternary import (
+    AxisSegment, SegmentMemo, cantor_numerators, in_sponge_stage, segment_in_stage, triadic_exponent,
+)
 
 
 def stage_for(n: int) -> int:
@@ -37,38 +39,6 @@ class EmbeddingReport:
     endpoints: tuple[Fraction, ...]
 
 
-def _first_endpoints(k: int, n: int) -> tuple[Fraction, ...]:
-    """``cantor_endpoints(k)[:n]`` without the other endpoints, in O(n k):
-    endpoint 2j and 2j + 1 bound the j-th stage-k interval, whose low end
-    has the ternary digits 2 x the binary digits of j."""
-    scale = 3**k
-    out = []
-    for i in range(n):
-        j, low = i >> 1, 0
-        for b in range(j.bit_length()):
-            low += (j >> b & 1) * 2 * 3**b
-        out.append(Fraction(low + (i & 1), scale))
-    return tuple(out)
-
-
-def _vertex_cycle(d: GridDiagram, endpoints):
-    """4n-vertex cycle: rows on z=1, columns on z=0, connectors between."""
-    p = {v: endpoints[v - 1] for v in range(1, d.n + 1)}
-    pts = walk_points(d)
-    one = Fraction(1)
-    zero = Fraction(0)
-    verts = []
-    for m, (col, row) in enumerate(pts):
-        x, y = p[col], p[row]
-        if m % 2 == 0:
-            verts.append((x, y, zero))
-            verts.append((x, y, one))
-        else:
-            verts.append((x, y, one))
-            verts.append((x, y, zero))
-    return verts
-
-
 def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, EmbeddingReport]:
     """Embed a valid grid diagram into the stage-k sponge; default minimal k."""
     bad = validate(d)
@@ -80,9 +50,15 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
         raise ValueError("stage must be >= 0")
     elif (d.n - 1).bit_length() > k + 1:  # 2**(k+1) < n, with no power formed for a huge k
         raise ValueError(f"stage {k} has only {2 ** (k + 1)} endpoints < n = {d.n}")
-    endpoints = _first_endpoints(k, d.n)
-    poly = ClosedPolyline3(tuple(_vertex_cycle(d, endpoints)))
-    return poly, EmbeddingReport(k, endpoints)
+    levels = cantor_numerators(k, d.n)  # grid level v at levels[v - 1] / 3**k
+    top = 3**k
+    # 4n-vertex cycle: rows on z = 1, columns on z = 0, connectors between
+    verts = []
+    for m, (col, row) in enumerate(walk_points(d)):
+        x, y = levels[col - 1], levels[row - 1]
+        verts += ((x, y, 0), (x, y, top)) if m % 2 == 0 else ((x, y, top), (x, y, 0))
+    poly = ClosedPolyline3(IntegerForm(top, tuple(verts)))
+    return poly, EmbeddingReport(k, tuple(Fraction(c, top) for c in levels))
 
 
 # orientation -> for each cube axis, the unit axis it carries and whether
@@ -95,31 +71,28 @@ _ORIENTATIONS = {
 }
 
 
-def _orientation(orientation: str):
+def _place(unit: ClosedPolyline3, cube: Cube, orientation: str) -> ClosedPolyline3:
+    """The unit-cube curve ``unit`` carried into ``cube``, its edge (x=0,
+    z=0) onto the cube edge ``orientation`` names, by one integer affine
+    map per coordinate: the int point p over the unit's scale goes to the
+    coordinates ``(off + mul * p[src]) / den``.  The marks go with it, the
+    Fraction ends of its splice mark carried by the same maps and sorted."""
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    return _ORIENTATIONS[orientation]
-
-
-def _orient(unit: Point3, cube: Cube, orientation: str) -> Point3:
-    """Image of a unit-cube point in ``cube``, its edge (x=0, z=0) on the edge ``orientation`` names."""
-    return tuple(
-        c + cube.side * (1 - unit[src] if flip else unit[src])
-        for c, (src, flip) in zip(cube.corner, _orientation(orientation))
-    )
-
-
-def _orient_maps(cube: Cube, orientation: str, scale: int):
-    """``_orient`` as integer affine maps: (den, maps) such that the image of
-    the unit-cube point p / scale, for an int point p, has the coordinate
-    ``(off + mul * p[src]) / den`` for each (src, mul, off) of ``maps``."""
+    scale, points = unit.integer_form
     den = lcm(cube.side.denominator, *(c.denominator for c in cube.corner))
     side = cube.side.numerator * (den // cube.side.denominator)
     maps = []
-    for c, (src, flip) in zip(cube.corner, _orientation(orientation)):
+    for c, (src, flip) in zip(cube.corner, _ORIENTATIONS[orientation]):
         off = c.numerator * (den // c.denominator) * scale
         maps.append((src, -side, off + side * scale) if flip else (src, side, off))
-    return den * scale, tuple(maps)
+    den *= scale
+    marks = dict(unit.marks)
+    if "splice" in marks:
+        marks["splice"] = tuple(sorted(
+            tuple((off + mul * scale * p[src]) / den for src, mul, off in maps) for p in marks["splice"]))
+    placed = tuple(tuple(off + mul * p[src] for src, mul, off in maps) for p in points)
+    return ClosedPolyline3(IntegerForm(den, placed), marks)
 
 
 def sponge_stage_of_cube(q: Cube) -> int:
@@ -153,15 +126,10 @@ def embed_into_box(
     box edge selected by ``orientation`` and is exposed as marks["splice"].
     """
     unit, report = embed_grid(d, k)
-    box = Cube(corner, side)
-    verts = tuple(_orient(v, box, orientation) for v in unit.vertices)
     # unit column 1 spans the two row heights that use column 1
     heights = [report.endpoints[row - 1] for row, (a, b) in enumerate(d.pairs, start=1) if 1 in (a, b)]
-    lo, hi = min(heights), max(heights)
-    u = _orient((Fraction(0), lo, Fraction(0)), box, orientation)
-    v = _orient((Fraction(0), hi, Fraction(0)), box, orientation)
-    mark = tuple(sorted((u, v)))
-    return ClosedPolyline3(verts, {"splice": mark, "stage": report.stage})
+    unit.marks.update(splice=((ZERO, min(heights), ZERO), (ZERO, max(heights), ZERO)), stage=report.stage)
+    return _place(unit, Cube(corner, side), orientation)
 
 
 def embed_into_cube(

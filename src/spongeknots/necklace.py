@@ -204,7 +204,6 @@ def make_necklace(knot: ClosedPolyline3, n: int) -> Necklace:
     straight."""
     if n < 3:
         raise ValueError("necklaces need n >= 3 pearls")
-    verts = knot.vertices
     edges = list(knot.segments())
     ne = len(edges)
     counts = [n // ne + (1 if i < n % ne else 0) for i in range(ne)]

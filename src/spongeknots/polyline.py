@@ -1,11 +1,14 @@
-"""Closed polygonal curves in the unit cube with exact rational vertices."""
+"""Closed polygonal curves in the unit cube with exact rational vertices,
+stored as one integer form; the Fraction vertices are a view of it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
+from operator import eq
 from typing import NamedTuple
 
 from .geometry import Point3, frac
@@ -17,8 +20,7 @@ class PolylineError(ValueError):
 
 
 class IntegerForm(NamedTuple):
-    """A curve scaled to integers: vertex i is ``points[i] / scale``, and
-    ``scale`` is the lcm of the denominators of its coordinates."""
+    """A curve scaled to integers: vertex i is ``points[i] / scale``."""
 
     scale: int
     points: tuple[tuple[int, ...], ...]
@@ -32,53 +34,58 @@ class ClosedPolyline3:
     Simplicity is a checkable property (see invariants.is_simple), not an
     invariant of the type.  ``marks`` labels special subsegments, e.g. the
     straight splice segment of an embedded summand.
+
+    The integer form takes only ints (anything else is a TypeError) and is
+    divided by the gcd of its scale and coordinates, so its scale is the
+    lcm of the vertices' denominators and two curves are equal exactly when
+    their vertices are.  ``closed_polyline`` builds a curve from rationals.
     """
 
-    vertices: tuple[Point3, ...]
+    integer_form: IntegerForm
     marks: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
+        if not isinstance(self.integer_form, IntegerForm):
+            raise TypeError(f"expected an IntegerForm, got {type(self.integer_form).__name__}")
+        scale, points = self.integer_form
+        points = tuple(map(tuple, points))
+        kinds = {type(scale), *map(type, chain.from_iterable(points))} - {int}
+        if kinds:
+            raise TypeError(f"integer form coordinates must be ints, got {min(k.__name__ for k in kinds)}")
+        if scale < 1:
+            raise ValueError("scale must be >= 1")
+        if len(points) < 3:
             raise PolylineError("need at least 3 vertices")
-        n = len(self.vertices)
-        for i in range(n):
-            if self.vertices[i] == self.vertices[(i + 1) % n]:
-                raise PolylineError(f"consecutive duplicate vertex at index {i}")
-
-    @classmethod
-    def from_integers(cls, scale: int, points, marks=None) -> "ClosedPolyline3":
-        """The curve with vertices ``points[i] / scale``, for a positive int
-        scale and int points.  Each distinct coordinate is built as one
-        Fraction, and the integer form is kept, divided by the gcd of scale
-        and every coordinate so that its scale is the lcm of the
-        denominators."""
-        g = gcd(scale, *(c for p in points for c in p))
-        points = tuple(tuple(c // g for c in p) for p in points)
-        scale //= g
-        value = {c: Fraction(c, scale) for c in {c for p in points for c in p}}
-        poly = cls(tuple(tuple(value[c] for c in p) for p in points), dict(marks) if marks else {})
-        poly.__dict__["integer_form"] = IntegerForm(scale, points)  # where cached_property keeps it
-        return poly
+        repeats = list(map(eq, points, points[1:] + points[:1]))
+        if True in repeats:
+            raise PolylineError(f"consecutive duplicate vertex at index {repeats.index(True)}")
+        g = gcd(scale, *chain.from_iterable(points))
+        if g > 1:
+            scale, points = scale // g, tuple(tuple(c // g for c in p) for p in points)
+        object.__setattr__(self, "integer_form", IntegerForm(scale, points))
 
     def __len__(self):
-        return len(self.vertices)
-
-    def segments(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
+        return len(self.integer_form.points)
 
     @cached_property
-    def integer_form(self) -> IntegerForm:
-        """The curve scaled to integers once, on first use; every check and
-        the splice read it instead of the Fraction vertices."""
-        dens = {c.denominator for v in self.vertices for c in v}
-        scale = lcm(*dens)
-        factor = {d: scale // d for d in dens}
-        points = tuple(tuple(c.numerator * factor[c.denominator] for c in v) for v in self.vertices)
-        return IntegerForm(scale, points)
+    def vertices(self) -> tuple[Point3, ...]:
+        """The Fraction vertices, made on first use, one Fraction per value."""
+        scale, points = self.integer_form
+        value = {c: Fraction(c, scale) for c in set(chain.from_iterable(points))}
+        return tuple(tuple(map(value.__getitem__, p)) for p in points)
+
+    def segments(self):
+        verts = self.vertices
+        return zip(verts, verts[1:] + verts[:1])
 
 
 def closed_polyline(points, marks=None) -> ClosedPolyline3:
-    verts = tuple(tuple(frac(c) for c in p) for p in points)
-    return ClosedPolyline3(verts, dict(marks) if marks else {})
+    """The curve through rational points, each coordinate read by ``frac``.
+    The integer form is worked out once per distinct coordinate object, so
+    points that share their Fractions (a loaded artifact's do) cost one
+    lcm term and one product per value."""
+    rows = [[frac(c) for c in p] for p in points]
+    values = {id(c): c for c in chain.from_iterable(rows)}
+    scale = lcm(*{c.denominator for c in values.values()})
+    num = {key: c.numerator * (scale // c.denominator) for key, c in values.items()}
+    return ClosedPolyline3(IntegerForm(scale, tuple(tuple(num[id(c)] for c in row) for row in rows)), dict(marks or {}))

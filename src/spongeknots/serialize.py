@@ -24,7 +24,7 @@ from operator import itemgetter as item
 from .geometry import Cube, frac
 from .grid import GridDiagram
 from .necklace import Necklace, Pearl
-from .polyline import ClosedPolyline3
+from .polyline import ClosedPolyline3, closed_polyline
 from .squareflake import SquareflakeStage
 from .ternary import AxisSegment
 from .wildknot import Approximant, KnotAssignment, LedgerEntry
@@ -39,6 +39,22 @@ _ABSENT = object()  # a field the JSON object leaves out
 def rat(x) -> str:
     f = frac(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+# id -> (value, text) of the rationals one artifact write has formatted, None
+# outside one; the value is kept so that its id is not reused
+_WRITTEN = ContextVar("written_rationals", default=None)
+
+
+def _write_rational(x) -> str:
+    """``rat(x)``, formatted once per distinct object within one artifact
+    write, so the values a producer shares are written once each."""
+    written = _WRITTEN.get()
+    if written is None:
+        return rat(x)
+    if id(x) not in written:
+        written[id(x)] = (x, rat(x))
+    return written[id(x)][1]
 
 
 def _expect(value, types, what):
@@ -75,7 +91,7 @@ def _read_rational(v):
     return x
 
 
-RATIONAL = (rat, _read_rational)
+RATIONAL = (_write_rational, _read_rational)
 INTEGER = (_same, lambda v: _expect(v, (int,), "an integer"))
 BOOLEAN = (_same, lambda v: _expect(v, (bool,), "a boolean"))
 STRING = (_same, lambda v: _expect(v, (str,), "a string"))
@@ -101,14 +117,19 @@ def array(field, length=None):
 def record(build, fields, kind=None):
     """A JSON object of ``fields``, read back as ``build(*values)`` in table
     order.  With ``kind`` it opens with the ``schema``/``kind`` header, which
-    reading requires.  A field's read error names the field's key."""
+    reading requires, and each write is one artifact write for
+    ``_write_rational``.  A field's read error names the field's key."""
 
     def write(obj):
         out = {"schema": SCHEMA, "kind": kind} if kind else {}
-        for key, get, (write_field, _) in fields:
-            value = write_field(get(obj))
-            if value is not _ABSENT:
-                out[key] = value
+        token = _WRITTEN.set({} if kind else _WRITTEN.get())
+        try:
+            for key, get, (write_field, _) in fields:
+                value = write_field(get(obj))
+                if value is not _ABSENT:
+                    out[key] = value
+        finally:
+            _WRITTEN.reset(token)
         return out
 
     def read(v):
@@ -208,7 +229,7 @@ def _write_integer_points(form):
     return [[text[c] for c in p] for p in points]
 
 
-POLYLINE = record(ClosedPolyline3, [
+POLYLINE = record(closed_polyline, [
     ("vertices", attr("integer_form"), (_write_integer_points, POINTS[1])),
     ("marks", attr("marks"), MARKS),
 ], "polyline")
@@ -308,7 +329,7 @@ def polyline_obj(p: ClosedPolyline3) -> str:
     text = {c: repr(c / scale) for c in {c for q in points for c in q}}
     lines = [f"# {LOSSY_BANNER}"]
     lines += ["v " + " ".join(map(text.__getitem__, q)) for q in points]
-    idx = " ".join(str(i + 1) for i in range(len(p.vertices)))
+    idx = " ".join(str(i + 1) for i in range(len(points)))
     lines.append(f"l {idx} 1")  # closed loop repeats the first index
     return "\n".join(lines) + "\n"
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyline import ClosedPolyline3
-from .ternary import AxisSegment, cantor_endpoints
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .geometry import ONE, ZERO
+from .polyline import ClosedPolyline3, IntegerForm
+from .ternary import AxisSegment, cantor_numerators
 
 
 @dataclass(frozen=True)
@@ -33,32 +31,44 @@ def replaced_count(m: int) -> int:
     return 2 ** (m - 1)
 
 
+def _middle_thirds(q: int) -> list[tuple[int, int]]:
+    """The middle thirds the stage-q detours remove, as numerators over
+    3**q, ascending: one per stage-(q-1) Cantor interval."""
+    return [(3 * lo + 1, 3 * lo + 2) for lo in cantor_numerators(q - 1)[::2]]
+
+
 def detours(q: int) -> list[tuple[Fraction, Fraction]]:
-    """Middle thirds (a, b) the stage-q detours remove, ascending: one per
-    interval of the stage-(q-1) Cantor construction."""
-    ends = cantor_endpoints(q - 1)
-    return [(lo + (hi - lo) / 3, hi - (hi - lo) / 3) for lo, hi in zip(ends[::2], ends[1::2])]
+    """Middle thirds (a, b) the stage-q detours remove, ascending."""
+    return [(Fraction(a, 3**q), Fraction(b, 3**q)) for a, b in _middle_thirds(q)]
 
 
-def _detour(a: Fraction, b: Fraction, depth_x: Fraction):
-    """4-point path around the middle third (a, b), walked downward."""
-    return (ONE, b, ZERO), (depth_x, b, ZERO), (depth_x, a, ZERO), (ONE, a, ZERO)
+def _detour(a, b, depth_x, one, zero):
+    """4-point path around the middle third (a, b) of the edge x = one of
+    the face z = zero, walked downward."""
+    return (one, b, zero), (depth_x, b, zero), (depth_x, a, zero), (one, a, zero)
 
 
 def squareflake(m: int) -> SquareflakeStage:
+    """The stage-m curve, built on ints over 3**m; the stage-m detours in
+    ``replaced`` share one Fraction per distinct value."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    scale = 3**m
     edge = []  # detours of stages 1..q, walking down the right edge x = 1
     stage = []  # detours of stage q, ascending
     for q in range(1, m + 1):
-        depth_x = 1 - Fraction(1, 3**q)
-        stage = [(a, b, depth_x) for a, b in detours(q)]
+        unit = 3 ** (m - q)
+        stage = [(a * unit, b * unit, scale - unit) for a, b in _middle_thirds(q)]
         # one stage-q detour in each gap the earlier detours leave on the edge
         edge = [d for pair in zip(stage[::-1], edge) for d in pair] + stage[:1]
-    verts = (
-        (ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ONE, ZERO),
-        *(p for a, b, x in edge for p in _detour(a, b, x)),
-        (ONE, ZERO, ZERO),
+    points = (
+        (0, 0, 0), (0, scale, 0), (scale, scale, 0),
+        *(p for a, b, x in edge for p in _detour(a, b, x, scale, 0)),
+        (scale, 0, 0),
     )
-    replaced = tuple((AxisSegment(1, (ONE, ZERO), a, b), _detour(a, b, x)) for a, b, x in stage)
-    return SquareflakeStage(m, ClosedPolyline3(verts), replaced)
+    value = {c: Fraction(c, scale) for c in {c for d in stage for c in d}}
+    replaced = tuple(
+        (AxisSegment(1, (ONE, ZERO), a, b), _detour(a, b, x, ONE, ZERO))
+        for a, b, x in (map(value.__getitem__, d) for d in stage)
+    )
+    return SquareflakeStage(m, ClosedPolyline3(IntegerForm(scale, points)), replaced)

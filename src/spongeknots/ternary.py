@@ -600,23 +600,24 @@ def in_carpet2_stage(x, y, z, k: int) -> bool:
     return membership_stage((x, y, z), k, "carpet2")
 
 
-def cantor_endpoints(k: int) -> list[Fraction]:
-    """The 2**(k+1) interval endpoints of the stage-k Cantor construction."""
+def cantor_numerators(k: int, n: int | None = None) -> list[int]:
+    """The first n <= 2**(k+1) (default all) stage-k Cantor endpoints times
+    3**k, ascending, in O(n) however large k is: endpoints 2j and 2j + 1
+    bound the j-th interval, whose low end's ternary digits are 2 x the
+    binary digits of j."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    intervals = [(Fraction(0), Fraction(1))]
-    for _ in range(k):
-        nxt = []
-        for lo, hi in intervals:
-            third = (hi - lo) / 3
-            nxt.append((lo, lo + third))
-            nxt.append((hi - third, hi))
-        intervals = nxt
-    out = []
-    for lo, hi in intervals:
-        out.append(lo)
-        out.append(hi)
-    return out
+    count = 2 ** (k + 1) if n is None else n
+    lows, step = [0], 2
+    while 2 * len(lows) < count:
+        lows += [low + step for low in lows]
+        step *= 3
+    return [low + end for low in lows for end in (0, 1)][:count]
+
+
+def cantor_endpoints(k: int) -> list[Fraction]:
+    """The 2**(k+1) interval endpoints of the stage-k Cantor construction."""
+    return [Fraction(c, 3**k) for c in cantor_numerators(k)]
 
 
 # ---------------------------------------------------------------------------

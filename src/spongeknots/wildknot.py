@@ -16,14 +16,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .embed import _orient, _orient_maps, check_surviving_cube, embed_into_box, stage_for
-from .geometry import Cube, frac, running_axis
+from .embed import _place, check_surviving_cube, embed_into_box, stage_for
+from .geometry import ZERO, Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
-from .polyline import ClosedPolyline3
+from .polyline import ClosedPolyline3, IntegerForm
 from .squareflake import detours, squareflake
 from .ternary import AxisSegment, in_cantor, stage_witness
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,9 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     ``splice`` lists them, against the curve the earlier splices left,
     their summand segments included.
 
-    Each curve's integer form, and each site, is brought to one integer
-    scale, the lcm of their scales and denominators.  Each segment of the base
+    Each curve's integer form, each site and each splice mark is brought
+    to one integer scale, the lcm of their scales and denominators, and
+    the walk and the curve it gives stay on that scale.  Each segment of the base
     and of every summand is filed once by its line, for carriers, and once
     under the site cubes it meets (``_cube_meets``).  A segment that takes
     a summand is cut into pieces, kept as its sorted walk positions
@@ -157,14 +156,14 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     polyline validated, once.  O(g (n + s) log(n + s)) for n segments in
     all, s sites and g distinct cube sides (m of them at stage m).
     """
-    verts = base.vertices
-    n = len(verts)
-    # each curve's integer form, and the sites' coordinates, on one scale
+    n = len(base)
+    # each curve's integer form, the sites' coordinates and the marks' on one scale
     dens = {base.integer_form.scale}
     for site, summand in pairs:
         T, cube = site.T, site.cube
         dens.add(summand.integer_form.scale)
         dens.update(c.denominator for c in (*T.fixed, T.lo, T.hi, *cube.corner, cube.side))
+        dens.update(c.denominator for p in summand.marks.get("splice", ()) for c in p)
     scale = lcm(*dens)
     factor = {d: scale // d for d in dens}
 
@@ -206,7 +205,7 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
 
     # the curve so far: live segments, their pieces and keys
     alive = [i < n for i in range(total)]
-    start = list(verts) + [None] * (total - n)  # first vertex along the walk
+    start = points + [None] * (total - n)  # first vertex along the walk
     keys = [(i,) for i in range(n)] + [None] * (total - n)
     signs = [None] * total
     cuts = [None] * total  # walk positions: piece k runs from cuts[2k] to cuts[2k + 1]
@@ -291,21 +290,16 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         s, cut = signs[i], cuts[i]
         a, b = cut[2 * piece], cut[2 * piece + 1]
         c_lo, c_hi = (a, b) if s > 0 else (-b, -a)
-        if not (c_lo < min(u[ax], v[ax]) * scale and max(u[ax], v[ax]) * scale < c_hi):
+        u, v = scaled(u), scaled(v)
+        if not (c_lo < min(u[ax], v[ax]) and max(u[ax], v[ax]) < c_hi):
             raise ValueError("splice mark touches a base vertex")
-        first, last = (u, v) if (u[ax] < v[ax]) == (s > 0) else (v, u)
-        # locate the mark segment on the summand, on integers: a mark off
-        # the scale's grid is no segment of it
-        ends_at = [[c * scale for c in p] for p in (first, last)]
+        head, tail = (u, v) if (u[ax] < v[ax]) == (s > 0) else (v, u)
+        # locate the mark segment on the summand
         sn = len(pts)
-        t = None
-        if all(c.denominator == 1 for p in ends_at for c in p):
-            head, tail = (tuple(c.numerator for c in p) for p in ends_at)
-            t = next((t for t in range(sn) if (pts[t], pts[(t + 1) % sn]) in ((head, tail), (tail, head))), None)
+        t = next((t for t in range(sn) if (pts[t], pts[(t + 1) % sn]) in ((head, tail), (tail, head))), None)
         if t is None:
             raise ValueError("splice mark is not a segment of the summand")
-        # the summand walked from `first` around to `last`, cut into the carrier piece
-        sverts = summand.vertices
+        # the summand walked from `head` around to `tail`, cut into the carrier piece
         backward = pts[t] == head
         order = [(t - d) % sn for d in range(sn)] if backward else [(t + 1 + d) % sn for d in range(sn)]
         at, to = s * pts[order[0]][ax], s * pts[order[-1]][ax]
@@ -314,12 +308,12 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         for d in range(sn - 1):
             h, e = order[d], order[d + 1]
             seg = offsets[j] + (e if backward else h)
-            alive[seg], start[seg], keys[seg] = True, sverts[h], keys[i] + (at, 1, d)
+            alive[seg], start[seg], keys[seg] = True, pts[h], keys[i] + (at, 1, d)
             go_live(seg, pts[h], pts[e])
             path.append(seg)
             if axes[seg] is None and (first_oblique is None or keys[seg] + (0, 0) < first_oblique):
                 first_oblique = keys[seg] + (0, 0)
-        inserted[i].append((at, path, sverts[order[-1]]))
+        inserted[i].append((at, path, pts[order[-1]]))
 
     # the vertex list: each segment's first vertex, then the paths cut into it
     out = []
@@ -334,11 +328,14 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
             out.append(start[item])
             if item in inserted:
                 stack.append(iter([x for _, path, last in sorted(inserted[item]) for x in (*path, last)]))
-    return ClosedPolyline3(tuple(out), dict(base.marks))
+    return ClosedPolyline3(IntegerForm(scale, tuple(out)), dict(base.marks))
 
 
-# unit-cube quad whose first side runs along the splice edge x = z = 0
-_FLAT_QUAD = tuple((Fraction(x, 3), Fraction(y, 3), ZERO) for x, y in ((0, 0), (0, 1), (1, 1), (1, 0)))
+# unit-cube quad whose first side, its mark, runs along the splice edge x = z = 0
+_FLAT_QUAD = ClosedPolyline3(
+    IntegerForm(3, ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0))),
+    {"splice": ((ZERO, ZERO, ZERO), (ZERO, Fraction(1, 3), ZERO)), "stage": 0},
+)
 
 
 def flat_unknot(site: SpliceSite) -> ClosedPolyline3:
@@ -350,8 +347,7 @@ def flat_unknot(site: SpliceSite) -> ClosedPolyline3:
     """
     if site.kind not in ("bottom", "left", "top"):
         raise ValueError(f"unknown site kind {site.kind!r}")
-    verts = tuple(_orient(p, site.cube, site.orientation) for p in _FLAT_QUAD)
-    return ClosedPolyline3(verts, {"splice": verts[:2], "stage": 0})
+    return _place(_FLAT_QUAD, site.cube, site.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +431,6 @@ def _resolve_knot(name):
     return catalog(name), KNOT_DETERMINANTS[name]
 
 
-def _placed(unit: ClosedPolyline3, site: SpliceSite) -> ClosedPolyline3:
-    """The unit-cube summand carried into the site cube, as
-    ``embed_into_cube`` would embed it there: its integer form goes through
-    one integer affine map per coordinate."""
-    scale, points = unit.integer_form
-    den, maps = _orient_maps(site.cube, site.orientation, scale)
-    placed = [tuple(off + mul * p[src] for src, mul, off in maps) for p in points]
-    mark = tuple(sorted(_orient(p, site.cube, site.orientation) for p in unit.marks["splice"]))
-    return ClosedPolyline3.from_integers(den, placed, {"splice": mark})
-
-
 def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -> Approximant:
     """Build the stage-m connected-sum approximant for an assignment.
 
@@ -474,7 +459,7 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
                 if unit is None:
                     unit = units[name, mirror, k] = embed_into_box(g, (ZERO,) * 3, Fraction(1), "y-edge", k)
                 check_surviving_cube(site.cube)
-                pairs.append((site, _placed(unit, site)))
+                pairs.append((site, _place(unit, site.cube, site.orientation)))
                 top_stage = max(top_stage, site.stage + 1 + k)
             elif include_trivial:
                 pairs.append((site, flat_unknot(site)))

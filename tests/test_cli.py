@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -12,9 +13,10 @@ from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
 from spongeknots.necklace import invert_pearl, iterate, make_necklace
-from spongeknots.polyline import closed_polyline
+from spongeknots.polyline import ClosedPolyline3, closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.wildknot import KnotAssignment, approximant
+from test_invariants import fraction_counter
 
 
 def run(argv):
@@ -670,11 +672,13 @@ def test_threads_option(tmp_path, capsys):
 # every build configuration above, with the artifact it writes
 BUILDS = [
     (["embed", "--knot", "figure-eight"], "embed-figure-eight"),
+    (["embed", "--knot", "trefoil", "--stage", "3"], "embed-trefoil"),
     (["squareflake", "--stage", "2"], "squareflake-2"),
     (["squareflake", "--stage", "1"], "squareflake-1"),
     (["wildknot", "--stage", "2", "--targets", "0/1,1/1", "--knot", "trefoil"], "wildknot-2"),
     (["wildknot", "--stage", "1", "--assign", "all:trivial", "--include-trivial"], "wildknot-1"),
     (["necklace", "--pearls", "4", "--generation", "1"], "necklace-4-1"),
+    (["necklace", "--pearls", "3", "--generation", "1", "--base", "trefoil"], "necklace-3-1"),
 ]
 # embed checks that need the catalog knot, which the polyline artifact does not store
 EMBED_BUILD_ONLY = {"determinant", "grid-projection-match"}
@@ -701,6 +705,12 @@ BUILD_PINS = {
         "embed-figure-eight.json": "867b7c57acbe422282b32472414ca349efe113362d9d34423891a29a7a234b90",
         "embed-figure-eight.obj": "83039b404c449a9b6c625223e3049e958a71af42ccf0cafb34de060a027e178d",
         "embed-figure-eight.report.json": "dee55836508f157f18cfe2a5326d7b4fe7afa3b83e79836ed270f917902702a9",
+    },
+    "embed-trefoil": {
+        "embed-trefoil.invariants.csv": "21a68c2cab1edde3129380c80f9267aecd252cddef7f09dfa2811cd4c6408c8b",
+        "embed-trefoil.json": "343ea274c4942ed0f6fe6f0b36016ff55ac9f6be8acc9ad8eca0a7e077494615",
+        "embed-trefoil.obj": "c4b9d7ebc06985d0f4c7a20b725ba28f86360e5b9253246668cea36193b26670",
+        "embed-trefoil.report.json": "4ff655736aad441b153042c1753fabfb883c965df2e113827055938aca1c4178",
     },
     "squareflake-2": {
         "squareflake-2.json": "b0ed823ef5b194b29b158b566821f75a1fac1450d51c85751a5decae9b44aae1",
@@ -729,6 +739,11 @@ BUILD_PINS = {
         "necklace-4-1.ply": "dda1e7af1c0a5dfcc0f7f6f859499b5124070b37455e555a0525aea379b90820",
         "necklace-4-1.report.json": "ec39a5b90b4f4ce8cf234bd2a30d6652e20240e19bba55abea9659e1bd5b52e6",
     },
+    "necklace-3-1": {
+        "necklace-3-1.json": "1ea900f1760ebed445c0be5458fe3e4871aedebfa6940e7cfff88b33b33b408f",
+        "necklace-3-1.ply": "2f978b2eff0b56dc8d6d1dafe6dafddc47dd1a12998a5ad173053b3040c18270",
+        "necklace-3-1.report.json": "73e2ff1c200efa80d9280ca95077f94c6c72d37fbe43637dc04a13b890e5383b",
+    },
 }
 
 
@@ -753,3 +768,53 @@ def test_build_writes_pinned_bytes_and_artifacts_round_trip(tmp_path, capsys, ar
         kind, obj = serialize.load_artifact(text)
         write, _ = serialize.KINDS[kind]
         assert serialize.dump_json(write(obj)) == text
+
+
+# the three benchmark builds: the wild-set plan, uniform trefoils with the
+# determinant, and squareflake-8
+BENCHMARK_BUILDS = [
+    ["wildknot", "--stage", "7", "--targets", "0/1,1/1"],
+    ["wildknot", "--stage", "4", "--assign", "all:trefoil", "--det"],
+    ["squareflake", "--stage", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_BUILDS, ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_benchmark_builds_never_compute_the_fraction_vertices(tmp_path, capsys, monkeypatch, argv):
+    seen = []
+    view = ClosedPolyline3.vertices
+    monkeypatch.setattr(ClosedPolyline3, "vertices", property(lambda p: seen.append(len(p)) or view.func(p)))
+    assert run(["build", *argv, "--out", str(tmp_path)]) == 0
+    assert run(["verify", str(tmp_path / f"{argv[0]}-{argv[2]}.json")]) == 0
+    assert seen == []
+
+
+def test_squareflake_8_builds_at_most_one_fraction_per_vertex(tmp_path, capsys, monkeypatch):
+    # the curve is built on integers; only the stage-8 detours in
+    # `replaced` and the containment pass hold Fractions
+    built = fraction_counter(monkeypatch)
+    assert run(["build", "squareflake", "--stage", "8", "--out", str(tmp_path)]) == 0
+    assert 0 < len(built) <= 1024
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """CPython's default int-to-str limit, 4,300 digits, while the test runs."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_a_stage_past_the_int_to_str_limit_is_a_usage_error(tmp_path, capsys, default_int_str_limit):
+    # 3**9012 has 4,300 digits and 3**9013 one more
+    limit = default_int_str_limit
+    for stage in (9013, 9100, 10**9):
+        assert run(["build", "embed", "--knot", "trefoil", "--stage", str(stage), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"stage {stage}" in err[0] and f"limit of {limit} decimal digits" in err[0]
+    assert not list(tmp_path.iterdir())
+    for stage in (8900, 9012):
+        assert run(["build", "embed", "--knot", "trefoil", "--stage", str(stage), "--out", str(tmp_path)]) == 0
+        assert f"stage {stage}" in capsys.readouterr().out

@@ -31,9 +31,11 @@ from spongeknots.invariants import (
     tricolorings,
 )
 from spongeknots.geometry import axis_form
-from spongeknots.polyline import ClosedPolyline3, closed_polyline
+from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
-from spongeknots.ternary import AxisSegment, cantor_endpoints, segment_in_stage, triadic_exponent
+from spongeknots.ternary import (
+    AxisSegment, cantor_endpoints, cantor_numerators, segment_in_stage, triadic_exponent,
+)
 from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
 from test_invariants import crossing_points, fraction_counter, generic_views
 from test_ternary import _reference_segment_in_stage
@@ -97,9 +99,9 @@ def test_first_endpoints_are_the_first_cantor_endpoints(name):
     n = catalog(name).n
     for k in range(stage_for(n), 9):
         want = tuple(cantor_endpoints(k)[:n])
-        assert embed._first_endpoints(k, n) == want
+        assert tuple(F(c, 3**k) for c in cantor_numerators(k, n)) == want
         assert embed_grid(catalog(name), k)[1].endpoints == want
-    assert embed._first_endpoints(3, 16) == tuple(cantor_endpoints(3))
+    assert cantor_numerators(3, 16) == cantor_numerators(3) == [c * 27 for c in cantor_endpoints(3)]
 
 
 def _limited_run(argv, cwd):
@@ -236,7 +238,7 @@ def test_containment_check_matches_containment_at_the_stored_stage(stage):
     late = closed_polyline([(F(1, 9), F(4, 27), 0), (F(2, 9), F(4, 27), 0), (F(2, 9), 1, 0), (F(1, 9), 1, 0)])
     for poly in (squareflake(3).polyline, late):
         assert checks._grid_stage(poly) == 3
-        name, ok, detail = checks.polyline(ClosedPolyline3(poly.vertices, {"sponge_stage": stage})).results[0]
+        name, ok, detail = checks.polyline(closed_polyline(poly.vertices, {"sponge_stage": stage})).results[0]
         assert (name, detail) == ("containment", f"stage {stage}")
         assert ok == all(verify_containment(poly, stage)) == (poly is not late or stage < 2)
 
@@ -331,7 +333,7 @@ def test_containment_of_the_benchmark_curves_matches_the_reference(benchmark_cur
 
 def test_containment_builds_one_fraction_per_distinct_coordinate(benchmark_curves, monkeypatch):
     _, (poly, stage), _ = benchmark_curves
-    poly = ClosedPolyline3(poly.vertices)
+    poly = closed_polyline(poly.vertices)
     values = {c for v in poly.vertices for c in v}
     built = fraction_counter(monkeypatch)
     assert all(verify_containment(poly, stage))
@@ -351,7 +353,7 @@ def test_containment_of_moved_benchmark_curves_matches_the_reference(benchmark_c
                 vertices[i] = vertices[i][:axis] + (value,) + vertices[i][axis + 1:]
                 if vertices[i] in (vertices[i - 1], vertices[(i + 1) % len(poly)]):
                     continue
-                moved = ClosedPolyline3(tuple(vertices))
+                moved = closed_polyline(tuple(vertices))
                 verdicts = verify_containment(moved, stage)
                 assert verdicts == _reference_verify_containment(moved, stage), (i, axis, value)
                 seen.add(verdicts[i - 1])
@@ -393,7 +395,7 @@ def axis_walks(draw):
         point = point[:axis] + (c,) + point[axis + 1:]
         vertices.append(point)
     assume(vertices[-1] != vertices[0])
-    return ClosedPolyline3(tuple(vertices))
+    return closed_polyline(tuple(vertices))
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,11 +4,19 @@ reports a malformed one in the same words however many valid ones came first."""
 import json
 import re
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spongeknots import serialize
+from spongeknots.embed import embed_into_cube
+from spongeknots.geometry import Cube
+from spongeknots.grid import catalog
+from spongeknots.polyline import PolylineError, closed_polyline
 from spongeknots.squareflake import squareflake
+from test_invariants import fraction_counter
 
 RATIONAL = re.compile(r"-?\d+/\d+")
 
@@ -64,3 +72,43 @@ def test_a_malformed_rational_after_valid_ones_is_reported_as_alone(bad, message
         with pytest.raises(ValueError) as e:
             serialize.load_artifact(json.dumps(data))
         assert str(e.value) == message
+
+
+def test_reading_a_polyline_makes_no_fraction_beyond_one_parse_per_distinct_string(monkeypatch):
+    # the vertices and the splice mark of an embedding in a sponge cube
+    poly = embed_into_cube(catalog("trefoil"), Cube((F(2, 3), F(1, 3), F(0)), F(1, 3)), "x-edge-high")
+    text = serialize.dump_json(serialize.polyline_json(poly))
+    strings = set(_strings(json.loads(text)))
+    built = fraction_counter(monkeypatch)
+    _, loaded = serialize.load_artifact(text)
+    assert sorted(built) == sorted((s,) for s in strings)
+    assert loaded == poly and loaded.marks == poly.marks
+
+
+def test_a_write_formats_each_shared_value_once(monkeypatch):
+    # squareflake shares one Fraction per value among its detours
+    written = []
+    rat = serialize.rat
+    monkeypatch.setattr(serialize, "rat", lambda x: written.append(rat(x)) or written[-1])
+    data = serialize.squareflake_json(squareflake(6))
+    assert len(written) == len(set(written)) == len(set(_strings(data["replaced"]))) < len(_strings(data["replaced"]))
+
+
+_coordinates = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=40) | st.integers(-3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=3, max_size=10),
+       st.integers(0, 9))
+def test_rational_curves_round_trip_through_dump_and_load(points, stage):
+    try:
+        poly = closed_polyline(points, {"splice": (points[0], points[1]), "sponge_stage": stage})
+    except PolylineError:
+        return
+    data = serialize.polyline_json(poly)
+    assert data["vertices"] == [[serialize.rat(c) for c in p] for p in points]
+    text = serialize.dump_json(data)
+    kind, loaded = serialize.load_artifact(text)
+    assert kind == "polyline" and loaded == poly and loaded.vertices == poly.vertices
+    assert loaded.marks == {"splice": tuple(tuple(F(c) for c in p) for p in points[:2]), "sponge_stage": stage}
+    assert serialize.dump_json(serialize.polyline_json(loaded)) == text

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from spongeknots.invariants import is_simple
-from spongeknots.polyline import ClosedPolyline3
+from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import replaced_count, squareflake
 from spongeknots.ternary import AxisSegment, segment_in_stage
 
@@ -121,7 +121,7 @@ def _reference_squareflake(m):
         verts = new_verts
         intervals = next_intervals
         replaced = tuple(sorted(replaced, key=lambda r: r[0].lo))
-    return ClosedPolyline3(tuple(verts)), replaced
+    return closed_polyline(tuple(verts)), replaced
 
 
 @pytest.mark.parametrize("m", range(0, 9))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongeknots import wildknot
+from spongeknots import embed, wildknot
 from spongeknots.embed import embed_grid, embed_into_box, embed_into_cube, verify_containment
 from spongeknots.geometry import Cube, axis_form
 from spongeknots.grid import catalog
 from spongeknots.invariants import determinant, determinant_minor, is_simple, project_generic
-from spongeknots.polyline import ClosedPolyline3, closed_polyline
+from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.ternary import AxisSegment
 from spongeknots.wildknot import (
@@ -27,6 +27,7 @@ from spongeknots.wildknot import (
     _splice_sites,
     _summand_stage,
 )
+from test_invariants import fraction_counter
 
 
 def test_stage1_sites_match_construction_coordinates():
@@ -182,7 +183,7 @@ def flat_unknot_at(site):
         (x0 - w, t.lo + w, F(0)),
         (x0, t.lo + w, F(0)),
     )
-    return ClosedPolyline3(verts, {"splice": ((x0, t.lo, F(0)), (x0, t.lo + w, F(0)))})
+    return closed_polyline(verts, {"splice": ((x0, t.lo, F(0)), (x0, t.lo + w, F(0)))})
 
 
 def test_splice_rejects_mark_outside_t():
@@ -320,7 +321,7 @@ def _reference_splice(base, site, summand):
     path = sverts[t + 1:] + sverts[:t + 1]
     if sverts[t] == first:
         path = path[::-1]
-    return ClosedPolyline3(verts[: carrier + 1] + path + verts[carrier + 1:], dict(base.marks))
+    return closed_polyline(verts[: carrier + 1] + path + verts[carrier + 1:], dict(base.marks))
 
 
 def _reference_pairs(assign, m, include_trivial=False):
@@ -392,12 +393,24 @@ def test_placed_summand_is_the_unit_summand_oriented_into_the_cube(orientation, 
     g = catalog(knot)
     unit = embed_into_box(g, (F(0),) * 3, F(1), "y-edge", _summand_stage(g.n))
     site = SpliceSite(1, 1, "custom", AxisSegment(0, (F(0), F(0)), F(0), F(1)), Cube(corner, side), orientation)
-    placed = wildknot._placed(unit, site)
+    placed = embed._place(unit, site.cube, site.orientation)
     assert placed.vertices == tuple(_reference_orient(v, site.cube, orientation) for v in unit.vertices)
     assert placed.marks["splice"] == tuple(sorted(
         _reference_orient(v, site.cube, orientation) for v in unit.marks["splice"]))
-    assert placed.integer_form == ClosedPolyline3(placed.vertices).integer_form
+    assert placed.integer_form == closed_polyline(placed.vertices).integer_form
     assert embed_into_box(g, corner, side, orientation, _summand_stage(g.n)).vertices == placed.vertices
+
+
+def test_splicing_makes_no_fraction(monkeypatch):
+    # the walk, the checks and the curve it gives all stay on integers
+    calls = []
+    real = wildknot._splice_sites
+    monkeypatch.setattr(wildknot, "_splice_sites", lambda base, pairs: calls.append((base, pairs)) or real(base, pairs))
+    a = approximant(wild_set_plan([F(0), F(1)], "trefoil", 3), 3, include_trivial=True)
+    ((base, pairs),) = calls
+    built = fraction_counter(monkeypatch)
+    assert real(base, pairs) == a.polyline
+    assert built == []
 
 
 def test_approximant_embeds_each_summand_once(monkeypatch):
@@ -460,9 +473,9 @@ def _broken(pairs, k, make):
 
 
 _BROKEN = {
-    "no-mark": lambda site, s: ClosedPolyline3(s.vertices, {}),
+    "no-mark": lambda site, s: closed_polyline(s.vertices, {}),
     "leaves-cube": lambda site, s: _shifted(s, -site.cube.side / 2),
-    "mark-not-a-segment": lambda site, s: ClosedPolyline3(
+    "mark-not-a-segment": lambda site, s: closed_polyline(
         s.vertices, {"splice": (site.T.endpoints()[0], site.T.endpoints()[1])}),
     # the bottom cube's whole face: it touches the next (left) site cube
     "touches-the-next-cube": lambda site, s: closed_polyline(
@@ -532,7 +545,7 @@ def _site_pairs(draw):
         mark = (quad[0], quad[3]) if draw(st.booleans()) else (quad[3], quad[0])
         t = AxisSegment(ax, tuple(F(f, _N) for f in fixed), F(t_lo, _N), F(t_hi, _N))
         site = SpliceSite(0, 0, "custom", t, Cube(tuple(F(c, _N) for c in corner), F(side, _N)), "y-edge")
-        pairs.append((site, ClosedPolyline3(tuple(quad), {"splice": mark})))
+        pairs.append((site, closed_polyline(tuple(quad), {"splice": mark})))
         far_fixed = tuple(int(c * _N) for c in (quad[1][o] for o in _OTHER_AXES[ax]))
         hosts.append((ax, far_fixed, m_lo, m_hi) if m_hi - m_lo >= 3 else hosts[0])
     return pairs
