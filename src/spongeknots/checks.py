@@ -14,7 +14,7 @@ from .embed import verify_containment
 from .geometry import running_axis
 from .grid import validate
 from .invariants import determinant, is_simple, project_generic
-from .necklace import iterate, pearl_inside, pearls_by_word, pearls_disjoint
+from .necklace import pearl_inside, pearls_by_word, pearls_disjoint
 from .squareflake import replaced_count
 from .ternary import triadic_exponent
 
@@ -137,13 +137,18 @@ def _pearl_count(n: int, m: int, stored: int):
 def necklace(base, iterated=None) -> CheckList:
     """Checks of a generation-0 necklace and, when given, one iterated generation.
 
-    Each stored pearl's parent is built from the pearl's own word, each
-    suffix of the parent words inverted once, and the generation is
-    iterated only when it cannot hold more pearls than are stored, so the
-    cost follows the artifact, not its stored generation.
+    One ``pearls_by_word`` pass builds the pearls of the stored words of
+    m + 1 letters and of their parent words, each suffix inverted once;
+    ``nesting`` and ``iterate-match`` both read it.  Words of other lengths
+    are not built, so the cost follows the artifact, not its stored
+    generation.  ``iterate-match`` holds when the stored words are all the
+    reduced words of m + 1 letters over the base's letters, one each, and
+    each stored pearl is the one its word addresses.
     """
     it = iterated if iterated is not None else base
     m = it.generation
+    if m < 0:
+        raise ValueError("generation must be >= 0")
     count = _pearl_count(base.n, m, len(it.pearls))
     checks = CheckList()
     checks.add("pearl-count", len(it.pearls) == count, f"{len(it.pearls)} pearls")
@@ -152,15 +157,17 @@ def necklace(base, iterated=None) -> CheckList:
         "pearl-disjointness",
         all(pearls_disjoint(ps[i], ps[j]) for i in range(len(ps)) for j in range(i + 1, len(ps))),
     )
+    words = {p.word for p in it.pearls if len(p.word) == m + 1}
+    built = pearls_by_word(base, [*words, *(w[:-1] for w in words if m >= 1)])
     nest_ok = sib_ok = True
     orphan = None
     if m >= 1:
         groups = {}
         for p in it.pearls:
             groups.setdefault(p.word[:-1], []).append(p)
-        parents = pearls_by_word(base, [word for word in groups if len(word) == m])
-        orphan = next((p.word for p in it.pearls if parents.get(p.word[:-1]) is None), None)
-        nest_ok = orphan is None and all(pearl_inside(p, parents[p.word[:-1]]) for p in it.pearls)
+        parents = [(p, built[p.word[:-1]] if p.word in words else None) for p in it.pearls]
+        orphan = next((p.word for p, parent in parents if parent is None), None)
+        nest_ok = orphan is None and all(pearl_inside(p, parent) for p, parent in parents)
         sib_ok = all(
             pearls_disjoint(g[i], g[j])
             for g in groups.values() for i in range(len(g)) for j in range(i + 1, len(g))
@@ -168,9 +175,12 @@ def necklace(base, iterated=None) -> CheckList:
     checks.add("nesting", nest_ok, "" if orphan is None else f"no parent pearl for word {list(orphan)}")
     checks.add("sibling-disjointness", sib_ok)
     if iterated is not None:
-        match = count is not None and count <= len(iterated.pearls) and {
-            p.word: (p.center, p.radius_sq) for p in iterate(base, m).pearls
-        } == {p.word: (p.center, p.radius_sq) for p in iterated.pearls}
+        letters = len({p.word for p in ps if len(p.word) == 1})  # len(ps) when one distinct letter each
+        match = (
+            count is not None and count <= len(it.pearls) and letters == len(ps)
+            and len(words) == len({p.word for p in it.pearls}) == letters * (letters - 1) ** m
+            and all(built[p.word] == p for p in it.pearls)
+        )
         checks.add("iterate-match", match)
     return checks
 

@@ -37,11 +37,6 @@ def _middle_thirds(q: int) -> list[tuple[int, int]]:
     return [(3 * lo + 1, 3 * lo + 2) for lo in cantor_numerators(q - 1)[::2]]
 
 
-def detours(q: int) -> list[tuple[Fraction, Fraction]]:
-    """Middle thirds (a, b) the stage-q detours remove, ascending."""
-    return [(Fraction(a, 3**q), Fraction(b, 3**q)) for a, b in _middle_thirds(q)]
-
-
 def _detour(a, b, depth_x, one, zero):
     """4-point path around the middle third (a, b) of the edge x = one of
     the face z = zero, walked downward."""

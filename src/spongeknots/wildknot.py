@@ -20,7 +20,7 @@ from .embed import _place, check_surviving_cube, embed_into_box, stage_for
 from .geometry import ZERO, Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3, IntegerForm
-from .squareflake import detours, squareflake
+from .squareflake import _middle_thirds, squareflake
 from .ternary import AxisSegment, in_cantor, stage_witness
 
 
@@ -35,34 +35,26 @@ class SpliceSite:
 
 
 def sites(m: int) -> list[SpliceSite]:
-    """Splice sites of stage m: three per detour square, 3 * 2^(m-1) total."""
+    """Splice sites of stage m: three per detour square, 3 * 2^(m-1) total,
+    placed on integers over 3**(m+1) with one Fraction per distinct value."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    s = Fraction(1, 3 ** (m + 1))
-    edge_x = 1 - Fraction(1, 3**m)
+    scale = 3 ** (m + 1)
+    # per detour: y1, y1 + s, y1 + 2s = y2 - s and y2, for s = 1/scale
+    rows = [(3 * a, 3 * a + 1, 3 * a + 2, 3 * b) for a, b in _middle_thirds(m)]
+    value = {c: Fraction(c, scale) for c in {1, scale - 3, scale - 2, scale - 1}.union(*rows)}
+    s, edge_x, x_lo, x_hi = (value[c] for c in (1, scale - 3, scale - 2, scale - 1))
     out = []
-    index = 1
-    for y1, y2 in detours(m):
-        bottom = SpliceSite(
-            m, index, "bottom",
-            AxisSegment(0, (y1, ZERO), 1 - 2 * s, 1 - s),
-            Cube((1 - 2 * s, y1, ZERO), s),
-            "x-edge-low",
-        )
-        left = SpliceSite(
-            m, index + 1, "left",
-            AxisSegment(1, (edge_x, ZERO), y1 + s, y1 + 2 * s),
-            Cube((edge_x, y1 + s, ZERO), s),
-            "y-edge",
-        )
-        top = SpliceSite(
-            m, index + 2, "top",
-            AxisSegment(0, (y2, ZERO), 1 - 2 * s, 1 - s),
-            Cube((1 - 2 * s, y2 - s, ZERO), s),
-            "x-edge-high",
-        )
-        out.extend((bottom, left, top))
-        index += 3
+    for y1, y1_s, y2_s, y2 in (map(value.__getitem__, row) for row in rows):
+        index = len(out) + 1
+        out += [
+            SpliceSite(m, index, "bottom", AxisSegment(0, (y1, ZERO), x_lo, x_hi),
+                       Cube((x_lo, y1, ZERO), s), "x-edge-low"),
+            SpliceSite(m, index + 1, "left", AxisSegment(1, (edge_x, ZERO), y1_s, y2_s),
+                       Cube((edge_x, y1_s, ZERO), s), "y-edge"),
+            SpliceSite(m, index + 2, "top", AxisSegment(0, (y2, ZERO), x_lo, x_hi),
+                       Cube((x_lo, y2_s, ZERO), s), "x-edge-high"),
+        ]
     return out
 
 
@@ -370,10 +362,8 @@ class KnotAssignment:
 
     @classmethod
     def uniform(cls, knot: str, stage: int) -> "KnotAssignment":
-        entries = {}
-        for q in range(1, stage + 1):
-            for site in sites(q):
-                entries[(q, site.index)] = (knot, False)
+        # stage q indexes its sites 1..3 * 2**(q-1)
+        entries = {(q, i): (knot, False) for q in range(1, stage + 1) for i in range(1, 3 * 2 ** (q - 1) + 1)}
         return cls(stage, entries)
 
     @classmethod

@@ -15,7 +15,7 @@ from spongeknots.grid import catalog
 from spongeknots.necklace import invert_pearl, iterate, make_necklace
 from spongeknots.polyline import ClosedPolyline3, closed_polyline
 from spongeknots.squareflake import squareflake
-from spongeknots.wildknot import KnotAssignment, approximant
+from spongeknots.wildknot import KnotAssignment, approximant, sites
 from test_invariants import fraction_counter
 
 
@@ -353,13 +353,44 @@ def test_verify_huge_stored_generation_fails_without_iterating(tmp_path, capsys,
     ]
 
 
+def test_verify_pearl_holding_an_inversion_centre_fails_every_line(tmp_path, capsys):
+    # pearl 1 grown to hold pearl 2's centre: no image of it under pearl 2
+    # is a ball, so the words that need one have no pearl
+    base = make_necklace(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 3)
+    data = serialize.necklace_json(base, iterate(base, 1))
+    data["pearls"][0]["radius_sq"] = "4/1"
+    f = tmp_path / "swollen.json"
+    f.write_text(serialize.dump_json(data))
+    assert run(["verify", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "pearl-count: PASS (6 pearls)",
+        "pearl-disjointness: FAIL",
+        "nesting: PASS",
+        "sibling-disjointness: PASS",
+        "iterate-match: FAIL",
+    ]
+    assert "error:" not in captured.err
+
+
+def test_verify_negative_stored_generation_is_a_usage_error(tmp_path, capsys):
+    base = make_necklace(closed_polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]), 3)
+    data = serialize.necklace_json(base, iterate(base, 1))
+    data["iterated"]["generation"] = -1
+    f = tmp_path / "negative.json"
+    f.write_text(serialize.dump_json(data))
+    assert run(["verify", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generation must be >= 0\n"
+
+
 def test_necklace_suite_inverts_each_parent_suffix_once(tmp_path, capsys, monkeypatch):
-    # parents share suffixes: each suffix of two or more letters of a parent
-    # word costs one inversion, not one per parent word that ends in it
+    # one pass builds the stored words and their parents: each distinct
+    # suffix of two or more letters costs one inversion, however many
+    # words end in it, and the parents are suffixes the stored words share
     assert run(["build", "necklace", "--pearls", "3", "--generation", "6", "--out", str(tmp_path)]) == 0
     _, (base, it) = serialize.load_artifact((tmp_path / "necklace-3-6.json").read_text())
-    expected = iterate(base, 6)
-    monkeypatch.setattr(checks, "iterate", lambda t, m: expected)  # leave the iterate-match pearls out of the count
     inversions = 0
 
     def counting_invert_pearl(b, other):
@@ -369,8 +400,8 @@ def test_necklace_suite_inverts_each_parent_suffix_once(tmp_path, capsys, monkey
 
     monkeypatch.setattr(necklace, "invert_pearl", counting_invert_pearl)
     assert checks.necklace(base, it).ok
-    suffixes = {p.word[k:-1] for p in it.pearls for k in range(it.generation - 1)}
-    assert 0 < inversions <= len(suffixes) == 186
+    suffixes = {p.word[k:] for p in it.pearls for k in range(it.generation)}
+    assert inversions == len(suffixes) == 378
 
 
 def _huge_squareflake():
@@ -795,6 +826,20 @@ def test_squareflake_8_builds_at_most_one_fraction_per_vertex(tmp_path, capsys, 
     built = fraction_counter(monkeypatch)
     assert run(["build", "squareflake", "--stage", "8", "--out", str(tmp_path)]) == 0
     assert 0 < len(built) <= 1024
+
+
+def test_wild_plan_build_makes_one_fraction_per_site_value(tmp_path, capsys, monkeypatch):
+    # the sites of stage q hold one Fraction per distinct value over
+    # 3**(q+1): four per detour and four shared, one of which (the edge
+    # x = 1 - 3**-q) is also the top of the last detour, 529 for stages
+    # 1..7; the whole stage-7 wild-plan build makes 1,375 (3,026 with
+    # Fraction arithmetic per site)
+    built = fraction_counter(monkeypatch)
+    assert sum(len(sites(q)) for q in range(1, 8)) == 381
+    assert len(built) == 529
+    built.clear()
+    assert run(["build", "wildknot", "--stage", "7", "--targets", "0/1,1/1", "--out", str(tmp_path)]) == 0
+    assert len(built) <= 1375
 
 
 @pytest.fixture
