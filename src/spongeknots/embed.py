@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .geometry import ZERO, Cube, Point3, running_axis
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3, IntegerForm
 from .ternary import (
-    AxisSegment, SegmentMemo, cantor_numerators, in_sponge_stage, segment_in_stage, triadic_exponent,
+    _FREE_ENOUGH, AxisSegment, SegmentMemo, _Filled, cantor_numerators, check_segment_space,
+    in_sponge_stage, segment_in_stage, triadic_exponent,
 )
 
 
@@ -150,25 +151,49 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
     """Per-segment exact containment verdicts at the given stage.
 
     An oblique segment, or one leaving the unit cube, is not contained.
-    Each segment's axis, the order of its ends and the unit-cube test are
-    read from the curve's integer form, and one Fraction is built per
-    distinct coordinate value.  A negative stage is a ValueError before
-    any segment is read.  One ``SegmentMemo`` serves the whole pass, so
-    each distinct value's digits at a stage are split once.
+    An unknown space or a negative stage is a ValueError before any
+    segment is read.  Each segment's axis, the order of its ends and the
+    unit-cube test are read from the curve's integer form.
+
+    Each distinct coordinate value c / scale is reduced once, to num / den.
+    It settles when den = 3**e and one of its closed cells at stage
+    min(stage, e) has no digit 1.  Past digit e both cells of the value
+    carry only 0s or only 2s, and a walk of a segment with that fixed value
+    runs at a stage of at least min(stage, e), so the walk would find a
+    1-free cell too: a segment with ``_FREE_ENOUGH`` settled fixed values
+    is contained by the walk's own first test, and no call is made for it.
+    Only the other segments go to ``segment_in_stage``, with one Fraction
+    per distinct value they use.  One ``SegmentMemo`` serves the whole
+    pass, the settling test included, so each distinct value's digits at a
+    stage are split once.
     """
+    check_segment_space(space)
     if stage < 0:
         raise ValueError("stage must be >= 0")
     scale, points = poly.integer_form
-    value = {c: Fraction(c, scale) for c in {c for p in points for c in p}}
+    values = {c for p in points for c in p}
     memo = SegmentMemo()
+    cells, exponents = memo.cells, memo.exponents
+    settled = set()
+    for c in values:
+        if 0 <= c <= scale:
+            g = gcd(c, scale)
+            num, den = c // g, scale // g
+            e = exponents[den]
+            if e is not None and cells[num, den, min(stage, e)][1]:
+                settled.add(c)
+    in_cube = 0 <= min(values) and max(values) <= scale  # then so is every segment
+    enough = _FREE_ENOUGH[space]
+    value = _Filled(lambda c: Fraction(c, scale))
     verdicts = []
     for a, b in zip(points, points[1:] + points[:1]):
         ax = running_axis(a, b)
-        inside = ax is not None and min(a) >= 0 and max(a) <= scale and 0 <= b[ax] <= scale
+        inside = ax is not None and (in_cube or min(a) >= 0 and max(a) <= scale and 0 <= b[ax] <= scale)
         if inside:
-            lo, hi = (a[ax], b[ax]) if a[ax] < b[ax] else (b[ax], a[ax])
             i, j = _FIXED_AXES[ax]
-            seg = AxisSegment(ax, (value[a[i]], value[a[j]]), value[lo], value[hi])
-            inside = segment_in_stage(seg, stage, space, memo=memo)
+            if (a[i] in settled) + (a[j] in settled) < enough:
+                lo, hi = (a[ax], b[ax]) if a[ax] < b[ax] else (b[ax], a[ax])
+                seg = AxisSegment(ax, (value[a[i]], value[a[j]]), value[lo], value[hi])
+                inside = segment_in_stage(seg, stage, space, memo=memo)
         verdicts.append(inside)
     return tuple(verdicts)

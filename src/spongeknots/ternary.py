@@ -718,10 +718,10 @@ def check_segment_space(space: str):
 def _stage_cells(key):
     """(the digit strings of the closed stage-k cells holding num / den, the
     terminating one first; whether one of them has no digit 1) for the key
-    (num, den, k)."""
+    (num, den, k), a value in [0, 1], which lies in one or two cells."""
     num, den, k = key
-    ds = tuple(_digit_bytes(i, k) for i in _cell_candidates(num, den, 3**k))
-    return ds, any(1 not in d for d in ds)
+    ds = tuple([_digit_bytes(i, k) for i in _cell_candidates(num, den, 3**k)])
+    return ds, 1 not in ds[0] or 1 not in ds[-1]
 
 
 class SegmentMemo:

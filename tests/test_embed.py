@@ -427,6 +427,77 @@ def test_one_pass_splits_each_value_at_each_stage_at_most_twice(benchmark_curves
         assert 0 < in_one_pass <= 2 * len(pairs) < len(split), (in_one_pass, len(pairs), len(split))
 
 
+# --- the pass settles segments per coordinate value ---------------------------
+
+@pytest.mark.parametrize("space", ["nonsense", "cantor", "carpet_face"])
+def test_containment_checks_the_space_before_any_segment(space):
+    # no segment of the oblique curve reaches segment_in_stage, and every
+    # segment of squareflake(3) settles before it, so only a check up
+    # front sees the space
+    oblique = closed_polyline([(0, 0, 0), (1, 1, 0), (1, 0, 1)])
+    for poly in (oblique, squareflake(3).polyline):
+        with pytest.raises(ValueError, match="space must be 'sponge' or 'carpet2'"):
+            verify_containment(poly, 2, space)
+
+
+def _walk_counter(monkeypatch):
+    """A list of the segments the pass hands to segment_in_stage while the patch holds."""
+    walked = []
+    walk = embed.segment_in_stage
+    monkeypatch.setattr(embed, "segment_in_stage", lambda seg, *a, **kw: walked.append(seg) or walk(seg, *a, **kw))
+    return walked
+
+
+def test_a_squareflake_pass_walks_no_segment_and_builds_no_fraction(monkeypatch):
+    curves = [squareflake(m).polyline for m in range(1, 9)]
+    walked = _walk_counter(monkeypatch)
+    built = fraction_counter(monkeypatch)
+    for m, poly in enumerate(curves, start=1):
+        assert all(verify_containment(poly, m))
+    assert walked == built == []
+
+
+def _settles(x):
+    """x is triadic and one of its expansions has no digit 1."""
+    return triadic_exponent(x.denominator) is not None and any(
+        1 not in e.preperiod + e.period for e in ternary.expansions(x))
+
+
+def test_a_pass_walks_exactly_the_segments_it_cannot_settle(benchmark_curves, monkeypatch):
+    # every exponent is at most the stored stage, so a value settles when
+    # one of its expansions has no digit 1; a sponge segment settles when
+    # both its fixed coordinates do
+    walked = _walk_counter(monkeypatch)
+    counts = []
+    for poly, stage in benchmark_curves:
+        assert max(triadic_exponent(c.denominator) or 0 for v in poly.vertices for c in v) <= stage
+        unsettled = [seg for seg in map(AxisSegment.from_endpoints, *zip(*poly.segments()))
+                     if not all(map(_settles, seg.fixed))]
+        walked.clear()
+        assert all(verify_containment(poly, stage))
+        assert walked == unsettled
+        counts.append(len(walked))
+    assert counts == [238, 735, 0]
+
+
+_small_rationals = st.tuples(st.sampled_from((1, 2, 4, 5, 7, 8, 10, 13, 14, 26)), st.integers(0, 6)).flatmap(
+    lambda dj: st.integers(0, dj[0] * 3 ** dj[1]).map(lambda a: F(a, dj[0] * 3 ** dj[1])))
+
+
+@given(_small_rationals, st.integers(0, 8))
+@settings(max_examples=400, deadline=None)
+def test_a_value_with_an_expansion_free_of_ones_has_a_cell_free_of_ones(x, k):
+    # what lets the pass settle a triadic value at one stage for the walk
+    # at any other: its stage-e cells are its expansions cut at e, and a
+    # 1-free expansion gives a 1-free cell at every stage k
+    free = any(1 not in e.preperiod + e.period for e in ternary.expansions(x))
+    e = triadic_exponent(x.denominator)
+    if e is not None:
+        assert free == any(1 not in ds for ds in ternary.ternary_digits(x, e))
+    if free:
+        assert any(1 not in ds for ds in ternary.ternary_digits(x, k))
+
+
 def test_obj_text_is_that_of_the_fraction_values(benchmark_curves):
     off_grid = closed_polyline([(F(1, 7), 0, F(5, 13)), (F(1, 7), F(10**20 + 1, 3 * 10**20), F(5, 13)),
                                 (1, F(1, 3), F(2, 3))])

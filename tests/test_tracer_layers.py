@@ -13,6 +13,9 @@ import json
 from pathlib import Path
 
 import spongeknots.cli  # loaded before install(), which rebinds names only in loaded modules
+from spongeknots.geometry import axis_form
+from spongeknots.polyline import closed_polyline
+from test_embed import _settles
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,12 +46,17 @@ def test_trace_of_a_wild_plan_build_and_verify_sees_each_layer(tmp_path, capsys)
         assert spongeknots.cli.main(["verify", str(tmp_path / "wildknot-2.json")]) == 0
     finally:
         tracer.uninstall()
-    segments = len(json.loads((tmp_path / "wildknot-2.json").read_text())["polyline"]["vertices"])
+    poly = closed_polyline(json.loads((tmp_path / "wildknot-2.json").read_text())["polyline"]["vertices"])
+    # the containment pass settles a segment whose two fixed coordinates are
+    # triadic with an expansion free of 1s (the stored stage, 5, is at
+    # least every exponent), and walks each other segment once in the
+    # build and again in the verify
+    walked = sum(sum(map(_settles, axis_form(a, b)[1])) < 2 for a, b in poly.segments())
+    assert walked == 68
     spans = {}
     for layer, *_ in tracer.spans:
         spans[layer] = spans.get(layer, 0) + 1
-    # containment runs once per segment in the build and again in the verify
-    assert spans["ternary.segment_in_stage"] == tracer.counts["ternary.segments"] == 2 * segments
+    assert spans["ternary.segment_in_stage"] == tracer.counts["ternary.segments"] == 2 * walked
     for layer in ("invariants.is_simple", "wildknot.approximant", "serialize.dump", "serialize.load"):
         assert spans.get(layer, 0) >= 1, layer
 
