@@ -10,21 +10,34 @@ table of ``(json key, getter, field type)`` in output order.  A field type
 is a ``(write, read)`` pair of functions, and ``read`` takes only its own
 JSON type: anything else is a TypeError or ValueError.  The same table
 writes an artifact and reads it back, so no field is read any other way.
+An array of points is read whole when every row is three strings: the
+strings are parsed once each and a polyline's vertices go straight to its
+integer form; any other array is read point by point, which raises each
+error in document order.
+
+``dump_json`` writes ``json.dumps(obj, indent=1, ensure_ascii=False)``
+plus a newline.  Before Python 3.13 the stock encoder runs in pure Python
+whenever an indent is given, so there the bytes come from one small
+writer that calls the stock encoder's C string escaper; from 3.13 they
+come from ``json.dumps`` itself.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from contextvars import ContextVar
-from math import gcd
+from itertools import chain
+from json.encoder import encode_basestring
+from math import gcd, lcm
 from operator import attrgetter as attr
 from operator import itemgetter as item
 
 from .geometry import Cube, frac
 from .grid import GridDiagram
 from .necklace import Necklace, Pearl
-from .polyline import ClosedPolyline3, closed_polyline
+from .polyline import ClosedPolyline3, IntegerForm, integer_form_of
 from .squareflake import SquareflakeStage
 from .ternary import AxisSegment
 from .wildknot import Approximant, KnotAssignment, LedgerEntry
@@ -159,7 +172,43 @@ def optional(field):
 # --- shapes ------------------------------------------------------------------
 
 POINT = array(RATIONAL, 3)
-POINTS = array(POINT)
+_EACH_POINT = array(POINT)
+
+
+def _parse_points(v):
+    """(the strings in document order, str -> Fraction of each distinct one)
+    when ``v`` is an array of 3-string arrays whose strings all parse, each
+    parsed once through the load's memo; None for any other input.  The
+    shape and the leaf types are checked once over the whole array."""
+    if type(v) is not list or set(map(type, v)) != {list} or set(map(len, v)) != {3}:
+        return None
+    flat = list(chain.from_iterable(v))
+    if set(map(type, flat)) != {str}:
+        return None
+    parsed = _PARSED.get()
+    if parsed is None:
+        parsed = {}
+    distinct = set(flat)
+    try:
+        for s in distinct.difference(parsed):
+            parsed[s] = frac(s)
+    except (TypeError, ValueError):
+        return None
+    return flat, {s: parsed[s] for s in distinct}
+
+
+def _read_points(v):
+    """An array of points, read as tuples of Fractions; whatever
+    ``_parse_points`` does not take whole is read point by point, which
+    raises each error in document order."""
+    strings = _parse_points(v)
+    if strings is None:
+        return _EACH_POINT[1](v)
+    flat, values = strings
+    return tuple(zip(*[map(values.__getitem__, flat)] * 3))
+
+
+POINTS = (_EACH_POINT[0], _read_points)
 
 
 def _write_marks(marks):
@@ -229,8 +278,23 @@ def _write_integer_points(form):
     return [[text[c] for c in p] for p in points]
 
 
-POLYLINE = record(closed_polyline, [
-    ("vertices", attr("integer_form"), (_write_integer_points, POINTS[1])),
+def _read_integer_points(v):
+    """The integer form of an array of points, read straight from its
+    strings: the lcm of the distinct values' denominators is the scale, and
+    the points are formed on ints, with no Fraction vertex.  Whatever
+    ``_parse_points`` does not take whole is read point by point, which
+    raises each error in document order."""
+    strings = _parse_points(v)
+    if strings is None:
+        return integer_form_of(_EACH_POINT[1](v))
+    flat, values = strings
+    scale = lcm(*{x.denominator for x in values.values()})
+    num = {s: x.numerator * (scale // x.denominator) for s, x in values.items()}
+    return IntegerForm(scale, tuple(zip(*[map(num.__getitem__, flat)] * 3)))
+
+
+POLYLINE = record(ClosedPolyline3, [
+    ("vertices", attr("integer_form"), (_write_integer_points, _read_integer_points)),
     ("marks", attr("marks"), MARKS),
 ], "polyline")
 
@@ -295,8 +359,72 @@ def necklace_json(base: Necklace, iterated: Necklace | None = None) -> dict:
     return NECKLACE[0]((base, iterated))
 
 
-def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=1, ensure_ascii=False) + "\n"
+def _indented(v, nl: str) -> str:
+    """``v`` as ``json.dumps(v, indent=1, ensure_ascii=False)`` writes it at
+    the depth whose lines start with ``nl`` (a newline and the indent).
+    Strings go through ``encode_basestring``, the C function the stock
+    encoder calls, and ints through ``int.__repr__``; a list of strings is
+    one join, and so is a list of string lists of one length (points).
+    Dicts with str keys, lists, tuples, str, int, bool and None are
+    written; anything else is a TypeError."""
+    t = type(v)
+    if t is str:
+        return encode_basestring(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = nl + " "
+        types = set(map(type, v))
+        if types == {str}:
+            return "[" + inner + ("," + inner).join(map(encode_basestring, v)) + nl + "]"
+        if types == {list} and v[0] and len(set(map(len, v))) == 1:
+            flat = list(chain.from_iterable(v))
+            if set(map(type, flat)) == {str}:
+                leaf = inner + " "
+                rows = map(("," + leaf).join, zip(*[map(encode_basestring, flat)] * len(v[0])))
+                return "[" + inner + "[" + leaf + (inner + "]," + inner + "[" + leaf).join(rows) + inner + "]" + nl + "]"
+        return "[" + inner + ("," + inner).join([_indented(x, inner) for x in v]) + nl + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        keys = set(map(type, v)) - {str}
+        if keys:
+            raise TypeError(f"keys must be str, not {min(k.__name__ for k in keys)}")
+        inner = nl + " "
+        items = []
+        for k, x in v.items():
+            t = type(x)
+            if t is str:
+                items.append(encode_basestring(k) + ": " + encode_basestring(x))
+            elif t is int:
+                items.append(encode_basestring(k) + ": " + int.__repr__(x))
+            elif t is bool:
+                items.append(encode_basestring(k) + (": true" if x else ": false"))
+            else:
+                items.append(encode_basestring(k) + ": " + _indented(x, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    raise TypeError(f"cannot write {t.__name__} as JSON")
+
+
+def _write_json(obj) -> str:
+    """``json.dumps(obj, indent=1, ensure_ascii=False) + "\\n"``, byte for
+    byte, for the values the tables and the CLI write."""
+    return _indented(obj, "\n") + "\n"
+
+
+# Before Python 3.13 the stock encoder runs in pure Python whenever an
+# indent is asked for; from 3.13 its C encoder indents too.
+if sys.version_info >= (3, 13):
+    def dump_json(obj: dict) -> str:
+        return json.dumps(obj, indent=1, ensure_ascii=False) + "\n"
+else:
+    dump_json = _write_json
 
 
 def load_artifact(text: str):

@@ -16,6 +16,8 @@
   it, so a later call in the same process (as in a benchmark that repeats
   one artifact) is faster than any single command run alone; work per
   call is shared through a memo that the call itself makes.
+* ``json.dumps`` and ``json.loads`` are called only in ``serialize.py``, so
+  every payload byte goes through its one writer and its one loader.
 """
 
 import ast
@@ -93,6 +95,33 @@ def _cache_uses(tree):
             isinstance(node, ast.Name) and node.id in _CACHES
             or isinstance(node, ast.Attribute) and node.attr in _CACHES
             and isinstance(node.value, ast.Name) and node.value.id == "functools"
+        )
+    )
+
+
+# modules allowed to call json.dumps and json.loads
+JSON_CALLERS = {"serialize.py"}
+_JSON_CALLS = {"dumps", "loads"}
+
+
+def _json_calls(tree, module):
+    """Line of every call of ``json.dumps`` or ``json.loads`` (as an attribute
+    of the module, under any name it is imported as, or imported by name)
+    outside JSON_CALLERS."""
+    if module in JSON_CALLERS:
+        return []
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {alias.asname or alias.name for alias in node.names if alias.name in _JSON_CALLS}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id in functions
+            or isinstance(node.func, ast.Attribute) and node.func.attr in _JSON_CALLS
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
         )
     )
 
@@ -182,6 +211,11 @@ def test_caches_only_on_functions_with_no_parameters(path):
     assert _cache_uses(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_is_written_and_read_only_in_serialize(path):
+    assert _json_calls(_tree(path), path.name) == []
+
+
 def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
@@ -218,3 +252,10 @@ def test_rules_see_what_they_forbid():
         "square = lru_cache(lambda i: i * i)\n"
     )
     assert _cache_uses(caches) == [8, 12, 16]
+    payload = ast.parse(
+        "import json\nimport json as j\nfrom json import loads as parse\n\n"
+        "def f(x):\n    return json.dumps(x) + parse(x)\n\n"
+        "text = j.loads('1')\nkind = json.JSONDecodeError\n"
+    )
+    assert _json_calls(payload, "cli.py") == [6, 6, 8]
+    assert _json_calls(payload, "serialize.py") == []
