@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import ternary
 from .geometry import ZERO, Cube, Point3, running_axis
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3, IntegerForm
 from .ternary import (
-    _FREE_ENOUGH, AxisSegment, SegmentMemo, _Filled, _triadic_one_free, cantor_numerators,
+    _FREE_ENOUGH, AxisSegment, SegmentMemo, _Filled, _has_one_free, cantor_numerators,
     check_segment_space, in_sponge_stage, segment_in_stage, triadic_exponent,
 )
 
@@ -163,8 +164,8 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
     1-free cell too: a segment with ``_FREE_ENOUGH`` settled fixed values
     is contained by the walk's own first test, and no call is made for it.
     Only the other segments go to ``segment_in_stage``, with one Fraction
-    per distinct value they use.  When e <= stage the settling test reads
-    the e digits of num once (``_triadic_one_free``); otherwise it reads the
+    per distinct value they use.  When e <= stage the settling test splits
+    the e digits of num once (``_has_one_free``); otherwise it reads the
     value's stage cells from the ``SegmentMemo`` that serves the whole pass,
     whose walks split each distinct value's digits at a stage once.
     """
@@ -181,7 +182,7 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
             g = gcd(c, scale)
             num, den = c // g, scale // g
             e = exponents[den]
-            if e is not None and (_triadic_one_free(num, e) if e <= stage else cells[num, den, stage][1]):
+            if e is not None and (_has_one_free(ternary._digit_bytes(num, e), b"") if e <= stage else cells[num, den, stage][1]):
                 settled.add(c)
     in_cube = 0 <= min(values) and max(values) <= scale  # then so is every segment
     enough = _FREE_ENOUGH[space]

@@ -79,18 +79,13 @@ class ClosedPolyline3:
         return zip(verts, verts[1:] + verts[:1])
 
 
-def integer_form_of(points) -> IntegerForm:
-    """The integer form of rational points, each coordinate read by ``frac``,
-    worked out once per distinct coordinate object, so points that share
-    their Fractions cost one lcm term and one product per value.  Nothing
-    is checked beyond the coordinates: that is ``ClosedPolyline3``'s part."""
+def closed_polyline(points, marks=None) -> ClosedPolyline3:
+    """The curve through rational points, each coordinate read by ``frac``.
+    The integer form is worked out once per distinct coordinate object, so
+    points that share their Fractions (a loaded artifact's do) cost one
+    lcm term and one product per value."""
     rows = [[frac(c) for c in p] for p in points]
     values = {id(c): c for c in chain.from_iterable(rows)}
     scale = lcm(*{c.denominator for c in values.values()})
     num = {key: c.numerator * (scale // c.denominator) for key, c in values.items()}
-    return IntegerForm(scale, tuple(tuple(num[id(c)] for c in row) for row in rows))
-
-
-def closed_polyline(points, marks=None) -> ClosedPolyline3:
-    """The curve through rational points (see ``integer_form_of``)."""
-    return ClosedPolyline3(integer_form_of(points), dict(marks or {}))
+    return ClosedPolyline3(IntegerForm(scale, tuple(tuple(num[id(c)] for c in row) for row in rows)), dict(marks or {}))

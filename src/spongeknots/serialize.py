@@ -10,23 +10,21 @@ table of ``(json key, getter, field type)`` in output order.  A field type
 is a ``(write, read)`` pair of functions, and ``read`` takes only its own
 JSON type: anything else is a TypeError or ValueError.  The same table
 writes an artifact and reads it back, so no field is read any other way.
-An array of points is read whole when every row is three strings: the
-strings are parsed once each and a polyline's vertices go straight to its
+A polyline's vertices are read whole when every row is three strings: the
+strings are parsed once each and the vertices go straight to the curve's
 integer form; any other array is read point by point, which raises each
 error in document order.
 
 ``dump_json`` writes ``json.dumps(obj, indent=1, ensure_ascii=False)``
-plus a newline.  Before Python 3.13 the stock encoder runs in pure Python
-whenever an indent is given, so there the bytes come from one small
-writer that calls the stock encoder's C string escaper; from 3.13 they
-come from ``json.dumps`` itself.
+plus a newline through one small writer that calls the stock encoder's C
+string escaper: before Python 3.13 the stock encoder runs in pure Python
+whenever an indent is given.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-import sys
 from contextvars import ContextVar
 from itertools import chain
 from json.encoder import encode_basestring
@@ -37,7 +35,7 @@ from operator import itemgetter as item
 from .geometry import Cube, frac
 from .grid import GridDiagram
 from .necklace import Necklace, Pearl
-from .polyline import ClosedPolyline3, IntegerForm, integer_form_of
+from .polyline import ClosedPolyline3, IntegerForm
 from .squareflake import SquareflakeStage
 from .ternary import AxisSegment
 from .wildknot import Approximant, KnotAssignment, LedgerEntry
@@ -172,43 +170,7 @@ def optional(field):
 # --- shapes ------------------------------------------------------------------
 
 POINT = array(RATIONAL, 3)
-_EACH_POINT = array(POINT)
-
-
-def _parse_points(v):
-    """(the strings in document order, str -> Fraction of each distinct one)
-    when ``v`` is an array of 3-string arrays whose strings all parse, each
-    parsed once through the load's memo; None for any other input.  The
-    shape and the leaf types are checked once over the whole array."""
-    if type(v) is not list or set(map(type, v)) != {list} or set(map(len, v)) != {3}:
-        return None
-    flat = list(chain.from_iterable(v))
-    if set(map(type, flat)) != {str}:
-        return None
-    parsed = _PARSED.get()
-    if parsed is None:
-        parsed = {}
-    distinct = set(flat)
-    try:
-        for s in distinct.difference(parsed):
-            parsed[s] = frac(s)
-    except (TypeError, ValueError):
-        return None
-    return flat, {s: parsed[s] for s in distinct}
-
-
-def _read_points(v):
-    """An array of points, read as tuples of Fractions; whatever
-    ``_parse_points`` does not take whole is read point by point, which
-    raises each error in document order."""
-    strings = _parse_points(v)
-    if strings is None:
-        return _EACH_POINT[1](v)
-    flat, values = strings
-    return tuple(zip(*[map(values.__getitem__, flat)] * 3))
-
-
-POINTS = (_EACH_POINT[0], _read_points)
+POINTS = array(POINT)
 
 
 def _write_marks(marks):
@@ -278,16 +240,40 @@ def _write_integer_points(form):
     return [[text[c] for c in p] for p in points]
 
 
+def _parse_points(v):
+    """(the strings in document order, str -> Fraction of each distinct one)
+    when ``v`` is an array of 3-string arrays whose strings all parse, each
+    parsed once through the load's memo; None for any other input.  The
+    shape and the leaf types are checked once over the whole array."""
+    if type(v) is not list or set(map(type, v)) != {list} or set(map(len, v)) != {3}:
+        return None
+    flat = list(chain.from_iterable(v))
+    if set(map(type, flat)) != {str}:
+        return None
+    parsed = _PARSED.get()
+    if parsed is None:
+        parsed = {}
+    distinct = set(flat)
+    try:
+        for s in distinct.difference(parsed):
+            parsed[s] = frac(s)
+    except (TypeError, ValueError):
+        return None
+    return flat, {s: parsed[s] for s in distinct}
+
+
 def _read_integer_points(v):
     """The integer form of an array of points, read straight from its
     strings: the lcm of the distinct values' denominators is the scale, and
     the points are formed on ints, with no Fraction vertex.  Whatever
-    ``_parse_points`` does not take whole is read point by point, which
-    raises each error in document order."""
+    ``_parse_points`` does not take whole is read point by point by
+    ``POINTS``, which raises each error in document order."""
     strings = _parse_points(v)
     if strings is None:
-        return integer_form_of(_EACH_POINT[1](v))
-    flat, values = strings
+        flat = list(chain.from_iterable(POINTS[1](v)))
+        values = {x: x for x in flat}
+    else:
+        flat, values = strings
     scale = lcm(*{x.denominator for x in values.values()})
     num = {s: x.numerator * (scale // x.denominator) for s, x in values.items()}
     return IntegerForm(scale, tuple(zip(*[map(num.__getitem__, flat)] * 3)))
@@ -412,19 +398,10 @@ def _indented(v, nl: str) -> str:
     raise TypeError(f"cannot write {t.__name__} as JSON")
 
 
-def _write_json(obj) -> str:
+def dump_json(obj: dict) -> str:
     """``json.dumps(obj, indent=1, ensure_ascii=False) + "\\n"``, byte for
     byte, for the values the tables and the CLI write."""
     return _indented(obj, "\n") + "\n"
-
-
-# Before Python 3.13 the stock encoder runs in pure Python whenever an
-# indent is asked for; from 3.13 its C encoder indents too.
-if sys.version_info >= (3, 13):
-    def dump_json(obj: dict) -> str:
-        return json.dumps(obj, indent=1, ensure_ascii=False) + "\n"
-else:
-    dump_json = _write_json
 
 
 def load_artifact(text: str):

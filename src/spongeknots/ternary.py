@@ -159,12 +159,6 @@ def _has_one_free(head: bytes, period: bytes) -> bool:
     return head.find(1, 0, -1) < 0
 
 
-def _triadic_one_free(num: int, e: int) -> bool:
-    """Whether num / 3**e, in [0, 1] and in lowest terms, has an expansion
-    with no digit 1: ``_has_one_free`` of its e digits, split once."""
-    return _digit_bytes(num, e).find(1, 0, -1) < 0
-
-
 _CHUNK = 8
 
 
