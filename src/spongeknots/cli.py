@@ -150,6 +150,20 @@ def _check_denominator_digits(stage: int | None):
         raise ValueError(f"stage {stage} needs 3**{stage}, over the int-to-str limit of {limit} decimal digits")
 
 
+# the most items one build makes: squareflake vertices, approximant ledger
+# sites, necklace pearls, and the pearl pairs a generation-0 necklace compares
+BUILD_BUDGET = 2**14
+
+
+def _check_build_size(argument: str, size_text: str, exponent: int, size):
+    """Refuse a build of ``size()`` items past BUILD_BUDGET before it starts.
+    ``size()`` is at least 2**exponent, so an exponent past the budget's bit
+    length is refused without forming the power; a negative exponent is
+    left to the build, which refuses it."""
+    if exponent >= 0 and (exponent > BUILD_BUDGET.bit_length() or size() > BUILD_BUDGET):
+        raise ValueError(f"{argument} makes {size_text}, over the build budget of {BUILD_BUDGET}")
+
+
 def cmd_build_embed(args) -> int:
     _check_denominator_digits(args.stage)
     g = catalog(args.knot)
@@ -171,7 +185,9 @@ def cmd_build_embed(args) -> int:
 
 
 def cmd_build_squareflake(args) -> int:
-    s = squareflake(args.stage)
+    m = args.stage
+    _check_build_size(f"--stage {m}", f"4*2**{m} squareflake vertices", m, lambda: 4 * 2**m)
+    s = squareflake(m)
     name = f"squareflake-{s.m}"
     return _emit(
         args, name, serialize.dump_json(serialize.squareflake_json(s)),
@@ -192,6 +208,8 @@ def _parse_assignment(args) -> KnotAssignment:
 
 
 def cmd_build_wildknot(args) -> int:
+    m = args.stage
+    _check_build_size(f"--stage {m}", f"3*(2**{m} - 1) ledger sites", m, lambda: 3 * (2**m - 1))
     assign = _parse_assignment(args)
     a = approximant(assign, args.stage, include_trivial=args.include_trivial)
     name = f"wildknot-{args.stage}"
@@ -210,6 +228,11 @@ def _necklace_base(name: str) -> ClosedPolyline3:
 
 
 def cmd_build_necklace(args) -> int:
+    n, m = args.pearls, args.generation
+    if n >= 3:  # fewer pearls are refused by make_necklace
+        _check_build_size(f"--pearls {n} --generation {m}", f"{n}*{n - 1}**{m} pearls", m,
+                          lambda: n * (n - 1) ** m)
+        _check_build_size(f"--pearls {n}", f"{n}*{n - 1}/2 pearl pairs", 0, lambda: n * (n - 1) // 2)
     base = make_necklace(_necklace_base(args.base), args.pearls)
     it = iterate(base, args.generation) if args.generation else None
     name = f"necklace-{args.pearls}-{args.generation}"

@@ -80,12 +80,9 @@ class ClosedPolyline3:
 
 
 def closed_polyline(points, marks=None) -> ClosedPolyline3:
-    """The curve through rational points, each coordinate read by ``frac``.
-    The integer form is worked out once per distinct coordinate object, so
-    points that share their Fractions (a loaded artifact's do) cost one
-    lcm term and one product per value."""
+    """The curve through rational points, each coordinate read by ``frac``:
+    the scale is the lcm of the distinct denominators."""
     rows = [[frac(c) for c in p] for p in points]
-    values = {id(c): c for c in chain.from_iterable(rows)}
-    scale = lcm(*{c.denominator for c in values.values()})
-    num = {key: c.numerator * (scale // c.denominator) for key, c in values.items()}
-    return ClosedPolyline3(IntegerForm(scale, tuple(tuple(num[id(c)] for c in row) for row in rows)), dict(marks or {}))
+    scale = lcm(*{c.denominator for c in chain.from_iterable(rows)})
+    form = tuple(tuple(c.numerator * (scale // c.denominator) for c in row) for row in rows)
+    return ClosedPolyline3(IntegerForm(scale, form), dict(marks or {}))

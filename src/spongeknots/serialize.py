@@ -52,22 +52,6 @@ def rat(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-# id -> (value, text) of the rationals one artifact write has formatted, None
-# outside one; the value is kept so that its id is not reused
-_WRITTEN = ContextVar("written_rationals", default=None)
-
-
-def _write_rational(x) -> str:
-    """``rat(x)``, formatted once per distinct object within one artifact
-    write, so the values a producer shares are written once each."""
-    written = _WRITTEN.get()
-    if written is None:
-        return rat(x)
-    if id(x) not in written:
-        written[id(x)] = (x, rat(x))
-    return written[id(x)][1]
-
-
 def _expect(value, types, what):
     """``value`` when its exact JSON type is one of ``types`` (so a bool is
     never an integer)."""
@@ -102,7 +86,7 @@ def _read_rational(v):
     return x
 
 
-RATIONAL = (_write_rational, _read_rational)
+RATIONAL = (rat, _read_rational)
 INTEGER = (_same, lambda v: _expect(v, (int,), "an integer"))
 BOOLEAN = (_same, lambda v: _expect(v, (bool,), "a boolean"))
 STRING = (_same, lambda v: _expect(v, (str,), "a string"))
@@ -128,19 +112,14 @@ def array(field, length=None):
 def record(build, fields, kind=None):
     """A JSON object of ``fields``, read back as ``build(*values)`` in table
     order.  With ``kind`` it opens with the ``schema``/``kind`` header, which
-    reading requires, and each write is one artifact write for
-    ``_write_rational``.  A field's read error names the field's key."""
+    reading requires.  A field's read error names the field's key."""
 
     def write(obj):
         out = {"schema": SCHEMA, "kind": kind} if kind else {}
-        token = _WRITTEN.set({} if kind else _WRITTEN.get())
-        try:
-            for key, get, (write_field, _) in fields:
-                value = write_field(get(obj))
-                if value is not _ABSENT:
-                    out[key] = value
-        finally:
-            _WRITTEN.reset(token)
+        for key, get, (write_field, _) in fields:
+            value = write_field(get(obj))
+            if value is not _ABSENT:
+                out[key] = value
         return out
 
     def read(v):

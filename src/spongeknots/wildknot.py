@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .embed import _place, check_surviving_cube, embed_into_box, stage_for
+from .embed import _FIXED_AXES, _place, check_surviving_cube, embed_into_box, stage_for
 from .geometry import ZERO, Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3, IntegerForm
@@ -62,9 +62,6 @@ def sites(m: int) -> list[SpliceSite]:
 # splicing
 # ---------------------------------------------------------------------------
 
-_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
-
-
 def splice(base: ClosedPolyline3, site: SpliceSite, summand: ClosedPolyline3) -> ClosedPolyline3:
     """Connected sum of base and summand along the summand's marked segment.
 
@@ -102,7 +99,7 @@ def _cube_meets(cubes, lines):
         columns = defaultdict(list)  # (axis, cell, cell) -> [(first cell along axis, cube)]
         for j in members:
             cells = [range(a // h, b // h + 1) for a, b in zip(*cubes[j])]
-            for ax, (o1, o2) in enumerate(_OTHER_AXES):
+            for ax, (o1, o2) in enumerate(_FIXED_AXES):
                 for c1 in cells[o1]:
                     for c2 in cells[o2]:
                         columns[ax, c1, c2].append((cells[ax][0], j))
@@ -112,7 +109,7 @@ def _cube_meets(cubes, lines):
             column = columns.get((ax, f1 // h, f2 // h))
             if column is None:
                 continue
-            o1, o2 = _OTHER_AXES[ax]
+            o1, o2 = _FIXED_AXES[ax]
             for lo, hi, i in line:
                 start = bisect_left(column, (lo // h - 1,))
                 stop = bisect_right(column, (hi // h, len(cubes)))
@@ -182,7 +179,7 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     for i, (a, b) in enumerate(ends):
         ax = axes[i] = running_axis(a, b)
         if ax is not None:
-            fixed = fixeds[i] = tuple(a[k] for k in _OTHER_AXES[ax])
+            fixed = fixeds[i] = tuple(a[k] for k in _FIXED_AXES[ax])
             lines[ax, fixed].append((min(a[ax], b[ax]), max(a[ax], b[ax]), i))
     reach = {}  # per line: running maximum of hi over its entries sorted by lo
     for line_key, line in lines.items():
@@ -222,7 +219,7 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         T = site.T
         ax = T.axis
         for p in (u, v):
-            if tuple(p[i] for i in _OTHER_AXES[ax]) != T.fixed:
+            if tuple(p[i] for i in _FIXED_AXES[ax]) != T.fixed:
                 raise ValueError("splice mark is not on the site segment")
             if not (T.lo <= p[ax] <= T.hi):
                 raise ValueError("splice mark leaves the site segment")

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import random
+import shlex
 import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -866,3 +868,58 @@ def test_a_stage_past_the_int_to_str_limit_is_a_usage_error(tmp_path, capsys, de
     for stage in (8900, 9012):
         assert run(["build", "embed", "--knot", "trefoil", "--stage", str(stage), "--out", str(tmp_path)]) == 0
         assert f"stage {stage}" in capsys.readouterr().out
+
+
+def _first_past_the_budget(size):
+    """The least argument k >= 0 with ``size(k)`` past the build budget."""
+    k = 0
+    while size(k) <= cli.BUILD_BUDGET:
+        k += 1
+    return k
+
+
+# build kind -> (its argv for an argument k, the size that k makes, the cli
+# function the build starts with)
+BUDGETED_BUILDS = {
+    "squareflake": (lambda k: ["squareflake", "--stage", str(k)], lambda k: 4 * 2**k, "squareflake"),
+    "wildknot": (lambda k: ["wildknot", "--stage", str(k), "--targets", "0/1,1/1"], lambda k: 3 * (2**k - 1),
+                 "_parse_assignment"),
+    "necklace": (lambda k: ["necklace", "--pearls", "3", "--generation", str(k)], lambda k: 3 * 2**k,
+                 "make_necklace"),
+    "necklace-pairs": (lambda k: ["necklace", "--pearls", str(k)], lambda k: k * (k - 1) // 2, "make_necklace"),
+}
+
+
+@pytest.mark.parametrize("kind", BUDGETED_BUILDS)
+def test_a_build_past_the_budget_is_refused_before_it_starts(tmp_path, capsys, monkeypatch, kind):
+    argv, size, first_call = BUDGETED_BUILDS[kind]
+    started = []
+
+    def start(*args, **kwargs):
+        started.append(args)
+        raise ValueError("started")
+
+    monkeypatch.setattr(cli, first_call, start)
+    past = _first_past_the_budget(size)
+    begin = time.perf_counter()
+    for k in (past, past + 1, 10**9):
+        assert run(["build", *argv(k), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"{k}" in err[0]
+        assert err[0].endswith(f"over the build budget of {cli.BUILD_BUDGET}")
+    assert time.perf_counter() - begin < 1
+    assert started == [] and not list(tmp_path.iterdir())
+    # the largest argument inside the budget starts its build
+    assert run(["build", *argv(past - 1), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: started\n" and len(started) == 1
+
+
+def test_the_readme_command_lines_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in commands if words[:1] == ["spongeknots"]]
+    assert commands
+    for words in commands:
+        argv = [str(tmp_path / w[len("out/"):]) if w.startswith("out/") else w for w in words]
+        assert main(argv) == 0, " ".join(words)

@@ -85,15 +85,6 @@ def test_reading_a_polyline_makes_no_fraction_beyond_one_parse_per_distinct_stri
     assert loaded == poly and loaded.marks == poly.marks
 
 
-def test_a_write_formats_each_shared_value_once(monkeypatch):
-    # squareflake shares one Fraction per value among its detours
-    written = []
-    rat = serialize.rat
-    monkeypatch.setattr(serialize, "rat", lambda x: written.append(rat(x)) or written[-1])
-    data = serialize.squareflake_json(squareflake(6))
-    assert len(written) == len(set(written)) == len(set(_strings(data["replaced"]))) < len(_strings(data["replaced"]))
-
-
 _coordinates = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=40) | st.integers(-3, 3)
 
 

@@ -18,6 +18,8 @@
   call is shared through a memo that the call itself makes.
 * ``json.dumps`` and ``json.loads`` are called only in ``serialize.py``, so
   every payload byte goes through its one writer and its one loader.
+* ``ContextVar`` is made only for ``serialize._PARSED``, the parse memo one
+  load sets and resets: writes and every other call carry no hidden state.
 """
 
 import ast
@@ -126,6 +128,32 @@ def _json_calls(tree, module):
     )
 
 
+# (module, name) of the only module-level ContextVar assignments allowed
+CONTEXT_VARS = {("serialize.py", "_PARSED")}
+
+
+def _context_vars(tree, module):
+    """Line of every ``ContextVar(`` call (under any name it is imported as,
+    or as an attribute) that is not the value of a module-level assignment
+    to one name in CONTEXT_VARS."""
+    names = {"ContextVar"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "contextvars":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "ContextVar"}
+    allowed = {
+        id(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+        and (module, node.targets[0].id) in CONTEXT_VARS
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in allowed and (
+            isinstance(node.func, ast.Name) and node.func.id in names
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "ContextVar"
+        )
+    )
+
+
 def _unused_imports(tree):
     """Names a module imports but never reads or lists in ``__all__``."""
     imported = {}
@@ -216,6 +244,11 @@ def test_json_is_written_and_read_only_in_serialize(path):
     assert _json_calls(_tree(path), path.name) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_only_context_var_is_the_load_memo(path):
+    assert _context_vars(_tree(path), path.name) == []
+
+
 def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
@@ -259,3 +292,10 @@ def test_rules_see_what_they_forbid():
     )
     assert _json_calls(payload, "cli.py") == [6, 6, 8]
     assert _json_calls(payload, "serialize.py") == []
+    state = ast.parse(
+        "import contextvars\nfrom contextvars import ContextVar as CV\n\n"
+        "_PARSED = CV('parsed')\n_WRITTEN = contextvars.ContextVar('written')\n\n"
+        "def f():\n    return CV('inner')\n"
+    )
+    assert _context_vars(state, "serialize.py") == [5, 8]
+    assert _context_vars(state, "cli.py") == [4, 5, 8]
