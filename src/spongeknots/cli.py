@@ -26,10 +26,8 @@ from .ternary import (
     AxisSegment,
     check_segment_space,
     limit_certificate,
-    membership_stage,
-    refutation,
     segment_in_stage,
-    stage_witness,
+    stage_certificate,
 )
 from .wildknot import KnotAssignment, approximant, wild_set_plan
 
@@ -59,12 +57,12 @@ def cmd_predicate(args) -> int:
         }
         print(serialize.dump_json(out), end="")
         return 0
-    coords = [frac(c) for c in args.coords]
+    coords = tuple(frac(c) for c in args.coords)
     if args.stage is None:
-        witness, refuted = limit_certificate(tuple(coords), space)
-        verdict = witness is not None
+        witness, refuted = limit_certificate(coords, space)
     else:
-        verdict = membership_stage(tuple(coords), args.stage, space)
+        witness, refuted = stage_certificate(coords, args.stage, space)
+    verdict = witness is not None
     out = {
         "schema": serialize.SCHEMA,
         "query": "point",
@@ -76,9 +74,9 @@ def cmd_predicate(args) -> int:
     if verdict and args.stage is None:
         out["witness"] = [{"preperiod": list(e.preperiod), "period": list(e.period)} for e in witness]
     elif verdict:
-        out["witness"] = [list(p) for p in stage_witness(coords, args.stage, space)]
+        out["witness"] = [list(p) for p in witness]
     else:
-        failed_stage, cells = refuted if args.stage is None else refutation(coords, space, args.stage)
+        failed_stage, cells = refuted
         out["refutation"] = {
             "failed_stage": failed_stage,
             "cells": [
@@ -151,7 +149,8 @@ def _check_denominator_digits(stage: int | None):
 
 
 # the most items one build makes: squareflake vertices, approximant ledger
-# sites, necklace pearls, and the pearl pairs a generation-0 necklace compares
+# sites, necklace pearls, the pearl pairs a generation-0 necklace compares,
+# and the sibling pairs an iterated one compares
 BUILD_BUDGET = 2**14
 
 
@@ -233,6 +232,9 @@ def cmd_build_necklace(args) -> int:
         _check_build_size(f"--pearls {n} --generation {m}", f"{n}*{n - 1}**{m} pearls", m,
                           lambda: n * (n - 1) ** m)
         _check_build_size(f"--pearls {n}", f"{n}*{n - 1}/2 pearl pairs", 0, lambda: n * (n - 1) // 2)
+        if m >= 1:
+            _check_build_size(f"--pearls {n} --generation {m}", f"{n}*{n - 1}**{m}*{n - 2}/2 sibling pairs", m,
+                              lambda: n * (n - 1) ** m * (n - 2) // 2)
     base = make_necklace(_necklace_base(args.base), args.pearls)
     it = iterate(base, args.generation) if args.generation else None
     name = f"necklace-{args.pearls}-{args.generation}"

@@ -201,7 +201,7 @@ def ternary_digits(x, k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0:
         raise ValueError("k must be >= 0")
     x = _check_unit(x)
-    return tuple(_digits_of_index(i, k) for i in _cell_candidates(x.numerator, x.denominator, 3**k))
+    return tuple(map(tuple, _stage_cells((x.numerator, x.denominator, k))[0]))
 
 
 def _cell_candidates(num: int, den: int, scale: int) -> tuple[int, ...]:
@@ -216,24 +216,12 @@ def _cell_candidates(num: int, den: int, scale: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _digits_of_index(i: int, k: int) -> tuple[int, ...]:
-    """The k base-3 digits of i, most significant first."""
-    if k > 64:
-        # halve big indices first, so a deep stage costs far less than k
-        # divisions of a k-digit integer
-        high, low = divmod(i, 3 ** (k // 2))
-        return _digits_of_index(high, k - k // 2) + _digits_of_index(low, k // 2)
-    ds = []
-    for _ in range(k):
-        ds.append(i % 3)
-        i //= 3
-    return tuple(reversed(ds))
-
-
 def _digit_bytes(i: int, k: int) -> bytes:
-    """The k base-3 digits of i < 3**k as bytes, most significant first:
-    the digits of _digits_of_index, _CHUNK per division."""
+    """The k base-3 digits of i < 3**k as bytes, most significant first,
+    _CHUNK per division."""
     if k > 64:
+        # halve big indices first, so a deep stage costs far less than k/_CHUNK
+        # divisions of a k-digit integer
         high, low = divmod(i, 3 ** (k // 2))
         return _digit_bytes(high, k - k // 2) + _digit_bytes(low, k // 2)
     digits, scale = _chunk_digits(), 3**_CHUNK
@@ -247,7 +235,7 @@ def _digit_bytes(i: int, k: int) -> bytes:
 
 def _index_of_digits(ds) -> int:
     """The integer whose base-3 digits, most significant first, are ``ds``:
-    the inverse of _digits_of_index, halving long prefixes the same way."""
+    the inverse of _digit_bytes, halving long prefixes the same way."""
     k = len(ds)
     if k > 64:
         return _index_of_digits(ds[:k - k // 2]) * 3 ** (k // 2) + _index_of_digits(ds[k - k // 2:])
@@ -409,17 +397,6 @@ def _stage_scan(prefix_options, space: str):
         yield combo, _first_violation(combo, space)
 
 
-def stage_witness(coords, k: int, space: str):
-    """Length-k digit prefixes, one per coordinate, that break no rule; or None.
-
-    Each prefix is a tuple of digits, the first combo in ``product`` order of
-    the coordinates' ``ternary_digits`` that breaks no rule.
-    """
-    options, _ = _stage_options(_point(coords, space), k)
-    combo = next((combo for combo, t in _stage_scan(options, space) if t is None), None)
-    return None if combo is None else tuple(map(tuple, combo))
-
-
 def _stage_options(coords, k: int):
     """(the digit strings of each checked coordinate's closed stage-k cells,
     as ``bytes``; how many coordinates have a cell with no digit 1)."""
@@ -442,34 +419,33 @@ class RemovedCell:
 _REMOVED_NAME = {1: "middle-third", 2: "face-center", 3: "center"}
 
 
-def refutation(coords, space: str, k: int | None = None):
-    """(failed_stage, cells): a removed cell holding the point for every
-    representation combo, and the largest stage among them.
+def stage_certificate(point, k: int, space: str):
+    """(witness, None) for a point of the stage-k prefractal, else (None,
+    refutation), from one read of each coordinate's stage-k cells.
 
-    With ``k`` the point must lie outside the stage-k prefractal and each
-    cell comes from length-k digit prefixes. Without it the point must lie
-    outside the limit set, and each cell sits at its combo's exact first
-    violating position. ValueError when some combo breaks no rule.
+    The witness is the first combo in ``product`` order of length-k digit
+    prefixes, one tuple of digits per coordinate, that breaks no rule.  The
+    refutation is (failed_stage, cells): a removed cell holding the point for
+    every combo, each from its prefixes cut at its first violating position,
+    and the largest stage among them.
     """
-    if k is None:
-        _, refuted = limit_certificate(coords, space)
-        if refuted is None:
-            raise ValueError("refutation requested for a member point")
-        return refuted
-    options, _ = _stage_options(_point(coords, space), k)
-    combos = list(_stage_scan(options, space))
-    if any(t is None for _, t in combos):
-        raise ValueError("refutation requested for a member point")
-    return _removed_cells([(t, p) for p, t in combos], space)
+    options, _ = _stage_options(_point(point, space), k)
+    found = []
+    for combo, t in _stage_scan(options, space):
+        if t is None:
+            return tuple(map(tuple, combo)), None
+        found.append((t, combo))
+    return None, _removed_cells(found, space)
 
 
 def limit_certificate(point, space: str):
     """(witness, None) for a point of the limit set, else (None, refutation),
     from one expansion of each coordinate.
 
-    The witness is that of ``satisfying_expansions`` and the refutation that
-    of ``refutation`` without a stage, so a caller that wants whichever of
-    them the point has expands no coordinate twice.
+    The witness is that of ``satisfying_expansions``.  The refutation is
+    (failed_stage, cells): a removed cell holding the point for every
+    representation combo, each at its combo's exact first violating
+    position, and the largest stage among them.
     """
     options = list(map(_expand, _point(point, space)))
     witness = _witness(options, space)

@@ -21,7 +21,7 @@ from .geometry import ZERO, Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3, IntegerForm
 from .squareflake import _middle_thirds, squareflake
-from .ternary import AxisSegment, in_cantor, stage_witness
+from .ternary import AxisSegment, in_cantor, stage_certificate
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,7 @@ def wild_set_plan(targets, knot: str, m: int) -> KnotAssignment:
             raise ValueError(f"target {t} is not on the edge Cantor set")
     entries = {}
     for t in targets:
-        (digits,) = stage_witness((t,), m, "cantor")  # its 1-free length-m prefix
+        (digits,) = stage_certificate((t,), m, "cantor")[0]  # its 1-free length-m prefix
         rank = 0  # position of the target's square among the stage squares
         for q in range(1, m + 1):
             d = digits[q - 1]

@@ -83,6 +83,20 @@ def test_predicate_expands_each_coordinate_once(monkeypatch, capsys):
         assert made.count(100003) == 1
 
 
+def test_predicate_reads_each_stage_once(monkeypatch, capsys):
+    # a member and a non-member: one read of the coordinates' stage-k cells
+    # gives the verdict and its witness or refutation
+    reads = []
+    stage_options = ternary._stage_options
+    monkeypatch.setattr(ternary, "_stage_options", lambda coords, k: reads.append(k) or stage_options(coords, k))
+    for coords, verdict in ((["1/4", "1/2", "3/4"], True), (["1/2", "1/2", "1/4"], False)):
+        reads.clear()
+        assert run(["predicate", "--space", "sponge", "--stage", "5", *coords]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] is verdict and ("witness" in out) == verdict
+        assert reads == [5]
+
+
 def _predicate_coordinate(rng):
     """A coordinate string: a triadic, a small-denominator rational, a
     1-free periodic point, 12 digits 0 and 2 as criterion 2 draws them, or
@@ -887,6 +901,8 @@ BUDGETED_BUILDS = {
     "necklace": (lambda k: ["necklace", "--pearls", "3", "--generation", str(k)], lambda k: 3 * 2**k,
                  "make_necklace"),
     "necklace-pairs": (lambda k: ["necklace", "--pearls", str(k)], lambda k: k * (k - 1) // 2, "make_necklace"),
+    "necklace-siblings": (lambda k: ["necklace", "--pearls", str(k), "--generation", "1"],
+                          lambda k: k * (k - 1) * (k - 2) // 2, "make_necklace"),
 }
 
 

@@ -16,7 +16,6 @@ from spongeknots.ternary import (
     TernaryExpansion,
     _breaks,
     _digit_bytes,
-    _digits_of_index,
     _index_of_digits,
     _first_bad,
     _stage_scan,
@@ -31,13 +30,13 @@ from spongeknots.ternary import (
     in_carpet_face_stage,
     in_sponge,
     in_sponge_stage,
+    limit_certificate,
     membership,
     membership_stage,
-    refutation,
     satisfying_expansions,
     segment_in_stage,
+    stage_certificate,
     stage_profile,
-    stage_witness,
     ternary_digits,
 )
 
@@ -340,6 +339,16 @@ def test_segment_matches_oracle_on_random_segments_at_stage_3(space):
 
 # --- the digit walk against the cell enumeration it replaced ------------------
 
+def _digits_of_index(i, k):
+    """The k base-3 digits of i, most significant first, one division each:
+    the reference the byte splitter is checked against."""
+    ds = []
+    for _ in range(k):
+        ds.append(i % 3)
+        i //= 3
+    return tuple(reversed(ds))
+
+
 def _reference_segment_in_stage(seg, k, space):
     """Every running cell the segment meets with positive length, each
     through the stage scan: the enumeration the digit walk replaced."""
@@ -498,7 +507,7 @@ small_period_points = st.sampled_from([("cantor", 1), ("carpet_face", 2), ("spon
 def test_refutation_cells_hold_the_point_and_are_removed_at_their_stage(case):
     space, point = case
     assume(not membership(point, space))
-    failed_stage, cells = refutation(point, space)
+    failed_stage, cells = limit_certificate(point, space)[1]
     assert failed_stage == max(c.stage for c in cells)
     # in the stage before the deepest cell, outside from that stage on
     assert oracle_profile(point, failed_stage, space) == [True] * failed_stage + [False]
@@ -712,7 +721,7 @@ def test_refutation_at_a_far_first_violation_holds_the_point():
     r = ys.index(1)
     ys[r], ys[r + 1] = 0, 1
     point = (_block_point(xs), _block_point(ys), F(0))
-    failed_stage, cells = refutation(point, "sponge")
+    failed_stage, cells = limit_certificate(point, "sponge")[1]
     assert failed_stage == 20021
     assert all(c.stage == 20021 for c in cells)
     for c in cells:
@@ -748,7 +757,7 @@ def test_value_of_a_period_past_the_string_conversion_limit():
 def test_refutation_cells_match_the_digit_sum_formula(case):
     space, point = case
     assume(not membership(point, space))
-    _, cells = refutation(point, space)
+    _, cells = limit_certificate(point, space)[1]
     combos = list(product(*(expansions(c) for c in point)))
     assert len(cells) == len(combos)
     for combo, c in zip(combos, cells):
@@ -756,7 +765,7 @@ def test_refutation_cells_match_the_digit_sum_formula(case):
         assert c.stage == t
         assert [lo for lo, _ in c.cell] == [F(_digit_sum([_digit(e, i) for i in range(1, t + 1)]), 3**t) for e in combo]
     k = max(c.stage for c in cells)
-    _, cells = refutation(point, space, k)
+    _, cells = stage_certificate(point, k, space)[1]
     found = [(combo, t) for combo, t in _stage_scan([ternary_digits(c, k) for c in point], space)]
     assert [c.stage for c in cells] == [t for _, t in found]
     for (combo, t), c in zip(found, cells):
@@ -859,9 +868,10 @@ def test_segment_with_enough_one_free_fixed_coordinates_matches_reference(case):
     lambda p: membership_stage(p, 2, "nope"),
     lambda p: stage_profile(p, 2, "nope"),
     lambda p: satisfying_expansions(p, "nope"),
-    lambda p: stage_witness(p, 2, "nope"),
-    lambda p: refutation(p, "nope"),
-], ids=["membership", "membership_stage", "stage_profile", "satisfying_expansions", "stage_witness", "refutation"])
+    lambda p: stage_certificate(p, 2, "nope"),
+    lambda p: limit_certificate(p, "nope"),
+], ids=["membership", "membership_stage", "stage_profile", "satisfying_expansions", "stage_certificate",
+        "limit_certificate"])
 def test_unknown_space_is_a_value_error_naming_the_spaces(query):
     with pytest.raises(ValueError, match="unknown space 'nope'; expected one of cantor, carpet_face, sponge, carpet2"):
         query((F(0),))
@@ -946,7 +956,7 @@ def test_stage_queries_with_enough_one_free_cells_run_no_scan(point_work):
     assert not membership_stage((F(1, 2), F(1, 2), F(1, 4)), 6, "sponge")
     assert point_work["scans"] == 1
     # the witness is still the first combo of the scan, as tuples of digits
-    assert stage_witness(point, 3, "sponge") == ((0, 2, 0), (1, 1, 1), (0, 2, 0))
+    assert stage_certificate(point, 3, "sponge")[0] == ((0, 2, 0), (1, 1, 1), (0, 2, 0))
 
 
 def _one_free_cell_coordinate(k):
@@ -982,10 +992,10 @@ stage_points = st.tuples(st.sampled_from(SPACE_DIMS), st.integers(min_value=0, m
 def test_stage_verdict_witness_and_oracle_agree_in_every_space(case):
     space, k, point = case
     verdict = subdivision_oracle(point, k, space)
-    assert membership_stage(point, k, space) == (stage_witness(point, k, space) is not None) == verdict
+    assert membership_stage(point, k, space) == (stage_certificate(point, k, space)[0] is not None) == verdict
     assert stage_profile(point, k, space) == oracle_profile(point, k, space)
     if not verdict:
-        failed_stage, _ = refutation(point, space, k)
+        failed_stage, _ = stage_certificate(point, k, space)[1]
         assert failed_stage <= k
 
 
@@ -1012,7 +1022,7 @@ def test_stage_corpus_reaches_the_early_accept_the_scan_and_non_members():
             k = rng.randint(1, 6)
             point = tuple(_stage_corpus_coordinate(rng, k) for _ in range(dim))
             verdict = subdivision_oracle(point, k, space)
-            assert membership_stage(point, k, space) == (stage_witness(point, k, space) is not None) == verdict
+            assert membership_stage(point, k, space) == (stage_certificate(point, k, space)[0] is not None) == verdict
             assert stage_profile(point, k, space) == oracle_profile(point, k, space)
             _, free = ternary._stage_options(point, k)
             seen[space].add("early" if free >= ternary._FREE_ENOUGH[space] else "scan" if verdict else "out")
