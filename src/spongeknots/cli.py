@@ -41,6 +41,8 @@ _SPACE_FLAG = {"cantor": "cantor", "carpet-face": "carpet_face", "sponge": "spon
 def cmd_predicate(args) -> int:
     space = _SPACE_FLAG[args.space]
     if args.segment is not None:
+        if args.coords:
+            raise ValueError("--segment takes no coordinates")
         axis, f1, f2, lo, hi = args.segment
         seg = AxisSegment(int(axis), (frac(f1), frac(f2)), frac(lo), frac(hi))
         check_segment_space(space)
@@ -93,22 +95,6 @@ def cmd_predicate(args) -> int:
 # build
 # ---------------------------------------------------------------------------
 
-def _out_dir(args) -> Path:
-    root = args.out or os.environ.get("SPONGEKNOTS_OUT", "out")
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write(path: Path, text: str):
-    path.write_text(text)
-
-
-def _sidecar_log(path: Path, config: str):
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    path.write_text(f"{stamp} {config}\n")
-
-
 def _finish(results: checks.CheckList) -> int:
     results.report()
     if not results.ok:
@@ -119,12 +105,6 @@ def _finish(results: checks.CheckList) -> int:
 
 def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks.CheckList,
           extra: dict | None = None) -> int:
-    out = _out_dir(args)
-    _write(out / f"{name}.json", json_text)
-    if obj_text is not None:
-        _write(out / f"{name}.obj", obj_text)
-    for fname, text in (extra or {}).items():
-        _write(out / fname, text)
     report = {
         "schema": serialize.SCHEMA,
         "kind": "report",
@@ -134,8 +114,22 @@ def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks
             for n, ok, d in results.results
         ],
     }
-    _write(out / f"{name}.report.json", serialize.dump_json(report))
-    _sidecar_log(out / f"{name}.log", " ".join(args.argv))
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    files = {
+        f"{name}.json": json_text,
+        **({f"{name}.obj": obj_text} if obj_text is not None else {}),
+        **(extra or {}),
+        f"{name}.report.json": serialize.dump_json(report),
+        f"{name}.log": f"{stamp} {' '.join(args.argv)}\n",  # the sidecar: timestamps go only here
+    }
+    out = path = Path(args.out or os.environ.get("SPONGEKNOTS_OUT", "out"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for fname, text in files.items():
+            path = out / fname
+            path.write_text(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
     return _finish(results)
 
 

@@ -7,8 +7,10 @@ comment; timestamps never enter payload files.
 
 Every artifact kind and every shape nested in one is declared once, as a
 table of ``(json key, getter, field type)`` in output order.  A field type
-is a ``(write, read)`` pair of functions, and ``read`` takes only its own
-JSON type: anything else is a TypeError or ValueError.  The same table
+is a ``(write, read)`` pair of functions, and ``read(v, parsed)`` takes
+only its own JSON type: anything else is a TypeError or ValueError.
+``parsed`` is the one str -> Fraction memo that ``load_artifact`` makes
+per call and every reader passes down.  The same table
 writes an artifact and reads it back, so no field is read any other way.
 A polyline's vertices are read whole when every row is three strings: the
 strings are parsed once each and the vertices go straight to the curve's
@@ -25,8 +27,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from contextvars import ContextVar
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from math import gcd, lcm
 from operator import attrgetter as attr
@@ -68,18 +69,12 @@ def _same(x):
     return x
 
 
-# str -> Fraction of the rational strings one load_artifact call has parsed;
-# None outside such a call
-_PARSED = ContextVar("parsed_rationals", default=None)
-
-
-def _read_rational(v):
-    """A rational read from a "num/den" string or an int; within one load,
-    each distinct string is parsed once, and only a parse that succeeded
-    is kept."""
-    parsed = _PARSED.get()
-    if parsed is None or type(v) is not str:
-        return frac(_expect(v, (str, int), "a rational"))
+def _read_rational(v, parsed):
+    """A rational read from a "num/den" string or an int; each distinct
+    string is parsed once per ``parsed``, the caller's str -> Fraction
+    memo, which keeps only a parse that succeeded."""
+    if type(v) is not str:
+        return frac(_expect(v, (int,), "a rational"))
     x = parsed.get(v)
     if x is None:
         x = parsed[v] = frac(v)
@@ -87,9 +82,9 @@ def _read_rational(v):
 
 
 RATIONAL = (rat, _read_rational)
-INTEGER = (_same, lambda v: _expect(v, (int,), "an integer"))
-BOOLEAN = (_same, lambda v: _expect(v, (bool,), "a boolean"))
-STRING = (_same, lambda v: _expect(v, (str,), "a string"))
+INTEGER = (_same, lambda v, parsed: _expect(v, (int,), "an integer"))
+BOOLEAN = (_same, lambda v, parsed: _expect(v, (bool,), "a boolean"))
+STRING = (_same, lambda v, parsed: _expect(v, (str,), "a string"))
 
 
 def array(field, length=None):
@@ -100,11 +95,11 @@ def array(field, length=None):
     def write(xs):
         return [write_item(x) for x in xs]
 
-    def read(v):
+    def read(v, parsed):
         _expect(v, (list,), "an array")
         if length is not None and len(v) != length:
             raise ValueError(f"expected an array of {length}, got {len(v)} items")
-        return tuple(map(read_item, v))
+        return tuple(map(read_item, v, repeat(parsed)))
 
     return write, read
 
@@ -122,7 +117,7 @@ def record(build, fields, kind=None):
                 out[key] = value
         return out
 
-    def read(v):
+    def read(v, parsed):
         _expect(v, (dict,), "an object")
         if kind and v.get("schema") != SCHEMA:
             raise ValueError(f"expected schema {SCHEMA!r}, got {reprlib.repr(v.get('schema'))}")
@@ -131,7 +126,7 @@ def record(build, fields, kind=None):
         values = []
         try:
             for key, _, (_, read_field) in fields:
-                values.append(read_field(v.get(key, _ABSENT)))
+                values.append(read_field(v.get(key, _ABSENT), parsed))
         except (TypeError, ValueError) as e:
             raise type(e)(f"{key}: {e}") from None
         return build(*values)
@@ -143,7 +138,7 @@ def optional(field):
     """``field``, left out when its value is None and None when left out."""
     write_field, read_field = field
     return (lambda x: _ABSENT if x is None else write_field(x),
-            lambda v: None if v is _ABSENT else read_field(v))
+            lambda v, parsed: None if v is _ABSENT else read_field(v, parsed))
 
 
 # --- shapes ------------------------------------------------------------------
@@ -156,9 +151,9 @@ def _write_marks(marks):
     return {k: v if isinstance(v, int) else POINTS[0](v) for k, v in sorted(marks.items())}
 
 
-def _read_marks(v):
+def _read_marks(v, parsed):
     """Each mark is an integer or an array of points."""
-    return {k: (POINTS if type(x) is list else INTEGER)[1](x) for k, x in _expect(v, (dict,), "an object").items()}
+    return {k: (POINTS if type(x) is list else INTEGER)[1](x, parsed) for k, x in _expect(v, (dict,), "an object").items()}
 
 
 MARKS = (_write_marks, _read_marks)
@@ -219,19 +214,17 @@ def _write_integer_points(form):
     return [[text[c] for c in p] for p in points]
 
 
-def _parse_points(v):
+def _parse_points(v, parsed):
     """(the strings in document order, str -> Fraction of each distinct one)
     when ``v`` is an array of 3-string arrays whose strings all parse, each
-    parsed once through the load's memo; None for any other input.  The
-    shape and the leaf types are checked once over the whole array."""
+    parsed once through ``parsed``, the caller's memo; None for any other
+    input.  The shape and the leaf types are checked once over the whole
+    array."""
     if type(v) is not list or set(map(type, v)) != {list} or set(map(len, v)) != {3}:
         return None
     flat = list(chain.from_iterable(v))
     if set(map(type, flat)) != {str}:
         return None
-    parsed = _PARSED.get()
-    if parsed is None:
-        parsed = {}
     distinct = set(flat)
     try:
         for s in distinct.difference(parsed):
@@ -241,15 +234,15 @@ def _parse_points(v):
     return flat, {s: parsed[s] for s in distinct}
 
 
-def _read_integer_points(v):
+def _read_integer_points(v, parsed):
     """The integer form of an array of points, read straight from its
     strings: the lcm of the distinct values' denominators is the scale, and
     the points are formed on ints, with no Fraction vertex.  Whatever
     ``_parse_points`` does not take whole is read point by point by
     ``POINTS``, which raises each error in document order."""
-    strings = _parse_points(v)
+    strings = _parse_points(v, parsed)
     if strings is None:
-        flat = list(chain.from_iterable(POINTS[1](v)))
+        flat = list(chain.from_iterable(POINTS[1](v, parsed)))
         values = {x: x for x in flat}
     else:
         flat, values = strings
@@ -394,13 +387,10 @@ def load_artifact(text: str):
     kind = d.get("kind")
     if type(kind) is not str or kind not in KINDS:
         raise ValueError(f"unknown artifact kind: {reprlib.repr(kind)}")
-    token = _PARSED.set({})
     try:
-        return kind, KINDS[kind][1](d)
+        return kind, KINDS[kind][1](d, {})
     except TypeError as e:
         raise ValueError(f"malformed {kind} artifact: {e}") from None
-    finally:
-        _PARSED.reset(token)
 
 
 # --- lossy viewer exports ----------------------------------------------------

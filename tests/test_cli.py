@@ -186,7 +186,9 @@ def test_predicate_segment_at_a_deep_stage(capsys, space, segment, verdict):
 @pytest.mark.parametrize("argv, reason", [
     (["--space", "sponge", "1/2"], "sponge expects 3 coordinates"),
     (["--space", "cantor", "--segment", "0", "0", "0", "0", "1"], "space must be 'sponge' or 'carpet2'"),
-], ids=["wrong-arity", "cantor-segment"])
+    (["--space", "sponge", "--stage", "2", "--segment", "0", "0", "0", "0", "1", "1/2", "7/9"],
+     "--segment takes no coordinates"),
+], ids=["wrong-arity", "cantor-segment", "segment-with-coordinates"])
 def test_predicate_space_mismatch_is_usage_error(capsys, argv, reason):
     assert run(["predicate", *argv]) == 2
     assert capsys.readouterr().err == f"error: {reason}\n"
@@ -928,6 +930,17 @@ def test_a_build_past_the_budget_is_refused_before_it_starts(tmp_path, capsys, m
     # the largest argument inside the budget starts its build
     assert run(["build", *argv(past - 1), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: started\n" and len(started) == 1
+
+
+def test_a_build_that_cannot_make_or_write_its_output_directory_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):  # a file, and a directory under one
+        assert run(["build", "squareflake", "--stage", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
 
 
 def test_the_readme_command_lines_run(tmp_path, capsys):

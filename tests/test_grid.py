@@ -98,5 +98,5 @@ def test_json_roundtrip():
     write, read = serialize.GRID
     text = serialize.dump_json(write(g))
     assert text.startswith('{\n "schema": "v1",\n "kind": "grid",\n "n": 5,\n "pairs": [')
-    assert read(write(g)) == g
+    assert read(write(g), {}) == g
     assert serialize.load_artifact(text) == ("grid", g)

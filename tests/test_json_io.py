@@ -79,21 +79,12 @@ def _outcome(read, v):
         return type(e), str(e)
 
 
-def _in_one_load(read, v):
-    """``_outcome`` of ``read`` within the memo of one load, as ``load_artifact`` reads."""
-    token = serialize._PARSED.set({})
-    try:
-        return _outcome(read, v)
-    finally:
-        serialize._PARSED.reset(token)
-
-
 def _fast_curve(v):
-    return ClosedPolyline3(serialize._read_integer_points(v)).integer_form
+    return ClosedPolyline3(serialize._read_integer_points(v, {})).integer_form
 
 
 def _table_curve(v):
-    return closed_polyline(serialize.POINTS[1](v)).integer_form
+    return closed_polyline(serialize.POINTS[1](v, {})).integer_form
 
 
 @settings(max_examples=400, deadline=None)
@@ -102,8 +93,7 @@ def _table_curve(v):
 @example([[0, 0, 0], [1, "0/1", 0], [1, 1, 0]])
 @example([])
 def test_vertices_read_to_the_curve_or_the_error_of_the_table_reader(v):
-    for run in (_outcome, _in_one_load):
-        assert run(_fast_curve, v) == run(_table_curve, v)
+    assert _outcome(_fast_curve, v) == _outcome(_table_curve, v)
 
 
 def test_the_first_bad_vertex_in_document_order_is_reported():
@@ -111,6 +101,5 @@ def test_the_first_bad_vertex_in_document_order_is_reported():
     # set of the strings yields
     for bad in permutations(["x/3", "1/0", "y/9", "1/-3"]):
         v = [["0/1", "0/1", "0/1"], *([s, "1/1", "0/1"] for s in bad)]
-        for run in (_outcome, _in_one_load):
-            error = run(_fast_curve, v)
-            assert error == run(_table_curve, v) and repr(bad[0]) in error[1]
+        error = _outcome(_fast_curve, v)
+        assert error == _outcome(_table_curve, v) and repr(bad[0]) in error[1]

@@ -68,10 +68,15 @@ def test_a_malformed_rational_after_valid_ones_is_reported_as_alone(bad, message
     data = serialize.squareflake_json(squareflake(2))
     assert "1/1" in _strings(data)  # a valid string equal to True and to 1.0 comes first
     data["replaced"][-1]["path"][-1][2] = bad
+    with pytest.raises(ValueError) as e:
+        serialize.load_artifact(json.dumps(data))
+    assert str(e.value) == message
+    memo = {}
     for _ in range(2):  # a failed parse is not kept
-        with pytest.raises(ValueError) as e:
-            serialize.load_artifact(json.dumps(data))
-        assert str(e.value) == message
+        with pytest.raises((TypeError, ValueError)) as e:
+            serialize.SQUAREFLAKE[1](data, memo)
+        assert str(e.value) == message.removeprefix("malformed squareflake artifact: ")
+        assert bad not in memo
 
 
 def test_reading_a_polyline_makes_no_fraction_beyond_one_parse_per_distinct_string(monkeypatch):
