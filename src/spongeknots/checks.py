@@ -2,8 +2,8 @@
 
 Each suite takes the artifact object alone (as built, or as
 ``serialize.load_artifact`` returns it) and recomputes every claim from
-scratch.  Inputs the artifact does not store are keyword arguments whose
-default is derived from the artifact itself.
+scratch.  An input the artifact does not store is a keyword argument, by
+default derived from the artifact or left out with the checks it feeds.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import sys
 
 from .embed import verify_containment
 from .geometry import running_axis
-from .grid import validate
-from .invariants import determinant, is_simple, project_generic
+from .grid import KNOT_DETERMINANTS, catalog, validate
+from .invariants import determinant, diagram_from_grid, is_simple, project, project_generic
 from .necklace import pearl_inside, pearls_by_word, pearls_disjoint
 from .squareflake import replaced_count
 from .ternary import triadic_exponent
@@ -56,8 +56,9 @@ def _grid_stage(poly):
     return triadic_exponent(scale)
 
 
-def polyline(poly) -> CheckList:
-    """Containment and simplicity of a bare polyline.
+def polyline(poly, knot=None) -> CheckList:
+    """Containment and simplicity of a bare polyline; given the catalog
+    ``knot`` it embeds, its determinant along (0, 0, 1) against the knot's.
 
     Containment runs at the ``sponge_stage`` mark, else at the finest
     triadic grid whose lines carry every segment (where an embedding puts
@@ -69,6 +70,10 @@ def polyline(poly) -> CheckList:
     if stage is not None:
         checks.add("containment", all(verify_containment(poly, stage)), f"stage {stage}")
     checks.add("simplicity", is_simple(poly))
+    if knot is not None:
+        det = determinant(project(poly, (0, 0, 1)))
+        checks.add("determinant", det == KNOT_DETERMINANTS[knot], f"det {det}")
+        checks.add("grid-projection-match", det == determinant(diagram_from_grid(catalog(knot))))
     return checks
 
 
@@ -93,10 +98,10 @@ def squareflake(s) -> CheckList:
     return checks
 
 
-def approximant(a, det: bool | None = None) -> CheckList:
-    """``det`` forces (True) or skips (False) the determinant; None checks it
-    only when at most 9 summands are spliced.  A curve that is not simple
-    has no knot type, so its determinant is skipped too."""
+def approximant(a, det: bool = False) -> CheckList:
+    """The determinant is checked when ``det`` is set or at most 9 summands
+    are spliced.  A curve that is not simple has no knot type, so its
+    determinant is skipped."""
     checks = CheckList()
     simple = is_simple(a.polyline)
     checks.add("simplicity", simple)
@@ -113,7 +118,7 @@ def approximant(a, det: bool | None = None) -> CheckList:
         and all(1 <= q <= a.m and 1 <= i <= 3 * 2 ** (q - 1) for q, i in pairs)
     )
     checks.add("ledger-counts", counts_ok)
-    if simple and (det or (det is None and a.spliced_count() <= 9)):
+    if simple and (det or a.spliced_count() <= 9):
         d, direction = project_generic(a.polyline)
         value = determinant(d)
         checks.add("determinant", value == a.expected_determinant(), f"det {value} along {direction}")
@@ -151,7 +156,7 @@ def necklace(base, iterated=None) -> CheckList:
         raise ValueError("generation must be >= 0")
     count = _pearl_count(base.n, m, len(it.pearls))
     checks = CheckList()
-    checks.add("pearl-count", len(it.pearls) == count, f"{len(it.pearls)} pearls")
+    checks.add("pearl-count", base.n >= 3 and len(it.pearls) == count, f"{len(it.pearls)} pearls")
     ps = base.pearls
     checks.add(
         "pearl-disjointness",

@@ -17,8 +17,7 @@ from pathlib import Path
 from . import checks, serialize
 from .embed import embed_grid
 from .geometry import frac
-from .grid import KNOT_DETERMINANTS, catalog, catalog_names
-from .invariants import determinant, diagram_from_grid, project, tricolorings
+from .grid import catalog, catalog_names
 from .necklace import iterate, make_necklace
 from .polyline import ClosedPolyline3, IntegerForm, PolylineError
 from .squareflake import squareflake
@@ -159,21 +158,12 @@ def _check_build_size(argument: str, size_text: str, exponent: int, size):
 
 def cmd_build_embed(args) -> int:
     _check_denominator_digits(args.stage)
-    g = catalog(args.knot)
-    poly, _ = embed_grid(g, args.stage)
-    results = checks.polyline(poly)
-    d = project(poly, (0, 0, 1))
-    det = determinant(d)
-    tri = tricolorings(d)
-    expected = KNOT_DETERMINANTS[args.knot]
-    results.add("determinant", det == expected, f"det {det}")
-    results.add("grid-projection-match", det == determinant(diagram_from_grid(g)))
-    csv = "invariant,value\n" + f"determinant,{det}\n" + f"tricolorings,{tri}\n"
+    poly, _ = embed_grid(catalog(args.knot), args.stage)
     name = f"embed-{args.knot}"
     return _emit(
         args, name, serialize.dump_json(serialize.polyline_json(poly)),
-        serialize.polyline_obj(poly), results,
-        {f"{name}.invariants.csv": csv},
+        serialize.polyline_obj(poly), checks.polyline(poly, knot=args.knot),
+        {f"{name}.invariants.csv": serialize.invariants_csv(poly)},
     )
 
 
@@ -190,14 +180,19 @@ def cmd_build_squareflake(args) -> int:
 
 def _parse_assignment(args) -> KnotAssignment:
     if args.targets is not None:
+        if args.assign is not None:
+            raise ValueError("--targets takes no --assign")
         targets = [frac(t) for t in args.targets.split(",") if t.strip() != ""]
-        return wild_set_plan(targets, args.knot, args.stage)
-    if args.assign.startswith("all:"):
-        name = args.assign.split(":", 1)[1]
+        return wild_set_plan(targets, args.knot or "trefoil", args.stage)
+    if args.knot is not None:
+        raise ValueError("--knot needs --targets")
+    assign = args.assign or "all:trefoil"
+    if assign.startswith("all:"):
+        name = assign.split(":", 1)[1]
         if name == "trivial":
             return KnotAssignment.all_trivial(args.stage)
         return KnotAssignment.uniform(name, args.stage)
-    raise ValueError(f"cannot parse assignment {args.assign!r}")
+    raise ValueError(f"cannot parse assignment {assign!r}")
 
 
 def cmd_build_wildknot(args) -> int:
@@ -248,8 +243,7 @@ def cmd_verify(args) -> int:
     try:
         text = path.read_text()
     except OSError as e:
-        print(f"cannot read {path}: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
     try:
         kind, obj = serialize.load_artifact(text)
     except PolylineError as e:
@@ -258,8 +252,7 @@ def cmd_verify(args) -> int:
         results.add("simplicity", False, str(e))
         return _finish(results)
     except ValueError as e:
-        print(f"schema mismatch: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"schema mismatch: {e}") from None
     return _finish(checks.SUITES[kind](obj))
 
 
@@ -298,12 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bw = bsub.add_parser("wildknot", help="staged connected-sum approximant")
     bw.add_argument("--stage", type=int, required=True)
-    bw.add_argument("--assign", default="all:trefoil", help="all:NAME or all:trivial")
+    bw.add_argument("--assign", default=None, help="all:NAME or all:trivial (default: all:trefoil)")
     bw.add_argument("--targets", default=None, help="comma-separated Cantor points for a wild-set plan")
-    bw.add_argument("--knot", choices=catalog_names(), default="trefoil", help="knot for --targets plans")
+    bw.add_argument("--knot", choices=catalog_names(), default=None,
+                    help="knot for --targets plans (default: trefoil)")
     bw.add_argument("--include-trivial", action="store_true", help="splice flat unknots at trivial sites")
-    bw.add_argument("--det", action=argparse.BooleanOptionalAction, default=None,
-                    help="force or skip the determinant check (default: auto)")
+    bw.add_argument("--det", action="store_true",
+                    help="check the determinant however many summands are spliced (default: at most 9)")
     bw.add_argument("--out", default=None)
     bw.set_defaults(func=cmd_build_wildknot)
 

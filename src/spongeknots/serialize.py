@@ -35,6 +35,7 @@ from operator import itemgetter as item
 
 from .geometry import Cube, frac
 from .grid import GridDiagram
+from .invariants import determinant, project, tricolorings
 from .necklace import Necklace, Pearl
 from .polyline import ClosedPolyline3, IntegerForm
 from .squareflake import SquareflakeStage
@@ -422,3 +423,9 @@ def points_ply(points) -> str:
     ]
     body = [" ".join(repr(float(c)) for c in p) for p in pts]
     return "\n".join(header + body) + "\n"
+
+
+def invariants_csv(p: ClosedPolyline3) -> str:
+    """CSV of the determinant and tricoloring count of the curve's diagram along (0, 0, 1)."""
+    d = project(p, (0, 0, 1))
+    return f"invariant,value\ndeterminant,{determinant(d)}\ntricolorings,{tricolorings(d)}\n"

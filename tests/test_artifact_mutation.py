@@ -115,6 +115,6 @@ def test_every_leaf_and_container_of_another_type_is_a_schema_mismatch(tmp_path,
                 assert code in (0, 1, 2), (path, new_type)
             else:
                 mismatches += 1
-                assert code == 2 and err.startswith("schema mismatch: "), (path, new_type, code, err)
+                assert code == 2 and err.startswith("error: schema mismatch: "), (path, new_type, code, err)
     # every kind but grid and assignment stores rationals
     assert mismatches and bool(allowed) == (kind not in ("grid", "assignment"))

@@ -655,7 +655,7 @@ def test_verify_malformed_artifact_is_schema_mismatch(tmp_path, capsys, text, re
     f.write_text(text)
     assert run(["verify", str(f)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("schema mismatch: ")
+    assert err.startswith("error: schema mismatch: ")
     assert reason in err
 
 
@@ -700,8 +700,10 @@ def test_verify_two_vertex_polyline_names_simplicity(tmp_path, capsys):
     assert "simplicity: FAIL (need at least 3 vertices)" in capsys.readouterr().out
 
 
-def test_verify_missing_file_is_usage_error(tmp_path):
-    assert run(["verify", str(tmp_path / "nope.json")]) == 2
+def test_verify_missing_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
 
 
 def test_build_wildknot_all_trivial_include(tmp_path, capsys):
@@ -941,6 +943,17 @@ def test_a_build_that_cannot_make_or_write_its_output_directory_is_a_usage_error
         assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
     assert [f.name for f in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--knot", "figure-eight"], "--knot needs --targets"),
+    (["--assign", "all:figure-eight", "--targets", "0/1"], "--targets takes no --assign"),
+], ids=["knot-without-targets", "assign-with-targets"])
+def test_a_wildknot_flag_the_build_would_ignore_is_a_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert run(["build", "wildknot", "--stage", "2", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_the_readme_command_lines_run(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import resource
@@ -216,6 +217,17 @@ def test_embedding_grid_stage_is_its_stage(name):
     for k in range(stage_for(g.n), 7):
         poly, rep = embed_grid(g, k)
         assert checks._grid_stage(poly) == rep.stage == k
+
+
+def test_polyline_suite_checks_the_determinant_of_the_knot_it_is_given():
+    poly, _ = embed_grid(catalog("trefoil"))
+    assert checks.polyline(poly).results == [("containment", True, "stage 2"), ("simplicity", True, "")]
+    # the trefoil's curve named as a figure-eight fails both knot checks
+    report = io.StringIO()
+    checks.polyline(poly, knot="figure-eight").report(report)
+    assert report.getvalue().splitlines() == [
+        "containment: PASS (stage 2)", "simplicity: PASS", "determinant: FAIL (det 3)", "grid-projection-match: FAIL",
+    ]
 
 
 @pytest.mark.parametrize("space", ["sponge", "carpet2"])

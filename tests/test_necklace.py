@@ -226,6 +226,16 @@ def test_necklace_validation_catches_a_pearl_count_other_than_n():
     out = io.StringIO()
     checks.necklace(Necklace(base.pearls[:3], base.knot, 4)).report(out)
     assert out.getvalue().splitlines()[:2] == ["pearl-count: FAIL (3 pearls)", "pearl-disjointness: PASS"]
+    # n = 2, which make_necklace refuses: the pearls of letters 1 and 2 hold
+    # n(n - 1)**m pearls, and every other check passes
+    base = make_necklace(unit_square(), 3)
+    two = Necklace(base.pearls[:2], base.knot, 2)
+    it = iterate(base, 1)
+    two_it = Necklace(tuple(p for p in it.pearls if set(p.word) <= {1, 2}), base.knot, 2, generation=1)
+    for iterated in (None, two_it):
+        results = checks.necklace(two, iterated)
+        assert results.results[0] == ("pearl-count", False, "2 pearls")
+        assert all(ok for _, ok, _ in results.results[1:])
 
 
 def test_pearl_word_validation():

@@ -99,10 +99,9 @@ def test_every_value_edit_is_answered_promptly_with_check_lines_or_a_usage_error
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err
         if code == 2:
-            # verify names a malformed artifact "schema mismatch"; every
-            # other usage error is an "error:" line
+            # every usage error is one "error:" line
             assert out == "" and len(err.splitlines()) == 1, (kind, path, value, err)
-            assert err.startswith(("schema mismatch: ", "error: ")), (kind, path, value, err)
+            assert err.startswith("error: "), (kind, path, value, err)
         else:
             assert code in (0, 1), (kind, path, value, code)
             lines = out.splitlines()
