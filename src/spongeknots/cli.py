@@ -244,6 +244,8 @@ def cmd_verify(args) -> int:
         text = path.read_text()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read {path}: not UTF-8 text") from None
     try:
         kind, obj = serialize.load_artifact(text)
     except PolylineError as e:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from . import ternary
@@ -18,7 +19,7 @@ from .geometry import ZERO, Cube, Point3, running_axis
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3, IntegerForm
 from .ternary import (
-    _FREE_ENOUGH, AxisSegment, SegmentMemo, _Filled, _has_one_free, cantor_numerators,
+    _FREE_ENOUGH, AxisSegment, _range_kept, _stage_digits, _words, cantor_numerators,
     check_segment_space, in_sponge_stage, segment_in_stage, triadic_exponent,
 )
 
@@ -157,36 +158,44 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
     unit-cube test are read from the curve's integer form.
 
     Each distinct coordinate value c / scale is reduced once, to num / den.
-    It settles when den = 3**e and one of its closed cells at stage
-    min(stage, e) has no digit 1.  Past digit e both cells of the value
-    carry only 0s or only 2s, and a walk of a segment with that fixed value
-    runs at a stage of at least min(stage, e), so the walk would find a
-    1-free cell too: a segment with ``_FREE_ENOUGH`` settled fixed values
-    is contained by the walk's own first test, and no call is made for it.
-    Only the other segments go to ``segment_in_stage``, with one Fraction
-    per distinct value they use.  When e <= stage the settling test splits
-    the e digits of num once (``_has_one_free``); otherwise it reads the
-    value's stage cells from the ``SegmentMemo`` that serves the whole pass,
-    whose walks split each distinct value's digits at a stage once.
+    Every segment whose fixed values are triadic is decided at one stage,
+    k = min(stage, J) with 3**J the power of 3 in the scale: no exponent of
+    a value exceeds J, and past its fixed values' exponents no stage
+    removes more of a segment (``segment_in_stage``), so k gives each the
+    verdict of its own stage.  Each triadic value's digits are split once,
+    at k (``_stage_digits``), and the value settles when its best cell has
+    no digit 1.  A segment with ``_FREE_ENOUGH`` settled fixed values is
+    inside, and no digit of its ends is read.  For any other, the words of
+    its values are made once per value from the same splits, and
+    ``_range_kept`` decides it on integers.  A segment with a non-triadic
+    fixed value goes to ``segment_in_stage``, which decides it at its own
+    settled stage, so that one far value holds back no other segment.
     """
     check_segment_space(space)
     if stage < 0:
         raise ValueError("stage must be >= 0")
     scale, points = poly.integer_form
-    values = {c for p in points for c in p}
-    memo = SegmentMemo()
-    cells, exponents = memo.cells, memo.exponents
-    settled = set()
+    values = set(chain.from_iterable(points))
+    k = min(stage, ternary._split_three(scale)[0])
+    exponents, digits, settled, other = {}, {}, set(), {}
     for c in values:
         if 0 <= c <= scale:
             g = gcd(c, scale)
             num, den = c // g, scale // g
-            e = exponents[den]
-            if e is not None and (_has_one_free(ternary._digit_bytes(num, e), b"") if e <= stage else cells[num, den, stage][1]):
+            try:
+                e = exponents[den]
+            except KeyError:
+                e = exponents[den] = triadic_exponent(den)
+            if e is None:
+                other[c] = num, den
+                continue
+            digits[c] = split = _stage_digits(num, den, e, k)
+            if split[2]:
                 settled.add(c)
+    ones = ((1 << 8 * k) - 1) // 255
+    words = {}
     in_cube = 0 <= min(values) and max(values) <= scale  # then so is every segment
     enough = _FREE_ENOUGH[space]
-    value = _Filled(lambda c: Fraction(c, scale))
     verdicts = []
     for a, b in zip(points, points[1:] + points[:1]):
         ax = running_axis(a, b)
@@ -194,8 +203,15 @@ def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge")
         if inside:
             i, j = _FIXED_AXES[ax]
             if (a[i] in settled) + (a[j] in settled) < enough:
+                u, v = a[i], a[j]
                 lo, hi = (a[ax], b[ax]) if a[ax] < b[ax] else (b[ax], a[ax])
-                seg = AxisSegment(ax, (value[a[i]], value[a[j]]), value[lo], value[hi])
-                inside = segment_in_stage(seg, stage, space, memo=memo)
+                if u in digits and v in digits:
+                    for c in (u, v, lo, hi):
+                        if c not in words:
+                            words[c] = _words(digits.get(c) or _stage_digits(*other[c], None, k), ones)
+                    inside = _range_kept(space, words[u][2], words[v][2], words[lo][0], words[hi][1])
+                else:
+                    ends = Fraction(u, scale), Fraction(v, scale), Fraction(lo, scale), Fraction(hi, scale)
+                    inside = segment_in_stage(AxisSegment(ax, ends[:2], *ends[2:]), stage, space)
         verdicts.append(inside)
     return tuple(verdicts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -160,6 +160,7 @@ def _has_one_free(head: bytes, period: bytes) -> bool:
 
 
 _CHUNK = 8
+_CHUNK_SCALE = 3**_CHUNK
 
 
 @cache
@@ -183,7 +184,7 @@ def _period_digits(start: int, d: int) -> bytes:
     for s in range(1, _CHUNK + 1):
         back = (back + (-back * d) % 3 * d) // 3  # back * 3**-1 mod d
         ends.setdefault(back, s)
-    digits, chunks, rem, scale = _chunk_digits(), [], start, 3**_CHUNK
+    digits, chunks, rem, scale = _chunk_digits(), [], start, _CHUNK_SCALE
     while (s := ends.get(rem)) is None:
         q, rem = divmod(rem * scale, d)
         chunks.append(digits[q])
@@ -224,7 +225,7 @@ def _digit_bytes(i: int, k: int) -> bytes:
         # divisions of a k-digit integer
         high, low = divmod(i, 3 ** (k // 2))
         return _digit_bytes(high, k - k // 2) + _digit_bytes(low, k // 2)
-    digits, scale = _chunk_digits(), 3**_CHUNK
+    digits, scale = _chunk_digits(), _CHUNK_SCALE
     out = digits[i % scale]
     while k > _CHUNK:
         i //= scale
@@ -254,36 +255,6 @@ _BAD = {
     space: frozenset(ds for ds in product(range(3), repeat=dim) if ds.count(1) >= ones)
     for space, (dim, ones) in _RULES.items()
 }
-
-
-class _Filled(dict):
-    """A dict that fills each missing key with ``make(key)`` on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _alive_row(bad, key):
-    """The alive row of one space's rule ``bad`` for one key.
-
-    A key holds the two fixed digits of every combo at one digit position,
-    flattened: (a0, b0, a1, b1, ...) for at most 4 combos, so at most
-    9 + 81 + 729 + 6561 keys.  Its row gives, for running digit d = 0, 1, 2,
-    the mask of the combos whose digits together with d break no rule.
-    Both rules count the 1s among the three digits, so the row is the same
-    whichever axis d runs along.  It depends only on the rule, never on a
-    segment.
-    """
-    pairs = list(zip(key[::2], key[1::2]))
-    return tuple(sum(1 << j for j, (a, b) in enumerate(pairs) if (d, a, b) not in bad) for d in range(3))
-
-
-_ALIVE = {space: _Filled(partial(_alive_row, _BAD[space])) for space in ("sponge", "carpet2")}
 
 
 def _classes_meet(a: TernaryExpansion, b: TernaryExpansion) -> bool:
@@ -700,26 +671,84 @@ def _stage_cells(key):
     return ds, 1 not in ds[0] or 1 not in ds[-1]
 
 
-class SegmentMemo:
-    """What containment derives from each distinct coordinate value, for one
-    pass over the segments of a curve.
+# A word is a digit string read as one integer, a byte per digit, most
+# significant first (``int.from_bytes``): words of equal length compare as
+# their cell indices do, and a mask of bytes 1 picks out the digits 1, so
+# the range test below reads every position at once.
 
-    ``cells`` maps (numerator, denominator, k) to ``_stage_cells`` of the
-    value, and ``exponents`` a denominator to its ``triadic_exponent``, each
-    filled on first use.  Keys are ints, never Fractions: hashing a Fraction
-    costs about what splitting its digits does.  It holds at most
-    (distinct values x stages) digit strings of k bytes each, and lives only
-    as long as the pass that made it.
+def _stage_digits(num: int, den: int, e, k: int) -> tuple[bytes, int | None, bool]:
+    """(digits, tail, free): the one digit split the stage-k cells of
+    num / den are read from, and whether its best cell has no digit 1.
+
+    A value num / 3**e with e <= k gives its e digits and tail = k - e: its
+    cells are those digits followed by 0s and, for e > 0, the digits of
+    num - 1 followed by 2s.  Let d be num's last digit: the two agree above
+    it, hold d and d - 1 there, and 0s and 2s below, so the cell with fewer
+    1s, the best, holds the 1s of the e digits without the last one, and
+    the other cell those plus at most one.  Any other value lies inside one
+    cell, whose k digits it gives, with tail None.
     """
+    if e is not None and e <= k:
+        digits = _digit_bytes(num, e)
+        return digits, k - e, digits.find(1, 0, -1) < 0
+    digits = _digit_bytes(num * 3**k // den, k)
+    return digits, None, 1 not in digits
 
-    __slots__ = ("cells", "exponents")
 
-    def __init__(self):
-        self.cells = _Filled(_stage_cells)
-        self.exponents = _Filled(triadic_exponent)
+def _words(split: tuple[bytes, int | None, bool], ones: int) -> tuple[int, int, int]:
+    """(low, high, best) from the ``_stage_digits`` of a value at stage k,
+    where ``ones`` is the word of k digits 1: the words of its lowest and
+    highest stage-k cells, and the 1s of its best cell.  A running segment
+    ends in its low end's lowest cell and its high end's highest one.  The
+    values 0 and 1 have no digits: 0 is never a high end and 1 never a low
+    end, so low is that of 0 and high that of 1.
+    """
+    digits, tail, _ = split
+    w = int.from_bytes(digits, "big")
+    if tail is None:
+        return w, w, w & ones
+    pad = 8 * tail
+    high = (w - 1) << pad | 2 * ones >> 8 * len(digits) if digits else 2 * ones
+    return w << pad, high, (w & ones >> pad) >> 8 << pad + 8
 
 
-def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge", *, memo: SegmentMemo | None = None) -> bool:
+def _range_kept(space: str, a: int, b: int, low: int, high: int) -> bool:
+    """Whether every stage-k cell from word ``low`` to word ``high`` is kept
+    when the fixed coordinates' best cells hold their 1s at ``a`` and ``b``.
+
+    Both rules count 1s, and a best cell's 1s are within those of any cell
+    holding its coordinate, so a running cell kept by some combo of fixed
+    cells is kept by the best one.  That combo removes a running cell with
+    a 1 at a forbidden position: for ``sponge`` one where a or b has a 1
+    (and every cell when both do), for ``carpet2`` one where both do.
+    Down to ``split``, where the ends part, every cell holds the shared
+    digits; at it the ends' digits differ, so some cell holds a 1 there.
+    Below it, a position is free of 1s only while the ends differ by 1 at
+    the split and each position since holds 2 at the low end and 0 at the
+    high end; past that run every digit occurs in the range.
+    """
+    if space == "sponge":
+        if a & b:
+            return False
+        forbidden = a | b
+    else:
+        forbidden = a & b
+    if not forbidden:
+        return True
+    parted = low ^ high
+    if not parted:
+        return not low & forbidden
+    split = parted.bit_length() - 1 & ~7
+    if ((low | 1 << split) & forbidden) >> split:
+        return False
+    below = (1 << split) - 1
+    if (high >> split) - (low >> split) == 2:
+        return not forbidden & below
+    run = (low ^ below // 255 * 2 | high) & below  # zero bytes hold (2, 0)
+    return not forbidden & (1 << run.bit_length()) - 1
+
+
+def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     """Exact: does every point of the segment lie in the stage-k prefractal?
 
     Decided at the segment's settled stage when that is less than k.  When
@@ -728,90 +757,29 @@ def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge", *, memo: S
     and both spaces need two 1s at one position to remove a cell, so no
     later stage removes more of the segment.  Otherwise it is
     ``_settled_stage`` of the segment's four coordinates.
-
-    ``memo`` carries the digits of the values already seen from one call to
-    the next; without it the call makes its own.
     """
     check_segment_space(space)
     if k < 0:
         raise ValueError("stage must be >= 0")
-    if memo is None:
-        memo = SegmentMemo()
-    exponents = [memo.exponents[c.denominator] for c in seg.fixed]
+    exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
     if None in exponents:
         settled = _settled_stage((*seg.fixed, seg.lo, seg.hi), k)
     else:
         settled = max(exponents)
-    return _walk(seg, min(k, settled), space, memo.cells)
+    return _walk(seg, min(k, settled), space)
 
 
-def _walk(seg: AxisSegment, k: int, space: str, cells=None) -> bool:
+def _walk(seg: AxisSegment, k: int, space: str) -> bool:
     """Whether the segment lies in the stage-k prefractal, decided at k itself.
 
-    The segment meets running cells ``lo_idx..hi_idx`` of the 3**k grid with
-    positive length: lo_idx is the first cell of ``_cell_candidates`` of lo
-    (lo < 1), and hi_idx the last of hi (the one below hi when hi * 3**k is
-    an integer, as hi > 0).  So ``cells`` (``SegmentMemo.cells``, a fresh
-    one when not given) gives the digits of both ends and of the fixed
-    coordinates' stage-k cells.  A running cell survives when some combo
-    of the fixed coordinates' cells (at most 2 x 2) breaks no rule at any
-    position together with the cell's digits.
-
-    Combos are bits of a mask: ``alive[t][d]`` holds the combos that running
-    digit d keeps at position t + 1, read from the space's ``_ALIVE`` table,
-    so a cell survives when the AND of its digits' masks is non-zero.
-    ``full[t][m]`` says every cell below a block of t fixed running digits
-    survives when the combos in m are still alive, filled bottom-up from
-    ``full[k][m] = m != 0``.  The walk follows the two boundary paths of
-    ``[lo_idx, hi_idx]`` down the ternary tree and reads ``full`` for each
-    block strictly between them, so it costs O(k) mask steps instead of one
-    rule scan per running cell; no sampling involved.  Before any of it, a
-    segment is inside when enough of its fixed coordinates have a cell with
-    no digit 1 (``_FREE_ENOUGH``: both for ``sponge``, one for ``carpet2``),
-    since no running digit then brings a position up to the 1s that remove
-    a cell.
+    The segment meets running cells of the 3**k grid with positive length
+    from the lowest cell holding lo (lo < 1) to the highest holding hi
+    (hi > 0); ``_range_kept`` decides them from the best cells of the fixed
+    coordinates.  Each of the four coordinates is split into digits once.
     """
-    if cells is None:
-        cells = _Filled(_stage_cells)
-    (u, v), lo, hi = seg.fixed, seg.lo, seg.hi
-    firsts, u_free = cells[u.numerator, u.denominator, k]
-    seconds, v_free = cells[v.numerator, v.denominator, k]
-    if u_free + v_free >= _FREE_ENOUGH[space]:
-        return True
-    # each combo's two digit strings in turn, so zip reads one key per position
-    digits = [ds for a in firsts for b in seconds for ds in (a, b)]
-    alive = list(map(_ALIVE[space].__getitem__, zip(*digits)))
-    masks = range(1 << len(firsts) * len(seconds))
-    lo_ds = cells[lo.numerator, lo.denominator, k][0][0]
-    hi_ds = cells[hi.numerator, hi.denominator, k][0][-1]
-
-    # the shared path, down to the first digit where the two ends part
-    m, split = masks[-1], 0
-    while split < k and lo_ds[split] == hi_ds[split]:
-        m &= alive[split][lo_ds[split]]
-        if not m:
-            return False
-        split += 1
-    if split == k:
-        return True
-
-    # only blocks below the split are ever read whole
-    full = [None] * k + [[x != 0 for x in masks]]
-    for t in range(k - 1, split, -1):
-        below, (r0, r1, r2) = full[t + 1], alive[t]
-        full[t] = [below[x & r0] and below[x & r1] and below[x & r2] for x in masks]
-
-    row, below, a, b = alive[split], full[split + 1], lo_ds[split], hi_ds[split]
-    if not all(below[m & row[d]] for d in range(a + 1, b)):
-        return False
-    lo_m, hi_m = m & row[a], m & row[b]
-    # the blocks right of the low path and left of the high path lie inside
-    for t in range(split + 1, k):
-        if not (lo_m and hi_m):
-            return False
-        row, below, a, b = alive[t], full[t + 1], lo_ds[t], hi_ds[t]
-        if not (all(below[lo_m & row[d]] for d in range(a + 1, 3))
-                and all(below[hi_m & row[d]] for d in range(b))):
-            return False
-        lo_m, hi_m = lo_m & row[a], hi_m & row[b]
-    return bool(lo_m and hi_m)
+    ones = ((1 << 8 * k) - 1) // 255
+    (_, _, a), (_, _, b), (low, _, _), (_, high, _) = (
+        _words(_stage_digits(c.numerator, c.denominator, triadic_exponent(c.denominator), k), ones)
+        for c in (*seg.fixed, seg.lo, seg.hi)
+    )
+    return _range_kept(space, a, b, low, high)

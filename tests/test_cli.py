@@ -706,6 +706,13 @@ def test_verify_missing_file_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
 
 
+def test_verify_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff")
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
 def test_build_wildknot_all_trivial_include(tmp_path, capsys):
     assert run(
         ["build", "wildknot", "--stage", "1", "--assign", "all:trivial",

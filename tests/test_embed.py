@@ -343,13 +343,12 @@ def test_containment_of_the_benchmark_curves_matches_the_reference(benchmark_cur
         assert all(verdicts)
 
 
-def test_containment_builds_one_fraction_per_distinct_coordinate(benchmark_curves, monkeypatch):
+def test_containment_of_a_triadic_curve_builds_no_fraction(benchmark_curves, monkeypatch):
     _, (poly, stage), _ = benchmark_curves
     poly = closed_polyline(poly.vertices)
-    values = {c for v in poly.vertices for c in v}
     built = fraction_counter(monkeypatch)
     assert all(verify_containment(poly, stage))
-    assert 0 < len(built) <= len(values)
+    assert built == []
 
 
 def test_containment_of_moved_benchmark_curves_matches_the_reference(benchmark_curves):
@@ -453,10 +452,10 @@ def test_containment_checks_the_space_before_any_segment(space):
 
 
 def _walk_counter(monkeypatch):
-    """A list of the segments the pass hands to segment_in_stage while the patch holds."""
+    """A list of the calls the pass makes of the range test while the patch holds."""
     walked = []
-    walk = embed.segment_in_stage
-    monkeypatch.setattr(embed, "segment_in_stage", lambda seg, *a, **kw: walked.append(seg) or walk(seg, *a, **kw))
+    range_kept = embed._range_kept
+    monkeypatch.setattr(embed, "_range_kept", lambda *a: walked.append(a) or range_kept(*a))
     return walked
 
 
@@ -487,9 +486,17 @@ def test_a_pass_walks_exactly_the_segments_it_cannot_settle(benchmark_curves, mo
                      if not all(map(_settles, seg.fixed))]
         walked.clear()
         assert all(verify_containment(poly, stage))
-        assert walked == unsettled
+        assert len(walked) == len(unsettled)
         counts.append(len(walked))
     assert counts == [238, 735, 0]
+
+
+def test_the_range_test_runs_once_per_unsettled_segment_of_uniform_m_7(monkeypatch):
+    approx = approximant(KnotAssignment.uniform("trefoil", 7), 7)
+    unsettled = sum(not all(map(_settles, axis_form(a, b)[1])) for a, b in approx.polyline.segments())
+    walked = _walk_counter(monkeypatch)
+    assert all(verify_containment(approx.polyline, approx.sponge_stage))
+    assert len(walked) == unsettled == 6223
 
 
 _small_rationals = st.tuples(st.sampled_from((1, 2, 4, 5, 7, 8, 10, 13, 14, 26)), st.integers(0, 6)).flatmap(

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from math import ceil, floor, lcm
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spongeknots import ternary
 from spongeknots.oracle import oracle_profile, subdivision_oracle
 from spongeknots.ternary import (
-    _ALIVE,
     _BAD,
     AxisSegment,
     TernaryExpansion,
@@ -362,25 +361,47 @@ def _reference_segment_in_stage(seg, k, space):
     return True
 
 
-def _reference_row(key, space, axis):
-    """The alive row of a table key, straight from _BAD: for each running
-    digit, the mask of the combos whose digits with it inserted are not bad."""
-    combos = [key[j:j + 2] for j in range(0, len(key), 2)]
-    return tuple(
-        sum(2**j for j, fixed in enumerate(combos) if _insert(fixed, axis, d) not in _BAD[space])
-        for d in range(3)
-    )
+def test_the_two_cells_of_a_grid_value_hold_nested_ones():
+    # cells i - 1 and i share the value i / 3**k: the 1s of one are those
+    # of the other plus at most one, so the cell with fewer 1s keeps every
+    # running cell the other keeps
+    for k in range(1, 7):
+        ones = [{t for t, d in enumerate(_digits_of_index(i, k)) if d == 1} for i in range(3**k)]
+        for i in range(1, 3**k):
+            fewer, more = sorted((ones[i - 1], ones[i]), key=len)
+            assert fewer <= more and len(more - fewer) <= 1, (i, k)
 
 
 @pytest.mark.parametrize("space", ["sponge", "carpet2"])
-def test_alive_table_matches_the_rule_on_its_whole_domain_along_every_axis(space):
-    # every key of 1 to 4 combos' fixed digits: 9 + 81 + 729 + 6561 rows,
-    # one table for all three running axes
-    table = _ALIVE[space]
-    for n in range(1, 5):
-        for key in product(range(3), repeat=2 * n):
-            assert all(table[key] == _reference_row(key, space, axis) for axis in range(3)), key
-    assert len(table) == 9 + 81 + 729 + 6561
+def test_range_test_matches_the_reference_on_every_segment_of_the_half_grid(space):
+    # every segment whose four coordinates lie on the 1/(2 * 3**k) grid,
+    # k <= 3: each value lies on a cell boundary or inside a cell.  The
+    # range test reads only the best cells of the fixed values, so every
+    # fixed pair with the same best cells must keep the same running cells
+    # in the reference, which tries every combo; the rules are symmetric
+    # in the two fixed coordinates, so pairs are taken once
+    seen = set()
+    for k in range(4):
+        values = [F(j, 2 * 3**k) for j in range(2 * 3**k + 1)]
+        ones = ((1 << 8 * k) - 1) // 255
+        splits = [ternary._stage_digits(v.numerator, v.denominator, ternary.triadic_exponent(v.denominator), k)
+                  for v in values]
+        words = [ternary._words(split, ones) for split in splits]
+        assert all(free == (best == 0) for (_, _, free), (_, _, best) in zip(splits, words))
+        classes = {}
+        for u, v in combinations_with_replacement(range(len(values)), 2):
+            fixed = values[u], values[v]
+            cells = tuple(
+                _reference_segment_in_stage(AxisSegment(0, fixed, F(i, 3**k), F(i + 1, 3**k)), k, space)
+                for i in range(3**k)
+            )
+            assert classes.setdefault((words[u][2], words[v][2]), cells) == cells, (fixed, k)
+        for (a, b), cells in classes.items():
+            for lo, hi in combinations(range(len(values)), 2):
+                ref = all(cells[floor(values[lo] * 3**k):ceil(values[hi] * 3**k)])
+                assert ternary._range_kept(space, a, b, words[lo][0], words[hi][1]) == ref, (a, b, lo, hi, k)
+                seen.add((k, ref))
+    assert seen == {(k, ref) for k in range(1, 4) for ref in (True, False)} | {(0, True)}
 
 
 def test_digit_bytes_are_the_digits_of_the_index():

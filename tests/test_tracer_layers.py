@@ -4,7 +4,8 @@ still be called where the benchmark looks for it.
 A missing or bypassed name breaks only traced benchmark runs, which the other
 tests never start, so this reads ``perfbench/tracer.py`` by path, checks its
 table and runs the tracer on the smallest wild-plan build and verify, which
-never projects, and on the smallest uniform-det build and verify, which does.
+never projects, on the smallest uniform-det build and verify, which does,
+and on a segment predicate, the one command that reaches ``segment_in_stage``.
 """
 
 import importlib
@@ -13,9 +14,6 @@ import json
 from pathlib import Path
 
 import spongeknots.cli  # loaded before install(), which rebinds names only in loaded modules
-from spongeknots.geometry import axis_form
-from spongeknots.polyline import closed_polyline
-from test_embed import _settles
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,17 +44,12 @@ def test_trace_of_a_wild_plan_build_and_verify_sees_each_layer(tmp_path, capsys)
         assert spongeknots.cli.main(["verify", str(tmp_path / "wildknot-2.json")]) == 0
     finally:
         tracer.uninstall()
-    poly = closed_polyline(json.loads((tmp_path / "wildknot-2.json").read_text())["polyline"]["vertices"])
-    # the containment pass settles a segment whose two fixed coordinates are
-    # triadic with an expansion free of 1s (the stored stage, 5, is at
-    # least every exponent), and walks each other segment once in the
-    # build and again in the verify
-    walked = sum(sum(map(_settles, axis_form(a, b)[1])) < 2 for a, b in poly.segments())
-    assert walked == 68
     spans = {}
     for layer, *_ in tracer.spans:
         spans[layer] = spans.get(layer, 0) + 1
-    assert spans["ternary.segment_in_stage"] == tracer.counts["ternary.segments"] == 2 * walked
+    # the containment pass decides its segments on integers, with no call
+    # of segment_in_stage
+    assert "ternary.segment_in_stage" not in spans and "ternary.segments" not in tracer.counts
     for layer in ("invariants.is_simple", "wildknot.approximant", "serialize.dump", "serialize.load"):
         assert spans.get(layer, 0) >= 1, layer
 
@@ -81,3 +74,17 @@ def test_trace_of_a_uniform_det_build_and_verify_sees_the_projection(tmp_path, c
     # one projection in the build and one in the verify, each with the pinned crossings
     assert tracer.counts["invariants.crossings"] == 2 * pinned == 54
     assert tracer.counts["invariants.directions_tried"] >= 2
+    assert "ternary.segment_in_stage" not in spans and "ternary.segments" not in tracer.counts
+
+
+def test_trace_of_a_segment_predicate_sees_one_segment_in_stage_span(capsys):
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        argv = ["predicate", "--space", "sponge", "--stage", "3", "--segment", "0", "1/3", "0", "0", "1"]
+        assert spongeknots.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert [layer for layer, *_ in tracer.spans].count("ternary.segment_in_stage") == 1
+    assert tracer.counts["ternary.segments"] == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] is True
