@@ -79,7 +79,8 @@ def _place(unit: ClosedPolyline3, cube: Cube, orientation: str) -> ClosedPolylin
     z=0) onto the cube edge ``orientation`` names, by one integer affine
     map per coordinate: the int point p over the unit's scale goes to the
     coordinates ``(off + mul * p[src]) / den``.  The marks go with it, the
-    Fraction ends of its splice mark carried by the same maps and sorted."""
+    Fraction ends of its splice mark carried by the same maps and sorted;
+    each of their coordinates is one Fraction of two integers."""
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     scale, points = unit.integer_form
@@ -93,7 +94,9 @@ def _place(unit: ClosedPolyline3, cube: Cube, orientation: str) -> ClosedPolylin
     marks = dict(unit.marks)
     if "splice" in marks:
         marks["splice"] = tuple(sorted(
-            tuple((off + mul * scale * p[src]) / den for src, mul, off in maps) for p in marks["splice"]))
+            tuple(Fraction(off * p[src].denominator + mul * scale * p[src].numerator, den * p[src].denominator)
+                  for src, mul, off in maps)
+            for p in marks["splice"]))
     placed = tuple(tuple(off + mul * p[src] for src, mul, off in maps) for p in points)
     return ClosedPolyline3(IntegerForm(den, placed), marks)
 

@@ -412,29 +412,82 @@ def project_generic(p: ClosedPolyline3) -> tuple[KnotDiagram, tuple]:
 # invariants from the diagram
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(mat) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _clear(row, a, pivot, p, cols, i):
+    """Clear the pivot column's entry ``a`` from row ``i``, a dict ``row``
+    of its nonzeros with that entry already popped: row <- f * row - h *
+    pivot, f > 0 and f * a = h * p, where ``pivot`` is the pivot row
+    without its pivot entry ``p``.  ``cols`` follows the entries the update
+    fills and cancels.  Returns (f, c): the update scales the determinant by
+    f, and the row's content c > 0 is divided out of it again."""
+    g = gcd(p, a)
+    f, h = abs(p) // g, (a if p > 0 else -a) // g
+    if f != 1:
+        for k in row:
+            row[k] *= f
+    for k, v in pivot.items():
+        w = row.get(k, 0) - h * v
+        if w:
+            if k not in row:
+                cols[k].add(i)
+            row[k] = w
+        elif k in row:
+            del row[k]
+            cols[k].discard(i)
+    c = 1
+    if f != 1 and row:
+        c = gcd(*row.values())
+        if c != 1:
+            for k in row:
+                row[k] //= c
+    return f, c
+
+
+def _sparse_det(rows) -> int:
+    """|det| of a square integer matrix given by its rows, each a
+    {column: value} dict of its nonzeros; the dicts are consumed.
+
+    Exact Gaussian elimination that touches only nonzeros: each step takes
+    the column with the fewest entries left (minimum degree; Markowitz
+    1957, George and Liu 1989), and in it the row with the fewest, ties
+    going to the least index, and clears that column from the column's
+    other rows.  Updates are fraction-free: a row is scaled by f before
+    the pivot row is subtracted, and its content c divided out after, so
+    |det| = (product of pivots) * (product of c) / (product of f).
+    """
+    n = len(rows)
+    cols = defaultdict(set)  # column -> rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    # (-entries, -column) of each column, sorted, so the last is the pivot
+    # column; a key whose column has since changed is stale and skipped
+    order = sorted((-len(s), -j) for j, s in cols.items())
+    pivots = scaled = divided = 1
+    for _ in range(n):
+        while order:
+            count, j = order.pop()
+            count, j = -count, -j
+            if j in cols and len(cols[j]) == count:
+                break
+        else:
+            return 0  # fewer columns than rows carry entries
+        if count == 0:
+            return 0  # an empty column
+        column = cols.pop(j)
+        r = min(column, key=lambda i: (len(rows[i]), i))
+        column.remove(r)
+        pivot, rows[r] = rows[r], None
+        p = pivot.pop(j)
+        pivots *= p
+        for k in pivot:
+            cols[k].discard(r)
+        for i in column:
+            f, c = _clear(rows[i], rows[i].pop(j), pivot, p, cols, i)
+            scaled *= f
+            divided *= c
+        for k in pivot:
+            insort(order, (-len(cols[k]), -k))
+    return abs(pivots * divided // scaled)
 
 
 def _coloring_matrix(d: KnotDiagram):
@@ -458,9 +511,13 @@ def determinant_minor(d: KnotDiagram) -> int:
     """
     if d.crossing_count == 0:
         return 1
-    mat = _coloring_matrix(d)
-    minor = [row[1:] for row in mat[1:]]
-    return abs(_bareiss_det(minor))
+    minor = []  # the relations of crossings 1.. over arcs 1..
+    for c in d.crossings[1:]:
+        row = {}
+        for arc, v in ((c.over_arc, 2), (c.under_in, -1), (c.under_out, -1)):
+            row[arc] = row.get(arc, 0) + v
+        minor.append({arc: v for arc, v in row.items() if arc and v})
+    return _sparse_det(minor)
 
 
 def tricolorings(d: KnotDiagram) -> int:
@@ -529,8 +586,9 @@ def _checkerboard(d: KnotDiagram):
         rings.append(ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             clockwise[b] = a
-    # faces are numbered as the walk meets them from walk[0]: dense elimination
-    # of the Goeritz minor in this order is about 3x faster on approximants
+    # faces are numbered as the walk meets them from walk[0], the order in which
+    # the plane arrangement of the tests numbers them, so the two compare face
+    # for face; the elimination's cost does not depend on it
     face, faces = [None] * (2 * n), 0
     for start in (h % (2 * n) for h in range(-2, 2 * n - 2)):  # walk[0] is on piece n - 1
         h = start
@@ -559,6 +617,8 @@ def determinant(d: KnotDiagram, color_class: int = 0) -> int:
     (0 = the class of the unbounded face); both classes give the same
     value, which the tests exploit.
     """
+    if color_class not in (0, 1):
+        raise ValueError(f"color_class must be 0 (the unbounded face's class) or 1, not {color_class!r}")
     if d.crossing_count == 0:
         return 1
     face, color, rings = _checkerboard(d)
@@ -572,15 +632,12 @@ def determinant(d: KnotDiagram, color_class: int = 0) -> int:
             incid.append((f_other, f_other_op, -1))
     regions = [f for f, c in enumerate(color) if c == color_class]
     index = {f: k for k, f in enumerate(regions)}
-    nw = len(regions)
-    g = [[0] * nw for _ in range(nw)]
+    g = [{} for _ in regions]  # row k: the nonzeros of the Goeritz matrix, by region
     for fa, fb, eta in incid:
         ia, ib = index[fa], index[fb]
-        if ia == ib:
-            continue
-        g[ia][ib] -= eta
-        g[ib][ia] -= eta
-    for k in range(nw):
-        g[k][k] = -sum(g[k][t] for t in range(nw) if t != k)
-    minor = [row[1:] for row in g[1:]]
-    return abs(_bareiss_det(minor))
+        if ia != ib:
+            for a, b in ((ia, ib), (ib, ia)):
+                row = g[a]
+                row[b] = row.get(b, 0) - eta
+                row[a] = row.get(a, 0) + eta  # the diagonal is minus the row's other entries
+    return _sparse_det([{k: v for k, v in row.items() if k and v} for row in g[1:]])

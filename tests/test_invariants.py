@@ -5,7 +5,7 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spongeknots import invariants
@@ -1229,3 +1229,186 @@ def test_faces_match_reference_on_reference_corpus():
 def test_faces_match_reference_on_uniform_approximants(m, knot):
     d, _ = project_generic(approximant(KnotAssignment.uniform(knot, m), m).polyline)
     _assert_faces_match(d)
+
+
+# ---------------------------------------------------------------------------
+# sparse exact elimination against the dense reference
+# ---------------------------------------------------------------------------
+
+def _bareiss_det(mat) -> int:
+    """Exact determinant of an integer matrix (fraction-free elimination;
+    Bareiss 1968): the dense reference for ``invariants._sparse_det``."""
+    m = [row[:] for row in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _sparse_rows(mat):
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+def _dense_goeritz_minor(d, color_class):
+    """The Goeritz matrix over the regions of ``color_class``, dense, less
+    its first row and column: the minor whose |det| ``determinant`` is."""
+    face, color, rings = _checkerboard(d)
+    regions = [f for f, c in enumerate(color) if c == color_class]
+    index = {f: k for k, f in enumerate(regions)}
+    g = [[0] * len(regions) for _ in regions]
+    for ring in rings:
+        f_swept, f_other, f_swept_op, f_other_op = (face[h] for h in ring)
+        if color[f_swept] == color_class:
+            ia, ib, eta = index[f_swept], index[f_swept_op], 1
+        else:
+            ia, ib, eta = index[f_other], index[f_other_op], -1
+        if ia != ib:
+            g[ia][ib] -= eta
+            g[ib][ia] -= eta
+    for k, row in enumerate(g):
+        row[k] = -sum(row[t] for t in range(len(row)) if t != k)
+    return [row[1:] for row in g[1:]]
+
+
+def _dense_coloring_minor(d):
+    """The crossing-relation matrix less its first row and column: the minor
+    whose |det| ``determinant_minor`` is."""
+    return [row[1:] for row in invariants._coloring_matrix(d)[1:]]
+
+
+def _assert_routes_match_dense_reference(d):
+    if d.crossing_count == 0:  # no faces to trace: both routes give 1
+        assert determinant(d) == determinant(d, color_class=1) == determinant_minor(d) == 1
+        return 1
+    want = abs(_bareiss_det(_dense_coloring_minor(d)))
+    assert determinant_minor(d) == want
+    for color_class in (0, 1):
+        assert abs(_bareiss_det(_dense_goeritz_minor(d, color_class))) == want
+        assert determinant(d, color_class) == want
+    return want
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Square integer matrices of order at most 12: dense, sparse, singular
+    (one row a combination of two others) or with a zero diagonal."""
+    n = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["dense", "sparse", "singular", "zero-diagonal"]))
+    entry = st.integers(-1000, 1000) if kind == "dense" else st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2, 3, 7))
+    mat = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n >= 2:
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[-1] = [a * x + b * y for x, y in zip(mat[i], mat[j])]
+        mat = draw(st.permutations(mat))
+    if kind == "zero-diagonal":
+        for k in range(n):
+            mat[k][k] = 0
+    return kind, mat
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_matrices())
+# pivots other than +-1 scale the rows they clear; an empty matrix, a zero
+# leading entry and an empty column each take their own path
+@example(("dense", []))
+@example(("sparse", [[0]]))
+@example(("dense", [[2, 3], [3, 2]]))
+@example(("zero-diagonal", [[0, 1], [1, 0]]))
+@example(("singular", [[4, 6, 2], [6, 9, 3], [1, 1, 1]]))
+@example(("singular", [[1, 0, 2], [3, 0, 4], [5, 0, 6]]))
+@example(("dense", [[6, 4, 0], [4, 6, 2], [0, 2, 6]]))
+def test_sparse_det_matches_dense_reference(case):
+    kind, mat = case
+    want = abs(_bareiss_det(mat))
+    if kind == "singular" and len(mat) >= 2:
+        assert want == 0
+    assert invariants._sparse_det(_sparse_rows(mat)) == want
+
+
+def test_both_routes_match_dense_reference_on_catalog_knots_and_mirrors():
+    for name in catalog_names():
+        for g in (catalog(name), catalog(name).mirrored()):
+            d = diagram_from_grid(g)
+            assert _assert_routes_match_dense_reference(d) == determinant(diagram_from_grid(catalog(name)))
+
+
+APPROXIMANTS = {
+    "uniform-trefoil": CONSTRUCTIONS["uniform"],
+    "uniform-figure-eight": lambda m: approximant(KnotAssignment.uniform("figure-eight", m), m),
+    "wild-plan": CONSTRUCTIONS["wild-plan"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(APPROXIMANTS))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_both_routes_give_the_expected_determinant_of_approximants(kind, m):
+    a = APPROXIMANTS[kind](m)
+    d, _ = project_generic(a.polyline)
+    det = a.expected_determinant()
+    assert determinant(d) == determinant(d, color_class=1) == determinant_minor(d) == det
+    if m <= 3:
+        assert _assert_routes_match_dense_reference(d) == det
+
+
+def test_determinant_of_uniform_trefoil_approximant_of_stage_7():
+    d, _ = project_generic(CONSTRUCTIONS["uniform"](7).polyline)
+    assert determinant(d) == 3**381
+
+
+def test_determinant_minor_of_uniform_trefoil_approximant_of_stage_5():
+    d, _ = project_generic(CONSTRUCTIONS["uniform"](5).polyline)
+    assert determinant_minor(d) == 3**93
+
+
+def test_elimination_work_counts_on_uniform_approximants(monkeypatch):
+    # deterministic work counts, no timing: each row update touches the
+    # pivot row's entries and the one it clears, so with no fill the entries
+    # touched grow with the crossings, about 2x per stage; dense elimination
+    # would grow about 8x
+    touched, clear = [], invariants._clear
+
+    def counted(row, a, pivot, *args):
+        touched.append(len(pivot) + 1)
+        return clear(row, a, pivot, *args)
+
+    monkeypatch.setattr(invariants, "_clear", counted)
+    routes = (determinant, lambda d: determinant(d, color_class=1), determinant_minor)
+    counts = {}
+    for m in range(3, 7):
+        a = CONSTRUCTIONS["uniform"](m)
+        d, _ = project_generic(a.polyline)
+        counts[m] = []
+        for route in routes:
+            del touched[:]
+            assert route(d) == a.expected_determinant()
+            counts[m].append((len(touched), sum(touched)))
+    # (row updates, entries touched) per route: class 0's Goeritz minor is
+    # diagonal, so it takes no row update at all
+    assert counts[6] == [(0, 0), (189, 378), (252, 693)]
+    for route in (1, 2):
+        assert all(counts[m + 1][route][1] <= 2.5 * counts[m][route][1] for m in range(3, 6))
+
+
+@pytest.mark.parametrize("color_class", [2, -1, None])
+def test_determinant_rejects_a_class_other_than_0_or_1(monkeypatch, color_class):
+    traced = _counting(monkeypatch, "_checkerboard")
+    with pytest.raises(ValueError, match=r"0 \(the unbounded face's class\) or 1"):
+        determinant(trefoil_diagram(), color_class)
+    assert traced == []
