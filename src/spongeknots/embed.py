@@ -138,16 +138,6 @@ def embed_into_box(
     return _place(unit, Cube(corner, side), orientation)
 
 
-def embed_into_cube(
-    d: GridDiagram, q: Cube, orientation: str = "y-edge", k: int | None = None
-) -> ClosedPolyline3:
-    """Embed into a surviving sponge cube; containment then holds in M_(s+k)."""
-    s = check_surviving_cube(q)
-    poly = embed_into_box(d, q.corner, q.side, orientation, k)
-    poly.marks["sponge_stage"] = s + poly.marks["stage"]
-    return poly
-
-
 # running axis -> the fixed axes, in axis order
 _FIXED_AXES = ((1, 2), (0, 2), (0, 1))
 

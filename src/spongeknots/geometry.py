@@ -67,21 +67,6 @@ def cross2(a: Point2, b: Point2) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def axis_form(a: Point3, b: Point3):
-    """(axis, fixed_coords, lo, hi) when the segment is axis-parallel, else None.
-
-    ``fixed_coords`` are the other two coordinates in axis order and the
-    running coordinate spans [lo, hi].
-    """
-    diffs = [i for i in range(3) if a[i] != b[i]]
-    if len(diffs) != 1:
-        return None
-    ax = diffs[0]
-    lo, hi = (a[ax], b[ax]) if a[ax] <= b[ax] else (b[ax], a[ax])
-    fixed = tuple(a[i] for i in range(3) if i != ax)
-    return (ax, fixed, lo, hi)
-
-
 def running_axis(a, b):
     """The one axis along which points a and b differ, or None when they
     differ along several (an oblique segment) or none."""
@@ -124,26 +109,6 @@ class Cube:
     corner: Point3
     side: Fraction
 
-    def contains_point(self, p: Point3) -> bool:
-        return all(self.corner[i] <= p[i] <= self.corner[i] + self.side for i in range(3))
-
     def center(self) -> Point3:
         h = self.side / 2
         return (self.corner[0] + h, self.corner[1] + h, self.corner[2] + h)
-
-    def max_dist_sq(self, p: Point3) -> Fraction:
-        """Squared distance from p to the farthest point of the cube."""
-        total = ZERO
-        for i in range(3):
-            lo = self.corner[i]
-            hi = lo + self.side
-            total += max(abs(p[i] - lo), abs(p[i] - hi)) ** 2
-        return total
-
-    def interior_intersects_cube(self, other: "Cube") -> bool:
-        for i in range(3):
-            if self.corner[i] + self.side <= other.corner[i]:
-                return False
-            if other.corner[i] + other.side <= self.corner[i]:
-                return False
-        return True

@@ -6,11 +6,11 @@ knot invariants:
 
 * ``determinant`` -- |det| of a Goeritz matrix read off a checkerboard
   coloring of the diagram's face arrangement;
-* ``determinant_minor`` -- |det| of a minor of the integer crossing
-  (coloring) matrix, an independent second route used to cross-check the
-  first;
 * ``tricolorings`` -- the number of Fox 3-colorings, from the nullity of
-  the same crossing relations over GF(3).
+  the crossing relations (``crossing_relations``) over GF(3).
+
+The second determinant route, |det| of a minor of the crossing relations,
+is a test reference that reads the same relations.
 
 Every decision here is exact integer arithmetic on the curves' integer forms.
 """
@@ -442,19 +442,33 @@ def _clear(row, a, pivot, p, cols, i):
     return f, c
 
 
-def _sparse_det(rows) -> int:
-    """|det| of a square integer matrix given by its rows, each a
-    {column: value} dict of its nonzeros; the dicts are consumed.
+def _clear_mod3(row, a, pivot, p, cols, i):
+    """``_clear`` over GF(3): row <- row - (a / p) * pivot, mod 3, where
+    1 / p = p for p = 1 or 2."""
+    h = a * p
+    for k, v in pivot.items():
+        w = (row.get(k, 0) - h * v) % 3
+        if w:
+            if k not in row:
+                cols[k].add(i)
+            row[k] = w
+        elif k in row:
+            del row[k]
+            cols[k].discard(i)
 
-    Exact Gaussian elimination that touches only nonzeros: each step takes
-    the column with the fewest entries left (minimum degree; Markowitz
-    1957, George and Liu 1989), and in it the row with the fewest, ties
-    going to the least index, and clears that column from the column's
-    other rows.  Updates are fraction-free: a row is scaled by f before
-    the pivot row is subtracted, and its content c divided out after, so
-    |det| = (product of pivots) * (product of c) / (product of f).
+
+def _eliminate(rows, clear):
+    """Gaussian elimination of rows, each a {column: value} dict of its
+    nonzeros, that touches only nonzeros; the dicts are consumed.  Yields
+    each step's pivot and what ``clear`` returned for each row it cleared,
+    one step per unit of rank, and stops when no column has an entry left.
+
+    Each step takes the column with the fewest entries left (minimum
+    degree; Markowitz 1957, George and Liu 1989), and in it the row with
+    the fewest, ties going to the least index, and clears that column from
+    the column's other rows with ``clear`` (``_clear`` on integers,
+    ``_clear_mod3`` over GF(3)).
     """
-    n = len(rows)
     cols = defaultdict(set)  # column -> rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
@@ -462,93 +476,68 @@ def _sparse_det(rows) -> int:
     # (-entries, -column) of each column, sorted, so the last is the pivot
     # column; a key whose column has since changed is stale and skipped
     order = sorted((-len(s), -j) for j, s in cols.items())
-    pivots = scaled = divided = 1
-    for _ in range(n):
-        while order:
-            count, j = order.pop()
-            count, j = -count, -j
-            if j in cols and len(cols[j]) == count:
-                break
-        else:
-            return 0  # fewer columns than rows carry entries
-        if count == 0:
-            return 0  # an empty column
+    while order:
+        count, j = order.pop()
+        count, j = -count, -j
+        if j not in cols or len(cols[j]) != count or count == 0:
+            continue
         column = cols.pop(j)
         r = min(column, key=lambda i: (len(rows[i]), i))
         column.remove(r)
         pivot, rows[r] = rows[r], None
         p = pivot.pop(j)
-        pivots *= p
         for k in pivot:
             cols[k].discard(r)
-        for i in column:
-            f, c = _clear(rows[i], rows[i].pop(j), pivot, p, cols, i)
-            scaled *= f
-            divided *= c
+        updates = [clear(rows[i], rows[i].pop(j), pivot, p, cols, i) for i in column]
         for k in pivot:
             insort(order, (-len(cols[k]), -k))
-    return abs(pivots * divided // scaled)
+        yield p, updates
 
 
-def _coloring_matrix(d: KnotDiagram):
-    """Integer crossing relations: row per crossing, 2*over - in - out = 0."""
+def _sparse_det(rows) -> int:
+    """|det| of a square integer matrix given by its rows, each a
+    {column: value} dict of its nonzeros; the dicts are consumed.
+
+    ``_eliminate`` with fraction-free updates: a row is scaled by f before
+    the pivot row is subtracted, and its content c divided out after, so
+    |det| = (product of pivots) * (product of c) / (product of f), and 0
+    when the rank falls short of the order.
+    """
+    steps = 0
+    pivots = scaled = divided = 1
+    for p, updates in _eliminate(rows, _clear):
+        steps += 1
+        pivots *= p
+        for f, c in updates:
+            scaled *= f
+            divided *= c
+    return abs(pivots * divided // scaled) if steps == len(rows) else 0
+
+
+def crossing_relations(d: KnotDiagram) -> list[dict]:
+    """The Fox coloring relation of each crossing, 2 * over - in - out = 0,
+    as the {arc: coefficient} dict of its nonzero coefficients."""
     rows = []
     for c in d.crossings:
-        row = [0] * d.n_arcs
-        row[c.over_arc] += 2
-        row[c.under_in] -= 1
-        row[c.under_out] -= 1
-        rows.append(row)
-    return rows
-
-
-def determinant_minor(d: KnotDiagram) -> int:
-    """Knot determinant via the crossing-relation matrix minor.
-
-    This is the Alexander matrix evaluated at -1; deleting one row and one
-    column and taking |det| gives the determinant.  Kept independent of
-    the Goeritz route as a cross-check.
-    """
-    if d.crossing_count == 0:
-        return 1
-    minor = []  # the relations of crossings 1.. over arcs 1..
-    for c in d.crossings[1:]:
         row = {}
         for arc, v in ((c.over_arc, 2), (c.under_in, -1), (c.under_out, -1)):
             row[arc] = row.get(arc, 0) + v
-        minor.append({arc: v for arc, v in row.items() if arc and v})
-    return _sparse_det(minor)
+        rows.append({arc: v for arc, v in row.items() if v})
+    return rows
+
+
+def _rank_mod3(rows) -> int:
+    """Rank over GF(3) of the integer rows, each a {column: value} dict."""
+    rows = [{j: v % 3 for j, v in row.items() if v % 3} for row in rows]
+    return sum(1 for _ in _eliminate(rows, _clear_mod3))
 
 
 def tricolorings(d: KnotDiagram) -> int:
-    """Number of Fox 3-colorings: 3**nullity of the relations over GF(3)."""
+    """Number of Fox 3-colorings: 3**nullity of the crossing relations over
+    GF(3)."""
     if d.crossing_count == 0:
         return 3
-    mat = [[v % 3 for v in row] for row in _coloring_matrix(d)]
-    rows = len(mat)
-    cols = d.n_arcs
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if mat[i][c] % 3 != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 if mat[r][c] % 3 == 1 else 2
-        mat[r] = [(v * inv) % 3 for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] % 3 != 0:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % 3 for a, b in zip(mat[i], mat[r])]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return 3 ** (cols - rank)
+    return 3 ** (d.n_arcs - _rank_mod3(crossing_relations(d)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point3, add3, dist_sq3, frac, point_segment_dist_sq3, scale3, sub3
+from .geometry import Point3, add3, dist_sq3, point_segment_dist_sq3, scale3, sub3
 from .polyline import ClosedPolyline3
 
 
@@ -80,16 +80,6 @@ class Necklace:
     generation: int = 0
 
 
-def invert_point(b: Pearl, x) -> Point3:
-    """Reflection through the pearl boundary: c + r^2 (x-c)/|x-c|^2."""
-    x = tuple(frac(c) for c in x)
-    d = sub3(x, b.center)
-    dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    if dd == 0:
-        raise ValueError("cannot invert the center of the sphere")
-    return add3(b.center, scale3(d, b.radius_sq / dd))
-
-
 def invert_pearl(b: Pearl, other: Pearl) -> Pearl:
     """Image ball of ``other`` under reflection through ``b``.
 
@@ -130,30 +120,13 @@ def iterate(t: Necklace, m: int) -> Necklace:
     return Necklace(current, t.knot, t.n, generation=m)
 
 
-def limit_point(t: Necklace, word) -> tuple[Point3, Fraction]:
-    """Center and squared-radius bound of the pearl addressed by a reduced
-    word; nested-ball certificate for the limit-set point of that address."""
-    word = tuple(int(w) for w in word)
-    if not word:
-        raise ValueError("word must have length >= 1")
-    for a, b in zip(word, word[1:]):
-        if a == b:
-            raise ValueError("word is not reduced")
-    base = {p.word[0]: p for p in t.pearls}
-    if any(w not in base for w in word):
-        raise ValueError("word uses an unknown generator")
-    pearl = base[word[-1]]
-    for j in reversed(word[:-1]):
-        pearl = invert_pearl(base[j], pearl)
-    return pearl.center, pearl.radius_sq
-
-
 def pearls_by_word(t: Necklace, words) -> dict:
-    """The pearl each word addresses, built by the chain of inversions
-    ``limit_point`` runs, or None where that chain fails (an unknown
-    generator, a word that is not reduced, a pearl holding an inversion
-    center).  Pearls are kept by word, so each suffix the words share is
-    inverted once, however many words end in it."""
+    """The pearl each word addresses, built by inverting the pearl of its
+    last letter through those of the letters before it, last to first, or
+    None where that chain fails (an unknown generator, a word that is not
+    reduced, a pearl holding an inversion center).  Pearls are kept by
+    word, so each suffix the words share is inverted once, however many
+    words end in it."""
     base = {p.word[0]: p for p in t.pearls}
     built = {}  # suffix -> its pearl, or None
     for word in words:
@@ -171,31 +144,6 @@ def pearls_by_word(t: Necklace, words) -> dict:
             pearl = built[suffix]
         built[word] = pearl
     return {word: built[word] for word in words}
-
-
-def summand_ledger(n: int, m: int):
-    """Connected-summand counts per stage for an n-pearl necklace knot K.
-
-    Stage q adds n(n-1)^(q-1) summands whose chirality follows word-length
-    parity: odd words contribute mirror copies, even words plain copies.
-    Returns per-stage increments and cumulative (plain, mirror) totals,
-    with the seed knot counted once at stage 0.
-    """
-    if n < 3:
-        raise ValueError("necklaces need n >= 3 pearls")
-    if m < 0:
-        raise ValueError("stage must be >= 0")
-    stages = []
-    plain, mirror = 1, 0  # the seed knot itself
-    for q in range(1, m + 1):
-        added = n * (n - 1) ** (q - 1)
-        if q % 2 == 1:
-            mirror += added
-            stages.append({"stage": q, "added": added, "chirality": "mirror"})
-        else:
-            plain += added
-            stages.append({"stage": q, "added": added, "chirality": "plain"})
-    return {"plain": plain, "mirror": mirror, "total": plain + mirror, "stages": stages}
 
 
 def make_necklace(knot: ClosedPolyline3, n: int) -> Necklace:

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import eq
 from typing import NamedTuple
 
-from .geometry import Point3, frac
+from .geometry import Point3
 
 
 class PolylineError(ValueError):
@@ -38,7 +38,7 @@ class ClosedPolyline3:
     The integer form takes only ints (anything else is a TypeError) and is
     divided by the gcd of its scale and coordinates, so its scale is the
     lcm of the vertices' denominators and two curves are equal exactly when
-    their vertices are.  ``closed_polyline`` builds a curve from rationals.
+    their vertices are.
     """
 
     integer_form: IntegerForm
@@ -77,12 +77,3 @@ class ClosedPolyline3:
     def segments(self):
         verts = self.vertices
         return zip(verts, verts[1:] + verts[:1])
-
-
-def closed_polyline(points, marks=None) -> ClosedPolyline3:
-    """The curve through rational points, each coordinate read by ``frac``:
-    the scale is the lcm of the distinct denominators."""
-    rows = [[frac(c) for c in p] for p in points]
-    scale = lcm(*{c.denominator for c in chain.from_iterable(rows)})
-    form = tuple(tuple(c.numerator * (scale // c.denominator) for c in row) for row in rows)
-    return ClosedPolyline3(IntegerForm(scale, form), dict(marks or {}))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from .geometry import axis_form, frac
+from .geometry import frac
 
 SPACES = ("cantor", "carpet_face", "sponge", "carpet2")
 
@@ -100,12 +100,6 @@ class TernaryExpansion:
             out.append(start + i)
             i = per.find(1, i + 1)
         return tuple(out)
-
-    def value(self) -> Fraction:
-        pre, per = self.preperiod, self.period
-        scale = 3 ** len(pre)
-        tail = Fraction(_index_of_digits(per), 3 ** len(per) - 1)
-        return (_index_of_digits(pre) + tail) / scale
 
 
 def expansions(x) -> tuple[TernaryExpansion, ...]:
@@ -562,11 +556,6 @@ def cantor_numerators(k: int, n: int | None = None) -> list[int]:
     return [low + end for low in lows for end in (0, 1)][:count]
 
 
-def cantor_endpoints(k: int) -> list[Fraction]:
-    """The 2**(k+1) interval endpoints of the stage-k Cantor construction."""
-    return [Fraction(c, 3**k) for c in cantor_numerators(k)]
-
-
 # ---------------------------------------------------------------------------
 # exact containment of axis-aligned segments in stage-k prefractals
 # ---------------------------------------------------------------------------
@@ -595,20 +584,6 @@ class AxisSegment:
         u, v = self.fixed
         if not (0 <= ln and hn <= hd and 0 <= u.numerator <= u.denominator and 0 <= v.numerator <= v.denominator):
             raise ValueError("segment leaves the unit cube")
-
-    @classmethod
-    def from_endpoints(cls, a, b) -> "AxisSegment":
-        form = axis_form(a, b)
-        if form is None:
-            raise ValueError("segment is not axis-aligned")
-        return cls(*form)
-
-    def endpoints(self):
-        a = list(self.fixed)
-        a.insert(self.axis, self.lo)
-        b = list(self.fixed)
-        b.insert(self.axis, self.hi)
-        return tuple(a), tuple(b)
 
 
 def _order_of_3(d: int, limit: int):

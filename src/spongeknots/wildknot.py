@@ -9,6 +9,7 @@ per-stage counts are 3 * 2^(m-1).
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -62,18 +63,6 @@ def sites(m: int) -> list[SpliceSite]:
 # splicing
 # ---------------------------------------------------------------------------
 
-def splice(base: ClosedPolyline3, site: SpliceSite, summand: ClosedPolyline3) -> ClosedPolyline3:
-    """Connected sum of base and summand along the summand's marked segment.
-
-    The mark must lie inside site.T, site.T inside one base segment, and the
-    summand must meet the base only inside site.T; the marked open segment
-    is removed from both curves and the endpoints cross-joined into one
-    closed walk, preserving the base orientation.  The one-site case of
-    ``_splice_sites``.
-    """
-    return _splice_sites(base, [(site, summand)])
-
-
 def _cube_meets(cubes, lines):
     """``meets[j]``: every segment of ``lines`` that meets the closed cube
     ``cubes[j]`` (a (least, greatest) corner pair).  ``lines`` files the
@@ -124,10 +113,16 @@ def _cube_meets(cubes, lines):
 def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     """Splice each (site, summand) of ``pairs`` into ``base``, in one pass.
 
+    Each splice is a connected sum along the summand's marked segment.
+    The mark must lie inside site.T, site.T inside one segment of the
+    curve, and the summand must meet the curve only inside site.T; the
+    marked open segment is removed from both curves and the endpoints
+    cross-joined into one closed walk, preserving the base orientation.
+
     The curve, or the first ValueError, is the one that splicing the pairs
-    one at a time in order gives: each site is checked, rule by rule as
-    ``splice`` lists them, against the curve the earlier splices left,
-    their summand segments included.
+    one at a time in order gives: each site is checked, rule by rule, in
+    the order of the errors below, against the curve the earlier splices
+    left, their summand segments included.
 
     Each curve's integer form, each site and each splice mark is brought
     to one integer scale, the lcm of their scales and denominators, and
@@ -390,6 +385,17 @@ class LedgerEntry:
     cube: Cube
     summand_det: int
 
+    def __post_init__(self):
+        if self.knot != TRIVIAL and self.knot not in KNOT_DETERMINANTS:
+            raise ValueError(f"unknown knot {reprlib.repr(self.knot)}")
+        det = KNOT_DETERMINANTS.get(self.knot, 1)
+        if self.summand_det != det:
+            raise ValueError(f"summand_det of {self.knot} is {det}, not {self.summand_det}")
+        if self.nontrivial != (self.knot != TRIVIAL):
+            raise ValueError(f"{self.knot} entry has nontrivial {self.nontrivial}")
+        if self.nontrivial and not self.spliced:
+            raise ValueError(f"nontrivial {self.knot} entry is not spliced")
+
 
 @dataclass(frozen=True)
 class Approximant:
@@ -488,26 +494,3 @@ def wild_set_plan(targets, knot: str, m: int) -> KnotAssignment:
             entries[(q, index)] = (knot, False)
             rank = 2 * rank + (0 if d == 0 else 1)
     return KnotAssignment(m, entries)
-
-
-def neighborhood_census(a: Approximant, p, r) -> int:
-    """Spliced nontrivial summands whose cube lies within distance r of p."""
-    p = tuple(frac(c) for c in p)
-    r = frac(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    r2 = r * r
-    return sum(
-        1
-        for e in a.ledger
-        if e.nontrivial and e.spliced and e.cube.max_dist_sq(p) <= r2
-    )
-
-
-def clearance(a: Approximant, p) -> Fraction:
-    """Smallest censusable radius at p: min over nontrivial cubes of the
-    farthest-corner distance, returned squared (exact)."""
-    dists = [e.cube.max_dist_sq(tuple(frac(c) for c in p)) for e in a.ledger if e.nontrivial]
-    if not dists:
-        raise ValueError("no nontrivial summands in the ledger")
-    return min(dists)

@@ -16,7 +16,6 @@ from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.invariants import (
     determinant,
-    determinant_minor,
     is_simple,
     project,
     project_generic,
@@ -24,15 +23,11 @@ from spongeknots.invariants import (
 )
 from spongeknots.necklace import (
     Pearl,
-    invert_point,
     iterate,
     make_necklace,
     pearl_inside,
     pearls_disjoint,
-    summand_ledger,
 )
-from spongeknots.oracle import oracle_profile
-from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import replaced_count, squareflake
 from spongeknots.ternary import (
     AxisSegment,
@@ -44,11 +39,20 @@ from spongeknots.wildknot import (
     KnotAssignment,
     SpliceSite,
     approximant,
-    clearance,
-    neighborhood_census,
     sites,
-    splice,
     wild_set_plan,
+)
+from oracle import (
+    clearance,
+    closed_polyline,
+    determinant_minor,
+    invert_point,
+    neighborhood_census,
+    oracle_profile,
+    segment_endpoints,
+    segment_from_endpoints,
+    splice,
+    summand_ledger,
 )
 from test_invariants import generic_views
 
@@ -128,7 +132,7 @@ def test_criterion_4_squareflake_stages():
         if len(s.polyline) != 4 + 4 * (2**m - 1):
             _verdict(4, False, f"S_{m} vertex count off")
         for a, b in s.polyline.segments():
-            if not segment_in_stage(AxisSegment.from_endpoints(a, b), m, "sponge"):
+            if not segment_in_stage(segment_from_endpoints(a, b), m, "sponge"):
                 _verdict(4, False, f"S_{m} segment escapes M_{m}")
         if m >= 1:
             if len(s.replaced) != replaced_count(m) or replaced_count(m) != 2 ** (m - 1):
@@ -170,9 +174,9 @@ def test_criterion_5_wild_knot_approximants():
         ((F(8, 9), F(22, 27), F(0)), (F(8, 9), F(23, 27), F(0))),
         ((F(25, 27), F(8, 9), F(0)), (F(26, 27), F(8, 9), F(0))),
     ]
-    if [s.T.endpoints() for s in sites(1)] != paper_stage1:
+    if [segment_endpoints(s.T) for s in sites(1)] != paper_stage1:
         _verdict(5, False, "stage-1 sites differ from the construction coordinates")
-    if [s.T.endpoints() for s in sites(2)] != paper_stage2:
+    if [segment_endpoints(s.T) for s in sites(2)] != paper_stage2:
         _verdict(5, False, "stage-2 sites differ from the construction coordinates")
     a1 = approximant(KnotAssignment.uniform("trefoil", 1), 1)
     a2 = approximant(KnotAssignment.uniform("trefoil", 2), 2)

@@ -14,13 +14,12 @@ import pytest
 
 from spongeknots import serialize
 from spongeknots.cli import main
-from spongeknots.embed import embed_into_cube
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.necklace import iterate, make_necklace
-from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.wildknot import KnotAssignment, approximant
+from oracle import closed_polyline, embed_into_cube
 
 # README, Conventions: the JSON type of each field, by its key; an array
 # field's items take the type of the field

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import random
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -15,9 +17,10 @@ from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
 from spongeknots.necklace import invert_pearl, iterate, make_necklace
-from spongeknots.polyline import ClosedPolyline3, closed_polyline
+from spongeknots.polyline import ClosedPolyline3
 from spongeknots.squareflake import squareflake
 from spongeknots.wildknot import KnotAssignment, approximant, sites
+from oracle import closed_polyline
 from test_invariants import fraction_counter
 
 
@@ -571,6 +574,26 @@ def _ledger_text(**fields):
     return serialize.dump_json(data)
 
 
+def _stage_2_ledger_text(edit):
+    """A stage-2 uniform trefoil wildknot artifact whose ledger ``edit`` changed."""
+    data = serialize.approximant_json(approximant(KnotAssignment.uniform("trefoil", 2), 2))
+    edit(data["ledger"])
+    return serialize.dump_json(data)
+
+
+def _every_entry(**fields):
+    def edit(ledger):
+        for entry in ledger:
+            entry.update(fields)
+    return edit
+
+
+def _factor_moved(ledger):
+    # the first trefoil unspliced, its factor 3 carried by the next entry
+    ledger[0]["spliced"] = False
+    ledger[1]["summand_det"] = 9
+
+
 def _assignment_text(entry=(), **fields):
     data = {**serialize.assignment_json(KnotAssignment.uniform("trefoil", 1)), **fields}
     data["entries"][0].update(entry)
@@ -631,6 +654,11 @@ MALFORMED = {
     "ledger-integer-knot": (_ledger_text(knot=5), "knot: expected a string, got 5"),
     "ledger-null-knot": (_ledger_text(knot=None), "knot: expected a string, got None"),
     "ledger-array-site-kind": (_ledger_text(site_kind=["x"]), "site_kind: expected a string, got ['x']"),
+    "ledger-unknown-knot": (_stage_2_ledger_text(_every_entry(knot="bogus")), "ledger: unknown knot 'bogus'"),
+    "ledger-knot-off-its-determinant": (_stage_2_ledger_text(_every_entry(knot="figure-eight")),
+                                        "ledger: summand_det of figure-eight is 5, not 3"),
+    "ledger-trefoil-marked-trivial": (_ledger_text(nontrivial=False), "ledger: trefoil entry has nontrivial False"),
+    "ledger-trefoil-unspliced": (_stage_2_ledger_text(_factor_moved), "ledger: nontrivial trefoil entry is not spliced"),
     "assignment-integer-default": (_assignment_text(default=5), "default: expected a string, got 5"),
     "assignment-integer-knot": (_assignment_text({"knot": 7}), "knot: expected a string, got 7"),
     "string-vertex": (_square_text("012"), "vertices: expected an array, got '012'"),
@@ -711,6 +739,19 @@ def test_verify_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     path.write_bytes(b"\xff")
     assert run(["verify", str(path)]) == 2
     assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+def test_a_command_process_loads_no_test_oracle(tmp_path):
+    # the subdivision oracle and the second determinant route are test
+    # references in tests/oracle.py; a fresh command process imports the
+    # package alone, and nothing of them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, spongeknots.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=30)
+    loaded = proc.stdout.split()
+    assert proc.returncode == 0 and "spongeknots.cli" in loaded, proc.stderr
+    assert "spongeknots.oracle" not in loaded and "oracle" not in loaded
 
 
 def test_build_wildknot_all_trivial_include(tmp_path, capsys):

@@ -17,7 +17,6 @@ from spongeknots import checks, embed, serialize, ternary
 from spongeknots.embed import (
     embed_grid,
     embed_into_box,
-    embed_into_cube,
     stage_for,
     verify_containment,
 )
@@ -25,19 +24,20 @@ from spongeknots.geometry import Cube
 from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
     determinant,
-    determinant_minor,
     diagram_from_grid,
     is_simple,
     project,
     tricolorings,
 )
-from spongeknots.geometry import axis_form
-from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.ternary import (
-    AxisSegment, cantor_endpoints, cantor_numerators, segment_in_stage, triadic_exponent,
+    AxisSegment, cantor_numerators, segment_in_stage, triadic_exponent,
 )
 from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
+from oracle import (
+    axis_form, cantor_endpoints, closed_polyline, contains_point, determinant_minor, embed_into_cube,
+    segment_from_endpoints,
+)
 from test_invariants import crossing_points, fraction_counter, generic_views
 from test_ternary import _reference_segment_in_stage
 
@@ -171,7 +171,7 @@ def test_embed_unknot_into_surviving_cube():
     q = Cube((F(2, 3), F(1, 3), F(0)), F(1, 3))
     poly = embed_into_cube(catalog("unknot"), q)
     assert is_simple(poly)
-    assert all(q.contains_point(v) for v in poly.vertices)
+    assert all(contains_point(q, v) for v in poly.vertices)
     stage = poly.marks["sponge_stage"]
     assert all(verify_containment(poly, stage))
 
@@ -428,7 +428,7 @@ def test_one_pass_splits_each_value_at_each_stage_at_most_twice(benchmark_curves
     digit_bytes = ternary._digit_bytes
     monkeypatch.setattr(ternary, "_digit_bytes", lambda i, k: split.append((i, k)) or digit_bytes(i, k))
     for poly, stage in benchmark_curves:
-        segments = [AxisSegment.from_endpoints(a, b) for a, b in poly.segments()]
+        segments = [segment_from_endpoints(a, b) for a, b in poly.segments()]
         pairs = {(c, _walk_stage(seg, stage)) for seg in segments for c in (*seg.fixed, seg.lo, seg.hi)}
         split.clear()
         assert all(verify_containment(poly, stage))
@@ -482,7 +482,7 @@ def test_a_pass_walks_exactly_the_segments_it_cannot_settle(benchmark_curves, mo
     counts = []
     for poly, stage in benchmark_curves:
         assert max(triadic_exponent(c.denominator) or 0 for v in poly.vertices for c in v) <= stage
-        unsettled = [seg for seg in map(AxisSegment.from_endpoints, *zip(*poly.segments()))
+        unsettled = [seg for seg in map(segment_from_endpoints, *zip(*poly.segments()))
                      if not all(map(_settles, seg.fixed))]
         walked.clear()
         assert all(verify_containment(poly, stage))

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spongeknots import serialize
-from spongeknots.polyline import ClosedPolyline3, closed_polyline
+from spongeknots.polyline import ClosedPolyline3
 from spongeknots.squareflake import squareflake
+from oracle import closed_polyline
 
 
 def _stock(value):

@@ -17,17 +17,14 @@ from spongeknots.necklace import (
     Necklace,
     Pearl,
     invert_pearl,
-    invert_point,
     iterate,
-    limit_point,
     make_necklace,
     pearl_inside,
     pearls_by_word,
     pearls_disjoint,
-    summand_ledger,
 )
-from spongeknots.polyline import closed_polyline
 from spongeknots.wildknot import sites
+from oracle import closed_polyline, invert_point, limit_point, summand_ledger
 from test_cli import BUILDS as CLI_BUILDS
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongeknots.polyline import ClosedPolyline3, IntegerForm, PolylineError, closed_polyline
+from spongeknots.polyline import ClosedPolyline3, IntegerForm, PolylineError
 from spongeknots.squareflake import squareflake
+from oracle import closed_polyline
 from test_invariants import fraction_counter
 
 _coordinates = st.builds(F, st.integers(-180, 180), st.integers(1, 60))

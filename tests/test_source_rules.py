@@ -1,5 +1,7 @@
 """Static rules over the package source, read with ``ast``.
 
+The per-module rules hold for the test oracles in ``tests/oracle.py`` too.
+
 * No floating point in any decision: no float literal and no ``float(``
   call, except in the two writers of lossy viewer files.
 * No unused import: every name a module imports is read in it, or listed
@@ -8,7 +10,11 @@
   assignment whose name starts with a single underscore is read somewhere
   in the package, as a name, an attribute or an import.
 * No dead function or class: every module-level function and class is
-  read by its own module or another one, or exported from ``__init__``.
+  read by its own module or another one, or named by the benchmark under
+  ``perfbench/``.  Being exported from ``__init__`` is not being read: a
+  name that only tests use belongs in ``tests/``.  The benchmark names a
+  function by reading it or by listing it as a string, as ``tracer.LAYERS``
+  lists the functions it traces and ``Query.call`` the ones it calls.
 * No ``sys.argv`` outside ``cli.main``, where it is the default ``argv``:
   everything else reads the arguments ``main`` was given.
 * ``functools.cache`` and ``lru_cache`` only decorate functions with no
@@ -27,8 +33,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spongeknots"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spongeknots"
 MODULES = sorted(SRC.glob("*.py"))
+# the modules each per-module rule reads: the package's and the test oracles
+RULED = MODULES + [Path(__file__).resolve().parent / "oracle.py"]
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # (module, function) pairs allowed to hold floats: they write OBJ/PLY text
 FLOAT_WRITERS = {("serialize.py", "polyline_obj"), ("serialize.py", "points_ply")}
@@ -203,11 +213,21 @@ def _functions_and_classes(tree):
     return [(node.lineno, node.name) for node in tree.body if isinstance(node, kinds)]
 
 
-def _unread(trees, definitions):
-    """(module, line, name) of the ``definitions(tree)`` that no module
-    reads, as a name, an attribute or an import (``__init__`` imports what
-    the package exports)."""
-    read = set().union(*map(_reads, trees.values()))
+def _named(tree):
+    """Every name a module reads (``_reads``) or lists as a string that is
+    an identifier."""
+    strings = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier()
+    }
+    return _reads(tree) | strings
+
+
+def _unread(trees, definitions, named=frozenset()):
+    """(module, line, name) of the ``definitions(tree)`` that no module but
+    ``__init__`` reads, as a name, an attribute or an import, and that are
+    not in ``named``.  What ``__init__`` imports, it only exports."""
+    read = set(named).union(*(_reads(tree) for module, tree in trees.items() if module != "__init__.py"))
     return sorted(
         (module, line, name)
         for module, tree in trees.items() for line, name in definitions(tree) if name not in read
@@ -219,32 +239,32 @@ def _unread_privates(trees):
     return _unread(trees, _private_definitions)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULED, ids=lambda p: p.name)
 def test_no_floating_point_outside_viewer_writers(path):
     assert _floats(_tree(path), path.name) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULED, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _unused_imports(_tree(path)) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULED, ids=lambda p: p.name)
 def test_no_sys_argv_outside_main(path):
     assert _argv_reads(_tree(path), path.name) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULED, ids=lambda p: p.name)
 def test_caches_only_on_functions_with_no_parameters(path):
     assert _cache_uses(_tree(path)) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULED, ids=lambda p: p.name)
 def test_json_is_written_and_read_only_in_serialize(path):
     assert _json_calls(_tree(path), path.name) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULED, ids=lambda p: p.name)
 def test_the_only_context_var_is_the_load_memo(path):
     assert _context_vars(_tree(path), path.name) == []
 
@@ -253,8 +273,9 @@ def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
 
-def test_every_function_and_class_is_referenced_or_exported():
-    assert _unread({path.name: _tree(path) for path in MODULES}, _functions_and_classes) == []
+def test_every_function_and_class_is_read_in_the_package_or_named_by_the_benchmark():
+    named = set().union(*(_named(_tree(path)) for path in BENCH))
+    assert _unread({path.name: _tree(path) for path in MODULES}, _functions_and_classes, named) == []
 
 
 def test_rules_see_what_they_forbid():
@@ -268,12 +289,19 @@ def test_rules_see_what_they_forbid():
     dead = ast.parse("_LIMIT = 3\n\ndef _dead(x):\n    return x\n\ndef _used(x):\n    return x + _LIMIT\n")
     user = ast.parse("from a import _used\n__all__ = []\n")
     assert _unread_privates({"a.py": dead, "b.py": user}) == [("a.py", 3, "_dead")]
-    public = ast.parse("def kept(u):\n    return u\n\ndef left(u):\n    return u\n\nclass Shown:\n    pass\n")
-    init = ast.parse("from .a import kept\n")
+    public = ast.parse(
+        "def kept(u):\n    return u\n\ndef left(u):\n    return u\n\nclass Shown:\n    pass\n\n"
+        "def traced(u):\n    return u\n"
+    )
+    init = ast.parse("from .a import kept, left\n__all__ = ['kept', 'left']\n")
     caller = ast.parse("def f(a):\n    return a.Shown()\n")
-    assert _unread({"a.py": public, "__init__.py": init, "b.py": caller}, _functions_and_classes) == [
-        ("a.py", 4, "left"), ("b.py", 1, "f"),
+    package = {"a.py": public, "__init__.py": init, "b.py": caller}
+    # exported is not read; a benchmark's string or attribute is
+    assert _unread(package, _functions_and_classes) == [
+        ("a.py", 1, "kept"), ("a.py", 4, "left"), ("a.py", 10, "traced"), ("b.py", 1, "f"),
     ]
+    bench = ast.parse("LAYERS = {'a': {'traced': 'a.traced'}}\n\ndef run(b):\n    return b.f()\n")
+    assert _unread(package, _functions_and_classes, _named(bench)) == [("a.py", 1, "kept"), ("a.py", 4, "left")]
     argv = ast.parse("import sys\n\ndef main(argv=None):\n    return argv or sys.argv[1:]\n\nLOG = sys.argv\n")
     assert _argv_reads(argv, "cli.py") == [6]
     assert _argv_reads(argv, "serialize.py") == [4, 6]

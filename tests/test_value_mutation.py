@@ -21,9 +21,9 @@ from spongeknots.cli import main
 from spongeknots.embed import embed_grid
 from spongeknots.grid import catalog
 from spongeknots.necklace import iterate, make_necklace
-from spongeknots.polyline import closed_polyline
 from spongeknots.squareflake import squareflake
 from spongeknots.wildknot import KnotAssignment, approximant
+from oracle import closed_polyline
 
 INTEGERS = (-1, 0, 1, 7, 10**6, 10**9)
 RATIONALS = tuple(serialize.rat(x) for x in (F(0), F(1), F(1, 2), F(-1, 3), F(4, 3), F(1, 1000003)))

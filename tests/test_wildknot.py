@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongeknots import embed, wildknot
-from spongeknots.embed import embed_grid, embed_into_box, embed_into_cube, verify_containment
-from spongeknots.geometry import Cube, axis_form
+from spongeknots.embed import embed_grid, embed_into_box, verify_containment
+from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
-from spongeknots.invariants import determinant, determinant_minor, is_simple, project_generic
-from spongeknots.polyline import closed_polyline
+from spongeknots.invariants import determinant, is_simple, project_generic
 from spongeknots.squareflake import squareflake
 from spongeknots.ternary import AxisSegment
 from spongeknots.wildknot import (
@@ -18,23 +17,32 @@ from spongeknots.wildknot import (
     KnotAssignment,
     SpliceSite,
     approximant,
-    clearance,
     flat_unknot,
-    neighborhood_census,
     sites,
-    splice,
     wild_set_plan,
     _splice_sites,
     _summand_stage,
+)
+from oracle import (
+    axis_form,
+    clearance,
+    closed_polyline,
+    contains_point,
+    determinant_minor,
+    embed_into_cube,
+    interiors_meet,
+    neighborhood_census,
+    segment_endpoints,
+    splice,
 )
 from test_invariants import fraction_counter
 
 
 def test_stage1_sites_match_construction_coordinates():
     [bottom, left, top] = sites(1)
-    assert bottom.T.endpoints() == ((F(7, 9), F(1, 3), 0), (F(8, 9), F(1, 3), 0))
-    assert left.T.endpoints() == ((F(2, 3), F(4, 9), 0), (F(2, 3), F(5, 9), 0))
-    assert top.T.endpoints() == ((F(7, 9), F(2, 3), 0), (F(8, 9), F(2, 3), 0))
+    assert segment_endpoints(bottom.T) == ((F(7, 9), F(1, 3), 0), (F(8, 9), F(1, 3), 0))
+    assert segment_endpoints(left.T) == ((F(2, 3), F(4, 9), 0), (F(2, 3), F(5, 9), 0))
+    assert segment_endpoints(top.T) == ((F(7, 9), F(2, 3), 0), (F(8, 9), F(2, 3), 0))
     assert all(s.cube.side == F(1, 9) for s in (bottom, left, top))
 
 
@@ -47,7 +55,7 @@ def test_stage2_sites_match_construction_coordinates():
         ((F(8, 9), F(22, 27), 0), (F(8, 9), F(23, 27), 0)),
         ((F(25, 27), F(8, 9), 0), (F(26, 27), F(8, 9), 0)),
     ]
-    got = [s.T.endpoints() for s in sites(2)]
+    got = [segment_endpoints(s.T) for s in sites(2)]
     assert got == expected
 
 
@@ -57,7 +65,7 @@ def test_site_counts_and_disjoint_cubes(m):
     assert len(ss) == 3 * 2 ** (m - 1)
     for i in range(len(ss)):
         for j in range(i + 1, len(ss)):
-            assert not ss[i].cube.interior_intersects_cube(ss[j].cube)
+            assert not interiors_meet(ss[i].cube, ss[j].cube)
 
 
 def test_site_cubes_survive_their_stage():
@@ -303,7 +311,7 @@ def _reference_splice(base, site, summand):
         if clo <= chi and not (fax == ax and fixed == T.fixed and T.lo <= clo and chi <= T.hi):
             raise ValueError(f"base meets the splice cube outside T at segment {i}")
     for w in summand.vertices:
-        if not site.cube.contains_point(w):
+        if not contains_point(site.cube, w):
             raise ValueError("summand leaves the splice cube")
     if u == v:
         raise ValueError("degenerate splice mark")
@@ -476,7 +484,7 @@ _BROKEN = {
     "no-mark": lambda site, s: closed_polyline(s.vertices, {}),
     "leaves-cube": lambda site, s: _shifted(s, -site.cube.side / 2),
     "mark-not-a-segment": lambda site, s: closed_polyline(
-        s.vertices, {"splice": (site.T.endpoints()[0], site.T.endpoints()[1])}),
+        s.vertices, {"splice": segment_endpoints(site.T)}),
     # the bottom cube's whole face: it touches the next (left) site cube
     "touches-the-next-cube": lambda site, s: closed_polyline(
         [site.cube.corner, (site.cube.corner[0], site.cube.corner[1] + site.cube.side, 0),
@@ -618,7 +626,7 @@ def test_summand_segments_disjoint_across_sites():
     entries = [e for e in a.ledger if e.spliced]
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            assert not entries[i].cube.interior_intersects_cube(entries[j].cube)
+            assert not interiors_meet(entries[i].cube, entries[j].cube)
 
 
 def test_wild_set_plan_single_target():
