@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -121,7 +120,7 @@ def _emit(args, name: str, json_text: str, obj_text: str | None, results: checks
         f"{name}.report.json": serialize.dump_json(report),
         f"{name}.log": f"{stamp} {' '.join(args.argv)}\n",  # the sidecar: timestamps go only here
     }
-    out = path = Path(args.out or os.environ.get("SPONGEKNOTS_OUT", "out"))
+    out = path = Path(args.out or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
         for fname, text in files.items():

@@ -349,6 +349,11 @@ class KnotAssignment:
     entries: dict = field(default_factory=dict)  # (stage, index) -> (name, mirror)
     default: str = TRIVIAL
 
+    def __post_init__(self):
+        for name in (self.default, *(knot for knot, _ in self.entries.values())):
+            if name != TRIVIAL and name not in KNOT_DETERMINANTS:
+                raise ValueError(f"unknown catalog knot: {reprlib.repr(name)} (have {sorted(KNOT_DETERMINANTS)})")
+
     def get(self, stage: int, index: int):
         return self.entries.get((stage, index), (self.default, False))
 

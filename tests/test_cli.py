@@ -87,17 +87,17 @@ def test_predicate_expands_each_coordinate_once(monkeypatch, capsys):
 
 
 def test_predicate_reads_each_stage_once(monkeypatch, capsys):
-    # a member and a non-member: one read of the coordinates' stage-k cells
+    # a member and a non-member: one read of each coordinate's stage-k cells
     # gives the verdict and its witness or refutation
     reads = []
-    stage_options = ternary._stage_options
-    monkeypatch.setattr(ternary, "_stage_options", lambda coords, k: reads.append(k) or stage_options(coords, k))
+    stage_cells = ternary._stage_cells
+    monkeypatch.setattr(ternary, "_stage_cells", lambda num, den, k: reads.append(k) or stage_cells(num, den, k))
     for coords, verdict in ((["1/4", "1/2", "3/4"], True), (["1/2", "1/2", "1/4"], False)):
         reads.clear()
         assert run(["predicate", "--space", "sponge", "--stage", "5", *coords]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] is verdict and ("witness" in out) == verdict
-        assert reads == [5]
+        assert reads == [5] * 3
 
 
 def _predicate_coordinate(rng):
@@ -661,6 +661,8 @@ MALFORMED = {
     "ledger-trefoil-unspliced": (_stage_2_ledger_text(_factor_moved), "ledger: nontrivial trefoil entry is not spliced"),
     "assignment-integer-default": (_assignment_text(default=5), "default: expected a string, got 5"),
     "assignment-integer-knot": (_assignment_text({"knot": 7}), "knot: expected a string, got 7"),
+    "assignment-unknown-knot": (_assignment_text({"knot": "bogus"}), "unknown catalog knot: 'bogus'"),
+    "assignment-unknown-default": (_assignment_text(default="bogus"), "unknown catalog knot: 'bogus'"),
     "string-vertex": (_square_text("012"), "vertices: expected an array, got '012'"),
     "object-vertex": (_square_text({"0/1": 1, "1/1": 2, "2/3": 3}), "vertices: expected an array, got {"),
     "array-kind": ('{"schema": "v1", "kind": []}', "unknown artifact kind: []"),

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from spongeknots import ternary
 from spongeknots.ternary import (
-    _BAD,
     AxisSegment,
     TernaryExpansion,
     _breaks,
     _digit_bytes,
     _index_of_digits,
     _first_bad,
-    _stage_scan,
     _walk,
     expansions,
     in_cantor,
@@ -39,6 +37,7 @@ from spongeknots.ternary import (
 from oracle import cantor_endpoints, expansion_value, oracle_profile, subdivision_oracle
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=3**6)
+SPACE_DIMS = [("cantor", 1), ("carpet_face", 2), ("sponge", 3), ("carpet2", 3)]
 
 
 def test_ternary_digits_examples():
@@ -335,7 +334,32 @@ def test_segment_matches_oracle_on_random_segments_at_stage_3(space):
     assert verdicts == {True, False}
 
 
-# --- the digit walk against the cell enumeration it replaced ------------------
+# --- the rule on words against the digit-tuple table and the combo scan ------
+
+# space -> the digit tuples that remove a cell wherever they occur at one
+# position: the removal rule as a table, scanned position by position
+_BAD = {
+    space: frozenset(ds for ds in product(range(3), repeat=dim) if ds.count(1) >= ones)
+    for space, (dim, ones) in ternary._RULES.items()
+}
+
+
+def _reference_first_violation(prefix_combo, space):
+    """1-based position where digit prefixes break the space rule, or None,
+    one digit tuple at a time."""
+    bad = _BAD[space]
+    for i, ds in enumerate(zip(*prefix_combo), 1):
+        if ds in bad:
+            return i
+    return None
+
+
+def _reference_stage_scan(prefix_options, space):
+    """(combo, first violating position or None) for every tuple of
+    equal-length digit prefixes, one from each axis's options."""
+    for combo in product(*prefix_options):
+        yield combo, _reference_first_violation(combo, space)
+
 
 def _digits_of_index(i, k):
     """The k base-3 digits of i, most significant first, one division each:
@@ -347,6 +371,56 @@ def _digits_of_index(i, k):
     return tuple(reversed(ds))
 
 
+def _reference_stage_cells(x, k):
+    """The digits of every closed stage-k cell [i, i + 1] / 3**k holding x,
+    the cell of x's terminating digits first."""
+    i = floor(x * 3**k)
+    return tuple(_digits_of_index(j, k) for j in (i, i - 1) if 0 <= j < 3**k and j <= x * 3**k <= j + 1)
+
+
+def _with_exponent(e):
+    """Values num / 3**e in (0, 1) in lowest terms."""
+    return st.tuples(st.integers(0, 3 ** (e - 1) - 1), st.sampled_from((1, 2))).map(
+        lambda qr: F(3 * qr[0] + qr[1], 3**e)
+    )
+
+
+_non_triadic = st.fractions(min_value=0, max_value=1, max_denominator=500).filter(
+    lambda x: ternary.triadic_exponent(x.denominator) is None
+)
+# 0 and 1; grid values num / 3**e with e below, at and above k; and values
+# that are on no grid
+stage_reference_cases = st.tuples(st.sampled_from(SPACE_DIMS), st.integers(min_value=0, max_value=8)).flatmap(
+    lambda sdk: st.tuples(
+        st.just(sdk[0][0]),
+        st.just(sdk[1]),
+        st.lists(
+            st.one_of(st.sampled_from((F(0), F(1))), st.integers(1, sdk[1] + 3).flatmap(_with_exponent), _non_triadic),
+            min_size=sdk[0][1], max_size=sdk[0][1],
+        ).map(tuple),
+    )
+)
+
+
+@given(stage_reference_cases)
+@settings(max_examples=300)
+def test_stage_verdicts_from_best_cells_match_the_scan_of_every_combo(case):
+    # every cell of every coordinate, every combo of them through the digit
+    # table: the point is in at stage k when some combo breaks no rule, and
+    # its profile holds through the deepest first violation less 1
+    space, k, point = case
+    cells = [_reference_stage_cells(c, k) for c in point]
+    assert [ternary._stage_cells(c.numerator, c.denominator, k) for c in point] == [
+        tuple(map(bytes, cs)) for cs in cells
+    ]
+    assert [ternary_digits(c, k) for c in point] == cells
+    found = list(_reference_stage_scan(cells, space))
+    assert [ternary._first_violation(list(map(bytes, combo)), space) for combo, _ in found] == [t for _, t in found]
+    assert membership_stage(point, k, space) == any(t is None for _, t in found)
+    deepest = max(k if t is None else t - 1 for _, t in found)
+    assert stage_profile(point, k, space) == [j <= deepest for j in range(k + 1)]
+
+
 def _reference_segment_in_stage(seg, k, space):
     """Every running cell the segment meets with positive length, each
     through the stage scan: the enumeration the digit walk replaced."""
@@ -355,7 +429,7 @@ def _reference_segment_in_stage(seg, k, space):
     options.insert(seg.axis, None)
     for i in range(floor(seg.lo * scale), ceil(seg.hi * scale)):
         options[seg.axis] = (_digits_of_index(i, k),)
-        if all(t is not None for _, t in _stage_scan(options, space)):
+        if all(t is not None for _, t in _reference_stage_scan(options, space)):
             return False
     return True
 
@@ -574,7 +648,6 @@ def _reference_expansions(x):
     return (high, TernaryExpansion(tuple(head[:-1] + [head[-1] - 1]), (2,)))
 
 
-SPACE_DIMS = [("cantor", 1), ("carpet_face", 2), ("sponge", 3), ("carpet2", 3)]
 ORACLE_DEPTH = 12
 
 
@@ -786,7 +859,7 @@ def test_refutation_cells_match_the_digit_sum_formula(case):
         assert [lo for lo, _ in c.cell] == [F(_digit_sum([_digit(e, i) for i in range(1, t + 1)]), 3**t) for e in combo]
     k = max(c.stage for c in cells)
     _, cells = stage_certificate(point, k, space)[1]
-    found = [(combo, t) for combo, t in _stage_scan([ternary_digits(c, k) for c in point], space)]
+    found = list(_reference_stage_scan([ternary_digits(c, k) for c in point], space))
     assert [c.stage for c in cells] == [t for _, t in found]
     for (combo, t), c in zip(found, cells):
         assert [lo for lo, _ in c.cell] == [F(_digit_sum(p[:t]), 3**t) for p in combo]
@@ -909,10 +982,12 @@ def test_satisfying_expansions_checks_the_point_like_membership():
 @pytest.fixture
 def point_work(monkeypatch):
     """Counts of the work a point predicate does: denominators split,
-    TernaryExpansion objects made, ``expansions`` calls and stage scans."""
-    work = {"split": [], "expansions_made": 0, "expansions_calls": 0, "scans": 0}
-    split_three, post_init, stage_scan, expand = (
-        ternary._split_three, TernaryExpansion.__post_init__, ternary._stage_scan, ternary.expansions,
+    TernaryExpansion objects made, ``expansions`` calls, stage-k digit
+    reads and stage combos scanned."""
+    work = {"split": [], "expansions_made": 0, "expansions_calls": 0, "digit_reads": 0, "scans": 0}
+    split_three, post_init, stage_digits, first_violation, expand = (
+        ternary._split_three, TernaryExpansion.__post_init__, ternary._stage_digits, ternary._first_violation,
+        ternary.expansions,
     )
 
     def made(self):
@@ -923,14 +998,19 @@ def point_work(monkeypatch):
         work["expansions_calls"] += 1
         return expand(x)
 
-    def scanned(options, space):
+    def read(*args):
+        work["digit_reads"] += 1
+        return stage_digits(*args)
+
+    def scanned(combo, space):
         work["scans"] += 1
-        return stage_scan(options, space)
+        return first_violation(combo, space)
 
     monkeypatch.setattr(ternary, "_split_three", lambda den: work["split"].append(den) or split_three(den))
     monkeypatch.setattr(TernaryExpansion, "__post_init__", made)
     monkeypatch.setattr(ternary, "expansions", called)
-    monkeypatch.setattr(ternary, "_stage_scan", scanned)
+    monkeypatch.setattr(ternary, "_stage_digits", read)
+    monkeypatch.setattr(ternary, "_first_violation", scanned)
     return work
 
 
@@ -972,11 +1052,13 @@ def test_stage_queries_with_enough_one_free_cells_run_no_scan(point_work):
     # 2/9 = 0.02 and 1/4 = 0.0202... have 1-free cells at every stage; 1/2 = 0.111... has none
     point = (F(2, 9), F(1, 2), F(1, 4))
     assert membership_stage(point, 6, "sponge") and stage_profile(point, 6, "sponge") == [True] * 7
-    assert point_work["scans"] == 0
+    # a non-member is decided from the same one read of each coordinate:
+    # no combo of cells is scanned for either verdict
     assert not membership_stage((F(1, 2), F(1, 2), F(1, 4)), 6, "sponge")
-    assert point_work["scans"] == 1
+    assert point_work["scans"] == 0 and point_work["digit_reads"] == 3 * 3
     # the witness is still the first combo of the scan, as tuples of digits
     assert stage_certificate(point, 3, "sponge")[0] == ((0, 2, 0), (1, 1, 1), (0, 2, 0))
+    assert point_work["scans"] == 1
 
 
 def _one_free_cell_coordinate(k):
@@ -1033,8 +1115,10 @@ def _stage_corpus_coordinate(rng, k):
 
 
 def test_stage_corpus_reaches_the_early_accept_the_scan_and_non_members():
-    # the early accept (enough 1-free cells), members found only by the
-    # scan, and non-members, in every space where the rule allows each
+    # members with enough 1-free best cells (``_FREE_ENOUGH``, which settle
+    # a point whatever the other coordinates hold), members whose best cells
+    # hold 1s that no rule position shares, and non-members, in every space
+    # where the rule allows each
     rng = random.Random(0x57A6E)
     seen = {space: set() for space, _ in SPACE_DIMS}
     for _ in range(200):
@@ -1044,7 +1128,8 @@ def test_stage_corpus_reaches_the_early_accept_the_scan_and_non_members():
             verdict = subdivision_oracle(point, k, space)
             assert membership_stage(point, k, space) == (stage_certificate(point, k, space)[0] is not None) == verdict
             assert stage_profile(point, k, space) == oracle_profile(point, k, space)
-            _, free = ternary._stage_options(point, k)
+            free = sum(ternary._stage_digits(c.numerator, c.denominator, ternary.triadic_exponent(c.denominator), k)[2]
+                       for c in point)
             seen[space].add("early" if free >= ternary._FREE_ENOUGH[space] else "scan" if verdict else "out")
     # one coordinate's cells hold a 1 exactly where the Cantor rule removes them
     assert seen.pop("cantor") == {"early", "out"}
