@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import sys
 
-from .embed import verify_containment
 from .geometry import running_axis
 from .grid import KNOT_DETERMINANTS, catalog, validate
 from .invariants import determinant, diagram_from_grid, is_simple, project, project_generic
 from .necklace import pearl_inside, pearls_by_word, pearls_disjoint
-from .squareflake import replaced_count
-from .ternary import triadic_exponent
+from .squareflake import middle_thirds, replaced_count
+from .ternary import triadic_exponent, verify_containment
 
 
 class CheckList:
@@ -84,15 +83,37 @@ def grid(g) -> CheckList:
     return checks
 
 
+def _detours(s) -> bool:
+    """Record i of ``s.replaced`` is the i-th stage-m detour: its removed
+    segment runs along y on x = 1, z = 0, over the i-th of
+    ``middle_thirds(m)``, (a, b) over 3**m, and its path is (1, b, 0),
+    (d, b, 0), (d, a, 0), (1, a, 0) with d = 1 - 3**-m.  The values 1, 0
+    and d are read from record 0 and checked on integers; every other
+    value must equal one of them, an identity test where the records
+    share their Fractions, as a build's and a load's do."""
+    scale = 3**s.m
+    (one, zero), path = s.replaced[0][0].fixed, s.replaced[0][1]
+    d = path[1][0] if len(path) == 4 else zero
+    if not (one == 1 and zero == 0 and d.numerator == scale - 1 and d.denominator == scale):
+        return False
+    return all(
+        seg.axis == 1 and seg.fixed == (one, zero)
+        and seg.lo.numerator * scale == a * seg.lo.denominator and seg.hi.numerator * scale == b * seg.hi.denominator
+        and path == ((one, seg.hi, zero), (d, seg.hi, zero), (d, seg.lo, zero), (one, seg.lo, zero))
+        for (seg, path), (a, b) in zip(s.replaced, middle_thirds(s.m))
+    )
+
+
 def squareflake(s) -> CheckList:
     checks = CheckList()
     checks.add("simplicity", is_simple(s.polyline))
     checks.add("containment", all(verify_containment(s.polyline, s.m)), f"stage {s.m}")
     # a count of b bits cannot equal 2**(m-1) or 4 * 2**m once m > b:
-    # decided without forming the power for a huge stored m
+    # decided without forming the power for a huge stored m, whose records
+    # are read only once their count holds
     if s.m >= 1:
         count = len(s.replaced)
-        checks.add("replaced-count", s.m <= count.bit_length() and count == replaced_count(s.m))
+        checks.add("replaced-count", s.m <= count.bit_length() and count == replaced_count(s.m) and _detours(s))
     count = len(s.polyline)
     checks.add("vertex-count", s.m <= count.bit_length() and count == 4 + 4 * (2**s.m - 1))
     return checks

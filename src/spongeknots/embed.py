@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
-from . import ternary
-from .geometry import ZERO, Cube, Point3, running_axis
+from .geometry import ZERO, Cube, Point3
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3, IntegerForm
-from .ternary import (
-    _FREE_ENOUGH, AxisSegment, _range_kept, _stage_digits, _words, cantor_numerators,
-    check_segment_space, in_sponge_stage, segment_in_stage, triadic_exponent,
-)
+from .ternary import cantor_numerators, in_sponge_stage, triadic_exponent
 
 
 def stage_for(n: int) -> int:
@@ -74,7 +69,7 @@ _ORIENTATIONS = {
 }
 
 
-def _place(unit: ClosedPolyline3, cube: Cube, orientation: str) -> ClosedPolyline3:
+def place(unit: ClosedPolyline3, cube: Cube, orientation: str) -> ClosedPolyline3:
     """The unit-cube curve ``unit`` carried into ``cube``, its edge (x=0,
     z=0) onto the cube edge ``orientation`` names, by one integer affine
     map per coordinate: the int point p over the unit's scale goes to the
@@ -135,76 +130,4 @@ def embed_into_box(
     # unit column 1 spans the two row heights that use column 1
     heights = [report.endpoints[row - 1] for row, (a, b) in enumerate(d.pairs, start=1) if 1 in (a, b)]
     unit.marks.update(splice=((ZERO, min(heights), ZERO), (ZERO, max(heights), ZERO)), stage=report.stage)
-    return _place(unit, Cube(corner, side), orientation)
-
-
-# running axis -> the fixed axes, in axis order
-_FIXED_AXES = ((1, 2), (0, 2), (0, 1))
-
-
-def verify_containment(poly: ClosedPolyline3, stage: int, space: str = "sponge"):
-    """Per-segment exact containment verdicts at the given stage.
-
-    An oblique segment, or one leaving the unit cube, is not contained.
-    An unknown space or a negative stage is a ValueError before any
-    segment is read.  Each segment's axis, the order of its ends and the
-    unit-cube test are read from the curve's integer form.
-
-    Each distinct coordinate value c / scale is reduced once, to num / den.
-    Every segment whose fixed values are triadic is decided at one stage,
-    k = min(stage, J) with 3**J the power of 3 in the scale: no exponent of
-    a value exceeds J, and past its fixed values' exponents no stage
-    removes more of a segment (``segment_in_stage``), so k gives each the
-    verdict of its own stage.  Each triadic value's digits are split once,
-    at k (``_stage_digits``), and the value settles when its best cell has
-    no digit 1.  A segment with ``_FREE_ENOUGH`` settled fixed values is
-    inside, and no digit of its ends is read.  For any other, the words of
-    its values are made once per value from the same splits, and
-    ``_range_kept`` decides it on integers.  A segment with a non-triadic
-    fixed value goes to ``segment_in_stage``, which decides it at its own
-    settled stage, so that one far value holds back no other segment.
-    """
-    check_segment_space(space)
-    if stage < 0:
-        raise ValueError("stage must be >= 0")
-    scale, points = poly.integer_form
-    values = set(chain.from_iterable(points))
-    k = min(stage, ternary._split_three(scale)[0])
-    exponents, digits, settled, other = {}, {}, set(), {}
-    for c in values:
-        if 0 <= c <= scale:
-            g = gcd(c, scale)
-            num, den = c // g, scale // g
-            try:
-                e = exponents[den]
-            except KeyError:
-                e = exponents[den] = triadic_exponent(den)
-            if e is None:
-                other[c] = num, den
-                continue
-            digits[c] = split = _stage_digits(num, den, e, k)
-            if split[2]:
-                settled.add(c)
-    ones = ((1 << 8 * k) - 1) // 255
-    words = {}
-    in_cube = 0 <= min(values) and max(values) <= scale  # then so is every segment
-    enough = _FREE_ENOUGH[space]
-    verdicts = []
-    for a, b in zip(points, points[1:] + points[:1]):
-        ax = running_axis(a, b)
-        inside = ax is not None and (in_cube or min(a) >= 0 and max(a) <= scale and 0 <= b[ax] <= scale)
-        if inside:
-            i, j = _FIXED_AXES[ax]
-            if (a[i] in settled) + (a[j] in settled) < enough:
-                u, v = a[i], a[j]
-                lo, hi = (a[ax], b[ax]) if a[ax] < b[ax] else (b[ax], a[ax])
-                if u in digits and v in digits:
-                    for c in (u, v, lo, hi):
-                        if c not in words:
-                            words[c] = _words(digits.get(c) or _stage_digits(*other[c], None, k), ones)
-                    inside = _range_kept(space, words[u][2], words[v][2], words[lo][0], words[hi][1])
-                else:
-                    ends = Fraction(u, scale), Fraction(v, scale), Fraction(lo, scale), Fraction(hi, scale)
-                    inside = segment_in_stage(AxisSegment(ax, ends[:2], *ends[2:]), stage, space)
-        verdicts.append(inside)
-    return tuple(verdicts)
+    return place(unit, Cube(corner, side), orientation)

@@ -74,6 +74,10 @@ def running_axis(a, b):
     return differs.index(True) if differs.count(True) == 1 else None
 
 
+# running axis -> the fixed axes, in axis order
+FIXED_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 def box_meet(box1, box2):
     """Intersection (lo, hi) of two closed axis-aligned boxes, or None.
 

@@ -31,7 +31,7 @@ def replaced_count(m: int) -> int:
     return 2 ** (m - 1)
 
 
-def _middle_thirds(q: int) -> list[tuple[int, int]]:
+def middle_thirds(q: int) -> list[tuple[int, int]]:
     """The middle thirds the stage-q detours remove, as numerators over
     3**q, ascending: one per stage-(q-1) Cantor interval."""
     return [(3 * lo + 1, 3 * lo + 2) for lo in cantor_numerators(q - 1)[::2]]
@@ -53,7 +53,7 @@ def squareflake(m: int) -> SquareflakeStage:
     stage = []  # detours of stage q, ascending
     for q in range(1, m + 1):
         unit = 3 ** (m - q)
-        stage = [(a * unit, b * unit, scale - unit) for a, b in _middle_thirds(q)]
+        stage = [(a * unit, b * unit, scale - unit) for a, b in middle_thirds(q)]
         # one stage-q detour in each gap the earlier detours leave on the edge
         edge = [d for pair in zip(stage[::-1], edge) for d in pair] + stage[:1]
     points = (

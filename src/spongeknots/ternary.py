@@ -23,11 +23,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from operator import and_, or_
 
-from .geometry import frac
+from .geometry import FIXED_AXES, frac, running_axis
 
 SPACES = ("cantor", "carpet_face", "sponge", "carpet2")
 
@@ -580,12 +580,13 @@ def _order_of_3(d: int, limit: int):
     return n
 
 
-def _settled_stage(coords, stage: int) -> int:
+def _settled_stage(dens, stage: int) -> int:
     """A stage K past which the containment verdict of no segment between
-    points with these coordinates changes, or ``stage`` when K is not less.
+    points whose coordinates have these denominators changes, or ``stage``
+    when K is not less.
 
-    Write each coordinate's denominator as 3**j * d with d prime to 3.
-    Every expansion of the coordinate repeats with period ord_d(3) from
+    Write each denominator as 3**j * d with d prime to 3.  Every
+    expansion of a coordinate over it repeats with period ord_d(3) from
     digit j, so with P the largest j and L the lcm of the orders, the
     digits of all coordinates repeat with period L from digit P; K is
     P + 7L.  A segment leaves the stage-k sponge exactly when some stage-k
@@ -603,7 +604,7 @@ def _settled_stage(coords, stage: int) -> int:
     z = 0, y in [0, 1/13] has P = 0 and L = 3 and first fails at stage 4.
     """
     p, l = 0, 1
-    for den in {c.denominator for c in coords}:
+    for den in set(dens):
         j, d = _split_three(den)
         p = max(p, j)
         n = _order_of_3(d, max(stage - p, 0) // 7 + 1)
@@ -711,35 +712,85 @@ def _range_kept(space: str, a: int, b: int, low: int, high: int) -> bool:
 def segment_in_stage(seg: AxisSegment, k: int, space: str = "sponge") -> bool:
     """Exact: does every point of the segment lie in the stage-k prefractal?
 
-    Decided at the segment's settled stage when that is less than k.  When
-    both fixed coordinates are triadic, it is the larger of their
-    exponents E: past digit E neither has a 1 digit in either expansion,
-    and both spaces need two 1s at one position to remove a cell, so no
-    later stage removes more of the segment.  Otherwise it is
-    ``_settled_stage`` of the segment's four coordinates.
+    The one-segment case of ``verify_containment``: the segment's four
+    values as integers over the lcm of their denominators.
+    """
+    scale = lcm(seg.lo.denominator, seg.hi.denominator, *(c.denominator for c in seg.fixed))
+    fixed = tuple(c.numerator * (scale // c.denominator) for c in seg.fixed)
+    a, b = (fixed[:seg.axis] + (c.numerator * (scale // c.denominator),) + fixed[seg.axis:] for c in (seg.lo, seg.hi))
+    return _contained(scale, (a, b), ((a, b),), k, space)[0]
+
+
+def verify_containment(poly, stage: int, space: str = "sponge"):
+    """Per-segment exact containment verdicts at the given stage.
+
+    An oblique segment, or one leaving the unit cube, is not contained.
+    An unknown space or a negative stage is a ValueError before any
+    segment is read.  Each segment's axis, the order of its ends and the
+    unit-cube test are read from the curve's integer form.
+    """
+    scale, points = poly.integer_form
+    return _contained(scale, points, zip(points, points[1:] + points[:1]), stage, space)
+
+
+def _contained(scale: int, points, segments, stage: int, space: str) -> tuple[bool, ...]:
+    """The verdict of each segment (a, b) of ``segments``, whose ends are
+    among ``points``, integer points over ``scale``.
+
+    Each distinct value c / scale is reduced once, to num / den.  A segment
+    whose fixed values are triadic is decided at k = min(stage, J), 3**J
+    the power of 3 in the scale: both spaces need two 1s at one position
+    to remove a cell, and past the fixed values' exponents neither has a 1
+    in either expansion, so no later stage removes more of the segment.
+    Each triadic value is split once, at k (``_stage_digits``), and settles
+    when its best cell has no 1: a segment with ``_FREE_ENOUGH`` settled
+    fixed values is inside.  Any other is decided by ``_range_kept`` on
+    words made once per value.  A segment with a non-triadic fixed value
+    is decided at its own ``_settled_stage``, from digits split for it
+    alone, so that one far value holds back no other segment.
     """
     check_segment_space(space)
-    if k < 0:
+    if stage < 0:
         raise ValueError("stage must be >= 0")
-    exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
-    if None in exponents:
-        settled = _settled_stage((*seg.fixed, seg.lo, seg.hi), k)
-    else:
-        settled = max(exponents)
-    return _walk(seg, min(k, settled), space)
-
-
-def _walk(seg: AxisSegment, k: int, space: str) -> bool:
-    """Whether the segment lies in the stage-k prefractal, decided at k itself.
-
-    The segment meets running cells of the 3**k grid with positive length
-    from the lowest cell holding lo (lo < 1) to the highest holding hi
-    (hi > 0); ``_range_kept`` decides them from the best cells of the fixed
-    coordinates.  Each of the four coordinates is split into digits once.
-    """
+    values = set(chain.from_iterable(points))
+    k = min(stage, _split_three(scale)[0])
+    exponents, digits, settled = {}, {}, set()
+    for c in values:
+        if 0 <= c <= scale:
+            g = gcd(c, scale)
+            num, den = c // g, scale // g
+            try:
+                e = exponents[den]
+            except KeyError:
+                e = exponents[den] = triadic_exponent(den)
+            if e is not None:
+                digits[c] = split = _stage_digits(num, den, e, k)
+                if split[2]:
+                    settled.add(c)
     ones = ((1 << 8 * k) - 1) // 255
-    (_, _, a), (_, _, b), (low, _, _), (_, high, _) = (
-        _words(_stage_digits(c.numerator, c.denominator, triadic_exponent(c.denominator), k), ones)
-        for c in (*seg.fixed, seg.lo, seg.hi)
-    )
-    return _range_kept(space, a, b, low, high)
+    words = {}
+    in_cube = 0 <= min(values) and max(values) <= scale  # then so is every segment
+    enough = _FREE_ENOUGH[space]
+    verdicts = []
+    for a, b in segments:
+        ax = running_axis(a, b)
+        inside = ax is not None and (in_cube or min(a) >= 0 and max(a) <= scale and 0 <= b[ax] <= scale)
+        if inside:
+            i, j = FIXED_AXES[ax]
+            if (a[i] in settled) + (a[j] in settled) < enough:
+                u, v = a[i], a[j]
+                lo, hi = (a[ax], b[ax]) if a[ax] < b[ax] else (b[ax], a[ax])
+                if u in digits and v in digits:
+                    for c in (u, v, lo, hi):
+                        if c not in words:
+                            words[c] = _words(digits.get(c) or _stage_digits(c, scale, None, k), ones)
+                    inside = _range_kept(space, words[u][2], words[v][2], words[lo][0], words[hi][1])
+                else:
+                    ends = [(c // g, scale // g) for c in (u, v, lo, hi) for g in (gcd(c, scale),)]
+                    at = _settled_stage([den for _, den in ends], stage)
+                    mask = ((1 << 8 * at) - 1) // 255
+                    (_, _, x), (_, _, y), (low, _, _), (_, high, _) = (
+                        _words(_stage_digits(num, den, exponents[den], at), mask) for num, den in ends)
+                    inside = _range_kept(space, x, y, low, high)
+        verdicts.append(inside)
+    return tuple(verdicts)

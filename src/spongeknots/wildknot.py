@@ -17,11 +17,11 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .embed import _FIXED_AXES, _place, check_surviving_cube, embed_into_box, stage_for
-from .geometry import ZERO, Cube, frac, running_axis
+from .embed import check_surviving_cube, embed_into_box, place, stage_for
+from .geometry import FIXED_AXES, ZERO, Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3, IntegerForm
-from .squareflake import _middle_thirds, squareflake
+from .squareflake import middle_thirds, squareflake
 from .ternary import AxisSegment, in_cantor, stage_certificate
 
 
@@ -42,7 +42,7 @@ def sites(m: int) -> list[SpliceSite]:
         raise ValueError("m must be >= 1")
     scale = 3 ** (m + 1)
     # per detour: y1, y1 + s, y1 + 2s = y2 - s and y2, for s = 1/scale
-    rows = [(3 * a, 3 * a + 1, 3 * a + 2, 3 * b) for a, b in _middle_thirds(m)]
+    rows = [(3 * a, 3 * a + 1, 3 * a + 2, 3 * b) for a, b in middle_thirds(m)]
     value = {c: Fraction(c, scale) for c in {1, scale - 3, scale - 2, scale - 1}.union(*rows)}
     s, edge_x, x_lo, x_hi = (value[c] for c in (1, scale - 3, scale - 2, scale - 1))
     out = []
@@ -88,7 +88,7 @@ def _cube_meets(cubes, lines):
         columns = defaultdict(list)  # (axis, cell, cell) -> [(first cell along axis, cube)]
         for j in members:
             cells = [range(a // h, b // h + 1) for a, b in zip(*cubes[j])]
-            for ax, (o1, o2) in enumerate(_FIXED_AXES):
+            for ax, (o1, o2) in enumerate(FIXED_AXES):
                 for c1 in cells[o1]:
                     for c2 in cells[o2]:
                         columns[ax, c1, c2].append((cells[ax][0], j))
@@ -98,7 +98,7 @@ def _cube_meets(cubes, lines):
             column = columns.get((ax, f1 // h, f2 // h))
             if column is None:
                 continue
-            o1, o2 = _FIXED_AXES[ax]
+            o1, o2 = FIXED_AXES[ax]
             for lo, hi, i in line:
                 start = bisect_left(column, (lo // h - 1,))
                 stop = bisect_right(column, (hi // h, len(cubes)))
@@ -174,7 +174,7 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     for i, (a, b) in enumerate(ends):
         ax = axes[i] = running_axis(a, b)
         if ax is not None:
-            fixed = fixeds[i] = tuple(a[k] for k in _FIXED_AXES[ax])
+            fixed = fixeds[i] = tuple(a[k] for k in FIXED_AXES[ax])
             lines[ax, fixed].append((min(a[ax], b[ax]), max(a[ax], b[ax]), i))
     reach = {}  # per line: running maximum of hi over its entries sorted by lo
     for line_key, line in lines.items():
@@ -214,7 +214,7 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         T = site.T
         ax = T.axis
         for p in (u, v):
-            if tuple(p[i] for i in _FIXED_AXES[ax]) != T.fixed:
+            if tuple(p[i] for i in FIXED_AXES[ax]) != T.fixed:
                 raise ValueError("splice mark is not on the site segment")
             if not (T.lo <= p[ax] <= T.hi):
                 raise ValueError("splice mark leaves the site segment")
@@ -331,7 +331,7 @@ def flat_unknot(site: SpliceSite) -> ClosedPolyline3:
     """
     if site.kind not in ("bottom", "left", "top"):
         raise ValueError(f"unknown site kind {site.kind!r}")
-    return _place(_FLAT_QUAD, site.cube, site.orientation)
+    return place(_FLAT_QUAD, site.cube, site.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
                 if unit is None:
                     unit = units[name, mirror, k] = embed_into_box(g, (ZERO,) * 3, Fraction(1), "y-edge", k)
                 check_surviving_cube(site.cube)
-                pairs.append((site, _place(unit, site.cube, site.orientation)))
+                pairs.append((site, place(unit, site.cube, site.orientation)))
                 top_stage = max(top_stage, site.stage + 1 + k)
             elif include_trivial:
                 pairs.append((site, flat_unknot(site)))

@@ -11,7 +11,7 @@ from collections import defaultdict
 from fractions import Fraction as F
 from itertools import islice
 
-from spongeknots.embed import embed_grid, embed_into_box, stage_for, verify_containment
+from spongeknots.embed import embed_grid, embed_into_box, stage_for
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.invariants import (
@@ -34,6 +34,7 @@ from spongeknots.ternary import (
     in_sponge,
     segment_in_stage,
     stage_profile,
+    verify_containment,
 )
 from spongeknots.wildknot import (
     KnotAssignment,

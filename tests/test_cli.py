@@ -709,6 +709,36 @@ def test_verify_uncontainable_curve_fails_containment(tmp_path, capsys, make):
     assert "error:" not in captured.err
 
 
+def _moved_detour_point():
+    data = serialize.squareflake_json(squareflake(2))
+    data["replaced"][0]["path"][0] = ["0/1", "0/1", "0/1"]
+    return data
+
+
+def _moved_removed_end():
+    data = serialize.squareflake_json(squareflake(2))
+    data["replaced"][0]["removed"]["lo"] = "0/1"
+    return data
+
+
+def _cut_detour_path():
+    data = serialize.squareflake_json(squareflake(2))
+    del data["replaced"][0]["path"][1:]
+    return data
+
+
+@pytest.mark.parametrize("make", [_moved_detour_point, _moved_removed_end, _cut_detour_path],
+                         ids=["path", "removed-lo", "path-cut"])
+def test_verify_squareflake_record_off_its_detour_fails_replaced_count(tmp_path, capsys, make):
+    # the count still holds and the curve is untouched: only the record is wrong
+    f = tmp_path / "squareflake.json"
+    f.write_text(serialize.dump_json(make()))
+    assert run(["verify", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "simplicity: PASS", "containment: PASS (stage 2)", "replaced-count: FAIL", "vertex-count: PASS",
+    ]
+
+
 def test_predicate_segment_without_stage_is_usage_error(capsys):
     # the line through the centre cube: removed at stage 1, in the cube at
     # stage 0, so a missing stage must not be read as 0

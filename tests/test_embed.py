@@ -12,14 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spongeknots import checks, embed, serialize, ternary
+from spongeknots import checks, serialize, ternary
 
-from spongeknots.embed import (
-    embed_grid,
-    embed_into_box,
-    stage_for,
-    verify_containment,
-)
+from spongeknots.embed import embed_grid, embed_into_box, stage_for
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
@@ -31,7 +26,7 @@ from spongeknots.invariants import (
 )
 from spongeknots.squareflake import squareflake
 from spongeknots.ternary import (
-    AxisSegment, cantor_numerators, segment_in_stage, triadic_exponent,
+    AxisSegment, cantor_numerators, segment_in_stage, triadic_exponent, verify_containment,
 )
 from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
 from oracle import (
@@ -39,7 +34,7 @@ from oracle import (
     segment_from_endpoints,
 )
 from test_invariants import crossing_points, fraction_counter, generic_views
-from test_ternary import _reference_segment_in_stage
+from test_ternary import _reference_segment_in_stage, _walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -241,7 +236,7 @@ def test_containment_past_the_grid_stage_is_containment_at_it(space):
         seg = AxisSegment(rng.randrange(3), (F(rng.randrange(3**e + 1), 3**e), F(rng.randrange(3**e + 1), 3**e)),
                           F(lo, 3**e), F(hi, 3**e))
         verdict = segment_in_stage(seg, e, space)
-        assert all(ternary._walk(seg, k, space) == verdict for k in range(e + 1, e + 5))
+        assert all(_walk(seg, k, space) == verdict for k in range(e + 1, e + 5))
 
 
 @pytest.mark.parametrize("stage", range(1, 8))
@@ -285,19 +280,19 @@ def test_containment_past_the_settled_stage_is_containment_at_it(seg, space):
     # segment_in_stage decides at the segment's own settled stage, never
     # past cap, and the walk at k itself: they agree at every k exactly
     # when the verdict has settled by then
-    cap = ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9)
-    assert all(segment_in_stage(seg, k, space) == ternary._walk(seg, k, space) for k in range(3 * cap + 1))
+    cap = ternary._settled_stage([c.denominator for c in (*seg.fixed, seg.lo, seg.hi)], 10**9)
+    assert all(segment_in_stage(seg, k, space) == _walk(seg, k, space) for k in range(3 * cap + 1))
 
 
 def test_one_period_past_the_preperiod_does_not_settle_containment():
     seg = AxisSegment(1, (F(9, 26), F(0)), F(0), F(1, 13))  # preperiod 0, period 3
     assert [segment_in_stage(seg, k) for k in range(6)] == [True] * 4 + [False] * 2
-    assert ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), 10**9) == 21
+    assert ternary._settled_stage([c.denominator for c in (*seg.fixed, seg.lo, seg.hi)], 10**9) == 21
 
 
 def test_containment_of_a_non_triadic_curve_is_decided_at_its_settled_stage():
     square = [(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)]
-    assert ternary._settled_stage((c for v in closed_polyline(square).vertices for c in v), 10**5) == 7
+    assert ternary._settled_stage((c.denominator for v in closed_polyline(square).vertices for c in v), 10**5) == 7
     for stage in (1, 7, 10, 10**5):
         name, ok, detail = checks.polyline(closed_polyline(square, {"sponge_stage": stage})).results[0]
         assert (name, ok, detail) == ("containment", False, f"stage {stage}")
@@ -306,10 +301,12 @@ def test_containment_of_a_non_triadic_curve_is_decided_at_its_settled_stage():
 # --- containment of whole curves against the loop it replaced ----------------
 
 def _walk_stage(seg, stage):
-    """The stage segment_in_stage decides the segment at, asked for ``stage``."""
+    """A stage, at most ``stage``, at which the segment has its verdict of
+    ``stage``: the larger exponent of its fixed values when both are
+    triadic, else its settled stage."""
     exponents = [triadic_exponent(c.denominator) for c in seg.fixed]
     if None in exponents:
-        return min(stage, ternary._settled_stage((*seg.fixed, seg.lo, seg.hi), stage))
+        return min(stage, ternary._settled_stage([c.denominator for c in (*seg.fixed, seg.lo, seg.hi)], stage))
     return min(stage, max(exponents))
 
 
@@ -387,6 +384,24 @@ def test_containment_off_the_triadic_grid_matches_the_reference(space):
     assert verdicts == {True, False}
 
 
+def test_containment_off_the_triadic_grid_builds_no_fraction_and_no_segment(monkeypatch):
+    # a segment with a non-triadic fixed value is decided in the pass, on
+    # integers, at its own settled stage
+    quarters = closed_polyline([(F(1, 4), 0, F(1, 4)), (F(1, 4), 1, F(1, 4)), (F(3, 4), 1, F(1, 4)),
+                                (F(3, 4), F(1, 13), F(1, 4)), (F(3, 4), F(1, 13), F(9, 26)),
+                                (F(3, 4), 0, F(9, 26))])
+    made = []
+    post_init = AxisSegment.__post_init__
+    monkeypatch.setattr(AxisSegment, "__post_init__", lambda seg: made.append(seg) or post_init(seg))
+    built = fraction_counter(monkeypatch)
+    verdicts = set()
+    for space in ("sponge", "carpet2"):
+        for stage in (*range(6), 10**6):
+            verdicts |= set(verify_containment(quarters, stage, space))
+    assert verdicts == {True, False}
+    assert built == made == []
+
+
 # --- one memo of digits per containment pass ----------------------------------
 
 # few values, so that a walk repeats them: triadic, not triadic, and off the cube
@@ -442,7 +457,7 @@ def test_one_pass_splits_each_value_at_each_stage_at_most_twice(benchmark_curves
 
 @pytest.mark.parametrize("space", ["nonsense", "cantor", "carpet_face"])
 def test_containment_checks_the_space_before_any_segment(space):
-    # no segment of the oblique curve reaches segment_in_stage, and every
+    # no segment of the oblique curve reaches the range test, and every
     # segment of squareflake(3) settles before it, so only a check up
     # front sees the space
     oblique = closed_polyline([(0, 0, 0), (1, 1, 0), (1, 0, 1)])
@@ -454,8 +469,8 @@ def test_containment_checks_the_space_before_any_segment(space):
 def _walk_counter(monkeypatch):
     """A list of the calls the pass makes of the range test while the patch holds."""
     walked = []
-    range_kept = embed._range_kept
-    monkeypatch.setattr(embed, "_range_kept", lambda *a: walked.append(a) or range_kept(*a))
+    range_kept = ternary._range_kept
+    monkeypatch.setattr(ternary, "_range_kept", lambda *a: walked.append(a) or range_kept(*a))
     return walked
 
 

@@ -9,6 +9,10 @@ The per-module rules hold for the test oracles in ``tests/oracle.py`` too.
 * No unread private name: every module-level function, class or
   assignment whose name starts with a single underscore is read somewhere
   in the package, as a name, an attribute or an import.
+* No module of the package imports, or reads as an attribute, a name
+  of another package module that starts with a single underscore: what
+  one module shares with another is public.  This rule is the package's
+  only; the test oracles read the package's private names by design.
 * No dead function or class: every module-level function and class is
   read by its own module or another one, or named by the benchmark under
   ``perfbench/``.  Being exported from ``__init__`` is not being read: a
@@ -191,7 +195,28 @@ def _private_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(t.lineno, t.id) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
-    return [(line, name) for line, name in found if name.startswith("_") and not name.startswith("__")]
+    return [(line, name) for line, name in found if _private(name)]
+
+
+def _private(name) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_privates(tree):
+    """(line, name) of every private name a module imports from another
+    package module, or reads as an attribute of one it imported."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "spongeknots"):
+            if node.module in (None, "spongeknots"):
+                modules |= {alias.asname or alias.name for alias in node.names}
+            found += [(node.lineno, alias.name) for alias in node.names if _private(alias.name)]
+    found += [
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        and _private(node.attr)
+    ]
+    return sorted(found)
 
 
 def _reads(tree):
@@ -269,6 +294,11 @@ def test_the_only_context_var_is_the_load_memo(path):
     assert _context_vars(_tree(path), path.name) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_name(path):
+    assert _foreign_privates(_tree(path)) == []
+
+
 def test_no_unread_private_name():
     assert _unread_privates({path.name: _tree(path) for path in MODULES}) == []
 
@@ -289,6 +319,12 @@ def test_rules_see_what_they_forbid():
     dead = ast.parse("_LIMIT = 3\n\ndef _dead(x):\n    return x\n\ndef _used(x):\n    return x + _LIMIT\n")
     user = ast.parse("from a import _used\n__all__ = []\n")
     assert _unread_privates({"a.py": dead, "b.py": user}) == [("a.py", 3, "_dead")]
+    foreign = ast.parse(
+        "from __future__ import annotations\nfrom . import ternary\nfrom spongeknots import embed as e\n"
+        "from .geometry import _AXES, FIXED\n\n"
+        "def f(x, _own):\n    return ternary._walk(x) + e._place(x) + ternary.walk(x) + x._own + ternary.__name__\n"
+    )
+    assert _foreign_privates(foreign) == [(4, "_AXES"), (7, "_place"), (7, "_walk")]
     public = ast.parse(
         "def kept(u):\n    return u\n\ndef left(u):\n    return u\n\nclass Shown:\n    pass\n\n"
         "def traced(u):\n    return u\n"

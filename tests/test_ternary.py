@@ -15,7 +15,6 @@ from spongeknots.ternary import (
     _digit_bytes,
     _index_of_digits,
     _first_bad,
-    _walk,
     expansions,
     in_cantor,
     in_cantor_stage,
@@ -432,6 +431,18 @@ def _reference_segment_in_stage(seg, k, space):
         if all(t is not None for _, t in _reference_stage_scan(options, space)):
             return False
     return True
+
+
+def _walk(seg, k, space):
+    """Whether the segment lies in the stage-k prefractal, decided at k
+    itself: the range test on the words of the best cells of its fixed
+    coordinates, the lowest cell holding lo and the highest holding hi."""
+    ones, split = ((1 << 8 * k) - 1) // 255, ternary._stage_digits
+    (_, _, a), (_, _, b), (low, _, _), (_, high, _) = (
+        ternary._words(split(c.numerator, c.denominator, ternary.triadic_exponent(c.denominator), k), ones)
+        for c in (*seg.fixed, seg.lo, seg.hi)
+    )
+    return ternary._range_kept(space, a, b, low, high)
 
 
 def test_the_two_cells_of_a_grid_value_hold_nested_ones():

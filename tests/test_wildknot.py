@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongeknots import embed, wildknot
-from spongeknots.embed import embed_grid, embed_into_box, verify_containment
+from spongeknots import wildknot
+from spongeknots.embed import embed_grid, embed_into_box, place
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.invariants import determinant, is_simple, project_generic
 from spongeknots.squareflake import squareflake
-from spongeknots.ternary import AxisSegment
+from spongeknots.ternary import AxisSegment, verify_containment
 from spongeknots.wildknot import (
     TRIVIAL,
     KnotAssignment,
@@ -401,7 +401,7 @@ def test_placed_summand_is_the_unit_summand_oriented_into_the_cube(orientation, 
     g = catalog(knot)
     unit = embed_into_box(g, (F(0),) * 3, F(1), "y-edge", _summand_stage(g.n))
     site = SpliceSite(1, 1, "custom", AxisSegment(0, (F(0), F(0)), F(0), F(1)), Cube(corner, side), orientation)
-    placed = embed._place(unit, site.cube, site.orientation)
+    placed = place(unit, site.cube, site.orientation)
     assert placed.vertices == tuple(_reference_orient(v, site.cube, orientation) for v in unit.vertices)
     assert placed.marks["splice"] == tuple(sorted(
         _reference_orient(v, site.cube, orientation) for v in unit.marks["splice"]))
