@@ -9,13 +9,15 @@ default derived from the artifact or left out with the checks it feeds.
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 
 from .geometry import running_axis
-from .grid import KNOT_DETERMINANTS, catalog, validate
+from .grid import KNOT_DETERMINANTS, catalog
 from .invariants import determinant, diagram_from_grid, is_simple, project, project_generic
 from .necklace import pearl_inside, pearls_by_word, pearls_disjoint
 from .squareflake import middle_thirds, replaced_count
 from .ternary import triadic_exponent, verify_containment
+from .wildknot import sites, sponge_stage_of_ledger
 
 
 class CheckList:
@@ -76,13 +78,6 @@ def polyline(poly, knot=None) -> CheckList:
     return checks
 
 
-def grid(g) -> CheckList:
-    checks = CheckList()
-    v = validate(g)
-    checks.add("grid-valid", v is None, "" if v is None else str(v))
-    return checks
-
-
 def _detours(s) -> bool:
     """Record i of ``s.replaced`` is the i-th stage-m detour: its removed
     segment runs along y on x = 1, z = 0, over the i-th of
@@ -120,24 +115,24 @@ def squareflake(s) -> CheckList:
 
 
 def approximant(a, det: bool = False) -> CheckList:
-    """The determinant is checked when ``det`` is set or at most 9 summands
-    are spliced.  A curve that is not simple has no knot type, so its
-    determinant is skipped."""
+    """``containment`` also needs the stored sponge stage to be the one the
+    ledger gives (``sponge_stage_of_ledger``).  The determinant is checked
+    when ``det`` is set or at most 9 summands are spliced.  A curve that is
+    not simple has no knot type, so its determinant is skipped."""
     checks = CheckList()
     simple = is_simple(a.polyline)
     checks.add("simplicity", simple)
     stage = a.sponge_stage
-    checks.add("containment", all(verify_containment(a.polyline, stage)), f"stage {stage}")
-    # the ledger holds each site of stages 1..m once: 3 * (2**m - 1) distinct
-    # (stage, index) pairs, stage q indexing 1..3 * 2**(q-1).  A length of
-    # b bits cannot equal that count once m > b: decided without forming
-    # the power for a huge stored m
+    contained = all(verify_containment(a.polyline, stage)) and stage == sponge_stage_of_ledger(a.m, a.ledger)
+    checks.add("containment", contained, f"stage {stage}")
+    # the ledger, in (stage, index) order, is the sites of stages 1..m:
+    # 3 * (2**m - 1) entries.  A length of b bits cannot equal that count
+    # once m > b, so the count is decided without forming the power, and
+    # no site is built, for a huge stored m
     count = len(a.ledger)
-    pairs = {(e.stage, e.index) for e in a.ledger}
-    counts_ok = (
-        1 <= a.m <= count.bit_length() and count == len(pairs) == 3 * (2**a.m - 1)
-        and all(1 <= q <= a.m and 1 <= i <= 3 * 2 ** (q - 1) for q, i in pairs)
-    )
+    counts_ok = 1 <= a.m <= count.bit_length() and count == 3 * (2**a.m - 1) and [
+        (e.stage, e.index, e.kind, e.cube) for e in sorted(a.ledger, key=attrgetter("stage", "index"))
+    ] == [(s.stage, s.index, s.kind, s.cube) for q in range(1, a.m + 1) for s in sites(q)]
     checks.add("ledger-counts", counts_ok)
     if simple and (det or a.spliced_count() <= 9):
         d, direction = project_generic(a.polyline)
@@ -214,7 +209,6 @@ def necklace(base, iterated=None) -> CheckList:
 # artifact kind -> suite of the object serialize.load_artifact returns
 SUITES = {
     "polyline": polyline,
-    "grid": grid,
     "squareflake": squareflake,
     "approximant": approximant,
     "assignment": assignment,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from .geometry import ZERO, Cube, Point3
+from .geometry import FIXED_AXES, Cube
 from .grid import GridDiagram, validate, walk_points
 from .polyline import ClosedPolyline3, IntegerForm
-from .ternary import cantor_numerators, in_sponge_stage, triadic_exponent
+from .ternary import cantor_numerators, in_sponge_cell, triadic_exponent
 
 
 def stage_for(n: int) -> int:
@@ -34,7 +34,11 @@ class EmbeddingReport:
     """Where an embedding lives; its claims are checked by ``checks.polyline``."""
 
     stage: int
-    endpoints: tuple[Fraction, ...]
+    levels: tuple[int, ...]  # grid level v at levels[v - 1] / 3**stage
+
+    @property
+    def endpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, 3**self.stage) for c in self.levels)
 
 
 def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, EmbeddingReport]:
@@ -56,7 +60,7 @@ def embed_grid(d: GridDiagram, k: int | None = None) -> tuple[ClosedPolyline3, E
         x, y = levels[col - 1], levels[row - 1]
         verts += ((x, y, 0), (x, y, top)) if m % 2 == 0 else ((x, y, top), (x, y, 0))
     poly = ClosedPolyline3(IntegerForm(top, tuple(verts)))
-    return poly, EmbeddingReport(k, tuple(Fraction(c, top) for c in levels))
+    return poly, EmbeddingReport(k, tuple(levels))
 
 
 # orientation -> for each cube axis, the unit axis it carries and whether
@@ -69,65 +73,57 @@ _ORIENTATIONS = {
 }
 
 
+def cube_edge(cube: Cube, orientation: str):
+    """(axis, fixed, lo, hi): the edge of ``cube`` that ``orientation`` puts
+    the unit edge (x=0, z=0) on, in ints over ``cube.scale``: along
+    ``axis`` from lo to hi, its other coordinates ``fixed`` in axis order."""
+    maps = _ORIENTATIONS[orientation]
+    axis = [src for src, _ in maps].index(1)
+    fixed = tuple(cube.corner[i] + cube.side * maps[i][1] for i in FIXED_AXES[axis])
+    return axis, fixed, cube.corner[axis], cube.corner[axis] + cube.side
+
+
 def place(unit: ClosedPolyline3, cube: Cube, orientation: str) -> ClosedPolyline3:
     """The unit-cube curve ``unit`` carried into ``cube``, its edge (x=0,
-    z=0) onto the cube edge ``orientation`` names, by one integer affine
-    map per coordinate: the int point p over the unit's scale goes to the
-    coordinates ``(off + mul * p[src]) / den``.  The marks go with it, the
-    Fraction ends of its splice mark carried by the same maps and sorted;
-    each of their coordinates is one Fraction of two integers."""
+    z=0) onto ``cube_edge(cube, orientation)``, by one integer affine map
+    per coordinate: the int point p over the unit's scale goes to the
+    coordinates ``(off + mul * p[src]) / (cube.scale * scale)``.  The
+    vertex order is kept, so the marks, a splice mark's segment index
+    among them, go with the curve unchanged."""
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     scale, points = unit.integer_form
-    den = lcm(cube.side.denominator, *(c.denominator for c in cube.corner))
-    side = cube.side.numerator * (den // cube.side.denominator)
-    maps = []
-    for c, (src, flip) in zip(cube.corner, _ORIENTATIONS[orientation]):
-        off = c.numerator * (den // c.denominator) * scale
-        maps.append((src, -side, off + side * scale) if flip else (src, side, off))
-    den *= scale
-    marks = dict(unit.marks)
-    if "splice" in marks:
-        marks["splice"] = tuple(sorted(
-            tuple(Fraction(off * p[src].denominator + mul * scale * p[src].numerator, den * p[src].denominator)
-                  for src, mul, off in maps)
-            for p in marks["splice"]))
+    maps = [(src, -cube.side, (c + cube.side) * scale) if flip else (src, cube.side, c * scale)
+            for c, (src, flip) in zip(cube.corner, _ORIENTATIONS[orientation])]
     placed = tuple(tuple(off + mul * p[src] for src, mul, off in maps) for p in points)
-    return ClosedPolyline3(IntegerForm(den, placed), marks)
-
-
-def sponge_stage_of_cube(q: Cube) -> int:
-    """Stage s with side 3**-s, or raise when the cube is not grid-aligned."""
-    s = triadic_exponent(q.side.denominator) if q.side.numerator == 1 else None
-    if s is None:
-        raise ValueError("cube side must be a power of 1/3")
-    scale = 3**s
-    for c in q.corner:
-        if (c * scale).denominator != 1:
-            raise ValueError("cube corner must lie on the stage grid")
-    return s
+    return ClosedPolyline3(IntegerForm(cube.scale * scale, placed), dict(unit.marks))
 
 
 def check_surviving_cube(q: Cube) -> int:
-    """Stage of q, verifying q survives that sponge stage (center test)."""
-    s = sponge_stage_of_cube(q)
-    cx, cy, cz = q.center()
-    if not in_sponge_stage(cx, cy, cz, s):
-        raise ValueError(f"cube at {q.corner} side {q.side} is removed by stage {s}")
+    """The stage s of a grid cube of side 3**-s, verifying that it survives
+    the stage-s sponge.  Its side is 3**-s exactly when side / scale, over
+    g = gcd(side, scale), is 1 / 3**s; its corner then lies on the grid
+    exactly when g divides it, so, q being reduced, when g is 1."""
+    g = gcd(q.side, q.scale)
+    s = triadic_exponent(q.scale // g) if q.side == g else None
+    if s is None:
+        raise ValueError("cube side must be a power of 1/3")
+    if g != 1:
+        raise ValueError("cube corner must lie on the stage grid")
+    if not in_sponge_cell(q.corner, s):
+        raise ValueError(f"cube at {q.corner} over {q.scale} is removed by stage {s}")
     return s
 
 
-def embed_into_box(
-    d: GridDiagram, corner: Point3, side: Fraction, orientation: str = "y-edge",
-    k: int | None = None,
-) -> ClosedPolyline3:
-    """Similarity copy of the unit embedding inside an arbitrary box.
+def embed_into_box(d: GridDiagram, cube: Cube, orientation: str = "y-edge", k: int | None = None) -> ClosedPolyline3:
+    """Similarity copy of the unit embedding inside an arbitrary cube.
 
-    The straight unknotted run along the unit edge (x=0, z=0) maps onto the
-    box edge selected by ``orientation`` and is exposed as marks["splice"].
+    The straight unknotted run along the unit edge (x=0, z=0), grid column
+    1 on the front face, maps onto the cube edge selected by
+    ``orientation``; marks["splice"] is its index in the vertex cycle.
     """
     unit, report = embed_grid(d, k)
-    # unit column 1 spans the two row heights that use column 1
-    heights = [report.endpoints[row - 1] for row, (a, b) in enumerate(d.pairs, start=1) if 1 in (a, b)]
-    unit.marks.update(splice=((ZERO, min(heights), ZERO), (ZERO, max(heights), ZERO)), stage=report.stage)
-    return place(unit, Cube(corner, side), orientation)
+    points = unit.integer_form.points
+    t = next(t for t, (a, b) in enumerate(zip(points, points[1:] + points[:1])) if a[0] == b[0] == a[2] == b[2] == 0)
+    unit.marks.update(splice=t, stage=report.stage)
+    return place(unit, cube, orientation)

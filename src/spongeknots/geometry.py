@@ -1,6 +1,8 @@
-"""Exact rational geometry primitives shared by the whole package.
+"""Exact geometry primitives shared by the whole package.
 
-Points are plain tuples of ``fractions.Fraction``; every predicate here is
+Points given as rationals, such as ``predicate``'s input and the public
+Fraction views, are plain tuples of ``fractions.Fraction``.  A cube, like a
+curve's integer form, is integers over one scale.  Every predicate here is
 decided exactly, never by floating point.
 """
 
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import ne
 
 Point2 = tuple[Fraction, Fraction]
@@ -108,11 +111,19 @@ def point_segment_dist_sq3(p: Point3, a: Point3, b: Point3) -> Fraction:
 
 @dataclass(frozen=True)
 class Cube:
-    """Axis-aligned cube given by its minimal corner and side length."""
+    """Axis-aligned cube with least corner ``corner / scale`` and side
+    ``side / scale``, divided by their gcd like a curve's integer form: the
+    stage-s grid cube at c / 3**s is ``Cube(3**s, c, 1)``."""
 
-    corner: Point3
-    side: Fraction
+    scale: int
+    corner: tuple[int, int, int]
+    side: int
 
-    def center(self) -> Point3:
-        h = self.side / 2
-        return (self.corner[0] + h, self.corner[1] + h, self.corner[2] + h)
+    def __post_init__(self):
+        if self.scale < 1:
+            raise ValueError("scale must be >= 1")
+        g = gcd(self.scale, self.side, *self.corner)  # a TypeError unless all are ints
+        if g != 1:
+            object.__setattr__(self, "scale", self.scale // g)
+            object.__setattr__(self, "corner", tuple(c // g for c in self.corner))
+            object.__setattr__(self, "side", self.side // g)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from math import gcd, lcm
@@ -34,7 +35,6 @@ from operator import attrgetter as attr
 from operator import itemgetter as item
 
 from .geometry import Cube, frac
-from .grid import GridDiagram
 from .invariants import determinant, project, tricolorings
 from .necklace import Necklace, Pearl
 from .polyline import ClosedPolyline3, IntegerForm
@@ -52,6 +52,12 @@ _ABSENT = object()  # a field the JSON object leaves out
 def rat(x) -> str:
     f = frac(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _ratio(c: int, scale: int) -> str:
+    """``rat`` of c / scale, formed on ints."""
+    g = gcd(c, scale)
+    return f"{c // g}/{scale // g}"
 
 
 def _expect(value, types, what):
@@ -166,7 +172,19 @@ SEGMENT = record(AxisSegment, [
     ("hi", attr("hi"), RATIONAL),
 ])
 
-CUBE = record(Cube, [("corner", attr("corner"), POINT), ("side", attr("side"), RATIONAL)])
+
+def _cube(corner, side) -> Cube:
+    """The cube of a rational corner and side, on ints over the lcm of their denominators."""
+    (x, dx), (y, dy), (z, dz), (s, ds) = map(Fraction.as_integer_ratio, (*corner, side))
+    scale = lcm(dx, dy, dz, ds)
+    return Cube(scale, (x * (scale // dx), y * (scale // dy), z * (scale // dz)), s * (scale // ds))
+
+
+# written from the cube's ints as ``POINT`` and ``RATIONAL`` write its values
+CUBE = record(_cube, [
+    ("corner", lambda q: [_ratio(c, q.scale) for c in q.corner], (_same, POINT[1])),
+    ("side", lambda q: _ratio(q.side, q.scale), (_same, RATIONAL[1])),
+])
 
 LEDGER_ENTRY = record(LedgerEntry, [
     ("stage", attr("stage"), INTEGER),
@@ -208,10 +226,7 @@ def _write_integer_points(form):
     """The points of an integer form (scale, points) as ``POINTS`` writes
     them, each distinct coordinate c once: c / scale in lowest terms."""
     scale, points = form
-    text = {}
-    for c in {c for p in points for c in p}:
-        g = gcd(c, scale)
-        text[c] = f"{c // g}/{scale // g}"
+    text = {c: _ratio(c, scale) for c in {c for p in points for c in p}}
     return [[text[c] for c in p] for p in points]
 
 
@@ -257,11 +272,6 @@ POLYLINE = record(ClosedPolyline3, [
     ("marks", attr("marks"), MARKS),
 ], "polyline")
 
-GRID = record(GridDiagram, [
-    ("n", attr("n"), INTEGER),
-    ("pairs", attr("pairs"), array(array(INTEGER, 2))),
-], "grid")
-
 SQUAREFLAKE = record(SquareflakeStage, [
     ("m", attr("m"), INTEGER),
     ("polyline", attr("polyline"), POLYLINE),
@@ -301,8 +311,8 @@ NECKLACE = record(_necklaces, [
     ("iterated", item(1), optional(GENERATION)),
 ], "necklace")
 
-KINDS = {"polyline": POLYLINE, "grid": GRID, "squareflake": SQUAREFLAKE, "approximant": APPROXIMANT,
-         "assignment": ASSIGNMENT, "necklace": NECKLACE}
+KINDS = {"polyline": POLYLINE, "squareflake": SQUAREFLAKE, "approximant": APPROXIMANT, "assignment": ASSIGNMENT,
+         "necklace": NECKLACE}
 
 polyline_json = POLYLINE[0]
 segment_json = SEGMENT[0]

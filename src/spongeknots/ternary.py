@@ -516,6 +516,14 @@ def in_sponge_stage(x, y, z, k: int) -> bool:
     return membership_stage((x, y, z), k, "sponge")
 
 
+def in_sponge_cell(corner, k: int) -> bool:
+    """Whether the stage-k sponge keeps the closed stage-k cell with least
+    corner ``corner`` / 3**k, ints: a cell of the unit cube whose corner's
+    digits break no rule."""
+    top = 3**k
+    return all(0 <= c < top for c in corner) and _first_violation([_digit_bytes(c, k) for c in corner], "sponge") is None
+
+
 def in_carpet2(x, y, z) -> bool:
     """(x, y, z) lies in the two-dimensional carpet in the cube (26-of-27 rule)."""
     return membership((x, y, z), "carpet2")

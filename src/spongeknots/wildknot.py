@@ -13,16 +13,15 @@ import reprlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .embed import check_surviving_cube, embed_into_box, place, stage_for
-from .geometry import FIXED_AXES, ZERO, Cube, frac, running_axis
+from .embed import check_surviving_cube, cube_edge, embed_into_box, place
+from .geometry import FIXED_AXES, Cube, frac, running_axis
 from .grid import KNOT_DETERMINANTS, catalog
 from .polyline import ClosedPolyline3, IntegerForm
 from .squareflake import middle_thirds, squareflake
-from .ternary import AxisSegment, in_cantor, stage_certificate
+from .ternary import in_cantor, stage_certificate
 
 
 @dataclass(frozen=True)
@@ -30,31 +29,25 @@ class SpliceSite:
     stage: int
     index: int  # 1-based within the stage
     kind: str  # "bottom" | "left" | "top"
-    T: AxisSegment
     cube: Cube
-    orientation: str  # cube-embedding orientation exposing the splice edge on T
+    orientation: str  # names the cube edge the site lies on, ``embed.cube_edge``
 
 
 def sites(m: int) -> list[SpliceSite]:
     """Splice sites of stage m: three per detour square, 3 * 2^(m-1) total,
-    placed on integers over 3**(m+1) with one Fraction per distinct value."""
+    each a stage-(m+1) grid cube, on ints over 3**(m+1) from the detours'
+    middle thirds (a, a + 1) / 3**m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     scale = 3 ** (m + 1)
-    # per detour: y1, y1 + s, y1 + 2s = y2 - s and y2, for s = 1/scale
-    rows = [(3 * a, 3 * a + 1, 3 * a + 2, 3 * b) for a, b in middle_thirds(m)]
-    value = {c: Fraction(c, scale) for c in {1, scale - 3, scale - 2, scale - 1}.union(*rows)}
-    s, edge_x, x_lo, x_hi = (value[c] for c in (1, scale - 3, scale - 2, scale - 1))
     out = []
-    for y1, y1_s, y2_s, y2 in (map(value.__getitem__, row) for row in rows):
+    for a, _ in middle_thirds(m):
+        y = 3 * a
         index = len(out) + 1
         out += [
-            SpliceSite(m, index, "bottom", AxisSegment(0, (y1, ZERO), x_lo, x_hi),
-                       Cube((x_lo, y1, ZERO), s), "x-edge-low"),
-            SpliceSite(m, index + 1, "left", AxisSegment(1, (edge_x, ZERO), y1_s, y2_s),
-                       Cube((edge_x, y1_s, ZERO), s), "y-edge"),
-            SpliceSite(m, index + 2, "top", AxisSegment(0, (y2, ZERO), x_lo, x_hi),
-                       Cube((x_lo, y2_s, ZERO), s), "x-edge-high"),
+            SpliceSite(m, index, "bottom", Cube(scale, (scale - 2, y, 0), 1), "x-edge-low"),
+            SpliceSite(m, index + 1, "left", Cube(scale, (scale - 3, y + 1, 0), 1), "y-edge"),
+            SpliceSite(m, index + 2, "top", Cube(scale, (scale - 2, y + 2, 0), 1), "x-edge-high"),
         ]
     return out
 
@@ -113,49 +106,41 @@ def _cube_meets(cubes, lines):
 def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     """Splice each (site, summand) of ``pairs`` into ``base``, in one pass.
 
-    Each splice is a connected sum along the summand's marked segment.
-    The mark must lie inside site.T, site.T inside one segment of the
-    curve, and the summand must meet the curve only inside site.T; the
-    marked open segment is removed from both curves and the endpoints
-    cross-joined into one closed walk, preserving the base orientation.
+    Each splice is a connected sum along the summand's marked segment,
+    segment ``marks["splice"]`` of its vertex cycle.  The mark must lie
+    inside T, the cube edge the site's orientation names
+    (``embed.cube_edge``), T inside one segment of the curve, and the
+    summand must meet the curve only inside T; the marked open segment is
+    removed from both curves and the endpoints cross-joined into one
+    closed walk, preserving the base orientation.
 
     The curve, or the first ValueError, is the one that splicing the pairs
     one at a time in order gives: each site is checked, rule by rule, in
     the order of the errors below, against the curve the earlier splices
     left, their summand segments included.
 
-    Each curve's integer form, each site and each splice mark is brought
-    to one integer scale, the lcm of their scales and denominators, and
-    the walk and the curve it gives stay on that scale.  Each segment of the base
-    and of every summand is filed once by its line, for carriers, and once
-    under the site cubes it meets (``_cube_meets``).  A segment that takes
-    a summand is cut into pieces, kept as its sorted walk positions
-    (coordinates along its axis, negated when it walks down the axis).
-    Pieces are ordered by keys: a base segment's key is its index; a
-    summand segment's key is its carrier's key, then the splice position
-    along the carrier and its place on the summand's path; a piece adds its
-    first position.  Keys sort the curve in walk order, so the first
-    segment a rule finds is the least key, and the index an error names
-    counts the smaller keys.  The vertex list is assembled, and the
-    polyline validated, once.  O(g (n + s) log(n + s)) for n segments in
-    all, s sites and g distinct cube sides (m of them at stage m).
+    Each curve's integer form and each site cube is brought to one integer
+    scale, the lcm of their scales, and the walk and the curve it gives
+    stay on that scale.  Each segment of the base and of every summand is
+    filed once by its line, for carriers, and once under the site cubes it
+    meets (``_cube_meets``).  A segment that takes a summand is cut into
+    pieces, kept as its sorted walk positions (coordinates along its axis,
+    negated when it walks down the axis).  Pieces are ordered by keys: a
+    base segment's key is its index; a summand segment's key is its
+    carrier's key, then the splice position along the carrier and its place
+    on the summand's path; a piece adds its first position.  Keys sort the
+    curve in walk order, so the first segment a rule finds is the least
+    key, and the index an error names counts the smaller keys.  The vertex
+    list is assembled, and the polyline validated, once.
+    O(g (n + s) log(n + s)) for n segments in all, s sites and g distinct
+    cube sides (m of them at stage m).
     """
     n = len(base)
-    # each curve's integer form, the sites' coordinates and the marks' on one scale
-    dens = {base.integer_form.scale}
-    for site, summand in pairs:
-        T, cube = site.T, site.cube
-        dens.add(summand.integer_form.scale)
-        dens.update(c.denominator for c in (*T.fixed, T.lo, T.hi, *cube.corner, cube.side))
-        dens.update(c.denominator for p in summand.marks.get("splice", ()) for c in p)
-    scale = lcm(*dens)
-    factor = {d: scale // d for d in dens}
-
-    def scaled(coords):
-        return tuple(c.numerator * factor[c.denominator] for c in coords)
+    # each curve's integer form and each site cube on one scale
+    scale = lcm(*{base.integer_form.scale, *(x.scale for pair in pairs for x in (pair[0].cube, pair[1].integer_form))})
 
     def rescaled(poly):
-        f = factor[poly.integer_form.scale]
+        f = scale // poly.integer_form.scale
         return [tuple(c * f for c in p) for p in poly.integer_form.points]
 
     # every segment: the base's, then each summand's in its own order
@@ -180,11 +165,13 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     for line_key, line in lines.items():
         line.sort()
         reach[line_key] = list(accumulate((hi for _, hi, _ in line), max))
-    cubes = []
+    cubes, edges = [], []  # per site: its cube's (least, greatest) corners, and T
     for site, _ in pairs:
-        near = scaled(site.cube.corner)
-        side = site.cube.side.numerator * factor[site.cube.side.denominator]
-        cubes.append((near, tuple(c + side for c in near)))
+        f = scale // site.cube.scale
+        ax, fixed, lo, hi = cube_edge(site.cube, site.orientation)
+        edges.append((ax, tuple(c * f for c in fixed), lo * f, hi * f))
+        near = tuple(c * f for c in site.cube.corner)
+        cubes.append((near, tuple(c + site.cube.side * f for c in near)))
     meets = _cube_meets(cubes, lines)
 
     # the curve so far: live segments, their pieces and keys
@@ -210,16 +197,17 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     for j, (site, summand) in enumerate(pairs):
         if "splice" not in summand.marks:
             raise ValueError("summand carries no splice mark")
-        u, v = summand.marks["splice"]
-        T = site.T
-        ax = T.axis
+        pts = summand_points[j]
+        sn, t = len(pts), summand.marks["splice"]
+        if not 0 <= t < sn:
+            raise ValueError("splice mark is not a segment of the summand")
+        u, v = pts[t], pts[(t + 1) % sn]
+        ax, fixed, t_lo, t_hi = edges[j]
         for p in (u, v):
-            if tuple(p[i] for i in FIXED_AXES[ax]) != T.fixed:
+            if tuple(p[i] for i in FIXED_AXES[ax]) != fixed:
                 raise ValueError("splice mark is not on the site segment")
-            if not (T.lo <= p[ax] <= T.hi):
+            if not (t_lo <= p[ax] <= t_hi):
                 raise ValueError("splice mark leaves the site segment")
-        fixed = scaled(T.fixed)
-        t_lo, t_hi = scaled((T.lo, T.hi))
         # T inside one piece of the curve so far: the first such piece
         carrier = None  # (piece key, segment, piece number)
         line, line_reach = lines.get((ax, fixed), ()), reach.get((ax, fixed), ())
@@ -263,28 +251,18 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
                 for i in range(total) if alive[i] for c in range(0, len(cuts[i]), 2)
             )
             raise ValueError(f"base meets the splice cube outside T at segment {index}")
-        pts = summand_points[j]
         if not all(a <= c <= b for w in pts for a, c, b in zip(near, w, far)):
             raise ValueError("summand leaves the splice cube")
 
-        # orient the mark along the carrier walk direction
-        if u == v:
-            raise ValueError("degenerate splice mark")
         _, i, piece = carrier
         s, cut = signs[i], cuts[i]
         a, b = cut[2 * piece], cut[2 * piece + 1]
         c_lo, c_hi = (a, b) if s > 0 else (-b, -a)
-        u, v = scaled(u), scaled(v)
         if not (c_lo < min(u[ax], v[ax]) and max(u[ax], v[ax]) < c_hi):
             raise ValueError("splice mark touches a base vertex")
-        head, tail = (u, v) if (u[ax] < v[ax]) == (s > 0) else (v, u)
-        # locate the mark segment on the summand
-        sn = len(pts)
-        t = next((t for t in range(sn) if (pts[t], pts[(t + 1) % sn]) in ((head, tail), (tail, head))), None)
-        if t is None:
-            raise ValueError("splice mark is not a segment of the summand")
-        # the summand walked from `head` around to `tail`, cut into the carrier piece
-        backward = pts[t] == head
+        # the summand walked from the mark's end the carrier meets first
+        # around to its other end, cut into the carrier piece
+        backward = (u[ax] < v[ax]) == (s > 0)
         order = [(t - d) % sn for d in range(sn)] if backward else [(t + 1 + d) % sn for d in range(sn)]
         at, to = s * pts[order[0]][ax], s * pts[order[-1]][ax]
         cut[2 * piece + 1:2 * piece + 1] = [at, to]
@@ -316,10 +294,7 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
 
 
 # unit-cube quad whose first side, its mark, runs along the splice edge x = z = 0
-_FLAT_QUAD = ClosedPolyline3(
-    IntegerForm(3, ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0))),
-    {"splice": ((ZERO, ZERO, ZERO), (ZERO, Fraction(1, 3), ZERO)), "stage": 0},
-)
+_FLAT_QUAD = ClosedPolyline3(IntegerForm(3, ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0))), {"splice": 0, "stage": 0})
 
 
 def flat_unknot(site: SpliceSite) -> ClosedPolyline3:
@@ -371,11 +346,8 @@ class KnotAssignment:
 def _summand_stage(n: int) -> int:
     """Cantor stage for spliced summands: strictly more endpoints than levels,
     so the embedded copy stays clear of the far cube faces shared with
-    neighboring site cubes."""
-    k = stage_for(n)
-    if 2 ** (k + 1) == n:
-        k += 1
-    return k
+    neighboring site cubes: the least k with 2**(k+1) > n."""
+    return n.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -422,6 +394,15 @@ class Approximant:
         )
 
 
+def sponge_stage_of_ledger(m: int, ledger) -> int:
+    """The sponge stage of a stage-m approximant with this ledger: the
+    largest of m and q + 1 + k over its nontrivial entries, a stage-q
+    summand of Cantor stage k (``_summand_stage``) in a stage-(q + 1) cube."""
+    knots = {e.knot for e in ledger if e.nontrivial}
+    k = {name: _summand_stage(catalog(name).n) for name in knots}
+    return max([m, *(e.stage + 1 + k[e.knot] for e in ledger if e.nontrivial)])
+
+
 def _resolve_knot(name):
     """(diagram, det) for a knot name of an assignment."""
     if name == TRIVIAL:
@@ -443,7 +424,6 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
     ledger = []
     pairs = []  # (site, summand) in splice order
     units = {}  # (knot, mirror, Cantor stage) -> its embedding in the unit cube
-    top_stage = m
     for q in range(1, m + 1):
         for site in sites(q):
             name, mirror = assign.get(q, site.index)
@@ -455,10 +435,9 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
                 k = _summand_stage(g.n)
                 unit = units.get((name, mirror, k))
                 if unit is None:
-                    unit = units[name, mirror, k] = embed_into_box(g, (ZERO,) * 3, Fraction(1), "y-edge", k)
+                    unit = units[name, mirror, k] = embed_into_box(g, Cube(1, (0, 0, 0), 1), "y-edge", k)
                 check_surviving_cube(site.cube)
                 pairs.append((site, place(unit, site.cube, site.orientation)))
-                top_stage = max(top_stage, site.stage + 1 + k)
             elif include_trivial:
                 pairs.append((site, flat_unknot(site)))
             ledger.append(
@@ -466,7 +445,7 @@ def approximant(assign: KnotAssignment, m: int, include_trivial: bool = False) -
                             site.cube, det)
             )
     poly = _splice_sites(squareflake(m).polyline, pairs)
-    return Approximant(m, poly, tuple(ledger), top_stage)
+    return Approximant(m, poly, tuple(ledger), sponge_stage_of_ledger(m, ledger))
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,16 @@ holds only what a command runs.  The package's source rules
 * ``summand_ledger``, ``neighborhood_census`` and ``clearance`` state the
   necklace and wild-point claims that no report states yet.
 * The rest rebuild, from what the commands run, conveniences the tests
-  use: a curve from rationals, an embedding into a sponge cube, one
-  splice, the Cantor endpoints, and a few cube and segment predicates.
+  use: a curve and a cube from rationals, an embedding into a sponge
+  cube, one splice, a site's edge, the Cantor endpoints, and a few cube
+  and segment predicates.
 """
 
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 
-from spongeknots.embed import check_surviving_cube, embed_into_box
+from spongeknots.embed import check_surviving_cube, cube_edge, embed_into_box
 from spongeknots.geometry import ZERO, Cube, Point3, add3, frac, scale3, sub3
 from spongeknots.invariants import KnotDiagram, _sparse_det, crossing_relations
 from spongeknots.necklace import Necklace, Pearl, invert_pearl
@@ -195,10 +196,11 @@ def summand_ledger(n: int, m: int):
 
 def max_dist_sq(cube: Cube, p: Point3) -> Fraction:
     """Squared distance from p to the farthest point of the cube."""
+    corner, side = cube_rationals(cube)
     total = ZERO
     for i in range(3):
-        lo = cube.corner[i]
-        hi = lo + cube.side
+        lo = corner[i]
+        hi = lo + side
         total += max(abs(p[i] - lo), abs(p[i] - hi)) ** 2
     return total
 
@@ -239,10 +241,32 @@ def closed_polyline(points, marks=None) -> ClosedPolyline3:
     return ClosedPolyline3(IntegerForm(scale, form), dict(marks or {}))
 
 
+def cube_of(corner, side) -> Cube:
+    """The cube of a rational corner and side, each read by ``frac``: the
+    scale is the lcm of their denominators."""
+    values = [frac(c) for c in (*corner, side)]
+    scale = lcm(*{c.denominator for c in values})
+    *near, s = (c.numerator * (scale // c.denominator) for c in values)
+    return Cube(scale, tuple(near), s)
+
+
+def cube_rationals(q: Cube):
+    """(corner, side) of a cube as Fractions."""
+    return tuple(Fraction(c, q.scale) for c in q.corner), Fraction(q.side, q.scale)
+
+
+def site_edge(site) -> AxisSegment:
+    """The site's edge T, the edge of its cube its orientation names, as a
+    segment of Fractions."""
+    ax, fixed, lo, hi = cube_edge(site.cube, site.orientation)
+    s = site.cube.scale
+    return AxisSegment(ax, tuple(Fraction(c, s) for c in fixed), Fraction(lo, s), Fraction(hi, s))
+
+
 def embed_into_cube(d, q: Cube, orientation: str = "y-edge", k: int | None = None) -> ClosedPolyline3:
     """Embed into a surviving sponge cube; containment then holds in M_(s+k)."""
     s = check_surviving_cube(q)
-    poly = embed_into_box(d, q.corner, q.side, orientation, k)
+    poly = embed_into_box(d, q, orientation, k)
     poly.marks["sponge_stage"] = s + poly.marks["stage"]
     return poly
 
@@ -297,13 +321,15 @@ def expansion_value(e: TernaryExpansion) -> Fraction:
 
 
 def contains_point(cube: Cube, p: Point3) -> bool:
-    return all(cube.corner[i] <= p[i] <= cube.corner[i] + cube.side for i in range(3))
+    corner, side = cube_rationals(cube)
+    return all(corner[i] <= p[i] <= corner[i] + side for i in range(3))
 
 
 def interiors_meet(cube: Cube, other: Cube) -> bool:
+    (c, s), (d, t) = cube_rationals(cube), cube_rationals(other)
     for i in range(3):
-        if cube.corner[i] + cube.side <= other.corner[i]:
+        if c[i] + s <= d[i]:
             return False
-        if other.corner[i] + other.side <= cube.corner[i]:
+        if d[i] + t <= c[i]:
             return False
     return True

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 from itertools import islice
 
 from spongeknots.embed import embed_grid, embed_into_box, stage_for
-from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.invariants import (
     determinant,
@@ -30,7 +29,6 @@ from spongeknots.necklace import (
 )
 from spongeknots.squareflake import replaced_count, squareflake
 from spongeknots.ternary import (
-    AxisSegment,
     in_sponge,
     segment_in_stage,
     stage_profile,
@@ -46,12 +44,14 @@ from spongeknots.wildknot import (
 from oracle import (
     clearance,
     closed_polyline,
+    cube_of,
     determinant_minor,
     invert_point,
     neighborhood_census,
     oracle_profile,
     segment_endpoints,
     segment_from_endpoints,
+    site_edge,
     splice,
     summand_ledger,
 )
@@ -175,9 +175,9 @@ def test_criterion_5_wild_knot_approximants():
         ((F(8, 9), F(22, 27), F(0)), (F(8, 9), F(23, 27), F(0))),
         ((F(25, 27), F(8, 9), F(0)), (F(26, 27), F(8, 9), F(0))),
     ]
-    if [segment_endpoints(s.T) for s in sites(1)] != paper_stage1:
+    if [segment_endpoints(site_edge(s)) for s in sites(1)] != paper_stage1:
         _verdict(5, False, "stage-1 sites differ from the construction coordinates")
-    if [segment_endpoints(s.T) for s in sites(2)] != paper_stage2:
+    if [segment_endpoints(site_edge(s)) for s in sites(2)] != paper_stage2:
         _verdict(5, False, "stage-2 sites differ from the construction coordinates")
     a1 = approximant(KnotAssignment.uniform("trefoil", 1), 1)
     a2 = approximant(KnotAssignment.uniform("trefoil", 2), 2)
@@ -281,11 +281,9 @@ def test_criterion_8_invariant_oracle_self_consistency():
 
     def connected_sum(base_name, summand_name):
         base, _ = embed_grid(catalog(base_name))
-        t = AxisSegment(1, (F(0), F(0)), F(1, 9), F(2, 9))
-        site = SpliceSite(0, 0, "custom", t, Cube((F(-1, 9), F(1, 9), F(0)), F(1, 9)), "y-edge-high")
-        summand = embed_into_box(
-            catalog(summand_name), site.cube.corner, site.cube.side, "y-edge-high", k=2
-        )
+        # T: x = z = 0, y in [1/9, 2/9]
+        site = SpliceSite(0, 0, "custom", cube_of((F(-1, 9), F(1, 9), F(0)), F(1, 9)), "y-edge-high")
+        summand = embed_into_box(catalog(summand_name), site.cube, "y-edge-high", k=2)
         return splice(base, site, summand)
 
     tt = connected_sum("trefoil", "trefoil")

@@ -14,12 +14,11 @@ import pytest
 
 from spongeknots import serialize
 from spongeknots.cli import main
-from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.necklace import iterate, make_necklace
 from spongeknots.squareflake import squareflake
 from spongeknots.wildknot import KnotAssignment, approximant
-from oracle import closed_polyline, embed_into_cube
+from oracle import closed_polyline, cube_of, embed_into_cube
 
 # README, Conventions: the JSON type of each field, by its key; an array
 # field's items take the type of the field
@@ -83,8 +82,7 @@ def _square():
 
 
 ARTIFACTS = {
-    "polyline": lambda: serialize.polyline_json(embed_into_cube(catalog("unknot"), Cube((0, 0, 0), F(1, 3)))),
-    "grid": lambda: serialize.GRID[0](catalog("trefoil")),
+    "polyline": lambda: serialize.polyline_json(embed_into_cube(catalog("unknot"), cube_of((0, 0, 0), F(1, 3)))),
     "squareflake": lambda: serialize.squareflake_json(squareflake(1)),
     "approximant": lambda: serialize.approximant_json(approximant(KnotAssignment.all_trivial(1), 1)),
     "assignment": lambda: serialize.assignment_json(KnotAssignment.uniform("trefoil", 1)),
@@ -115,5 +113,5 @@ def test_every_leaf_and_container_of_another_type_is_a_schema_mismatch(tmp_path,
             else:
                 mismatches += 1
                 assert code == 2 and err.startswith("error: schema mismatch: "), (path, new_type, code, err)
-    # every kind but grid and assignment stores rationals
-    assert mismatches and bool(allowed) == (kind not in ("grid", "assignment"))
+    # every kind but assignment stores rationals
+    assert mismatches and bool(allowed) == (kind != "assignment")

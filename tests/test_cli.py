@@ -470,16 +470,60 @@ def _index_99():
     return data
 
 
-@pytest.mark.parametrize("make", [
-    lambda: _wildknot_2(m=1), lambda: _wildknot_2(m=0), lambda: _wildknot_2(m=-1), _extra_stage_3_entry, _index_99,
+@pytest.mark.parametrize("make, failing", [
+    (lambda: _wildknot_2(m=1), ["ledger-counts"]),
+    (lambda: _wildknot_2(m=0), ["ledger-counts"]),
+    (lambda: _wildknot_2(m=-1), ["ledger-counts"]),
+    # the extra nontrivial stage-3 entry also asks for sponge stage 3 + 1 + 2
+    (_extra_stage_3_entry, ["containment", "ledger-counts"]),
+    (_index_99, ["ledger-counts"]),
 ], ids=["m-1", "m-0", "m-minus-1", "stage-3-entry", "index-99"])
-def test_verify_ledger_off_the_sites_of_its_stages_fails_its_counts(tmp_path, capsys, make):
+def test_verify_ledger_off_the_sites_of_its_stages_fails_its_counts(tmp_path, capsys, make, failing):
     # the ledger must hold each site of stages 1..m exactly once
     f = tmp_path / "ledger.json"
     f.write_text(serialize.dump_json(make()))
     assert run(["verify", str(f)]) == 1
     out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == failing
+
+
+def _entry_0(**fields):
+    data = _wildknot_2()
+    data["ledger"][0] = {**data["ledger"][0], **fields}
+    return data
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _entry_0(cube={"corner": ["0/1", "0/1", "0/1"], "side": "1/9"}),
+    lambda: _entry_0(cube={"corner": ["25/27", "1/9", "0/1"], "side": "0/1"}),
+    lambda: _entry_0(site_kind="bogus"),
+    lambda: _entry_0(site_kind="left"),
+], ids=["corner-moved", "side-0", "kind-bogus", "kind-of-another-site"])
+def test_verify_ledger_entry_off_its_site_fails_its_counts(tmp_path, capsys, make):
+    # entry 0 names stage-1 site 1: the bottom cube at (7/9, 1/3, 0), side 1/9
+    f = tmp_path / "ledger.json"
+    f.write_text(serialize.dump_json(make()))
+    assert run(["verify", str(f)]) == 1
+    out = capsys.readouterr().out
     assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == ["ledger-counts"]
+
+
+def test_the_ledger_cube_is_written_as_rationals_and_read_back_to_the_sites_cube():
+    data = _wildknot_2()
+    assert data["ledger"][0]["cube"] == {"corner": ["7/9", "1/3", "0/1"], "side": "1/9"}
+    _, loaded = serialize.load_artifact(serialize.dump_json(data))
+    assert [e.cube for e in loaded.ledger] == [s.cube for q in (1, 2) for s in sites(q)]
+
+
+@pytest.mark.parametrize("stage", [0, 4, 6])
+def test_verify_a_sponge_stage_other_than_the_ledgers_fails_containment(tmp_path, capsys, stage):
+    # uniform m = 2: stage-2 trefoils at Cantor stage 2 in stage-3 cubes ask for 5
+    f = tmp_path / "stage.json"
+    f.write_text(serialize.dump_json(_wildknot_2(sponge_stage=stage)))
+    assert run(["verify", str(f)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"containment: FAIL (stage {stage})" in out
+    assert [line.split(":")[0] for line in out if "FAIL" in line] == ["containment"]
 
 
 def _far_vertex_embed(tmp_path):
@@ -932,17 +976,17 @@ def test_squareflake_8_builds_at_most_one_fraction_per_vertex(tmp_path, capsys, 
 
 
 def test_wild_plan_build_makes_one_fraction_per_site_value(tmp_path, capsys, monkeypatch):
-    # the sites of stage q hold one Fraction per distinct value over
-    # 3**(q+1): four per detour and four shared, one of which (the edge
-    # x = 1 - 3**-q) is also the top of the last detour, 529 for stages
-    # 1..7; the whole stage-7 wild-plan build makes 1,375 (3,026 with
-    # Fraction arithmetic per site)
+    # sites, cubes and splice marks are integers, so the sites of stages
+    # 1..7 make no Fraction (529 when each held one per distinct value),
+    # and the whole stage-7 wild-plan build, its checks and its writes make
+    # only the 2 targets it parses and squareflake's 128 stage-7 detour
+    # records, one per distinct value (853 before, 3,026 with Fraction
+    # arithmetic per site)
     built = fraction_counter(monkeypatch)
     assert sum(len(sites(q)) for q in range(1, 8)) == 381
-    assert len(built) == 529
-    built.clear()
+    assert built == []
     assert run(["build", "wildknot", "--stage", "7", "--targets", "0/1,1/1", "--out", str(tmp_path)]) == 0
-    assert len(built) <= 1375
+    assert len(built) == 2 + 128
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spongeknots import checks, serialize, ternary
 
-from spongeknots.embed import embed_grid, embed_into_box, stage_for
+from spongeknots.embed import check_surviving_cube, embed_grid, embed_into_box, stage_for
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog, catalog_names
 from spongeknots.invariants import (
@@ -30,7 +30,7 @@ from spongeknots.ternary import (
 )
 from spongeknots.wildknot import KnotAssignment, approximant, wild_set_plan
 from oracle import (
-    axis_form, cantor_endpoints, closed_polyline, contains_point, determinant_minor, embed_into_cube,
+    axis_form, cantor_endpoints, closed_polyline, contains_point, cube_of, determinant_minor, embed_into_cube,
     segment_from_endpoints,
 )
 from test_invariants import crossing_points, fraction_counter, generic_views
@@ -157,13 +157,13 @@ def test_determinant_invariant_across_generic_directions():
 def test_embed_into_identity_cube_matches_embed_grid():
     g = catalog("trefoil")
     poly, _ = embed_grid(g)
-    boxed = embed_into_box(g, (F(0), F(0), F(0)), F(1))
+    boxed = embed_into_box(g, cube_of((0, 0, 0), 1))
     assert boxed.vertices == poly.vertices
     assert "splice" in boxed.marks
 
 
 def test_embed_unknot_into_surviving_cube():
-    q = Cube((F(2, 3), F(1, 3), F(0)), F(1, 3))
+    q = cube_of((F(2, 3), F(1, 3), F(0)), F(1, 3))
     poly = embed_into_cube(catalog("unknot"), q)
     assert is_simple(poly)
     assert all(contains_point(q, v) for v in poly.vertices)
@@ -172,7 +172,7 @@ def test_embed_unknot_into_surviving_cube():
 
 
 def test_embed_trefoil_into_stage2_cube():
-    q = Cube((F(7, 9), F(1, 3), F(0)), F(1, 9))
+    q = cube_of((F(7, 9), F(1, 3), F(0)), F(1, 9))
     poly = embed_into_cube(catalog("trefoil"), q)
     assert is_simple(poly)
     stage = poly.marks["sponge_stage"]
@@ -181,18 +181,29 @@ def test_embed_trefoil_into_stage2_cube():
 
 
 def test_embed_into_removed_cube_rejected():
-    center = Cube((F(1, 3), F(1, 3), F(1, 3)), F(1, 3))
+    center = cube_of((F(1, 3), F(1, 3), F(1, 3)), F(1, 3))
     with pytest.raises(ValueError):
         embed_into_cube(catalog("unknot"), center)
-    off_grid = Cube((F(1, 5), F(0), F(0)), F(1, 3))
+    off_grid = cube_of((F(1, 5), F(0), F(0)), F(1, 3))
     with pytest.raises(ValueError):
         embed_into_cube(catalog("unknot"), off_grid)
 
 
+def test_a_cube_is_divided_by_the_gcd_of_its_integers():
+    # the same stage-2 grid cube at (7/9, 1/3, 0), however it is spelled
+    q = Cube(27, (21, 9, 0), 3)
+    assert (q.scale, q.corner, q.side) == (9, (7, 3, 0), 1)
+    assert q == Cube(9, (7, 3, 0), 1) == cube_of((F(7, 9), F(1, 3), 0), F(1, 9))
+    assert check_surviving_cube(q) == 2
+    with pytest.raises(ValueError, match="corner must lie on the stage grid"):
+        check_surviving_cube(Cube(27, (22, 9, 0), 3))
+
+
 def test_mark_lies_on_cube_edge():
-    q = Cube((F(7, 9), F(1, 3), F(0)), F(1, 9))
+    q = cube_of((F(7, 9), F(1, 3), F(0)), F(1, 9))
     poly = embed_into_cube(catalog("trefoil"), q, orientation="x-edge-low")
-    u, v = poly.marks["splice"]
+    t = poly.marks["splice"]
+    u, v = sorted((poly.vertices[t], poly.vertices[(t + 1) % len(poly)]))
     # x-edge-low exposes the low-y edge at the corner z level
     assert u[1] == v[1] == F(1, 3)
     assert u[2] == v[2] == F(0)

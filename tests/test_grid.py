@@ -1,6 +1,5 @@
 import pytest
 
-from spongeknots import serialize
 from spongeknots.grid import (
     GridDiagram,
     catalog,
@@ -91,12 +90,3 @@ def test_mirror_preserves_determinant():
     m = g.mirrored()
     assert validate(m) is None
     assert determinant(diagram_from_grid(m)) == 5
-
-
-def test_json_roundtrip():
-    g = catalog("trefoil")
-    write, read = serialize.GRID
-    text = serialize.dump_json(write(g))
-    assert text.startswith('{\n "schema": "v1",\n "kind": "grid",\n "n": 5,\n "pairs": [')
-    assert read(write(g), {}) == g
-    assert serialize.load_artifact(text) == ("grid", g)

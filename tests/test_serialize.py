@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongeknots import serialize
-from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.polyline import PolylineError
 from spongeknots.squareflake import squareflake
-from oracle import closed_polyline, embed_into_cube
+from oracle import closed_polyline, cube_of, embed_into_cube
 from test_invariants import fraction_counter
 
 RATIONAL = re.compile(r"-?\d+/\d+")
@@ -80,8 +79,8 @@ def test_a_malformed_rational_after_valid_ones_is_reported_as_alone(bad, message
 
 
 def test_reading_a_polyline_makes_no_fraction_beyond_one_parse_per_distinct_string(monkeypatch):
-    # the vertices and the splice mark of an embedding in a sponge cube
-    poly = embed_into_cube(catalog("trefoil"), Cube((F(2, 3), F(1, 3), F(0)), F(1, 3)), "x-edge-high")
+    # the vertices and the integer marks of an embedding in a sponge cube
+    poly = embed_into_cube(catalog("trefoil"), cube_of((F(2, 3), F(1, 3), F(0)), F(1, 3)), "x-edge-high")
     text = serialize.dump_json(serialize.polyline_json(poly))
     strings = set(_strings(json.loads(text)))
     built = fraction_counter(monkeypatch)

@@ -23,6 +23,7 @@ from spongeknots.ternary import (
     in_carpet_face,
     in_carpet_face_stage,
     in_sponge,
+    in_sponge_cell,
     in_sponge_stage,
     limit_certificate,
     membership,
@@ -128,6 +129,16 @@ def test_in_sponge_examples():
     assert in_sponge(F(0), F(0), F(0))
     assert not in_sponge_stage(F(1, 2), F(1, 2), F(1, 2), 1)
     assert in_sponge(F(1, 3), F(2, 3), F(1, 2))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_a_stage_k_cell_is_kept_exactly_when_its_centre_is(k):
+    # a cell one step past the unit cube, on any side, is not kept
+    span = range(-1, 3**k + 1)
+    for corner in product(span, span, span):
+        inside = all(0 <= c < 3**k for c in corner)
+        kept = inside and in_sponge_stage(*(F(2 * c + 1, 2 * 3**k) for c in corner), k)
+        assert in_sponge_cell(corner, k) == kept, corner
 
 
 def test_in_carpet2_examples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongeknots import wildknot
-from spongeknots.embed import embed_grid, embed_into_box, place
+from spongeknots.embed import cube_edge, embed_grid, embed_into_box, place
 from spongeknots.geometry import Cube
 from spongeknots.grid import catalog
 from spongeknots.invariants import determinant, is_simple, project_generic
@@ -19,6 +19,7 @@ from spongeknots.wildknot import (
     approximant,
     flat_unknot,
     sites,
+    sponge_stage_of_ledger,
     wild_set_plan,
     _splice_sites,
     _summand_stage,
@@ -28,11 +29,14 @@ from oracle import (
     clearance,
     closed_polyline,
     contains_point,
+    cube_of,
+    cube_rationals,
     determinant_minor,
     embed_into_cube,
     interiors_meet,
     neighborhood_census,
     segment_endpoints,
+    site_edge,
     splice,
 )
 from test_invariants import fraction_counter
@@ -40,10 +44,10 @@ from test_invariants import fraction_counter
 
 def test_stage1_sites_match_construction_coordinates():
     [bottom, left, top] = sites(1)
-    assert segment_endpoints(bottom.T) == ((F(7, 9), F(1, 3), 0), (F(8, 9), F(1, 3), 0))
-    assert segment_endpoints(left.T) == ((F(2, 3), F(4, 9), 0), (F(2, 3), F(5, 9), 0))
-    assert segment_endpoints(top.T) == ((F(7, 9), F(2, 3), 0), (F(8, 9), F(2, 3), 0))
-    assert all(s.cube.side == F(1, 9) for s in (bottom, left, top))
+    assert segment_endpoints(site_edge(bottom)) == ((F(7, 9), F(1, 3), 0), (F(8, 9), F(1, 3), 0))
+    assert segment_endpoints(site_edge(left)) == ((F(2, 3), F(4, 9), 0), (F(2, 3), F(5, 9), 0))
+    assert segment_endpoints(site_edge(top)) == ((F(7, 9), F(2, 3), 0), (F(8, 9), F(2, 3), 0))
+    assert all(cube_rationals(s.cube)[1] == F(1, 9) for s in (bottom, left, top))
 
 
 def test_stage2_sites_match_construction_coordinates():
@@ -55,7 +59,7 @@ def test_stage2_sites_match_construction_coordinates():
         ((F(8, 9), F(22, 27), 0), (F(8, 9), F(23, 27), 0)),
         ((F(25, 27), F(8, 9), 0), (F(26, 27), F(8, 9), 0)),
     ]
-    got = [segment_endpoints(s.T) for s in sites(2)]
+    got = [segment_endpoints(site_edge(s)) for s in sites(2)]
     assert got == expected
 
 
@@ -77,8 +81,8 @@ def test_site_cubes_survive_their_stage():
 
 
 def _reference_sites(m):
-    """Sites placed from digit products: the stage-m squares sit at
-    y = (3k + 1) / 3^m, k running over the {0, 2}-digit numbers."""
+    """(site, its edge T) placed from digit products: the stage-m squares
+    sit at y = (3k + 1) / 3^m, k running over the {0, 2}-digit numbers."""
     s = F(1, 3 ** (m + 1))
     edge_x = 1 - F(1, 3**m)
     squares = []
@@ -92,25 +96,24 @@ def _reference_sites(m):
         y1, y2 = F(3 * k + 1, 3**m), F(3 * k + 2, 3**m)
         index = len(out) + 1
         out += [
-            SpliceSite(m, index, "bottom", AxisSegment(0, (y1, F(0)), 1 - 2 * s, 1 - s),
-                       Cube((1 - 2 * s, y1, F(0)), s), "x-edge-low"),
-            SpliceSite(m, index + 1, "left", AxisSegment(1, (edge_x, F(0)), y1 + s, y1 + 2 * s),
-                       Cube((edge_x, y1 + s, F(0)), s), "y-edge"),
-            SpliceSite(m, index + 2, "top", AxisSegment(0, (y2, F(0)), 1 - 2 * s, 1 - s),
-                       Cube((1 - 2 * s, y2 - s, F(0)), s), "x-edge-high"),
+            (SpliceSite(m, index, "bottom", cube_of((1 - 2 * s, y1, F(0)), s), "x-edge-low"),
+             AxisSegment(0, (y1, F(0)), 1 - 2 * s, 1 - s)),
+            (SpliceSite(m, index + 1, "left", cube_of((edge_x, y1 + s, F(0)), s), "y-edge"),
+             AxisSegment(1, (edge_x, F(0)), y1 + s, y1 + 2 * s)),
+            (SpliceSite(m, index + 2, "top", cube_of((1 - 2 * s, y2 - s, F(0)), s), "x-edge-high"),
+             AxisSegment(0, (y2, F(0)), 1 - 2 * s, 1 - s)),
         ]
     return out
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_sites_match_the_digit_formula(m):
-    assert sites(m) == _reference_sites(m)
+    assert [(site, site_edge(site)) for site in sites(m)] == _reference_sites(m)
 
 
 def _reference_flat_unknot(site):
     """The low one-ninth cell of the site cube's face, one quad per kind."""
-    cx, cy, cz = site.cube.corner
-    s = site.cube.side
+    (cx, cy, cz), s = cube_rationals(site.cube)
     w = s / 3
     if site.kind == "bottom":
         quad = [(cx, cy), (cx + w, cy), (cx + w, cy + w), (cx, cy + w)]
@@ -129,7 +132,9 @@ def _reference_flat_unknot(site):
 def test_flat_unknot_matches_the_hand_written_quads(m):
     for site in sites(m):
         got = flat_unknot(site)
-        assert (got.vertices, got.marks["splice"]) == _reference_flat_unknot(site)
+        t = got.marks["splice"]
+        mark = tuple(sorted((got.vertices[t], got.vertices[(t + 1) % len(got)])))
+        assert (got.vertices, mark) == _reference_flat_unknot(site)
         assert got.marks["stage"] == 0
 
 
@@ -139,17 +144,15 @@ def test_flat_unknot_rejects_an_unknown_site_kind():
 
 
 def _custom_site(t_lo, t_hi, corner):
-    # free-standing site for connected sums next to the unit cube
-    t = AxisSegment(1, (F(0), F(0)), t_lo, t_hi)
-    return SpliceSite(0, 0, "custom", t, Cube(corner, t_hi - t_lo), "y-edge-high")
+    # free-standing site for connected sums next to the unit cube, on the
+    # line x = z = 0 along y from t_lo to t_hi
+    return SpliceSite(0, 0, "custom", cube_of(corner, t_hi - t_lo), "y-edge-high")
 
 
 def _connected_sum(base_name, summand_name):
     base, _ = embed_grid(catalog(base_name))
     site = _custom_site(F(1, 9), F(2, 9), (F(-1, 9), F(1, 9), F(0)))
-    summand = embed_into_box(
-        catalog(summand_name), site.cube.corner, site.cube.side, "y-edge-high", k=2
-    )
+    summand = embed_into_box(catalog(summand_name), site.cube, "y-edge-high", k=2)
     return splice(base, site, summand)
 
 
@@ -182,7 +185,7 @@ def test_splice_with_unknot_keeps_determinant():
 
 def flat_unknot_at(site):
     # rectangle bulging away from the unit cube (negative x side)
-    t = site.T
+    t = site_edge(site)
     w = (t.hi - t.lo) / 3
     x0 = t.fixed[0]
     verts = (
@@ -191,15 +194,13 @@ def flat_unknot_at(site):
         (x0 - w, t.lo + w, F(0)),
         (x0, t.lo + w, F(0)),
     )
-    return closed_polyline(verts, {"splice": ((x0, t.lo, F(0)), (x0, t.lo + w, F(0)))})
+    return closed_polyline(verts, {"splice": 3})  # from (x0, t.lo + w) to (x0, t.lo)
 
 
 def test_splice_rejects_mark_outside_t():
     base, _ = embed_grid(catalog("trefoil"))
     site = _custom_site(F(1, 9), F(2, 9), (F(-1, 9), F(1, 9), F(0)))
-    bad_summand = embed_into_box(
-        catalog("unknot"), (F(-1, 9), F(2, 9), F(0)), F(1, 9), "y-edge-high", k=1
-    )
+    bad_summand = embed_into_box(catalog("unknot"), cube_of((F(-1, 9), F(2, 9), F(0)), F(1, 9)), "y-edge-high", k=1)
     with pytest.raises(ValueError):
         splice(base, site, bad_summand)
 
@@ -207,51 +208,41 @@ def test_splice_rejects_mark_outside_t():
 def test_splice_rejects_summand_meeting_base_outside_t():
     base, _ = embed_grid(catalog("trefoil"))
     # cube on the inside: the base's second column crosses it
-    t = AxisSegment(1, (F(0), F(0)), F(1, 9), F(2, 9))
-    site = SpliceSite(0, 0, "custom", t, Cube((F(0), F(1, 9), F(0)), F(1, 9)), "y-edge")
-    summand = embed_into_box(catalog("unknot"), site.cube.corner, site.cube.side, "y-edge", k=1)
+    site = SpliceSite(0, 0, "custom", cube_of((F(0), F(1, 9), F(0)), F(1, 9)), "y-edge")
+    summand = embed_into_box(catalog("unknot"), site.cube, "y-edge", k=1)
     with pytest.raises(ValueError):
         splice(base, site, summand)
 
 
-# splice inputs: T runs along y on the base's left edge x = z = 0, and the
-# site cube hangs off it on the negative-x side (or on the inside)
-_T = AxisSegment(1, (F(0), F(0)), F(1, 3), F(2, 3))
-_OUT = SpliceSite(0, 0, "custom", _T, Cube((F(-1, 3), F(1, 3), F(0)), F(1, 3)), "y-edge-high")
-_IN = SpliceSite(0, 0, "custom", _T, Cube((F(0), F(1, 3), F(0)), F(1, 3)), "y-edge")
+# splice inputs: T, the edge x = z = 0 along y over [1/3, 2/3], runs on the
+# base's left edge, and the site cube hangs off it on the negative-x side
+# (or on the inside)
+_OUT = SpliceSite(0, 0, "custom", cube_of((F(-1, 3), F(1, 3), F(0)), F(1, 3)), "y-edge-high")
+_IN = SpliceSite(0, 0, "custom", cube_of((F(0), F(1, 3), F(0)), F(1, 3)), "y-edge")
 _SQUARE = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
 _FLAT = [(0, F(4, 9), 0), (F(-1, 9), F(4, 9), 0), (F(-1, 9), F(5, 9), 0), (0, F(5, 9), 0)]
 
-
-def _mark(a, b):
-    return {"splice": tuple(tuple(F(c) for c in p) for p in (a, b))}
-
-
-_GOOD_MARK = _mark(_FLAT[0], _FLAT[3])
+_GOOD_MARK = {"splice": 3}  # the segment from _FLAT[3] to _FLAT[0]
 
 # one input per ValueError of splice, in the order splice checks them
 SPLICE_ERRORS = {
     "no-mark": (_SQUARE, _OUT, _FLAT, {}, "summand carries no splice mark"),
-    "mark-off-line": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[1], _FLAT[0]), "splice mark is not on the site segment"),
-    "mark-leaves-t": (_SQUARE, _OUT, _FLAT, _mark((0, F(2, 9), 0), _FLAT[0]), "splice mark leaves the site segment"),
+    "mark-not-a-segment": (_SQUARE, _OUT, _FLAT, {"splice": 4}, "splice mark is not a segment of the summand"),
+    "mark-off-line": (_SQUARE, _OUT, _FLAT, {"splice": 0}, "splice mark is not on the site segment"),
+    "mark-leaves-t": (_SQUARE, _OUT, [(0, F(2, 9), 0), (F(-1, 9), F(2, 9), 0), _FLAT[2], _FLAT[3]], _GOOD_MARK,
+                      "splice mark leaves the site segment"),
     "no-carrier": ([(0, 0, 0), (0, F(1, 2), 0), (1, F(1, 2), 0), (1, 0, 0)], _OUT, _FLAT, _GOOD_MARK,
                    "site segment does not lie on the base curve"),
     "oblique-base": ([(0, 0, 0), (0, 1, 0), (1, 0, 0)], _OUT, _FLAT, _GOOD_MARK,
                      "approximant segments must be axis-aligned"),
     "base-in-cube": ([(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, F(1, 2), 0), (F(1, 6), F(1, 2), 0), (F(1, 6), 0, 0)],
                      _IN, _FLAT, _GOOD_MARK, "base meets the splice cube outside T at segment 3"),
-    "base-runs-past-t": (_SQUARE, SpliceSite(0, 0, "custom", AxisSegment(1, (F(0), F(0)), F(1, 3), F(5, 9)),
-                                             _OUT.cube, "y-edge-high"),
-                         _FLAT, _GOOD_MARK, "base meets the splice cube outside T at segment 0"),
     "summand-leaves-cube": (_SQUARE, _OUT, [_FLAT[0], (F(-1, 2), F(4, 9), 0), (F(-1, 2), F(5, 9), 0), _FLAT[3]],
                             _GOOD_MARK, "summand leaves the splice cube"),
-    "degenerate-mark": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[0], _FLAT[0]), "degenerate splice mark"),
     "mark-at-base-vertex": (
         [(0, 0, 0), (0, F(1, 3), 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)], _OUT,
         [(0, F(1, 3), 0), (F(-1, 9), F(1, 3), 0), (F(-1, 9), F(4, 9), 0), (0, F(4, 9), 0)],
-        _mark((0, F(1, 3), 0), (0, F(4, 9), 0)), "splice mark touches a base vertex"),
-    "mark-not-a-segment": (_SQUARE, _OUT, _FLAT, _mark(_FLAT[0], (0, F(1, 2), 0)),
-                           "splice mark is not a segment of the summand"),
+        _GOOD_MARK, "splice mark touches a base vertex"),
 }
 
 
@@ -280,8 +271,13 @@ def _reference_splice(base, site, summand):
     fresh polyline."""
     if "splice" not in summand.marks:
         raise ValueError("summand carries no splice mark")
-    u, v = summand.marks["splice"]
-    T = site.T
+    sverts = summand.vertices
+    sn = len(sverts)
+    t = summand.marks["splice"]
+    if not 0 <= t < sn:
+        raise ValueError("splice mark is not a segment of the summand")
+    u, v = sverts[t], sverts[(t + 1) % sn]
+    T = site_edge(site)
     ax = T.axis
     for p in (u, v):
         if tuple(p[i] for i in _OTHER_AXES[ax]) != T.fixed:
@@ -298,8 +294,8 @@ def _reference_splice(base, site, summand):
     )
     if carrier is None:
         raise ValueError("site segment does not lie on the base curve")
-    near = site.cube.corner
-    far = tuple(c + site.cube.side for c in near)
+    near, side = cube_rationals(site.cube)
+    far = tuple(c + side for c in near)
     for i, form in enumerate(forms):
         if form is None:
             raise ValueError("approximant segments must be axis-aligned")
@@ -313,21 +309,12 @@ def _reference_splice(base, site, summand):
     for w in summand.vertices:
         if not contains_point(site.cube, w):
             raise ValueError("summand leaves the splice cube")
-    if u == v:
-        raise ValueError("degenerate splice mark")
     _, _, c_lo, c_hi = forms[carrier]
     if not (c_lo < min(u[ax], v[ax]) and max(u[ax], v[ax]) < c_hi):
         raise ValueError("splice mark touches a base vertex")
     forward = verts[(carrier + 1) % n][ax] > verts[carrier][ax]
-    first, last = (u, v) if (u[ax] < v[ax]) == forward else (v, u)
-    sverts = summand.vertices
-    sn = len(sverts)
-    pairs = ((sverts[t], sverts[(t + 1) % sn]) for t in range(sn))
-    t = next((t for t, pair in enumerate(pairs) if pair in ((first, last), (last, first))), None)
-    if t is None:
-        raise ValueError("splice mark is not a segment of the summand")
     path = sverts[t + 1:] + sverts[:t + 1]
-    if sverts[t] == first:
+    if (u[ax] < v[ax]) == forward:
         path = path[::-1]
     return closed_polyline(verts[: carrier + 1] + path + verts[carrier + 1:], dict(base.marks))
 
@@ -385,7 +372,8 @@ def _reference_orient(unit, cube, orientation):
     X, Y, Z = unit
     local = {"y-edge": (X, Y, Z), "y-edge-high": (1 - X, Y, Z), "x-edge-low": (Y, X, Z),
              "x-edge-high": (Y, 1 - X, Z)}[orientation]
-    return tuple(cube.corner[i] + cube.side * local[i] for i in range(3))
+    corner, side = cube_rationals(cube)
+    return tuple(corner[i] + side * local[i] for i in range(3))
 
 
 _ORIENTATIONS = ["y-edge", "y-edge-high", "x-edge-low", "x-edge-high"]
@@ -397,16 +385,22 @@ _cube_coordinates = st.fractions(min_value=F(-2), max_value=F(2), max_denominato
        st.fractions(min_value=F(1, 30), max_value=F(3), max_denominator=30), st.sampled_from(["trefoil", "figure-eight"]))
 def test_placed_summand_is_the_unit_summand_oriented_into_the_cube(orientation, corner, side, knot):
     # one integer affine map per coordinate gives the Fraction images, and
-    # the integer form kept with them is the one they give
+    # the integer form kept with them is the one they give; the splice mark,
+    # a segment on the unit edge (x=0, z=0), keeps its index, and the unit
+    # edge goes onto the cube edge the orientation names
     g = catalog(knot)
-    unit = embed_into_box(g, (F(0),) * 3, F(1), "y-edge", _summand_stage(g.n))
-    site = SpliceSite(1, 1, "custom", AxisSegment(0, (F(0), F(0)), F(0), F(1)), Cube(corner, side), orientation)
+    unit = embed_into_box(g, Cube(1, (0, 0, 0), 1), "y-edge", _summand_stage(g.n))
+    site = SpliceSite(1, 1, "custom", cube_of(corner, side), orientation)
     placed = place(unit, site.cube, site.orientation)
     assert placed.vertices == tuple(_reference_orient(v, site.cube, orientation) for v in unit.vertices)
-    assert placed.marks["splice"] == tuple(sorted(
-        _reference_orient(v, site.cube, orientation) for v in unit.marks["splice"]))
+    t = unit.marks["splice"]
+    assert placed.marks["splice"] == t
+    assert all(unit.vertices[i][0] == unit.vertices[i][2] == 0 for i in (t, (t + 1) % len(unit)))
+    ax, fixed, lo, hi = cube_edge(site.cube, orientation)
+    ends = [tuple(F(c, site.cube.scale) for c in (*fixed[:ax], end, *fixed[ax:])) for end in (lo, hi)]
+    assert sorted(ends) == sorted(_reference_orient(p, site.cube, orientation) for p in ((0, 0, 0), (0, 1, 0)))
     assert placed.integer_form == closed_polyline(placed.vertices).integer_form
-    assert embed_into_box(g, corner, side, orientation, _summand_stage(g.n)).vertices == placed.vertices
+    assert embed_into_box(g, site.cube, orientation, _summand_stage(g.n)).vertices == placed.vertices
 
 
 def test_splicing_makes_no_fraction(monkeypatch):
@@ -421,6 +415,38 @@ def test_splicing_makes_no_fraction(monkeypatch):
     assert built == []
 
 
+def test_a_uniform_approximant_makes_no_fraction_outside_its_squareflake(monkeypatch):
+    # sites, cubes, splice marks and the splice are all integers; only the
+    # squareflake's stage-m detour records hold Fractions
+    built = fraction_counter(monkeypatch)
+    inside = []
+    real = wildknot.squareflake
+
+    def counted(m):
+        start = len(built)
+        stage = real(m)
+        inside.append(len(built) - start)
+        return stage
+
+    monkeypatch.setattr(wildknot, "squareflake", counted)
+    approximant(KnotAssignment.uniform("trefoil", 5), 5)
+    assert inside == [32] and len(built) == 32  # one per distinct value of the 16 records
+
+
+@pytest.mark.parametrize("assign, m, include_trivial, stage", [
+    (KnotAssignment.uniform("trefoil", 5), 5, False, 8),
+    (wild_set_plan([F(0), F(1)], "trefoil", 7), 7, False, 10),
+    (wild_set_plan([F(0), F(1)], "trefoil", 4), 4, True, 7),
+    (KnotAssignment.all_trivial(3), 3, True, 3),
+], ids=["uniform-5", "plan-7", "plan-4-include-trivial", "all-trivial-3"])
+def test_the_sponge_stage_is_the_one_the_ledger_gives(assign, m, include_trivial, stage):
+    # the largest of m and q + 1 + k over nontrivial entries: a trefoil
+    # takes Cantor stage k = 2, in a stage-(q + 1) site cube
+    a = approximant(assign, m, include_trivial)
+    assert a.sponge_stage == sponge_stage_of_ledger(a.m, a.ledger) == stage
+    assert all(verify_containment(a.polyline, stage))
+
+
 def test_approximant_embeds_each_summand_once(monkeypatch):
     calls = []
     real = wildknot.embed_into_box
@@ -433,14 +459,13 @@ def test_approximant_embeds_each_summand_once(monkeypatch):
 def _flat_site(x, t_lo, t_hi):
     """Site on the line x, z = 0 along y, its cube off toward smaller x."""
     side = t_hi - t_lo
-    return SpliceSite(0, 0, "custom", AxisSegment(1, (x, F(0)), t_lo, t_hi),
-                      Cube((x - side, t_lo, F(0)), side), "y-edge-high")
+    return SpliceSite(0, 0, "custom", cube_of((x - side, t_lo, F(0)), side), "y-edge-high")
 
 
 def _flat_quad(x, lo, hi, depth):
     """Rectangle from the segment x, y in [lo, hi] out to x - depth; the segment is its mark."""
     quad = [(x, lo, 0), (x - depth, lo, 0), (x - depth, hi, 0), (x, hi, 0)]
-    return closed_polyline(quad, _mark(quad[0], quad[3]))
+    return closed_polyline(quad, {"splice": 3})
 
 
 _HALF_SQUARE = [(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)]
@@ -473,7 +498,7 @@ def test_a_site_on_an_earlier_summand_splices_into_it():
 
 def _shifted(poly, dx):
     verts = [(x + dx, y, z) for x, y, z in poly.vertices]
-    return closed_polyline(verts, {"splice": tuple((x + dx, y, z) for x, y, z in poly.marks["splice"])})
+    return closed_polyline(verts, {"splice": poly.marks["splice"]})
 
 
 def _broken(pairs, k, make):
@@ -482,16 +507,17 @@ def _broken(pairs, k, make):
 
 _BROKEN = {
     "no-mark": lambda site, s: closed_polyline(s.vertices, {}),
-    "leaves-cube": lambda site, s: _shifted(s, -site.cube.side / 2),
-    "mark-not-a-segment": lambda site, s: closed_polyline(
-        s.vertices, {"splice": segment_endpoints(site.T)}),
+    "leaves-cube": lambda site, s: _shifted(s, -cube_rationals(site.cube)[1] / 2),
+    "mark-not-a-segment": lambda site, s: closed_polyline(s.vertices, {"splice": len(s)}),
     # the bottom cube's whole face: it touches the next (left) site cube
-    "touches-the-next-cube": lambda site, s: closed_polyline(
-        [site.cube.corner, (site.cube.corner[0], site.cube.corner[1] + site.cube.side, 0),
-         (site.cube.corner[0] + site.cube.side, site.cube.corner[1] + site.cube.side, 0),
-         (site.cube.corner[0] + site.cube.side, site.cube.corner[1], 0)],
-        {"splice": (site.cube.corner, (site.cube.corner[0] + site.cube.side, site.cube.corner[1], 0))}),
+    "touches-the-next-cube": lambda site, s: _face(*cube_rationals(site.cube)),
 }
+
+
+def _face(corner, side):
+    """The cube's face z = corner z, marked along its low-y side."""
+    x, y, z = corner
+    return closed_polyline([corner, (x, y + side, z), (x + side, y + side, z), (x + side, y, z)], {"splice": 3})
 
 
 @pytest.mark.parametrize("how", sorted(_BROKEN))
@@ -514,11 +540,15 @@ def test_a_summand_touching_a_later_cube_is_named_by_its_segment():
 
 # a site on a side of the square [1/3, 2/3]^2 at z = 1/3, or on the far
 # side of an earlier summand, with a rectangle summand bulging off it; all
-# on the 1/729 grid, and short enough to stay in the unit cube
+# on the 1/729 grid, and short enough to stay in the unit cube.  T is the
+# edge an orientation names, on the cube's low-z face, so the cube lies
+# above T and off one side of it in its plane
 _N, _A, _B = 729, 243, 486
 _SQUARE_HOSTS = [  # (axis, fixed coordinates, lo, hi) of the square's sides
     (1, (_A, _A), _A, _B), (0, (_B, _A), _A, _B), (1, (_B, _A), _A, _B), (0, (_A, _A), _A, _B),
 ]
+# axis of T -> (orientation, the side of T its cube lies on along the other axis of the plane)
+_EDGE_SIDES = {1: [("y-edge", 1), ("y-edge-high", -1)], 0: [("x-edge-low", 1), ("x-edge-high", -1)]}
 
 
 @st.composite
@@ -530,14 +560,14 @@ def _site_pairs(draw):
         t_lo = draw(st.integers(lo, hi - 3))
         t_hi = draw(st.integers(t_lo + 3, min(hi, t_lo + 54)))
         side = t_hi - t_lo
-        bulge = draw(st.sampled_from([(b, sgn) for b in range(3) if b != ax for sgn in (1, -1)]))
-        third = 3 - ax - bulge[0]
+        orientation, sign = draw(st.sampled_from(_EDGE_SIDES[ax]))
+        across = 1 - ax
         corner = [0, 0, 0]
         corner[ax] = t_lo
-        for o, f in zip(_OTHER_AXES[ax], fixed):
-            corner[o] = f
-        corner[bulge[0]] -= side if bulge[1] < 0 else 0
-        corner[third] -= draw(st.sampled_from([0, side]))
+        corner[across] = fixed[0] - (side if sign < 0 else 0)
+        corner[2] = fixed[1]
+        bulge = draw(st.sampled_from([(across, sign), (2, 1)]))
+        third = 3 - ax - bulge[0]
         m_lo = draw(st.integers(t_lo, t_hi - 1))
         m_hi = draw(st.integers(m_lo + 1, t_hi))
         slip = draw(st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1)))  # now and then a mark leaving T
@@ -550,10 +580,8 @@ def _site_pairs(draw):
             p[bulge[0]] = fixed[_OTHER_AXES[ax].index(bulge[0])] + out
             p[third] = fixed[_OTHER_AXES[ax].index(third)]
             quad.append(tuple(F(c, _N) for c in p))
-        mark = (quad[0], quad[3]) if draw(st.booleans()) else (quad[3], quad[0])
-        t = AxisSegment(ax, tuple(F(f, _N) for f in fixed), F(t_lo, _N), F(t_hi, _N))
-        site = SpliceSite(0, 0, "custom", t, Cube(tuple(F(c, _N) for c in corner), F(side, _N)), "y-edge")
-        pairs.append((site, closed_polyline(tuple(quad), {"splice": mark})))
+        site = SpliceSite(0, 0, "custom", Cube(_N, tuple(corner), side), orientation)
+        pairs.append((site, closed_polyline(tuple(quad), {"splice": 3})))
         far_fixed = tuple(int(c * _N) for c in (quad[1][o] for o in _OTHER_AXES[ax]))
         hosts.append((ax, far_fixed, m_lo, m_hi) if m_hi - m_lo >= 3 else hosts[0])
     return pairs
