@@ -63,12 +63,14 @@ def polyline(poly, knot=None) -> CheckList:
 
     Containment runs at the ``sponge_stage`` mark, else at the finest
     triadic grid whose lines carry every segment (where an embedding puts
-    them); it is left out when neither gives a stage.
+    them); it fails when neither gives a stage.
     """
     mark = poly.marks.get("sponge_stage")
     stage = mark if isinstance(mark, int) else _grid_stage(poly)
     checks = CheckList()
-    if stage is not None:
+    if stage is None:
+        checks.add("containment", False, "no triadic grid carries every segment")
+    else:
         checks.add("containment", all(verify_containment(poly, stage)), f"stage {stage}")
     checks.add("simplicity", is_simple(poly))
     if knot is not None:
@@ -141,9 +143,15 @@ def approximant(a, det: bool = False) -> CheckList:
     return checks
 
 
-def assignment(_) -> CheckList:
+def assignment(a) -> CheckList:
+    """``assignment-sites``: the stage is at least 1 and every entry names a
+    site of stages 1..stage, a stage q in that range and an index from 1 to
+    3 * 2**(q - 1).  An index of b bits is below that count once q > b, so
+    a huge q forms no power."""
     checks = CheckList()
-    checks.add("assignment-readable", True)
+    checks.add("assignment-sites", a.stage >= 1 and all(
+        1 <= q <= a.stage and 1 <= i and (i.bit_length() < q or i <= 3 * 2 ** (q - 1)) for q, i in a.entries
+    ))
     return checks
 
 

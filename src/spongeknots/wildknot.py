@@ -109,29 +109,30 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
     Each splice is a connected sum along the summand's marked segment,
     segment ``marks["splice"]`` of its vertex cycle.  The mark must lie
     inside T, the cube edge the site's orientation names
-    (``embed.cube_edge``), T inside one segment of the curve, and the
-    summand must meet the curve only inside T; the marked open segment is
-    removed from both curves and the endpoints cross-joined into one
-    closed walk, preserving the base orientation.
+    (``embed.cube_edge``), T inside a segment of the base curve as given,
+    its carrier, and the summand must meet the curve only inside T; the
+    marked open segment is removed from both curves and the endpoints
+    cross-joined into one closed walk, preserving the base orientation.
+    A carrier is the first base segment that holds T, and it carries at
+    most one splice.
 
-    The curve, or the first ValueError, is the one that splicing the pairs
-    one at a time in order gives: each site is checked, rule by rule, in
-    the order of the errors below, against the curve the earlier splices
-    left, their summand segments included.
+    The rules are checked site by site, in the order of the errors below,
+    against the curve the earlier splices left, their summand segments
+    included.  Where each site's T lies in a base segment of its own, the
+    curve, or the first ValueError, is the one that splicing the pairs one
+    at a time in order gives.
 
     Each curve's integer form and each site cube is brought to one integer
     scale, the lcm of their scales, and the walk and the curve it gives
     stay on that scale.  Each segment of the base and of every summand is
     filed once by its line, for carriers, and once under the site cubes it
-    meets (``_cube_meets``).  A segment that takes a summand is cut into
-    pieces, kept as its sorted walk positions (coordinates along its axis,
-    negated when it walks down the axis).  Pieces are ordered by keys: a
-    base segment's key is its index; a summand segment's key is its
-    carrier's key, then the splice position along the carrier and its place
-    on the summand's path; a piece adds its first position.  Keys sort the
-    curve in walk order, so the first segment a rule finds is the least
-    key, and the index an error names counts the smaller keys.  The vertex
-    list is assembled, and the polyline validated, once.
+    meets (``_cube_meets``).  Pieces of the curve are ordered by keys: base
+    segment i is (i, 0) up to the mark it carries, then the spliced path's
+    segments (i, 1, d), then (i, 2) after the mark.  Keys sort the curve in
+    walk order, so the first segment a rule finds is the least key, and the
+    index an error names counts the smaller keys.  The vertex list, each
+    base vertex followed by the path spliced into its segment, is assembled,
+    and the polyline validated, once.
     O(g (n + s) log(n + s)) for n segments in all, s sites and g distinct
     cube sides (m of them at stage m).
     """
@@ -152,9 +153,8 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         offsets.append(len(ends))
         summand_points.append(pts)
         ends.extend(zip(pts, pts[1:] + pts[:1]))
-    total = len(ends)
-    axes = [None] * total  # running axis, None when oblique
-    fixeds = [None] * total  # the other two coordinates
+    axes = [None] * len(ends)  # running axis, None when oblique
+    fixeds = [None] * len(ends)  # the other two coordinates
     lines = defaultdict(list)  # (axis, fixed coordinates) -> [(lo, hi, segment)]
     for i, (a, b) in enumerate(ends):
         ax = axes[i] = running_axis(a, b)
@@ -174,25 +174,11 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
         cubes.append((near, tuple(c + site.cube.side * f for c in near)))
     meets = _cube_meets(cubes, lines)
 
-    # the curve so far: live segments, their pieces and keys
-    alive = [i < n for i in range(total)]
-    start = points + [None] * (total - n)  # first vertex along the walk
-    keys = [(i,) for i in range(n)] + [None] * (total - n)
-    signs = [None] * total
-    cuts = [None] * total  # walk positions: piece k runs from cuts[2k] to cuts[2k + 1]
-    inserted = defaultdict(list)  # segment -> [(splice position, path segments, last vertex)]
-
-    def go_live(i, a, b):
-        ax = axes[i]
-        if ax is None:
-            cuts[i] = [0, 1]  # never cut: one piece, keyed like any other
-        else:
-            s = signs[i] = 1 if b[ax] > a[ax] else -1
-            cuts[i] = [s * a[ax], s * b[ax]]
-
-    for i in range(n):
-        go_live(i, *ends[i])
-    first_oblique = next((keys[i] + (0, 0) for i in range(n) if axes[i] is None), None)
+    # the curve so far: the path spliced into each carrier, and the key of
+    # each summand segment on it
+    paths = {}  # carrier -> the summand's vertices in walk order
+    keys = {}  # summand segment -> (carrier, 1, its place on the path)
+    first_oblique = next(((i, 0) for i in range(n) if axes[i] is None), None)
 
     for j, (site, summand) in enumerate(pairs):
         if "splice" not in summand.marks:
@@ -208,88 +194,60 @@ def _splice_sites(base: ClosedPolyline3, pairs) -> ClosedPolyline3:
                 raise ValueError("splice mark is not on the site segment")
             if not (t_lo <= p[ax] <= t_hi):
                 raise ValueError("splice mark leaves the site segment")
-        # T inside one piece of the curve so far: the first such piece
-        carrier = None  # (piece key, segment, piece number)
+        # T inside a base segment: the first such
+        carrier = None
         line, line_reach = lines.get((ax, fixed), ()), reach.get((ax, fixed), ())
         k = bisect_left(line, (t_lo + 1,)) - 1  # the last entry with lo <= t_lo
         while k >= 0 and line_reach[k] >= t_hi:
             _, hi, i = line[k]
             k -= 1
-            if hi < t_hi or not alive[i]:
-                continue
-            cut = cuts[i]
-            p, q = (t_lo, t_hi) if signs[i] > 0 else (-t_hi, -t_lo)
-            c = bisect_right(cut, p) - 1
-            if c >= 0 and cut[c | 1] >= q:
-                key = keys[i] + (cut[c & ~1], 0)
-                if carrier is None or key < carrier[0]:
-                    carrier = (key, i, c // 2)
+            if hi >= t_hi and i < n and (carrier is None or i < carrier):
+                carrier = i
         if carrier is None:
             raise ValueError("site segment does not lie on the base curve")
+        if carrier in paths:
+            raise ValueError("base segment already carries a splice")
         # the curve meets the summand's cube only along T
         near, far = cubes[j]
         bad = None  # key of the first piece that meets the cube outside T
         for i in meets[j]:
-            if not alive[i]:
-                continue
-            fax, s, cut = axes[i], signs[i], cuts[i]
+            a, b = ends[i]
+            if i >= n:
+                pieces = [(keys[i], a, b)] if i in keys else []
+            elif i in paths:
+                pieces = [((i, 0), a, paths[i][0]), ((i, 2), paths[i][-1], b)]
+            else:
+                pieces = [((i, 0), a, b)]
+            fax = axes[i]
             on_t = fax == ax and fixeds[i] == fixed
-            p, q = (near[fax], far[fax]) if s > 0 else (-far[fax], -near[fax])
-            for c in range(bisect_left(cut, p) // 2, (bisect_right(cut, q) + 1) // 2):
-                a, b = cut[2 * c], cut[2 * c + 1]
-                lo, hi = (a, b) if s > 0 else (-b, -a)
-                if on_t and t_lo <= max(lo, near[fax]) and min(hi, far[fax]) <= t_hi:
-                    continue
-                key = keys[i] + (a, 0)
-                if bad is None or key < bad:
-                    bad = key
+            for key, p, q in pieces:
+                lo, hi = sorted((p[fax], q[fax]))
+                if lo <= far[fax] and near[fax] <= hi and not (
+                        on_t and t_lo <= max(lo, near[fax]) and min(hi, far[fax]) <= t_hi):
+                    bad = key if bad is None else min(bad, key)
         if first_oblique is not None and (bad is None or first_oblique < bad):
             raise ValueError("approximant segments must be axis-aligned")
         if bad is not None:
-            index = sum(
-                keys[i] + (cuts[i][c], 0) < bad
-                for i in range(total) if alive[i] for c in range(0, len(cuts[i]), 2)
-            )
+            index = sum(key < bad for key in (*((i, 0) for i in range(n)), *((i, 2) for i in paths), *keys.values()))
             raise ValueError(f"base meets the splice cube outside T at segment {index}")
         if not all(a <= c <= b for w in pts for a, c, b in zip(near, w, far)):
             raise ValueError("summand leaves the splice cube")
 
-        _, i, piece = carrier
-        s, cut = signs[i], cuts[i]
-        a, b = cut[2 * piece], cut[2 * piece + 1]
-        c_lo, c_hi = (a, b) if s > 0 else (-b, -a)
-        if not (c_lo < min(u[ax], v[ax]) and max(u[ax], v[ax]) < c_hi):
+        a, b = ends[carrier]
+        if not (min(a[ax], b[ax]) < min(u[ax], v[ax]) and max(u[ax], v[ax]) < max(a[ax], b[ax])):
             raise ValueError("splice mark touches a base vertex")
         # the summand walked from the mark's end the carrier meets first
-        # around to its other end, cut into the carrier piece
-        backward = (u[ax] < v[ax]) == (s > 0)
+        # around to its other end
+        backward = (u[ax] < v[ax]) == (a[ax] < b[ax])
         order = [(t - d) % sn for d in range(sn)] if backward else [(t + 1 + d) % sn for d in range(sn)]
-        at, to = s * pts[order[0]][ax], s * pts[order[-1]][ax]
-        cut[2 * piece + 1:2 * piece + 1] = [at, to]
-        path = []
         for d in range(sn - 1):
-            h, e = order[d], order[d + 1]
-            seg = offsets[j] + (e if backward else h)
-            alive[seg], start[seg], keys[seg] = True, pts[h], keys[i] + (at, 1, d)
-            go_live(seg, pts[h], pts[e])
-            path.append(seg)
-            if axes[seg] is None and (first_oblique is None or keys[seg] + (0, 0) < first_oblique):
-                first_oblique = keys[seg] + (0, 0)
-        inserted[i].append((at, path, pts[order[-1]]))
+            seg = offsets[j] + (order[d + 1] if backward else order[d])
+            keys[seg] = (carrier, 1, d)
+            if axes[seg] is None and (first_oblique is None or keys[seg] < first_oblique):
+                first_oblique = keys[seg]
+        paths[carrier] = [pts[h] for h in order]
 
-    # the vertex list: each segment's first vertex, then the paths cut into it
-    out = []
-    stack = [iter(range(n))]
-    while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
-        elif isinstance(item, tuple):
-            out.append(item)
-        else:
-            out.append(start[item])
-            if item in inserted:
-                stack.append(iter([x for _, path, last in sorted(inserted[item]) for x in (*path, last)]))
+    out = [p for i in range(n) for p in (points[i], *paths.get(i, ()))]
     return ClosedPolyline3(IntegerForm(scale, tuple(out)), dict(base.marks))
 
 

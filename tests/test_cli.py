@@ -19,7 +19,7 @@ from spongeknots.grid import catalog
 from spongeknots.necklace import invert_pearl, iterate, make_necklace
 from spongeknots.polyline import ClosedPolyline3
 from spongeknots.squareflake import squareflake
-from spongeknots.wildknot import KnotAssignment, approximant, sites
+from spongeknots.wildknot import KnotAssignment, approximant, sites, wild_set_plan
 from oracle import closed_polyline
 from test_invariants import fraction_counter
 
@@ -526,6 +526,40 @@ def test_verify_a_sponge_stage_other_than_the_ledgers_fails_containment(tmp_path
     assert [line.split(":")[0] for line in out if "FAIL" in line] == ["containment"]
 
 
+def _plan_7_assignment(entry=None, **fields):
+    """The assignment ``build wildknot --stage 7 --targets 0/1,1/1`` writes,
+    with entry 0 and the top-level fields edited."""
+    data = {**serialize.assignment_json(wild_set_plan([F(0), F(1)], "trefoil", 7)), **fields}
+    data["entries"][0] = {**data["entries"][0], **(entry or {})}
+    return data
+
+
+@pytest.mark.parametrize("make, ok", [
+    (_plan_7_assignment, True),
+    (lambda: _plan_7_assignment({"index": 10**6}), False),
+    (lambda: _plan_7_assignment(stage=-1), False),
+    (lambda: {**_plan_7_assignment(), "stage": 0, "entries": []}, False),
+    (lambda: _plan_7_assignment({"index": 0}), False),
+    (lambda: _plan_7_assignment({"index": 4}), False),  # stage 1 has sites 1..3
+    (lambda: _plan_7_assignment({"stage": 8}), False),
+    # a site of stage 10**9 exists; its index is decided without forming 2**(10**9 - 1)
+    (lambda: _plan_7_assignment({"stage": 10**9, "index": 10**6}, stage=10**9), True),
+], ids=["as-built", "index-1000000", "stage-minus-1", "stage-0", "index-0", "index-4", "entry-stage-8",
+        "huge-stage"])
+def test_verify_an_assignment_checks_that_its_entries_are_sites(tmp_path, capsys, make, ok):
+    f = tmp_path / "wildknot-7.assignment.json"
+    f.write_text(serialize.dump_json(make()))
+    start = time.perf_counter()
+    assert run(["verify", str(f)]) == (0 if ok else 1)
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == [f"assignment-sites: {'PASS' if ok else 'FAIL'}"]
+
+
+def test_the_plan_assignment_is_the_one_the_build_writes(tmp_path, capsys):
+    assert run(["build", "wildknot", "--stage", "7", "--targets", "0/1,1/1", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "wildknot-7.assignment.json").read_text() == serialize.dump_json(_plan_7_assignment())
+
+
 def _far_vertex_embed(tmp_path):
     assert run(["build", "embed", "--knot", "trefoil", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "embed-trefoil.json").read_text())
@@ -739,17 +773,24 @@ def _oblique_squareflake():
     return data
 
 
-@pytest.mark.parametrize("make", [
-    lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)])),
-    lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (1, 0, 0), (0, 1, 0)], {"sponge_stage": 1})),
-    _oblique_squareflake,
-], ids=["leaves-unit-cube", "marked-triangle", "oblique-squareflake"])
-def test_verify_uncontainable_curve_fails_containment(tmp_path, capsys, make):
+@pytest.mark.parametrize("make, detail", [
+    (lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)])), "stage 0"),
+    (lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (1, 0, 0), (0, 1, 0)], {"sponge_stage": 1})),
+     "stage 1"),
+    (_oblique_squareflake, "stage 1"),
+    # unmarked, so the grid must give the stage: an oblique side, or a side
+    # on x = 1/2, which no triadic grid line carries
+    (lambda: serialize.polyline_json(closed_polyline([(0, 0, 0), (1, 0, 0), (0, 1, 0)])),
+     "no triadic grid carries every segment"),
+    (lambda: serialize.polyline_json(closed_polyline([(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)])),
+     "no triadic grid carries every segment"),
+], ids=["leaves-unit-cube", "marked-triangle", "oblique-squareflake", "unmarked-triangle", "square-through-half"])
+def test_verify_uncontainable_curve_fails_containment(tmp_path, capsys, make, detail):
     f = tmp_path / "curve.json"
     f.write_text(serialize.dump_json(make()))
     assert run(["verify", str(f)]) == 1
     captured = capsys.readouterr()
-    assert "containment: FAIL" in captured.out
+    assert f"containment: FAIL ({detail})" in captured.out.splitlines()
     assert "error:" not in captured.err
 
 

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import product
 
@@ -471,29 +472,48 @@ def _flat_quad(x, lo, hi, depth):
 _HALF_SQUARE = [(F(1, 2), 0, 0), (F(1, 2), 1, 0), (1, 1, 0), (1, 0, 0)]
 
 
-@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
-def test_sites_sharing_a_carrier_go_in_walk_order(order):
-    spec = [(F(1, 9), F(2, 9)), (F(4, 9), F(5, 9)), (F(7, 9), F(8, 9))]
+def test_a_second_site_on_a_carrier_is_refused():
+    # two sites on the base's one segment x = 1/2: site by site, the second
+    # splices into a piece of it; a carrier takes one splice
     pairs = [
         (_flat_site(F(1, 2), lo, hi), _flat_quad(F(1, 2), lo + F(1, 27), hi - F(1, 27), F(1, 27)))
-        for lo, hi in (spec[k] for k in order)
+        for lo, hi in [(F(1, 9), F(2, 9)), (F(4, 9), F(5, 9))]
     ]
     base = closed_polyline(_HALF_SQUARE)
-    got = _splice_sites(base, pairs)
-    assert got.vertices == _reference_loop(base, pairs).vertices
-    ys = [y for x, y, _ in got.vertices if x == F(1, 2)]
-    assert ys == sorted(ys) and len(got) == 4 + 3 * 4
+    assert len(_reference_loop(base, pairs)) == 4 + 2 * 4
+    assert _outcome(_splice_sites, base, pairs[:1]) == _reference_loop(base, pairs[:1]).vertices
+    assert _outcome(_splice_sites, base, pairs) == "base segment already carries a splice"
 
 
-def test_a_site_on_an_earlier_summand_splices_into_it():
+def test_a_site_on_an_earlier_summand_is_refused():
+    # the second site's T lies on the first summand's far side x = 1/6 and
+    # on no base segment: site by site, it splices into the summand
     pairs = [
         (_flat_site(F(1, 2), F(1, 3), F(2, 3)), _flat_quad(F(1, 2), F(4, 9), F(5, 9), F(1, 3))),
         (_flat_site(F(1, 6), F(13, 27), F(14, 27)), _flat_quad(F(1, 6), F(13, 27), F(14, 27), F(1, 27))),
     ]
     base = closed_polyline(_HALF_SQUARE)
-    got = _splice_sites(base, pairs)
-    assert got.vertices == _reference_loop(base, pairs).vertices
-    assert len(got) == 12 and is_simple(got)
+    assert len(_reference_loop(base, pairs)) == 12
+    assert _outcome(_splice_sites, base, pairs) == "site segment does not lie on the base curve"
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_each_site_lies_in_a_base_segment_of_its_own(m):
+    # what the one-pass splice relies on: every site of stages 1..m has its
+    # T inside exactly one segment of squareflake(m), and no segment holds two
+    verts = squareflake(m).polyline.vertices
+    lines = defaultdict(list)  # (axis, fixed coordinates) -> [(lo, hi, segment)]
+    for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        ax, fixed, lo, hi = axis_form(a, b)
+        lines[ax, fixed].append((lo, hi, i))
+    carriers = []
+    for q in range(1, m + 1):
+        for site in sites(q):
+            t = site_edge(site)
+            held = [i for lo, hi, i in lines[t.axis, t.fixed] if lo <= t.lo and t.hi <= hi]
+            assert len(held) == 1
+            carriers += held
+    assert len(set(carriers)) == len(carriers) == 3 * (2**m - 1)
 
 
 def _shifted(poly, dx):
@@ -538,11 +558,11 @@ def test_a_summand_touching_a_later_cube_is_named_by_its_segment():
     assert _outcome(_splice_sites, base, pairs) == message
 
 
-# a site on a side of the square [1/3, 2/3]^2 at z = 1/3, or on the far
-# side of an earlier summand, with a rectangle summand bulging off it; all
-# on the 1/729 grid, and short enough to stay in the unit cube.  T is the
-# edge an orientation names, on the cube's low-z face, so the cube lies
-# above T and off one side of it in its plane
+# a site on a side of the square [1/3, 2/3]^2 at z = 1/3, at most one per
+# side, with a rectangle summand bulging off it; all on the 1/729 grid, and
+# short enough to stay in the unit cube.  T is the edge an orientation
+# names, on the cube's low-z face, so the cube lies above T and off one
+# side of it in its plane
 _N, _A, _B = 729, 243, 486
 _SQUARE_HOSTS = [  # (axis, fixed coordinates, lo, hi) of the square's sides
     (1, (_A, _A), _A, _B), (0, (_B, _A), _A, _B), (1, (_B, _A), _A, _B), (0, (_A, _A), _A, _B),
@@ -553,10 +573,9 @@ _EDGE_SIDES = {1: [("y-edge", 1), ("y-edge-high", -1)], 0: [("x-edge-low", 1), (
 
 @st.composite
 def _site_pairs(draw):
-    hosts = list(_SQUARE_HOSTS)
+    hosts = draw(st.permutations(_SQUARE_HOSTS))[:draw(st.integers(1, 4))]
     pairs = []
-    for _ in range(draw(st.integers(1, 4))):
-        ax, fixed, lo, hi = draw(st.sampled_from(hosts))
+    for ax, fixed, lo, hi in hosts:
         t_lo = draw(st.integers(lo, hi - 3))
         t_hi = draw(st.integers(t_lo + 3, min(hi, t_lo + 54)))
         side = t_hi - t_lo
@@ -582,8 +601,6 @@ def _site_pairs(draw):
             quad.append(tuple(F(c, _N) for c in p))
         site = SpliceSite(0, 0, "custom", Cube(_N, tuple(corner), side), orientation)
         pairs.append((site, closed_polyline(tuple(quad), {"splice": 3})))
-        far_fixed = tuple(int(c * _N) for c in (quad[1][o] for o in _OTHER_AXES[ax]))
-        hosts.append((ax, far_fixed, m_lo, m_hi) if m_hi - m_lo >= 3 else hosts[0])
     return pairs
 
 
